@@ -1,14 +1,22 @@
 // Microbenchmarks: per-request decision latency of the online schedulers
 // as the cloudlet count grows (an online admission controller sits on the
-// request path, so decide() cost is the deployment-relevant number), plus
-// replication throughput of the parallel experiment engine vs thread count.
+// request path, so decide() cost is the deployment-relevant number),
+// replication throughput of the parallel experiment engine vs thread
+// count, and the serve layer's per-byte checkpoint costs (CRC-32, snapshot
+// encode and decode) and per-request admission cost.
 #include <benchmark/benchmark.h>
+
+#include <string>
 
 #include "core/greedy.hpp"
 #include "core/instance.hpp"
 #include "core/offsite_primal_dual.hpp"
 #include "core/onsite_primal_dual.hpp"
 #include "net/generators.hpp"
+#include "serve/admission_controller.hpp"
+#include "serve/snapshot.hpp"
+#include "serve/vfs.hpp"
+#include "serve/wire.hpp"
 #include "sim/experiment.hpp"
 #include "sim/scenarios.hpp"
 
@@ -98,6 +106,115 @@ BENCHMARK(BM_ParallelExperimentReplications)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+// ---------------------------------------------------------------- serve
+// The durable admission controller at the shape of the steady_admit
+// benchmark workload: 8 cloudlets x 600 slots and a ~9.5k-record admitted
+// ledger, i.e. a ~495 KB snapshot.
+
+constexpr std::size_t kServeCloudlets = 8;
+constexpr std::size_t kServeSlots = 600;
+constexpr std::size_t kServeAdmitted = 9500;
+constexpr std::size_t kServeRequests = 60000;
+
+/// Seconds per byte, which the console prints with an SI prefix (e.g.
+/// 1.1n = 1.1 ns/B).
+benchmark::Counter per_byte(std::size_t bytes) {
+    return benchmark::Counter(static_cast<double>(bytes),
+                              benchmark::Counter::kIsIterationInvariantRate |
+                                  benchmark::Counter::kInvert);
+}
+
+serve::ControllerSnapshot make_bench_snapshot() {
+    common::Rng rng = common::stream_rng(0x9e7f'5c4d, 0x5e7e);
+    serve::ControllerSnapshot snap;
+    snap.cloudlets = kServeCloudlets;
+    snap.horizon = kServeSlots;
+    snap.wal_seq = 937;
+    snap.metrics.processed = kServeRequests;
+    snap.metrics.admitted = kServeAdmitted;
+    snap.metrics.rejected = kServeRequests - kServeAdmitted;
+    snap.lambda.assign(kServeCloudlets, std::vector<double>(kServeSlots));
+    for (auto& row : snap.lambda) {
+        for (double& v : row) v = rng.uniform(0.0, 5.0);
+    }
+    snap.usage.resize(kServeCloudlets * kServeSlots);
+    for (double& v : snap.usage) v = rng.uniform(0.0, 60.0);
+    snap.covered_watermark = kServeRequests;
+    for (std::size_t i = 0; i < kServeAdmitted; ++i) {
+        serve::AdmittedRecord rec;
+        rec.seq = 6 * i;
+        rec.request_id = static_cast<std::int64_t>(6 * i);
+        rec.payment = rng.uniform(1.0, 50.0);
+        rec.sites = {{rng.uniform_int(0, kServeCloudlets - 1), rng.uniform_int(1, 3)}};
+        snap.metrics.revenue += rec.payment;
+        snap.admitted.push_back(std::move(rec));
+    }
+    return snap;
+}
+
+void BM_Crc32(benchmark::State& state) {
+    const auto bytes = static_cast<std::size_t>(state.range(0));
+    common::Rng rng = common::stream_rng(0x9e7f'5c4d, bytes);
+    std::string data(bytes, '\0');
+    for (char& c : data) c = static_cast<char>(rng.uniform_int(0, 255));
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(serve::crc32(data));
+    }
+    state.counters["s_per_byte"] = per_byte(bytes);
+}
+
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(4096)->Arg(512 * 1024);
+
+void BM_EncodeSnapshot(benchmark::State& state) {
+    const serve::ControllerSnapshot snap = make_bench_snapshot();
+    const std::size_t bytes = serve::encode_snapshot(snap).size();
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(serve::encode_snapshot(snap));
+    }
+    state.counters["s_per_byte"] = per_byte(bytes);
+}
+
+BENCHMARK(BM_EncodeSnapshot)->Unit(benchmark::kMicrosecond);
+
+void BM_DecodeSnapshot(benchmark::State& state) {
+    const std::string bytes = serve::encode_snapshot(make_bench_snapshot());
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(serve::decode_snapshot(bytes, "bench"));
+    }
+    state.counters["s_per_byte"] = per_byte(bytes.size());
+}
+
+BENCHMARK(BM_DecodeSnapshot)->Unit(benchmark::kMicrosecond);
+
+/// One admission request end to end — submit, then pump(1): decide, WAL
+/// append and fdatasync, apply, and every 64th time a checkpoint rotation
+/// — over the in-memory FaultyVfs at the default ServeConfig. The first
+/// 50k requests of a 60k-request stream are decided untimed, so the timed
+/// requests run against an admitted ledger of ~9.5k records and up
+/// (`ledger_records` is its size when timing starts).
+void BM_PumpOne(benchmark::State& state) {
+    core::InstanceConfig environment = sim::paper_environment(kServeRequests);
+    environment.workload.horizon = static_cast<TimeSlot>(kServeSlots);
+    common::Rng rng = common::stream_rng(0x9e7f'5c4d, kServeRequests);
+    const core::Instance inst = core::make_instance(environment, rng);
+    serve::FaultyVfs vfs;
+    serve::ServeConfig cfg;
+    cfg.data_dir = "/bench";
+    cfg.vfs = &vfs;
+    serve::AdmissionController controller(inst, core::Scheme::kOnsite, cfg);
+    std::size_t next = 0;
+    const auto admit = [&] {
+        controller.submit(next, inst.requests[next]);
+        benchmark::DoNotOptimize(controller.pump(1));
+        ++next;
+    };
+    while (next < kServeRequests - 10000) admit();
+    state.counters["ledger_records"] = static_cast<double>(controller.metrics().admitted);
+    for (auto _ : state) admit();
+}
+
+BENCHMARK(BM_PumpOne)->Iterations(10000)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -111,14 +111,17 @@ void AdmissionController::recover() {
             throw CorruptStateError(snap_path, 0,
                                     "snapshot shape disagrees with the bound instance");
         }
-        scheduler_->import_state(
-            core::SchedulerState{std::move(snap.lambda), std::move(snap.usage)});
+        core::SchedulerState state{std::move(snap.lambda), std::move(snap.usage)};
+        scheduler_->import_state(state);
+        rollback_base_ = std::move(state);
         metrics_ = snap.metrics;
         admitted_ = std::move(snap.admitted);
         covered_watermark_ = snap.covered_watermark;
         covered_sparse_.clear();
         covered_sparse_.insert(snap.covered_sparse.begin(), snap.covered_sparse.end());
         wal_seq_ = snap.wal_seq;
+    } else {
+        rollback_base_ = scheduler_->export_state();
     }
     // Without a snapshot the controller starts from generation 0 with
     // default state; a crash before the first checkpoint leaves exactly
@@ -295,6 +298,7 @@ void AdmissionController::apply_decision(std::uint64_t seq,
         metrics_.rejected += 1;
     }
     mark_covered(seq);
+    decided_since_base_.push_back(request);
 }
 
 void AdmissionController::shed(const QueueItem& victim) {
@@ -465,10 +469,6 @@ std::vector<ProcessedOutcome> AdmissionController::pump_locked(
                 batch.push_back(it->second);
             }
         }
-        // The scheduler mutates inside decide; checkpoint its state first
-        // so a storage failure below can roll the whole chunk back as if
-        // it was never decided.
-        const core::SchedulerState pre_state = scheduler_->export_state();
         const std::uint64_t pre_wal_records = wal_records_;
         const std::uint64_t pre_appends = appends_this_run_;
         const std::vector<core::Decision> decisions = decide_batch(batch);
@@ -493,10 +493,10 @@ std::vector<ProcessedOutcome> AdmissionController::pump_locked(
             // durable prefix are rewound before the next commit — and if
             // they survive a crash instead, recovery replays them as
             // durable-but-unacked outcomes, which resubmission skips.
-            scheduler_->import_state(pre_state);
             wal_->abandon_staged();
             wal_records_ = pre_wal_records;
             appends_this_run_ = pre_appends;
+            rollback_scheduler_locked();
             enter_degraded_locked("WAL group commit", err);
         }
         // Only now — with the group durable — do the outcomes become
@@ -531,6 +531,7 @@ void AdmissionController::prune_shed_heap() {
 std::vector<ProcessedOutcome> AdmissionController::drain() {
     const common::MutexLock lock(&mu_);
     require_primary("drain");
+    require_storage_healthy_locked("drain");
     std::vector<ProcessedOutcome> outcomes;
     while (!queue_.empty()) {
         std::vector<ProcessedOutcome> batch = pump_locked(queue_.size());
@@ -546,7 +547,7 @@ void AdmissionController::checkpoint() {
 
 void AdmissionController::checkpoint_locked() {
     try {
-        rotate_checkpoint_locked(build_snapshot_locked());
+        rotate_checkpoint_locked();
     } catch (const VfsError& err) {
         // Whatever the rotation half-did (a next-generation file, an
         // unreplaced snapshot) is exactly a legal crash window: recovery's
@@ -556,26 +557,27 @@ void AdmissionController::checkpoint_locked() {
     }
 }
 
-ControllerSnapshot AdmissionController::build_snapshot_locked() const {
-    ControllerSnapshot snap;
+void AdmissionController::rotate_checkpoint_locked() {
+    VNFR_CHECK(wal_->staged_records() == 0,
+               "checkpoint with uncommitted staged WAL records");
+    // The snapshot is encoded straight from the live state; only the
+    // scheduler state is copied, and that copy becomes the rollback base
+    // once the rotation succeeds. The sparse covered set is O(queue).
+    core::SchedulerState state = scheduler_->export_state();
+    const std::vector<std::uint64_t> covered_sparse(covered_sparse_.begin(),
+                                                    covered_sparse_.end());
+    SnapshotView snap;
     snap.scheme = static_cast<std::uint8_t>(scheme_);
     snap.config_digest = config_digest_;
     snap.cloudlets = instance_.network.cloudlet_count();
     snap.horizon = static_cast<std::uint64_t>(instance_.horizon);
     snap.wal_seq = wal_seq_ + 1;
     snap.metrics = metrics_;
-    core::SchedulerState state = scheduler_->export_state();
-    snap.lambda = std::move(state.lambda);
-    snap.usage = std::move(state.usage);
+    snap.lambda = state.lambda;
+    snap.usage = state.usage;
     snap.covered_watermark = covered_watermark_;
-    snap.covered_sparse.assign(covered_sparse_.begin(), covered_sparse_.end());
+    snap.covered_sparse = covered_sparse;
     snap.admitted = admitted_;
-    return snap;
-}
-
-void AdmissionController::rotate_checkpoint_locked(const ControllerSnapshot& snap) {
-    VNFR_CHECK(wal_->staged_records() == 0,
-               "checkpoint with uncommitted staged WAL records");
     // Rotation order keeps every crash window recoverable: (1) create the
     // next WAL generation; (2) atomically replace the snapshot, which now
     // references it; (3) drop the old generation. A crash between (1) and
@@ -610,6 +612,18 @@ void AdmissionController::rotate_checkpoint_locked(const ControllerSnapshot& sna
     wal_.emplace(std::move(next));
     ++wal_seq_;
     wal_records_ = 0;
+    rollback_base_ = std::move(state);
+    decided_since_base_.clear();
+}
+
+void AdmissionController::rollback_scheduler_locked() {
+    // decide() is a deterministic function of the scheduler state — the
+    // argument WAL replay rests on — so this lands on exactly the state
+    // the last applied decision left, bit for bit.
+    scheduler_->import_state(rollback_base_);
+    for (const workload::Request& request : decided_since_base_) {
+        (void)scheduler_->decide(request);
+    }
 }
 
 void AdmissionController::enter_degraded_locked(const char* what,
@@ -643,7 +657,7 @@ bool AdmissionController::try_recover_locked() {
         // A full rotation is the writability proof: it exercises create,
         // write, fsync, rename, and directory sync — and leaves the
         // freshly-checkpointed state as the durable baseline.
-        rotate_checkpoint_locked(build_snapshot_locked());
+        rotate_checkpoint_locked();
     } catch (const VfsError&) {
         return false;  // still broken; stay degraded
     }

@@ -92,7 +92,7 @@ class CrashInjected : public std::runtime_error {
 /// Thrown instead of accepting work the controller cannot durably log:
 /// after a persistent storage error (ENOSPC, retries-exhausted EIO) the
 /// controller enters degraded read-only mode — already-admitted state
-/// keeps serving, but submit/pump/apply_replicated refuse with this
+/// keeps serving, but submit/pump/drain/apply_replicated refuse with this
 /// error until storage recovers (see StorageHealth below).
 class StorageDegradedError : public std::runtime_error {
   public:
@@ -425,16 +425,17 @@ class AdmissionController {
     std::vector<ProcessedOutcome> pump_locked(std::size_t max_requests)
         VNFR_REQUIRES(mu_);
     void checkpoint_locked() VNFR_REQUIRES(mu_);
-    /// Builds the snapshot image of the current state, referencing the
-    /// next WAL generation.
-    [[nodiscard]] ControllerSnapshot build_snapshot_locked() const
-        VNFR_REQUIRES(mu_);
-    /// The raw rotation (create next gen, save snapshot, retire old gen);
-    /// throws VfsError on storage failure — callers decide whether that
-    /// degrades the controller (checkpoint_locked) or just fails a
-    /// recovery probe (try_recover_locked).
-    void rotate_checkpoint_locked(const ControllerSnapshot& snap)
-        VNFR_REQUIRES(mu_);
+    /// The raw rotation (create next gen, save a snapshot of the live
+    /// state referencing it, retire old gen), which also moves the
+    /// rollback base up to the checkpointed state. Throws VfsError on
+    /// storage failure — callers decide whether that degrades the
+    /// controller (checkpoint_locked) or just fails a recovery probe
+    /// (try_recover_locked).
+    void rotate_checkpoint_locked() VNFR_REQUIRES(mu_);
+    /// Returns the scheduler to the state of the last applied decision,
+    /// dropping whatever an un-committed chunk decided since: imports
+    /// rollback_base_ and re-decides decided_since_base_ in order.
+    void rollback_scheduler_locked() VNFR_REQUIRES(mu_);
     /// Enters degraded read-only mode and throws StorageDegradedError.
     [[noreturn]] void enter_degraded_locked(const char* what, const VfsError& err)
         VNFR_REQUIRES(mu_);
@@ -470,6 +471,14 @@ class AdmissionController {
     std::unique_ptr<common::ThreadPool> pool_;
 
     std::unique_ptr<core::OnlineScheduler> scheduler_ VNFR_GUARDED_BY(mu_);
+    /// Rollback point for a failed group commit: the scheduler state as of
+    /// the last successful rotation (or as recovery loaded it), and every
+    /// request applied as a decision since then, in stream order. At most
+    /// about checkpoint_every + group_commit requests, since each
+    /// rotation resets both. decide() is deterministic, so re-deciding
+    /// the list from the base reproduces the live state bit for bit.
+    core::SchedulerState rollback_base_ VNFR_GUARDED_BY(mu_);
+    std::vector<workload::Request> decided_since_base_ VNFR_GUARDED_BY(mu_);
     /// Admission queue keyed by stream seq — iteration order is FIFO
     /// because seqs are submitted in increasing order.
     std::map<std::uint64_t, workload::Request> queue_ VNFR_GUARDED_BY(mu_);

@@ -16,17 +16,15 @@ constexpr std::uint32_t kMaxFramePayload = 1U << 22;
 }  // namespace
 
 std::string encode_ship_frame(const ShipFrame& frame) {
-    WireWriter w;
+    WireWriter w(1 + 3 * 8 + 4 + frame.payload.size() + 4);
     w.put_u8(static_cast<std::uint8_t>(frame.kind));
     w.put_u64(frame.generation);
     w.put_u64(frame.start_offset);
     w.put_u64(frame.record_count);
     w.put_u32(static_cast<std::uint32_t>(frame.payload.size()));
     w.put_bytes(frame.payload);
-    WireWriter out;
-    out.put_bytes(w.bytes());
-    out.put_u32(crc32(w.bytes()));
-    return out.bytes();
+    w.put_crc32();
+    return std::move(w).take();
 }
 
 ShipFrame decode_ship_frame(std::string_view bytes) {

@@ -25,32 +25,57 @@ void check_count(const WireReader& reader, std::uint64_t count, const char* what
     }
 }
 
+SnapshotView view_of(const ControllerSnapshot& snap) {
+    SnapshotView view;
+    view.scheme = snap.scheme;
+    view.config_digest = snap.config_digest;
+    view.cloudlets = snap.cloudlets;
+    view.horizon = snap.horizon;
+    view.wal_seq = snap.wal_seq;
+    view.metrics = snap.metrics;
+    view.lambda = snap.lambda;
+    view.usage = snap.usage;
+    view.covered_watermark = snap.covered_watermark;
+    view.covered_sparse = snap.covered_sparse;
+    view.admitted = snap.admitted;
+    return view;
+}
+
 }  // namespace
 
-std::string encode_snapshot(const ControllerSnapshot& snap) {
-    WireWriter w;
+std::string encode_snapshot(const SnapshotView& view) {
+    // Magic, version, scheme, four shape words, four counters, two revenues.
+    std::size_t size = kMagic.size() + 4 + 1 + 4 * 8 + 4 * 8 + 2 * 8;
+    for (const auto& row : view.lambda) size += 8 * row.size();
+    size += 8 * view.usage.size();
+    size += 8 + 8 + 8 * view.covered_sparse.size();
+    size += 8;
+    for (const AdmittedRecord& rec : view.admitted) {
+        size += 8 + 8 + 8 + 4 + 16 * rec.sites.size();
+    }
+    size += 4;  // CRC trailer
+
+    WireWriter w(size);
     w.put_bytes(kMagic);
     w.put_u32(kSnapshotVersion);
-    w.put_u8(snap.scheme);
-    w.put_u64(snap.config_digest);
-    w.put_u64(snap.cloudlets);
-    w.put_u64(snap.horizon);
-    w.put_u64(snap.wal_seq);
-    w.put_u64(snap.metrics.processed);
-    w.put_u64(snap.metrics.admitted);
-    w.put_u64(snap.metrics.rejected);
-    w.put_u64(snap.metrics.shed);
-    w.put_f64(snap.metrics.revenue);
-    w.put_f64(snap.metrics.shed_revenue);
-    for (const auto& row : snap.lambda) {
-        for (const double v : row) w.put_f64(v);
-    }
-    for (const double v : snap.usage) w.put_f64(v);
-    w.put_u64(snap.covered_watermark);
-    w.put_u64(snap.covered_sparse.size());
-    for (const std::uint64_t s : snap.covered_sparse) w.put_u64(s);
-    w.put_u64(snap.admitted.size());
-    for (const AdmittedRecord& rec : snap.admitted) {
+    w.put_u8(view.scheme);
+    w.put_u64(view.config_digest);
+    w.put_u64(view.cloudlets);
+    w.put_u64(view.horizon);
+    w.put_u64(view.wal_seq);
+    w.put_u64(view.metrics.processed);
+    w.put_u64(view.metrics.admitted);
+    w.put_u64(view.metrics.rejected);
+    w.put_u64(view.metrics.shed);
+    w.put_f64(view.metrics.revenue);
+    w.put_f64(view.metrics.shed_revenue);
+    for (const auto& row : view.lambda) w.put_f64s(row);
+    w.put_f64s(view.usage);
+    w.put_u64(view.covered_watermark);
+    w.put_u64(view.covered_sparse.size());
+    for (const std::uint64_t s : view.covered_sparse) w.put_u64(s);
+    w.put_u64(view.admitted.size());
+    for (const AdmittedRecord& rec : view.admitted) {
         w.put_u64(rec.seq);
         w.put_i64(rec.request_id);
         w.put_f64(rec.payment);
@@ -60,10 +85,12 @@ std::string encode_snapshot(const ControllerSnapshot& snap) {
             w.put_i64(replicas);
         }
     }
-    WireWriter out;
-    out.put_bytes(w.bytes());
-    out.put_u32(crc32(w.bytes()));
-    return out.bytes();
+    w.put_crc32();
+    return std::move(w).take();
+}
+
+std::string encode_snapshot(const ControllerSnapshot& snap) {
+    return encode_snapshot(view_of(snap));
 }
 
 ControllerSnapshot decode_snapshot(std::string_view bytes, const std::string& label) {
@@ -119,25 +146,29 @@ ControllerSnapshot decode_snapshot(std::string_view bytes, const std::string& la
     if (!std::isfinite(snap.metrics.revenue) || !std::isfinite(snap.metrics.shed_revenue)) {
         throw CorruptStateError(label, r.offset(), "non-finite revenue counter");
     }
+    // Cells are read in bulk, then checked one by one: a bad cell is
+    // reported at its own offset, exactly as a field-by-field read would.
+    const auto check_cells = [&](std::span<const double> cells, std::uint64_t start,
+                                 const char* what) {
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            if (!std::isfinite(cells[i]) || cells[i] < 0.0) {
+                throw CorruptStateError(label, start + 8 * i,
+                                        std::string(what) +
+                                            " is not finite and non-negative");
+            }
+        }
+    };
     snap.lambda.assign(snap.cloudlets, {});
     for (auto& row : snap.lambda) {
         row.resize(snap.horizon);
-        for (double& v : row) {
-            v = r.get_f64("lambda cell");
-            if (!std::isfinite(v) || v < 0.0) {
-                throw CorruptStateError(label, r.offset() - 8,
-                                        "lambda cell is not finite and non-negative");
-            }
-        }
+        const std::uint64_t start = r.offset();
+        r.get_f64s(row, "lambda cell");
+        check_cells(row, start, "lambda cell");
     }
     snap.usage.resize(snap.cloudlets * snap.horizon);
-    for (double& v : snap.usage) {
-        v = r.get_f64("usage cell");
-        if (!std::isfinite(v) || v < 0.0) {
-            throw CorruptStateError(label, r.offset() - 8,
-                                    "usage cell is not finite and non-negative");
-        }
-    }
+    const std::uint64_t usage_start = r.offset();
+    r.get_f64s(snap.usage, "usage cell");
+    check_cells(snap.usage, usage_start, "usage cell");
     snap.covered_watermark = r.get_u64("covered watermark");
     const std::uint64_t sparse_count = r.get_u64("sparse covered count");
     check_count(r, sparse_count, "sparse covered seq");
@@ -195,18 +226,17 @@ ControllerSnapshot decode_snapshot(std::string_view bytes, const std::string& la
     return snap;
 }
 
-void save_snapshot(Vfs& vfs, const std::string& path,
-                   const ControllerSnapshot& snap,
+void save_snapshot(Vfs& vfs, const std::string& path, const SnapshotView& view,
                    const StorageRetryPolicy& retry,
                    std::uint64_t* transient_retries) {
-    const std::string bytes = encode_snapshot(snap);
+    const std::string bytes = encode_snapshot(view);
     with_storage_retries(
         vfs, retry, [&] { atomic_write_file(vfs, path, bytes); },
         transient_retries);
 }
 
 void save_snapshot(const std::string& path, const ControllerSnapshot& snap) {
-    save_snapshot(posix_vfs(), path, snap, StorageRetryPolicy{});
+    save_snapshot(posix_vfs(), path, view_of(snap), StorageRetryPolicy{});
 }
 
 ControllerSnapshot load_snapshot(Vfs& vfs, const std::string& path) {

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,7 +58,29 @@ struct ControllerSnapshot {
     std::vector<AdmittedRecord> admitted;
 };
 
-/// Serializes `snap` to the on-disk byte layout (header + payload + CRC).
+/// Borrowed view of everything a snapshot persists, field for field as in
+/// ControllerSnapshot. The encoder writes straight from it, so a
+/// controller checkpoints its live state without first copying the
+/// admitted ledger. The viewed state must outlive the encode call.
+struct SnapshotView {
+    std::uint8_t scheme{0};
+    std::uint64_t config_digest{0};
+    std::uint64_t cloudlets{0};
+    std::uint64_t horizon{0};
+    std::uint64_t wal_seq{0};
+    ServeMetrics metrics;
+    std::span<const std::vector<double>> lambda;
+    std::span<const double> usage;
+    std::uint64_t covered_watermark{0};
+    std::span<const std::uint64_t> covered_sparse;
+    std::span<const AdmittedRecord> admitted;
+};
+
+/// Serializes `view` to the on-disk byte layout (header + payload + CRC)
+/// in one pass into a buffer sized up front.
+[[nodiscard]] std::string encode_snapshot(const SnapshotView& view);
+
+/// encode_snapshot over a view of `snap`.
 [[nodiscard]] std::string encode_snapshot(const ControllerSnapshot& snap);
 
 /// Parses and fully validates an encoded snapshot. Throws
@@ -70,12 +93,11 @@ struct ControllerSnapshot {
 class Vfs;
 struct StorageRetryPolicy;
 
-/// Atomic save to `path` through `vfs` (see file header for the
-/// crash-consistency protocol). Transient storage errors are retried per
-/// `retry`; `transient_retries`, when given, is incremented once per
-/// retry taken.
-void save_snapshot(Vfs& vfs, const std::string& path,
-                   const ControllerSnapshot& snap,
+/// Atomic save of the encoded `view` to `path` through `vfs` (see file
+/// header for the crash-consistency protocol). Transient storage errors
+/// are retried per `retry`; `transient_retries`, when given, is
+/// incremented once per retry taken.
+void save_snapshot(Vfs& vfs, const std::string& path, const SnapshotView& view,
                    const StorageRetryPolicy& retry,
                    std::uint64_t* transient_retries = nullptr);
 

@@ -13,8 +13,18 @@ constexpr std::uint64_t kHeaderSize = kWalHeaderSize;
 /// a torn tail (if it runs past EOF) or corruption.
 constexpr std::uint32_t kMaxRecordBytes = 1U << 20;
 
-std::string encode_payload(const WalRecord& record) {
-    WireWriter w;
+/// Payload bytes of `record`: kind, seq and the seven request fields, then
+/// for a decision the outcome bytes, site count and sites.
+std::size_t payload_size(const WalRecord& record) {
+    std::size_t size = 1 + 8 + 7 * 8;
+    if (record.kind == WalRecordKind::kDecision) size += 1 + 1 + 4 + 16 * record.sites.size();
+    return size;
+}
+
+/// Appends `record` framed as u32 length | payload | u32 CRC(payload).
+void put_framed_record(WireWriter& w, const WalRecord& record) {
+    w.put_u32(static_cast<std::uint32_t>(payload_size(record)));
+    const std::size_t payload_start = w.size();
     w.put_u8(static_cast<std::uint8_t>(record.kind));
     w.put_u64(record.seq);
     w.put_i64(record.request.id.value);
@@ -33,7 +43,7 @@ std::string encode_payload(const WalRecord& record) {
             w.put_i64(site.replicas);
         }
     }
-    return w.bytes();
+    w.put_crc32(payload_start);
 }
 
 WalRecord decode_payload(std::string_view payload, const std::string& label,
@@ -86,26 +96,21 @@ WalRecord decode_payload(std::string_view payload, const std::string& label,
 }
 
 std::string encode_header(std::uint64_t wal_seq, std::uint64_t config_digest) {
-    WireWriter w;
+    WireWriter w(kHeaderSize);
     w.put_bytes(kMagic);
     w.put_u32(kWalVersion);
     w.put_u64(wal_seq);
     w.put_u64(config_digest);
-    WireWriter out;
-    out.put_bytes(w.bytes());
-    out.put_u32(crc32(w.bytes()));
-    return out.bytes();
+    w.put_crc32();
+    return std::move(w).take();
 }
 
 }  // namespace
 
 std::string encode_wal_record(const WalRecord& record) {
-    const std::string payload = encode_payload(record);
-    WireWriter w;
-    w.put_u32(static_cast<std::uint32_t>(payload.size()));
-    w.put_bytes(payload);
-    w.put_u32(crc32(payload));
-    return w.bytes();
+    WireWriter w(4 + payload_size(record) + 4);
+    put_framed_record(w, record);
+    return std::move(w).take();
 }
 
 std::vector<WalRecord> decode_wal_record_stream(std::string_view bytes,
@@ -330,9 +335,9 @@ std::uint64_t WalWriter::append(const WalRecord& record) {
 std::uint64_t WalWriter::stage(const WalRecord& record) {
     if (fd_ < 0) throw std::logic_error("WalWriter::stage on a closed writer");
     const std::uint64_t at = size_;
-    const std::string framed = encode_wal_record(record);
-    staged_.append(framed);
-    size_ += framed.size();
+    const std::size_t before = staged_.size();
+    put_framed_record(staged_, record);
+    size_ += staged_.size() - before;
     ++staged_records_;
     return at;
 }
@@ -351,7 +356,7 @@ void WalWriter::commit() {
                 dirty_ = false;
             }
             dirty_ = true;
-            vfs_->write_all(fd_, path_, staged_);
+            vfs_->write_all(fd_, path_, staged_.bytes());
             vfs_->fdatasync(fd_, path_);
             dirty_ = false;
             break;

@@ -210,7 +210,7 @@ class WalWriter {
     /// A failed commit may have left garbage past synced_size_ on disk.
     bool dirty_{false};
     std::uint64_t transient_retries_{0};
-    std::string staged_;  ///< framed bytes awaiting commit()
+    WireWriter staged_;  ///< framed bytes awaiting commit()
     std::size_t staged_records_{0};
 };
 

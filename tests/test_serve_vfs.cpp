@@ -252,6 +252,40 @@ TEST(ServeVfs, CheckpointRotationUnderEnospcDegradesThenRecovers) {
               inst.requests.size() + 1);
 }
 
+TEST(ServeVfs, DrainRefusesWhileDegradedLikePump) {
+    const core::Instance inst = tiny_instance(12);
+    FaultyVfs disk;
+    ServeConfig cfg;
+    cfg.data_dir = kDir;
+    cfg.vfs = &disk;
+    AdmissionController controller(inst, core::Scheme::kOnsite, cfg);
+    for (std::size_t i = 0; i < 4; ++i) controller.submit(i, inst.requests[i]);
+
+    // The group commit hits a full disk: the controller degrades with the
+    // requests still queued.
+    disk.script_fault(VfsOp::kWrite, 0, -1, ENOSPC, /*transient=*/false);
+    EXPECT_THROW(controller.pump(1), StorageDegradedError);
+    const std::uint64_t digest = controller.state_digest();
+    ASSERT_EQ(controller.storage_stats().degraded_entries, 1u);
+
+    // drain() is refused, not re-run into the still-full disk...
+    EXPECT_THROW(controller.drain(), StorageDegradedError);
+    EXPECT_EQ(controller.storage_stats().degraded_entries, 1u);
+    // ...and stays refused once the disk has space again, because only a
+    // successful rotation proves storage writable.
+    disk.clear_scripted_faults();
+    EXPECT_THROW(controller.drain(), StorageDegradedError);
+    EXPECT_EQ(controller.storage_stats().degraded_entries, 1u);
+    EXPECT_EQ(controller.storage_stats().degraded_refusals, 2u);
+    EXPECT_EQ(controller.metrics().processed, 0u);
+    EXPECT_EQ(controller.queue_size(), 4u);
+    EXPECT_EQ(controller.state_digest(), digest);
+
+    ASSERT_TRUE(controller.try_recover_storage());
+    EXPECT_EQ(controller.drain().size(), 4u);
+    EXPECT_EQ(controller.metrics().processed, 4u);
+}
+
 TEST(ServeVfs, ScrubberDetectsASingleFlippedBitInARetainedGeneration) {
     const core::Instance inst = tiny_instance(24);
     FaultyVfs disk;

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
+
+#include "common/rng.hpp"
 
 namespace vnfr::serve {
 namespace {
@@ -19,6 +24,62 @@ TEST(Crc32, SeedChainsIncrementally) {
     const std::string a = "hello, ";
     const std::string b = "world";
     EXPECT_EQ(crc32(a + b), crc32(b, crc32(a)));
+}
+
+/// The classic one-table, one-byte-per-step CRC-32 over the reflected
+/// polynomial 0xEDB88320, written out independently of the library.
+std::uint32_t bytewise_crc32(std::string_view data, std::uint32_t seed = 0) {
+    std::array<std::uint32_t, 256> table{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+        std::uint32_t c = i;
+        for (int bit = 0; bit < 8; ++bit) {
+            c = (c & 1U) != 0 ? 0xEDB88320U ^ (c >> 1) : c >> 1;
+        }
+        table[i] = c;
+    }
+    std::uint32_t c = seed ^ 0xFFFFFFFFU;
+    for (const char ch : data) {
+        c = table[(c ^ static_cast<unsigned char>(ch)) & 0xFFU] ^ (c >> 8);
+    }
+    return c ^ 0xFFFFFFFFU;
+}
+
+std::string random_bytes(std::size_t n, std::uint64_t stream) {
+    common::Rng rng = common::stream_rng(0xC3C32, stream);
+    std::string out(n, '\0');
+    for (char& c : out) c = static_cast<char>(rng.uniform_int(0, 255));
+    return out;
+}
+
+TEST(Crc32, MatchesTheBytewiseReferenceAtEveryLengthAndAlignment) {
+    constexpr std::size_t kMaxLength = 1024;
+    const std::string buffer = random_bytes(kMaxLength + 8, 1);
+    std::size_t mismatches = 0;
+    for (std::size_t align = 0; align < 8; ++align) {
+        for (std::size_t length = 0; length <= kMaxLength; ++length) {
+            const std::string_view data = std::string_view(buffer).substr(align, length);
+            const std::uint32_t seed = static_cast<std::uint32_t>(length * 2654435761U);
+            if (crc32(data) != bytewise_crc32(data) ||
+                crc32(data, seed) != bytewise_crc32(data, seed)) {
+                ADD_FAILURE() << "mismatch at alignment " << align << ", length " << length;
+                if (++mismatches > 10) return;
+            }
+        }
+    }
+}
+
+TEST(Crc32, ChainsAcrossRandomSplits) {
+    common::Rng rng = common::stream_rng(0xC3C32, 2);
+    for (int trial = 0; trial < 500; ++trial) {
+        const auto length = static_cast<std::size_t>(rng.uniform_int(0, 4096));
+        const auto split = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(length)));
+        const std::string whole = random_bytes(length, 100 + static_cast<std::uint64_t>(trial));
+        const std::string_view a = std::string_view(whole).substr(0, split);
+        const std::string_view b = std::string_view(whole).substr(split);
+        EXPECT_EQ(crc32(whole), crc32(b, crc32(a)))
+            << "length " << length << ", split " << split;
+    }
 }
 
 TEST(Wire, RoundTripsEveryFieldType) {
@@ -47,7 +108,7 @@ TEST(Wire, RoundTripsEveryFieldType) {
 TEST(Wire, LittleEndianLayoutIsFixed) {
     WireWriter w;
     w.put_u32(0x01020304U);
-    const std::string& b = w.bytes();
+    const std::string_view b = w.bytes();
     ASSERT_EQ(b.size(), 4u);
     EXPECT_EQ(static_cast<unsigned char>(b[0]), 0x04);
     EXPECT_EQ(static_cast<unsigned char>(b[3]), 0x01);
