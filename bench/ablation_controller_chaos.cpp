@@ -1,9 +1,9 @@
 // Controller chaos ablation: crash-restart equivalence of the serve
 // layer's admission controller under both backup schemes, across a
-// matrix of concurrency configurations.
+// sweep of WAL group-commit sizes.
 //
-// For each scheme and each (decide_threads, decide_shards, group_commit)
-// configuration, one paper-environment trace is first served
+// For each scheme and each group_commit size in {1, 4, 32}, one
+// paper-environment trace is first served
 // uninterrupted (the baseline), then re-served dozens of times with the
 // controller killed at a randomized WAL-append point — half the trials
 // additionally tear the WAL tail — and restarted from its snapshot +
@@ -14,8 +14,8 @@
 //     revenue bits, the same admitted set (no double-admits), and zero
 //     capacity violations under core::verify_schedule;
 //   * reopening the baseline's own checkpoint reproduces its digest;
-//   * all configurations of a scheme agree on the baseline digest —
-//     group commit and wave-parallel decide must not change decisions.
+//   * all group sizes of a scheme agree on the baseline digest — group
+//     commit must not change decisions.
 //
 // Usage: ablation_controller_chaos [output.json]
 //   VNFR_BENCH_QUICK=1  shrink the trace and trial counts for smoke/CI
@@ -39,31 +39,19 @@ const char* scheme_name(core::Scheme scheme) {
     return scheme == core::Scheme::kOnsite ? "onsite" : "offsite";
 }
 
-/// The concurrency matrix the acceptance gate sweeps: the sequential
-/// per-record-fdatasync controller, a modestly parallel one, and a
-/// fully batched/sharded one.
-struct MatrixConfig {
-    std::size_t threads;
-    std::size_t shards;
-    std::size_t group_commit;
-};
-
-constexpr MatrixConfig kMatrix[] = {
-    {1, 1, 1},
-    {2, 4, 4},
-    {8, 8, 32},
-};
+/// The group-commit sizes the acceptance gate sweeps: the per-record-
+/// fdatasync controller, a small group, and a large one.
+constexpr std::size_t kGroupSizes[] = {1, 4, 32};
 
 struct ConfigResult {
     core::Scheme scheme{core::Scheme::kOnsite};
-    MatrixConfig config{1, 1, 1};
+    std::size_t group_commit{1};
     serve::ChaosStudyResult study;
     double seconds{0};
 };
 
-std::string config_tag(const MatrixConfig& c) {
-    return std::to_string(c.threads) + "t_" + std::to_string(c.shards) + "s_g" +
-           std::to_string(c.group_commit);
+std::string config_tag(std::size_t group_commit) {
+    return "g" + std::to_string(group_commit);
 }
 
 }  // namespace
@@ -85,7 +73,7 @@ int main(int argc, char** argv) {
     std::cout << "instance: " << instance.requests.size() << " requests, "
               << instance.network.cloudlet_count() << " cloudlets, horizon "
               << instance.horizon << "; " << kills_per_config
-              << " kill points per (scheme, threads, shards, group) cell\n\n";
+              << " kill points per (scheme, group) cell\n\n";
 
     const std::string work_root = "controller_chaos_state";
     ::mkdir(work_root.c_str(), 0755);  // studies manage their own subdirs
@@ -96,26 +84,24 @@ int main(int argc, char** argv) {
     for (const core::Scheme scheme : {core::Scheme::kOnsite, core::Scheme::kOffsite}) {
         std::uint64_t scheme_digest = 0;
         bool scheme_digest_set = false;
-        for (const MatrixConfig& mc : kMatrix) {
+        for (const std::size_t group_commit : kGroupSizes) {
             serve::ChaosStudyConfig cfg;
             cfg.scheme = scheme;
             // Same kill-point stream for every cell of a scheme: the
-            // matrix varies the concurrency config, not the crashes.
+            // sweep varies the group size, not the crashes.
             cfg.master_seed =
                 common::stream_seed(master, 1 + static_cast<std::uint64_t>(scheme));
             cfg.kill_points = kills_per_config;
             cfg.checkpoint_every = 16;
             cfg.queue_capacity = 8;
-            cfg.group_commit = mc.group_commit;
-            cfg.decide_shards = mc.shards;
-            cfg.decide_threads = mc.threads;
+            cfg.group_commit = group_commit;
             cfg.torn_tails = true;
             cfg.work_dir =
-                work_root + "/" + scheme_name(scheme) + "_" + config_tag(mc);
+                work_root + "/" + scheme_name(scheme) + "_" + config_tag(group_commit);
 
             ConfigResult r;
             r.scheme = scheme;
-            r.config = mc;
+            r.group_commit = group_commit;
             const auto start = std::chrono::steady_clock::now();
             r.study = serve::run_chaos_study(instance, cfg);
             r.seconds =
@@ -126,7 +112,7 @@ int main(int argc, char** argv) {
             for (const serve::ChaosTrial& t : r.study.trials) {
                 if (t.torn_tail_applied) ++torn;
             }
-            std::cout << scheme_name(scheme) << " [" << config_tag(mc)
+            std::cout << scheme_name(scheme) << " [" << config_tag(group_commit)
                       << "]: baseline revenue " << r.study.baseline_metrics.revenue
                       << " (admitted " << r.study.baseline_metrics.admitted
                       << ", shed " << r.study.baseline_metrics.shed << "), digest "
@@ -138,7 +124,7 @@ int main(int argc, char** argv) {
                       << report::format_double(r.seconds, 2) << "s\n";
             if (!r.study.ok()) {
                 std::cout << "  GATE FAILED for " << scheme_name(scheme) << " ["
-                          << config_tag(mc) << "]\n";
+                          << config_tag(group_commit) << "]\n";
                 all_ok = false;
             }
             if (!scheme_digest_set) {
@@ -146,8 +132,8 @@ int main(int argc, char** argv) {
                 scheme_digest_set = true;
             } else if (r.study.baseline_digest != scheme_digest) {
                 std::cout << "  GATE FAILED: " << scheme_name(scheme) << " ["
-                          << config_tag(mc)
-                          << "] baseline digest differs from the sequential config\n";
+                          << config_tag(group_commit)
+                          << "] baseline digest differs from the per-record config\n";
                 digests_consistent = false;
                 all_ok = false;
             }
@@ -165,9 +151,7 @@ int main(int argc, char** argv) {
     for (const ConfigResult& r : results) {
         report::JsonValue row = report::JsonValue::object();
         row.set("scheme", scheme_name(r.scheme));
-        row.set("decide_threads", static_cast<std::uint64_t>(r.config.threads));
-        row.set("decide_shards", static_cast<std::uint64_t>(r.config.shards));
-        row.set("group_commit", static_cast<std::uint64_t>(r.config.group_commit));
+        row.set("group_commit", static_cast<std::uint64_t>(r.group_commit));
         row.set("baseline_digest", report::hex_u64(r.study.baseline_digest));
         row.set("baseline_revenue", r.study.baseline_metrics.revenue);
         row.set("baseline_admitted", r.study.baseline_metrics.admitted);
@@ -212,7 +196,7 @@ int main(int argc, char** argv) {
         std::cerr << "FAIL: chaos recovery gates failed\n";
         return 1;
     }
-    std::cout << "PASS: all kill trials recovered bit-identically across the "
-                 "concurrency matrix\n";
+    std::cout << "PASS: all kill trials recovered bit-identically at every "
+                 "group-commit size\n";
     return 0;
 }

@@ -1,24 +1,19 @@
 // Serve-layer throughput bench: admissions/sec of the crash-safe
-// admission controller across its performance knobs — WAL group-commit
-// size, decide shards/threads, and pipeline producer count.
+// admission controller across WAL group-commit sizes.
 //
-// Two sweeps over the same paper-environment trace:
-//
-//   * group sweep — a single thread drives the bare controller at
-//     group_commit {1, 4, 32}. group 1 is the original per-record
-//     write+fdatasync controller; larger groups amortize ONE fdatasync
-//     over the batch. This isolates the durability cost.
-//   * pipeline sweep — N producer threads feed ShardedAdmissionPipeline
-//     (bounded MPSC transport, seq reordering, batched pumps) into a
-//     controller with sharded wave-parallel decide, end to end.
+// One sweep over a paper-environment trace: a single thread drives the
+// bare controller at group_commit {1, 4, 32}. group 1 is the original
+// per-record write+fdatasync controller; larger groups amortize ONE
+// fdatasync over the batch. This isolates the durability cost. Each
+// configuration times only its submit and drain loop; constructing the
+// controller (creating the generation-0 WAL) is outside the timed span.
 //
 // Emits BENCH_serve_throughput.json and exits nonzero when a gate fails:
 //
 //   * amortization gate: admissions/sec at group 32 must be >= 5x the
 //     per-record-fdatasync baseline (group 1);
-//   * equivalence gate: every configuration — any group size, shard
-//     count, thread count, producer count — ends at the SAME state
-//     digest (batching and parallelism must not change decisions).
+//   * equivalence gate: every group size ends at the SAME state digest
+//     (batching must not change decisions).
 //
 // tools/check_bench_regression.py compares the emitted numbers against
 // bench/baselines/serve_throughput_baseline.json in CI.
@@ -27,19 +22,16 @@
 //   VNFR_BENCH_QUICK=1  shrink the trace for smoke/CI
 #include <sys/stat.h>
 
-#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "report/json.hpp"
 #include "serve/admission_controller.hpp"
-#include "serve/admission_pipeline.hpp"
 
 using namespace vnfr;
 
@@ -74,70 +66,14 @@ GroupRun run_group(const core::Instance& instance, std::size_t group,
     cfg.checkpoint_every = 1024;
     cfg.queue_capacity = instance.requests.size();
     cfg.group_commit = group;
-    const auto start = std::chrono::steady_clock::now();
     serve::AdmissionController controller(instance, core::Scheme::kOnsite, cfg);
+    const auto start = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < instance.requests.size(); ++i) {
         controller.submit(i, instance.requests[i]);
     }
     controller.drain();
     GroupRun r;
     r.group = group;
-    r.seconds = seconds_since(start);
-    r.admissions_per_sec =
-        static_cast<double>(instance.requests.size()) / r.seconds;
-    r.digest = controller.state_digest();
-    return r;
-}
-
-struct PipelineRun {
-    std::size_t producers{1};
-    std::size_t shards{1};
-    std::size_t threads{1};
-    std::size_t group{1};
-    double seconds{0};
-    double admissions_per_sec{0};
-    std::uint64_t digest{0};
-    std::uint64_t max_reorder_depth{0};
-};
-
-/// End-to-end pipeline drive: P producers round-robin the stream into the
-/// MPSC transport; the consumer reorders to seq order and pumps batches.
-PipelineRun run_pipeline(const core::Instance& instance, std::size_t producers,
-                         std::size_t shards, std::size_t threads,
-                         std::size_t group, const std::string& dir) {
-    serve::ServeConfig cfg;
-    cfg.data_dir = dir;
-    cfg.checkpoint_every = 1024;
-    cfg.queue_capacity = instance.requests.size();  // no sheds: pure throughput
-    cfg.group_commit = group;
-    cfg.decide_shards = shards;
-    cfg.decide_threads = threads;
-
-    PipelineRun r;
-    r.producers = producers;
-    r.shards = shards;
-    r.threads = threads;
-    r.group = group;
-    const auto start = std::chrono::steady_clock::now();
-    serve::AdmissionController controller(instance, core::Scheme::kOnsite, cfg);
-    {
-        serve::PipelineConfig pcfg;
-        pcfg.transport_capacity = 256;
-        pcfg.max_batch = group;
-        serve::ShardedAdmissionPipeline pipeline(controller, pcfg);
-        std::vector<std::thread> workers;
-        workers.reserve(producers);
-        for (std::size_t p = 0; p < producers; ++p) {
-            workers.emplace_back([&, p] {
-                for (std::size_t i = p; i < instance.requests.size(); i += producers) {
-                    pipeline.submit(i, instance.requests[i]);
-                }
-            });
-        }
-        for (std::thread& t : workers) t.join();
-        pipeline.stop();
-        r.max_reorder_depth = pipeline.stats().max_reorder_depth;
-    }
     r.seconds = seconds_since(start);
     r.admissions_per_sec =
         static_cast<double>(instance.requests.size()) / r.seconds;
@@ -154,7 +90,7 @@ int main(int argc, char** argv) {
     const std::size_t requests = bench::quick_mode() ? 1500 : 8000;
     const std::uint64_t master = bench::scenario_seed("serve_throughput", requests);
 
-    std::cout << "== Serve throughput: group commit + sharded pipeline ==\n";
+    std::cout << "== Serve throughput: group commit ==\n";
     bench::print_thread_note();
 
     common::Rng rng = common::stream_rng(master, 0);
@@ -184,38 +120,9 @@ int main(int argc, char** argv) {
     std::cout << "group-commit speedup (32 vs per-record fdatasync): "
               << report::format_double(speedup, 1) << "x\n\n";
 
-    // --- pipeline sweep: producers x shards x threads at group 32 ---------
-    struct PipelineAxis {
-        std::size_t producers, shards, threads, group;
-    };
-    const std::vector<PipelineAxis> axes = {
-        {1, 1, 1, 32},
-        {2, 4, 2, 32},
-        {4, 8, 4, 32},
-        {8, 8, 8, 32},
-    };
-    std::vector<PipelineRun> pipeline_runs;
-    for (const PipelineAxis& a : axes) {
-        const std::string tag = std::to_string(a.producers) + "p_" +
-                                std::to_string(a.shards) + "s_" +
-                                std::to_string(a.threads) + "t";
-        PipelineRun r = run_pipeline(instance, a.producers, a.shards, a.threads,
-                                     a.group, fresh_dir(work_root, "pipe_" + tag));
-        std::cout << a.producers << " producers, " << a.shards << " shards, "
-                  << a.threads << " threads: "
-                  << report::format_double(r.admissions_per_sec, 0)
-                  << " admissions/s (reorder depth " << r.max_reorder_depth
-                  << "), digest " << report::hex_u64(r.digest) << "\n";
-        pipeline_runs.push_back(r);
-    }
-    std::cout << '\n';
-
     // --- gates ------------------------------------------------------------
     bool digests_match = true;
     for (const GroupRun& r : group_runs) {
-        digests_match = digests_match && r.digest == group_runs.front().digest;
-    }
-    for (const PipelineRun& r : pipeline_runs) {
         digests_match = digests_match && r.digest == group_runs.front().digest;
     }
     const double kSpeedupGate = 5.0;
@@ -240,25 +147,6 @@ int main(int argc, char** argv) {
     doc.set("per_record_admissions_per_sec", per_record_rate);
     doc.set("group32_admissions_per_sec", group32_rate);
     doc.set("group_commit_speedup", speedup);
-    report::JsonValue pipes = report::JsonValue::array();
-    for (const PipelineRun& r : pipeline_runs) {
-        report::JsonValue row = report::JsonValue::object();
-        row.set("producers", static_cast<std::uint64_t>(r.producers));
-        row.set("decide_shards", static_cast<std::uint64_t>(r.shards));
-        row.set("decide_threads", static_cast<std::uint64_t>(r.threads));
-        row.set("group_commit", static_cast<std::uint64_t>(r.group));
-        row.set("seconds", r.seconds);
-        row.set("admissions_per_sec", r.admissions_per_sec);
-        row.set("max_reorder_depth", r.max_reorder_depth);
-        row.set("digest", report::hex_u64(r.digest));
-        pipes.push(std::move(row));
-    }
-    doc.set("pipeline_sweep", std::move(pipes));
-    double pipeline_min = pipeline_runs.front().admissions_per_sec;
-    for (const PipelineRun& r : pipeline_runs) {
-        pipeline_min = std::min(pipeline_min, r.admissions_per_sec);
-    }
-    doc.set("pipeline_min_admissions_per_sec", pipeline_min);
     doc.set("digests_match", digests_match);
     doc.set("speedup_gate", kSpeedupGate);
     doc.set("speedup_gate_passed", speedup_ok);

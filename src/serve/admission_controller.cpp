@@ -18,9 +18,7 @@ std::unique_ptr<core::OnlineScheduler> make_scheduler(const core::Instance& inst
                                                       core::Scheme scheme) {
     if (scheme == core::Scheme::kOnsite) {
         // Per-request delta tracking grows without bound over a server's
-        // lifetime, is never read by the serve layer, and is the one piece
-        // of decide() state shared across window-disjoint requests (it
-        // would race under the wave executor).
+        // lifetime and is never read by the serve layer.
         core::OnsitePrimalDualConfig scheduler_config;
         scheduler_config.track_deltas = false;
         return std::make_unique<core::OnsitePrimalDual>(instance, scheduler_config);
@@ -65,18 +63,7 @@ AdmissionController::AdmissionController(const core::Instance& instance,
     if (config_.group_commit == 0) {
         throw std::invalid_argument("AdmissionController: group_commit must be >= 1");
     }
-    if (config_.decide_shards == 0) {
-        throw std::invalid_argument("AdmissionController: decide_shards must be >= 1");
-    }
-    if (config_.decide_threads == 0) {
-        throw std::invalid_argument("AdmissionController: decide_threads must be >= 1");
-    }
     config_digest_ = instance_config_digest(instance_, scheme_);
-    plan_.emplace(config_.decide_shards, instance_.horizon);
-    shards_ = std::make_unique<Shard[]>(plan_->shard_count());
-    if (plan_->shard_count() > 1 && config_.decide_threads > 1) {
-        pool_ = std::make_unique<common::ThreadPool>(config_.decide_threads);
-    }
     // No other thread can see a partially-constructed controller, but the
     // recovery helpers require mu_, so hold it for the uncontended setup.
     const common::MutexLock lock(&mu_);
@@ -89,10 +76,6 @@ AdmissionController::AdmissionController(const core::Instance& instance,
 
 std::string AdmissionController::snapshot_path() const {
     return config_.data_dir + "/snapshot.bin";
-}
-
-std::string AdmissionController::wal_path(std::uint64_t generation) const {
-    return config_.data_dir + "/wal-" + std::to_string(generation) + ".log";
 }
 
 void AdmissionController::recover() {
@@ -126,7 +109,7 @@ void AdmissionController::recover() {
     // Without a snapshot the controller starts from generation 0 with
     // default state; a crash before the first checkpoint leaves exactly
     // wal-0.log to replay.
-    const std::string path = wal_path(wal_seq_);
+    const std::string path = wal_file_path(config_.data_dir, wal_seq_);
     if (file_exists(*vfs_, path)) {
         WalContents contents = read_wal(*vfs_, path, WalReadMode::kRecover);
         if (contents.wal_seq != wal_seq_) {
@@ -160,15 +143,10 @@ void AdmissionController::recover() {
 }
 
 void AdmissionController::remove_stale_wals() const {
-    std::vector<std::string> stale;
-    for (const std::string& name : vfs_->list_dir(config_.data_dir)) {
-        if (!name.starts_with("wal-") || !name.ends_with(".log")) continue;
-        const std::string digits = name.substr(4, name.size() - 4 - 4);
-        if (digits.empty() ||
-            digits.find_first_not_of("0123456789") != std::string::npos) {
-            continue;  // not one of ours; leave it alone
-        }
-        const std::uint64_t generation = std::stoull(digits);
+    // Names list_wal_generations does not recognize are not ours and are
+    // left alone.
+    for (const std::uint64_t generation :
+         list_wal_generations(*vfs_, config_.data_dir)) {
         if (generation == wal_seq_) continue;
         // A generation above the current one is a half-finished rotation
         // (created before the crash, never referenced by a snapshot) and
@@ -176,11 +154,8 @@ void AdmissionController::remove_stale_wals() const {
         // live state on the next rotation. Older generations are history:
         // stale without replication, retained ship-source with it.
         if (generation < wal_seq_ && config_.retain_wals) continue;
-        stale.push_back(config_.data_dir + "/" + name);
-    }
-    for (const std::string& path : stale) {
         try {
-            vfs_->unlink(path);
+            vfs_->unlink(wal_file_path(config_.data_dir, generation));
         } catch (const VfsError&) {
             // Stale-file cleanup is advisory; the next recovery retries.
         }
@@ -192,7 +167,7 @@ void AdmissionController::release_wals_below(std::uint64_t generation) {
     const std::uint64_t ceiling = std::min(generation, wal_seq_);
     for (std::uint64_t g = release_floor_; g < ceiling; ++g) {
         try {
-            vfs_->unlink(wal_path(g));
+            vfs_->unlink(wal_file_path(config_.data_dir, g));
         } catch (const VfsError&) {
             // An un-releasable acked generation is waste, not danger; the
             // next recovery's stale-WAL sweep retries.
@@ -414,44 +389,6 @@ std::vector<ProcessedOutcome> AdmissionController::pump(std::size_t max_requests
     return pump_locked(max_requests);
 }
 
-std::vector<core::Decision> AdmissionController::decide_batch(
-    const std::vector<workload::Request>& batch) {
-    std::vector<core::Decision> decisions(batch.size());
-    const bool parallel =
-        pool_ != nullptr && plan_->shard_count() > 1 && batch.size() > 1;
-    if (!parallel) {
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            decisions[i] = scheduler_->decide(batch[i]);
-        }
-        return decisions;
-    }
-    // Locals for the worker lambda: the workers run while this thread
-    // holds mu_, so the guarded state cannot move under them, but the
-    // static analysis cannot see that ownership transfer — the lambda must
-    // not name guarded members directly.
-    core::OnlineScheduler* const sched = scheduler_.get();
-    Shard* const shards = shards_.get();
-    const ShardPlan& plan = *plan_;
-    const std::vector<std::vector<std::size_t>> waves = build_waves(plan, batch);
-    for (const std::vector<std::size_t>& wave : waves) {
-        if (wave.size() == 1) {
-            const std::size_t i = wave.front();
-            decisions[i] = sched->decide(batch[i]);
-            continue;
-        }
-        pool_->parallel_for(0, wave.size(), [&](std::size_t k) {
-            const std::size_t i = wave[k];
-            // Band disjointness within the wave is what really guarantees
-            // exclusion; locking the request's first band turns that
-            // argument into a runtime-checked, TSan-visible fact.
-            const common::MutexLock shard_lock(
-                &shards[plan.bands(batch[i]).first].shard_mu);
-            decisions[i] = sched->decide(batch[i]);
-        });
-    }
-    return decisions;
-}
-
 std::vector<ProcessedOutcome> AdmissionController::pump_locked(
     std::size_t max_requests) {
     std::vector<ProcessedOutcome> outcomes;
@@ -471,7 +408,13 @@ std::vector<ProcessedOutcome> AdmissionController::pump_locked(
         }
         const std::uint64_t pre_wal_records = wal_records_;
         const std::uint64_t pre_appends = appends_this_run_;
-        const std::vector<core::Decision> decisions = decide_batch(batch);
+        // Sequential by construction: each decide reads the dual prices
+        // the previous admission raised.
+        std::vector<core::Decision> decisions;
+        decisions.reserve(take);
+        for (const workload::Request& request : batch) {
+            decisions.push_back(scheduler_->decide(request));
+        }
         try {
             // Durable first: stage the whole group, fdatasync once.
             for (std::size_t i = 0; i < take; ++i) {
@@ -584,9 +527,9 @@ void AdmissionController::rotate_checkpoint_locked() {
     // (2) recovers from the old snapshot + old WAL (the new file is
     // stale and removed on restart); between (2) and (3) the old WAL is
     // the stale one.
-    WalWriter next = WalWriter::create(*vfs_, wal_path(wal_seq_ + 1),
-                                       wal_seq_ + 1, config_digest_,
-                                       config_.storage_retry);
+    WalWriter next =
+        WalWriter::create(*vfs_, wal_file_path(config_.data_dir, wal_seq_ + 1),
+                          wal_seq_ + 1, config_digest_, config_.storage_retry);
     if (checkpoint_crash_stage_ == 1) {
         checkpoint_crash_stage_ = 0;
         throw CrashInjected(appends_this_run_);
@@ -603,7 +546,7 @@ void AdmissionController::rotate_checkpoint_locked() {
     // replication shipper; release_wals_below() retires it once acked.
     if (!config_.retain_wals) {
         try {
-            vfs_->unlink(wal_path(wal_seq_));
+            vfs_->unlink(wal_file_path(config_.data_dir, wal_seq_));
         } catch (const VfsError&) {
             // The snapshot already supersedes the old generation; the
             // next recovery's stale-WAL sweep retries the unlink.

@@ -37,10 +37,6 @@ struct ChaosStudyConfig {
     std::size_t queue_capacity{8};
     /// Passed through to ServeConfig: WAL records per fdatasync in pump.
     std::size_t group_commit{1};
-    /// Passed through to ServeConfig: slot bands for parallel decide.
-    std::size_t decide_shards{1};
-    /// Passed through to ServeConfig: wave-executor threads.
-    std::size_t decide_threads{1};
     /// Additionally truncate the WAL tail by a few bytes on every other
     /// trial, simulating a torn final append (with group commit the cut
     /// can land inside a committed group — a torn group write).

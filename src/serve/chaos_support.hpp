@@ -18,6 +18,7 @@
 #include "core/instance.hpp"
 #include "serve/admission_controller.hpp"
 #include "serve/vfs.hpp"
+#include "serve/wal.hpp"
 
 namespace vnfr::serve::chaos {
 
@@ -46,31 +47,8 @@ inline void fresh_state_dir(const std::string& path) {
 /// one under rotation — with retention enabled older generations linger),
 /// or empty when none exists yet.
 inline std::string newest_wal_file(const std::string& path) {
-    DIR* dir = ::opendir(path.c_str());
-    if (dir == nullptr) return {};
-    std::string found;
-    std::uint64_t best_gen = 0;
-    while (const dirent* entry = ::readdir(dir)) {
-        const std::string name = entry->d_name;
-        if (!name.starts_with("wal-") || !name.ends_with(".log")) continue;
-        const std::string digits = name.substr(4, name.size() - 8);
-        std::uint64_t gen = 0;
-        bool numeric = !digits.empty();
-        for (const char c : digits) {
-            if (c < '0' || c > '9') {
-                numeric = false;
-                break;
-            }
-            gen = gen * 10 + static_cast<std::uint64_t>(c - '0');
-        }
-        if (!numeric) continue;
-        if (found.empty() || gen > best_gen) {
-            best_gen = gen;
-            found = path + "/" + name;
-        }
-    }
-    ::closedir(dir);
-    return found;
+    const std::vector<std::uint64_t> gens = list_wal_generations(posix_vfs(), path);
+    return gens.empty() ? std::string() : wal_file_path(path, gens.back());
 }
 
 inline std::uint64_t file_size(const std::string& path) {

@@ -44,24 +44,17 @@ constexpr std::uint64_t kTransientSalt = 0xD15CF417ULL;
 /// tail), or of the snapshot when only one generation exists, then check
 /// the scrub reports it — and reports clean again once flipped back.
 bool prove_corruption_detection(FaultyVfs& disk) {
+    const std::vector<std::uint64_t> gens = list_wal_generations(disk, kDataDir);
     std::string victim;
-    for (const std::string& name : disk.list_dir(kDataDir)) {
-        if (!name.starts_with("wal-") || !name.ends_with(".log")) continue;
-        const std::string path = std::string(kDataDir) + "/" + name;
+    for (const std::uint64_t gen : gens) {  // oldest first
+        const std::string path = wal_file_path(kDataDir, gen);
         if (disk.read_file(path).size() > kWalHeaderSize + 16) {
             victim = path;
-            break;  // list_dir is sorted: first hit is the oldest gen
+            break;
         }
     }
-    const std::string newest = [&disk] {
-        std::string last;
-        for (const std::string& name : disk.list_dir(kDataDir)) {
-            if (name.starts_with("wal-") && name.ends_with(".log")) {
-                last = std::string(kDataDir) + "/" + name;
-            }
-        }
-        return last;
-    }();
+    const std::string newest =
+        gens.empty() ? std::string() : wal_file_path(kDataDir, gens.back());
     if (victim.empty() || victim == newest) {
         const std::string snapshot = std::string(kDataDir) + "/snapshot.bin";
         if (!disk.file_exists(snapshot)) return false;

@@ -10,37 +10,6 @@
 
 namespace vnfr::serve::replication {
 
-namespace {
-
-std::string wal_path(const std::string& dir, std::uint64_t generation) {
-    return dir + "/wal-" + std::to_string(generation) + ".log";
-}
-
-/// Sorted WAL generation numbers present in `dir` on `vfs`.
-std::vector<std::uint64_t> list_generations(Vfs& vfs, const std::string& dir) {
-    std::vector<std::uint64_t> gens;
-    if (!vfs.dir_exists(dir)) return gens;
-    for (const std::string& name : vfs.list_dir(dir)) {
-        if (!name.starts_with("wal-") || !name.ends_with(".log")) continue;
-        const std::string digits = name.substr(4, name.size() - 8);
-        if (digits.empty()) continue;
-        std::uint64_t gen = 0;
-        bool numeric = true;
-        for (const char c : digits) {
-            if (c < '0' || c > '9') {
-                numeric = false;
-                break;
-            }
-            gen = gen * 10 + static_cast<std::uint64_t>(c - '0');
-        }
-        if (numeric) gens.push_back(gen);
-    }
-    std::sort(gens.begin(), gens.end());
-    return gens;
-}
-
-}  // namespace
-
 FailoverCoordinator::FailoverCoordinator(std::string primary_data_dir)
     : FailoverCoordinator(std::move(primary_data_dir), posix_vfs()) {}
 
@@ -50,7 +19,7 @@ FailoverCoordinator::FailoverCoordinator(std::string primary_data_dir, Vfs& vfs)
 PromotionReport FailoverCoordinator::promote(StandbyController& standby) {
     PromotionReport report;
     const ShipAck mark = standby.watermark();
-    const std::vector<std::uint64_t> gens = list_generations(*vfs_, primary_dir_);
+    const std::vector<std::uint64_t> gens = list_wal_generations(*vfs_, primary_dir_);
     if (!gens.empty() && mark.generation <= gens.back()) {
         const std::uint64_t top = gens.back();
         // Releases are gated on acks, so every generation from the
@@ -69,7 +38,7 @@ PromotionReport FailoverCoordinator::promote(StandbyController& standby) {
             // were closed by rotation and must parse strictly.
             const WalReadMode mode =
                 g == top ? WalReadMode::kRecover : WalReadMode::kStrict;
-            const std::string path = wal_path(primary_dir_, g);
+            const std::string path = wal_file_path(primary_dir_, g);
             const WalContents contents = read_wal(*vfs_, path, mode);
             if (contents.wal_seq != g) {
                 throw CorruptStateError(path, 0,

@@ -3,15 +3,12 @@
 #include <algorithm>
 #include <utility>
 
+#include "serve/wal.hpp"
 #include "serve/wire.hpp"
 
 namespace vnfr::serve::replication {
 
 namespace {
-
-std::string wal_path(const std::string& data_dir, std::uint64_t generation) {
-    return data_dir + "/wal-" + std::to_string(generation) + ".log";
-}
 
 /// Reads the little-endian u32 length prefix at `pos` of a WAL image.
 std::uint32_t record_len_at(const std::string& bytes, std::uint64_t pos) {
@@ -43,7 +40,7 @@ std::size_t WalShipper::pump() {
     // Finish shipping every retained generation below the live one, each
     // closed by a rotate frame so the standby advances in lockstep.
     while (cursor_gen_ < pos.generation) {
-        const std::string path = wal_path(data_dir_, cursor_gen_);
+        const std::string path = wal_file_path(data_dir_, cursor_gen_);
         if (!file_exists(primary_->vfs(), path)) {
             throw ReplicationGapError(cursor_gen_,
                                       "retained generation missing before the "
@@ -66,7 +63,7 @@ std::size_t WalShipper::pump() {
     // snapshotted under the controller lock, so bytes below it are
     // already fdatasync'd and stable even while the primary appends.
     if (cursor_off_ < pos.durable_bytes) {
-        const std::string path = wal_path(data_dir_, cursor_gen_);
+        const std::string path = wal_file_path(data_dir_, cursor_gen_);
         if (!file_exists(primary_->vfs(), path)) {
             throw ReplicationGapError(cursor_gen_, "live generation missing");
         }
@@ -111,12 +108,12 @@ bool WalShipper::ship_slice_locked(const std::string& bytes, std::uint64_t limit
         std::uint64_t end = cursor_off_;
         while (end < limit && frame.record_count < config_.max_records_per_frame) {
             if (limit - end < 8) {
-                throw CorruptStateError(wal_path(data_dir_, cursor_gen_), end,
+                throw CorruptStateError(wal_file_path(data_dir_, cursor_gen_), end,
                                         "durable prefix ends inside record framing");
             }
             const std::uint64_t span = 8ULL + record_len_at(bytes, end);
             if (end + span > limit) {
-                throw CorruptStateError(wal_path(data_dir_, cursor_gen_), end,
+                throw CorruptStateError(wal_file_path(data_dir_, cursor_gen_), end,
                                         "durable prefix ends inside a record");
             }
             end += span;

@@ -1,5 +1,7 @@
 #include "serve/wal.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <utility>
 
@@ -106,6 +108,28 @@ std::string encode_header(std::uint64_t wal_seq, std::uint64_t config_digest) {
 }
 
 }  // namespace
+
+std::string wal_file_path(const std::string& dir, std::uint64_t generation) {
+    return dir + "/wal-" + std::to_string(generation) + ".log";
+}
+
+std::vector<std::uint64_t> list_wal_generations(Vfs& vfs, const std::string& dir) {
+    constexpr std::string_view kPrefix = "wal-";
+    constexpr std::string_view kSuffix = ".log";
+    std::vector<std::uint64_t> gens;
+    for (const std::string& name : vfs.list_dir(dir)) {
+        if (!name.starts_with(kPrefix) || !name.ends_with(kSuffix)) continue;
+        const char* const first = name.data() + kPrefix.size();
+        const char* const last = name.data() + name.size() - kSuffix.size();
+        if (first >= last || (*first == '0' && last - first > 1)) continue;
+        std::uint64_t gen = 0;
+        const auto [ptr, ec] = std::from_chars(first, last, gen);
+        if (ec == std::errc() && ptr == last) gens.push_back(gen);
+    }
+    // list_dir sorts names as strings, which puts wal-10 before wal-9.
+    std::sort(gens.begin(), gens.end());
+    return gens;
+}
 
 std::string encode_wal_record(const WalRecord& record) {
     WireWriter w(4 + payload_size(record) + 4);

@@ -80,6 +80,17 @@ struct WalContents {
     std::uint64_t valid_size{0};
 };
 
+/// Path of WAL generation `generation` in `dir`: `<dir>/wal-<gen>.log`.
+[[nodiscard]] std::string wal_file_path(const std::string& dir,
+                                        std::uint64_t generation);
+
+/// Generations of the WAL files in `dir`, in ascending numeric order. A
+/// name counts only when it is exactly what wal_file_path() would build
+/// for its number: names with digits that overflow uint64, leading zeros
+/// or anything else are foreign files and are skipped.
+[[nodiscard]] std::vector<std::uint64_t> list_wal_generations(Vfs& vfs,
+                                                              const std::string& dir);
+
 /// Parses the WAL at `path` through `vfs`. Throws CorruptStateError per
 /// `mode` above.
 [[nodiscard]] WalContents read_wal(Vfs& vfs, const std::string& path,

@@ -1,6 +1,5 @@
 #include "serve/wal_scrubber.hpp"
 
-#include <algorithm>
 #include <optional>
 
 #include "serve/snapshot.hpp"
@@ -10,35 +9,9 @@
 
 namespace vnfr::serve {
 
-namespace {
-
-/// Sorted generation numbers of the wal-<gen>.log files in `dir`.
-std::vector<std::uint64_t> list_generations(Vfs& vfs, const std::string& dir) {
-    std::vector<std::uint64_t> gens;
-    for (const std::string& name : vfs.list_dir(dir)) {
-        if (!name.starts_with("wal-") || !name.ends_with(".log")) continue;
-        const std::string digits = name.substr(4, name.size() - 8);
-        if (digits.empty()) continue;
-        std::uint64_t gen = 0;
-        bool numeric = true;
-        for (const char c : digits) {
-            if (c < '0' || c > '9') {
-                numeric = false;
-                break;
-            }
-            gen = gen * 10 + static_cast<std::uint64_t>(c - '0');
-        }
-        if (numeric) gens.push_back(gen);
-    }
-    std::sort(gens.begin(), gens.end());
-    return gens;
-}
-
-}  // namespace
-
 ScrubReport scrub_data_dir(Vfs& vfs, const std::string& dir) {
     ScrubReport report;
-    const std::vector<std::uint64_t> gens = list_generations(vfs, dir);
+    const std::vector<std::uint64_t> gens = list_wal_generations(vfs, dir);
 
     // Snapshot first: its WAL pointer and config digest anchor the
     // cross-file checks below.
@@ -64,7 +37,7 @@ ScrubReport scrub_data_dir(Vfs& vfs, const std::string& dir) {
 
     for (std::size_t i = 0; i < gens.size(); ++i) {
         const std::uint64_t gen = gens[i];
-        const std::string path = dir + "/wal-" + std::to_string(gen) + ".log";
+        const std::string path = wal_file_path(dir, gen);
         // Rotation closes every generation but the newest with a clean
         // record boundary; only the live file may legally end in a torn
         // append, so older generations are held to kStrict.

@@ -1,14 +1,17 @@
 // Behavioral tests for the crash-safe AdmissionController: equivalence
 // with the bare online scheduler, durable restart (WAL replay and
-// snapshot), idempotent resubmission, and the overload guard's shedding
-// policy.
+// snapshot), idempotent resubmission, the overload guard's shedding
+// policy, and a soak that drives one controller from three threads.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include "common/contracts.hpp"
+#include "common/rng.hpp"
 #include "core/onsite_primal_dual.hpp"
 #include "helpers.hpp"
 #include "serve/admission_controller.hpp"
@@ -17,6 +20,7 @@ namespace vnfr::serve {
 namespace {
 
 using vnfr::testing::make_request;
+using vnfr::testing::random_instance;
 using vnfr::testing::small_instance;
 
 /// Creates (or wipes) a scratch state directory under the test temp root.
@@ -307,6 +311,58 @@ TEST(ServeController, CrashInjectionFiresAfterExactlyNAppends) {
     AdmissionController revived(inst, core::Scheme::kOnsite, config_for(dir, 1000));
     EXPECT_EQ(revived.metrics().processed, 3u);
     EXPECT_EQ(revived.resume_cursor(), 3u);
+}
+
+// The serve path's concurrent shape: one thread submits in seq order,
+// one pumps, and one rotates checkpoints, against a queue small enough to
+// shed. The CI TSan job runs this (its filter matches "Serve"). Which
+// requests shed depends on timing, so the invariants are conservation
+// and a bit-identical restart rather than a fixed digest.
+TEST(ServeController, SubmitPumpAndCheckpointThreadsRaceCleanly) {
+    common::Rng rng(0x50AC);
+    const core::Instance inst = random_instance(rng, 600, 4, 24);
+    constexpr std::size_t kQueueCapacity = 16;
+    ServeConfig cfg = config_for(fresh_dir("serve_soak"), 16, kQueueCapacity);
+    cfg.group_commit = 8;
+    const std::size_t offered = inst.requests.size();
+    std::uint64_t digest_before = 0;
+    {
+        AdmissionController ctl(inst, core::Scheme::kOffsite, cfg);
+        std::atomic<std::size_t> submitted{0};
+        std::atomic<bool> done{false};
+        std::thread pumper([&] {
+            // Let the submitter overfill the queue once so shedding is
+            // certain; from then on the two race freely.
+            while (submitted.load(std::memory_order_acquire) < 2 * kQueueCapacity) {
+                std::this_thread::yield();
+            }
+            while (!done.load(std::memory_order_acquire) || ctl.queue_size() > 0) {
+                if (ctl.pump(8).empty()) std::this_thread::yield();
+            }
+        });
+        std::thread checkpointer([&] {
+            while (!done.load(std::memory_order_acquire)) {
+                ctl.checkpoint();
+                std::this_thread::yield();
+            }
+        });
+        for (std::size_t i = 0; i < offered; ++i) {
+            ctl.submit(i, inst.requests[i]);
+            submitted.store(i + 1, std::memory_order_release);
+        }
+        done.store(true, std::memory_order_release);
+        pumper.join();
+        checkpointer.join();
+
+        // Conservation: every request either decided or shed, exactly once.
+        const ServeMetrics m = ctl.metrics();
+        EXPECT_EQ(m.processed + m.shed, offered);
+        EXPECT_GT(m.shed, 0u);
+        EXPECT_EQ(ctl.resume_cursor(), offered);
+        digest_before = ctl.state_digest();
+    }
+    AdmissionController restarted(inst, core::Scheme::kOffsite, cfg);
+    EXPECT_EQ(restarted.state_digest(), digest_before);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "helpers.hpp"
 #include "serve/admission_controller.hpp"
@@ -321,6 +322,85 @@ TEST(ServeVfs, ScrubberDetectsASingleFlippedBitInARetainedGeneration) {
     // Un-flip: the scrub is clean again (the report was not sticky).
     disk.corrupt_durable_byte(oldest, kWalHeaderSize + 5, 0x04);
     EXPECT_TRUE(scrub_data_dir(disk, kDir).clean());
+}
+
+// ------------------------------------------------------- WAL file names
+
+TEST(ServeVfs, WalGenerationsListNumericallyAndSkipForeignNames) {
+    FaultyVfs vfs;
+    for (const char* name :
+         {"wal-10.log", "wal-9.log", "wal-0.log", "wal-18446744073709551616.log",
+          "wal-007.log", "wal-.log", "wal-1x.log", "wal-2.log.tmp", "snapshot.bin"}) {
+        vfs.close(vfs.create_truncate(at(name)));
+    }
+    // list_dir sorts names as strings, so wal-10.log precedes wal-9.log;
+    // the generations come back in numeric order.
+    EXPECT_EQ(list_wal_generations(vfs, kDir), (std::vector<std::uint64_t>{0, 9, 10}));
+    EXPECT_EQ(wal_file_path(kDir, 10), at("wal-10.log"));
+    EXPECT_TRUE(list_wal_generations(vfs, "/missing").empty());
+}
+
+TEST(ServeVfs, ForeignWalNameIsLeftAloneByRestartAndScrub) {
+    const core::Instance inst = tiny_instance(12);
+    FaultyVfs disk;
+    ServeConfig cfg;
+    cfg.data_dir = kDir;
+    cfg.vfs = &disk;
+    cfg.checkpoint_every = 1000;  // everything stays in the live wal-0.log
+    std::uint64_t digest = 0;
+    {
+        AdmissionController controller(inst, core::Scheme::kOnsite, cfg);
+        for (std::size_t i = 0; i < inst.requests.size(); ++i) {
+            controller.submit(i, inst.requests[i]);
+            controller.drain();
+        }
+        digest = controller.state_digest();
+    }
+    // Its digits overflow uint64, so it is not a WAL generation.
+    const std::string foreign = at("wal-18446744073709551616.log");
+    const int fd = disk.create_truncate(foreign);
+    disk.write_all(fd, foreign, "not a WAL");
+    disk.close(fd);
+
+    const AdmissionController restarted(inst, core::Scheme::kOnsite, cfg);
+    EXPECT_EQ(restarted.state_digest(), digest);
+    EXPECT_EQ(disk.read_file(foreign), "not a WAL");
+    const ScrubReport report = scrub_data_dir(disk, kDir);
+    EXPECT_TRUE(report.findings.empty());
+    EXPECT_EQ(report.generations_scanned, 1u);
+}
+
+TEST(ServeVfs, RetainedGenerationsPastNineRestartAndScrubInOrder) {
+    const core::Instance inst = tiny_instance(24);
+    FaultyVfs disk;
+    ServeConfig cfg;
+    cfg.data_dir = kDir;
+    cfg.vfs = &disk;
+    cfg.checkpoint_every = 2;  // 24 records: generations 0 .. 12
+    cfg.retain_wals = true;
+    std::uint64_t digest = 0;
+    std::uint64_t generation = 0;
+    {
+        AdmissionController controller(inst, core::Scheme::kOnsite, cfg);
+        for (std::size_t i = 0; i < inst.requests.size(); ++i) {
+            controller.submit(i, inst.requests[i]);
+            controller.drain();
+        }
+        digest = controller.state_digest();
+        generation = controller.wal_generation();
+    }
+    ASSERT_GE(generation, 10u);
+    std::vector<std::uint64_t> expected(generation + 1);
+    for (std::uint64_t g = 0; g <= generation; ++g) expected[g] = g;
+    EXPECT_EQ(list_wal_generations(disk, kDir), expected);
+
+    const AdmissionController restarted(inst, core::Scheme::kOnsite, cfg);
+    EXPECT_EQ(restarted.state_digest(), digest);
+    EXPECT_EQ(restarted.wal_generation(), generation);
+    EXPECT_EQ(list_wal_generations(disk, kDir), expected);
+    const ScrubReport report = scrub_data_dir(disk, kDir);
+    EXPECT_TRUE(report.findings.empty());
+    EXPECT_EQ(report.generations_scanned, expected.size());
 }
 
 // ------------------------------------------------------------- PosixVfs

@@ -10,8 +10,10 @@
 //
 // Run with --help for the full flag list.
 #include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -66,8 +68,6 @@ struct Options {
     std::size_t queue_capacity{256};
     std::uint64_t chaos_kill{0};
     std::size_t group_commit{1};
-    std::size_t decide_shards{1};
-    std::size_t decide_threads{1};
 };
 
 [[noreturn]] void usage(int exit_code) {
@@ -117,9 +117,6 @@ Serve mode (crash-safe admission controller):
                             (exit code 2); rerun --serve to recover
   --group-commit N          WAL records per fdatasync in pump (group
                             commit; 1 = per-record durability)     [1]
-  --decide-shards N         slot bands for wave-parallel decide
-                            (1 = sequential; never changes results) [1]
-  --decide-threads N        threads executing decision waves        [1]
 
 Output:
   --csv                     machine-readable CSV instead of a table
@@ -136,6 +133,24 @@ std::pair<double, double> parse_range(const std::string& value, const std::strin
     return {std::stod(value.substr(0, colon)), std::stod(value.substr(colon + 1))};
 }
 
+/// Parses an integer flag value: decimal digits only, no sign, no
+/// trailing characters, and no larger than `max`.
+std::uint64_t parse_count(const std::string& value, const std::string& flag,
+                          std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+    std::uint64_t parsed = 0;
+    const char* const end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+    if (ec != std::errc() || ptr != end) {
+        throw std::invalid_argument(flag + " expects a non-negative integer, got '" +
+                                    value + "'");
+    }
+    if (parsed > max) {
+        throw std::invalid_argument(flag + " must be at most " + std::to_string(max) +
+                                    ", got " + value);
+    }
+    return parsed;
+}
+
 Options parse_args(int argc, char** argv) {
     Options opt;
     const auto need_value = [&](int& i, const std::string& flag) -> std::string {
@@ -146,15 +161,17 @@ Options parse_args(int argc, char** argv) {
         const std::string flag = argv[i];
         if (flag == "--help" || flag == "-h") usage(0);
         else if (flag == "--topology") opt.topology = need_value(i, flag);
-        else if (flag == "--cloudlets") opt.cloudlets = std::stoul(need_value(i, flag));
+        else if (flag == "--cloudlets") opt.cloudlets = parse_count(need_value(i, flag), flag);
         else if (flag == "--capacity")
             std::tie(opt.capacity_lo, opt.capacity_hi) = parse_range(need_value(i, flag), flag);
         else if (flag == "--cloudlet-reliability")
             std::tie(opt.cloudlet_rel_lo, opt.cloudlet_rel_hi) =
                 parse_range(need_value(i, flag), flag);
-        else if (flag == "--requests") opt.requests = std::stoul(need_value(i, flag));
+        else if (flag == "--requests") opt.requests = parse_count(need_value(i, flag), flag);
         else if (flag == "--horizon")
-            opt.horizon = static_cast<TimeSlot>(std::stoi(need_value(i, flag)));
+            opt.horizon = static_cast<TimeSlot>(parse_count(
+                need_value(i, flag), flag,
+                static_cast<std::uint64_t>(std::numeric_limits<TimeSlot>::max())));
         else if (flag == "--durations") {
             const auto [lo, hi] = parse_range(need_value(i, flag), flag);
             opt.duration_lo = static_cast<TimeSlot>(lo);
@@ -172,8 +189,8 @@ Options parse_args(int argc, char** argv) {
             while (std::getline(ss, name, ',')) {
                 if (!name.empty()) opt.algorithms.push_back(name);
             }
-        } else if (flag == "--seed") opt.seed = std::stoull(need_value(i, flag));
-        else if (flag == "--seeds") opt.seeds = std::stoul(need_value(i, flag));
+        } else if (flag == "--seed") opt.seed = parse_count(need_value(i, flag), flag);
+        else if (flag == "--seeds") opt.seeds = parse_count(need_value(i, flag), flag);
         else if (flag == "--offline-bound") opt.offline_bound = true;
         else if (flag == "--inject-failures") opt.inject_failures = true;
         else if (flag == "--recovery") {
@@ -185,20 +202,16 @@ Options parse_args(int argc, char** argv) {
             else throw std::invalid_argument("unknown recovery policy '" + name +
                                              "' (see --help)");
         } else if (flag == "--fault-replications")
-            opt.fault_replications = std::stoul(need_value(i, flag));
+            opt.fault_replications = parse_count(need_value(i, flag), flag);
         else if (flag == "--serve") opt.serve_dir = need_value(i, flag);
         else if (flag == "--checkpoint-every")
-            opt.checkpoint_every = std::stoul(need_value(i, flag));
+            opt.checkpoint_every = parse_count(need_value(i, flag), flag);
         else if (flag == "--queue-capacity")
-            opt.queue_capacity = std::stoul(need_value(i, flag));
+            opt.queue_capacity = parse_count(need_value(i, flag), flag);
         else if (flag == "--chaos-kill")
-            opt.chaos_kill = std::stoull(need_value(i, flag));
+            opt.chaos_kill = parse_count(need_value(i, flag), flag);
         else if (flag == "--group-commit")
-            opt.group_commit = std::stoul(need_value(i, flag));
-        else if (flag == "--decide-shards")
-            opt.decide_shards = std::stoul(need_value(i, flag));
-        else if (flag == "--decide-threads")
-            opt.decide_threads = std::stoul(need_value(i, flag));
+            opt.group_commit = parse_count(need_value(i, flag), flag);
         else if (flag == "--csv") opt.csv = true;
         else if (flag == "--write-trace") opt.write_trace = need_value(i, flag);
         else if (flag == "--read-trace") opt.read_trace = need_value(i, flag);
@@ -296,8 +309,6 @@ int run_serve(const Options& opt) {
     cfg.checkpoint_every = opt.checkpoint_every;
     cfg.queue_capacity = opt.queue_capacity;
     cfg.group_commit = opt.group_commit;
-    cfg.decide_shards = opt.decide_shards;
-    cfg.decide_threads = opt.decide_threads;
     serve::AdmissionController controller(instance, scheme, cfg);
     if (controller.resume_cursor() > 0 || controller.metrics().processed > 0) {
         const serve::RecoveryStats rec = controller.recovery_stats();
