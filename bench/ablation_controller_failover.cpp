@@ -4,17 +4,19 @@
 // For each scheme ({onsite, offsite}) and each standby-lag setting
 // (replication beats every 1 / every 7 drive steps), one
 // paper-environment trace is first served uninterrupted (the baseline),
-// then re-served dozens of times with the primary killed at a randomized
-// point — after a random WAL append, or inside checkpoint rotation —
-// with torn WAL tails on half the crashed trials and an adversarial
-// replication link (drop/truncate/duplicate/reorder) on odd trials. The
-// standby is promoted from the dead primary's on-disk WAL tail and
-// finishes the trace. Emits BENCH_controller_failover.json and exits
+// then re-served dozens of times with the primary — on a simulated disk
+// (FaultyVfs) — cut at a randomized mutating storage op, the crash kind
+// cycling process crash / torn-tail power cut / clean power cut by
+// trial, and an adversarial replication link
+// (drop/truncate/duplicate/reorder) on odd trials. The standby is
+// promoted from the dead primary's surviving WAL tail and finishes the
+// trace. Emits BENCH_controller_failover.json and exits
 // nonzero when any acceptance gate fails:
 //
 //   * every trial's promoted standby reaches a bit-identical state
 //     digest, equal revenue bits, the same admitted set (no
-//     double-admits), and zero capacity violations;
+//     double-admits), zero capacity violations, and a clean scrub of its
+//     own files;
 //   * the no-kill control promotes a fully shipped standby to the
 //     baseline digest with zero records recovered from disk, and the
 //     shipper released at least one acked generation (bounded retention);
@@ -24,8 +26,6 @@
 //
 // Usage: ablation_controller_failover [output.json]
 //   VNFR_BENCH_QUICK=1  shrink the trace and trial counts for smoke/CI
-#include <sys/stat.h>
-
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -58,8 +58,7 @@ int main(int argc, char** argv) {
         argc > 1 ? argv[1] : std::string("BENCH_controller_failover.json");
 
     const std::size_t requests = bench::quick_mode() ? 100 : 240;
-    // >= 25 randomized kill points per scheme across the lag settings
-    // (the acceptance criterion), plus the rotation-stage kills mixed in.
+    // >= 25 randomized cut points per scheme across the lag settings.
     const std::size_t kills_per_cell = bench::quick_mode() ? 5 : 13;
     const std::size_t lag_settings[] = {1, 7};
     const std::uint64_t master = bench::scenario_seed("controller_failover", requests);
@@ -74,9 +73,6 @@ int main(int argc, char** argv) {
               << instance.network.cloudlet_count() << " cloudlets, horizon "
               << instance.horizon << "; " << kills_per_cell
               << " kill points per (scheme, lag) cell\n\n";
-
-    const std::string work_root = "controller_failover_state";
-    ::mkdir(work_root.c_str(), 0755);  // studies manage their own subdirs
 
     std::vector<CellResult> results;
     bool all_ok = true;
@@ -98,9 +94,6 @@ int main(int argc, char** argv) {
             cfg.group_commit = 4;
             cfg.ship_every = lag;
             cfg.transport_faults = true;
-            cfg.torn_tails = true;
-            cfg.work_dir = work_root + "/" + scheme_name(scheme) + "_lag" +
-                           std::to_string(lag);
 
             CellResult r;
             r.scheme = scheme;
@@ -111,11 +104,16 @@ int main(int argc, char** argv) {
                 std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
                     .count();
 
-            std::size_t torn = 0;
             std::size_t rotation_kills = 0;
+            std::size_t process_crashes = 0;
             for (const serve::replication::FailoverTrial& t : r.study.trials) {
-                if (t.torn_tail_applied) ++torn;
-                if (t.checkpoint_crash_stage != 0) ++rotation_kills;
+                if (serve::chaos::cut_in_rotation(t.cut_path)) ++rotation_kills;
+                if (t.kind == serve::CutKind::kProcessCrash) ++process_crashes;
+                if (!t.ok()) {
+                    std::cout << "  FAILED " << serve::cut_kind_name(t.kind)
+                              << " at op " << t.cut_at_op << " (" << t.cut_op
+                              << " " << t.cut_path << ")\n";
+                }
             }
             total_trials += r.study.trials.size();
             total_failed += r.study.failed_trials;
@@ -125,8 +123,8 @@ int main(int argc, char** argv) {
                       << "]: baseline revenue " << r.study.baseline_metrics.revenue
                       << ", digest " << report::hex_u64(r.study.baseline_digest)
                       << "\n  " << r.study.trials.size() << " kill trials ("
-                      << rotation_kills << " mid-rotation, " << torn
-                      << " torn tails), " << r.study.failed_trials
+                      << rotation_kills << " mid-rotation, " << process_crashes
+                      << " process crashes), " << r.study.failed_trials
                       << " failed; sync-promote "
                       << (r.study.sync_promote_ok ? "ok" : "FAILED")
                       << ", release " << (r.study.sync_release_ok ? "ok" : "FAILED")
@@ -191,22 +189,22 @@ int main(int argc, char** argv) {
         report::JsonValue trials = report::JsonValue::array();
         for (const serve::replication::FailoverTrial& t : r.study.trials) {
             report::JsonValue tr = report::JsonValue::object();
-            tr.set("kill_after_records", t.kill_after_records);
-            tr.set("checkpoint_crash_stage",
-                   static_cast<std::int64_t>(t.checkpoint_crash_stage));
+            tr.set("kind", serve::cut_kind_name(t.kind));
+            tr.set("cut_at_op", t.cut_at_op);
+            tr.set("cut_op", t.cut_op);
+            tr.set("cut_path", t.cut_path);
             tr.set("faulty_transport", t.faulty_transport);
-            tr.set("torn_tail", t.torn_tail_applied);
-            tr.set("truncated_bytes", t.truncated_bytes);
             // Operator-visible torn-tail signal surfaced from recovery.
             tr.set("promote_torn_tail_bytes", t.promote_torn_tail_bytes);
             tr.set("standby_applied_at_kill", t.standby_applied_at_kill);
             tr.set("disk_records_applied", t.disk_records_applied);
             tr.set("disk_records_skipped", t.disk_records_skipped);
-            tr.set("digest_match", t.digest_match);
-            tr.set("revenue_match", t.revenue_match);
-            tr.set("admitted_match", t.admitted_match);
-            tr.set("no_double_admits", t.no_double_admits);
-            tr.set("capacity_ok", t.capacity_ok);
+            tr.set("digest_match", t.verdict.digest_match);
+            tr.set("revenue_match", t.verdict.revenue_match);
+            tr.set("admitted_match", t.verdict.admitted_match);
+            tr.set("no_double_admits", t.verdict.no_double_admits);
+            tr.set("capacity_ok", t.verdict.capacity_ok);
+            tr.set("scrub_clean", t.verdict.scrub_clean);
             trials.push(std::move(tr));
         }
         row.set("trials", std::move(trials));

@@ -228,25 +228,13 @@ bool AdmissionController::is_covered(std::uint64_t seq) const {
 void AdmissionController::append_wal(const WalRecord& rec) {
     wal_->append(rec);
     ++wal_records_;
-    ++appends_this_run_;
-    if (crash_countdown_ > 0 && --crash_countdown_ == 0) {
-        throw CrashInjected(appends_this_run_);
-    }
 }
 
 void AdmissionController::stage_wal(const WalRecord& rec) {
     wal_->stage(rec);
     ++wal_records_;
-    ++appends_this_run_;
-    // Commit exactly at group boundaries, *before* the crash hook fires,
-    // so an injected crash sees the durability a real one would: a
-    // countdown landing on a boundary dies with the whole group on disk;
-    // anywhere else it dies with the staged suffix never externalized.
     if (wal_->staged_records() >= config_.group_commit) {
         wal_->commit();
-    }
-    if (crash_countdown_ > 0 && --crash_countdown_ == 0) {
-        throw CrashInjected(appends_this_run_);
     }
 }
 
@@ -407,7 +395,6 @@ std::vector<ProcessedOutcome> AdmissionController::pump_locked(
             }
         }
         const std::uint64_t pre_wal_records = wal_records_;
-        const std::uint64_t pre_appends = appends_this_run_;
         // Sequential by construction: each decide reads the dual prices
         // the previous admission raised.
         std::vector<core::Decision> decisions;
@@ -438,7 +425,6 @@ std::vector<ProcessedOutcome> AdmissionController::pump_locked(
             // durable-but-unacked outcomes, which resubmission skips.
             wal_->abandon_staged();
             wal_records_ = pre_wal_records;
-            appends_this_run_ = pre_appends;
             rollback_scheduler_locked();
             enter_degraded_locked("WAL group commit", err);
         }
@@ -530,16 +516,8 @@ void AdmissionController::rotate_checkpoint_locked() {
     WalWriter next =
         WalWriter::create(*vfs_, wal_file_path(config_.data_dir, wal_seq_ + 1),
                           wal_seq_ + 1, config_digest_, config_.storage_retry);
-    if (checkpoint_crash_stage_ == 1) {
-        checkpoint_crash_stage_ = 0;
-        throw CrashInjected(appends_this_run_);
-    }
     save_snapshot(*vfs_, snapshot_path(), snap, config_.storage_retry,
                   &storage_stats_.transient_retries);
-    if (checkpoint_crash_stage_ == 2) {
-        checkpoint_crash_stage_ = 0;
-        throw CrashInjected(appends_this_run_);
-    }
     storage_stats_.transient_retries += wal_->transient_retries();
     wal_->close();
     // With retention the rotated-out generation stays on disk for the

@@ -68,15 +68,6 @@
 
 namespace vnfr::serve {
 
-/// Thrown by the crash_after_records() test hook; simulates the process
-/// dying immediately after a durable WAL append.
-class CrashInjected : public std::runtime_error {
-  public:
-    explicit CrashInjected(std::uint64_t records)
-        : std::runtime_error("injected crash after " + std::to_string(records) +
-                             " WAL records") {}
-};
-
 /// Thrown instead of accepting work the controller cannot durably log:
 /// after a persistent storage error (ENOSPC, retries-exhausted EIO) the
 /// controller enters degraded read-only mode — already-admitted state
@@ -335,24 +326,6 @@ class AdmissionController {
     /// Never throws on a still-broken disk — the probe just fails.
     bool try_recover_storage() VNFR_EXCLUDES(mu_);
 
-    /// Test hook: throw CrashInjected immediately after the n-th WAL
-    /// append from now (1 = crash after the next record). 0 disables.
-    void crash_after_records(std::uint64_t n) VNFR_EXCLUDES(mu_) {
-        const common::MutexLock lock(&mu_);
-        crash_countdown_ = n;
-    }
-
-    /// Test hook: throw CrashInjected *inside* the next checkpoint
-    /// rotation. Stage 1 dies after the next WAL generation file was
-    /// created but before the snapshot referencing it was saved; stage 2
-    /// dies after the snapshot was saved but before the old generation
-    /// was retired. 0 disables. Both are legal crash windows the recovery
-    /// and failover protocols must absorb.
-    void crash_at_checkpoint_stage(int stage) VNFR_EXCLUDES(mu_) {
-        const common::MutexLock lock(&mu_);
-        checkpoint_crash_stage_ = stage;
-    }
-
   private:
     struct QueueItem {
         std::uint64_t seq;
@@ -456,11 +429,7 @@ class AdmissionController {
     std::uint64_t wal_seq_ VNFR_GUARDED_BY(mu_) = 0;
     /// Records in the current generation.
     std::uint64_t wal_records_ VNFR_GUARDED_BY(mu_) = 0;
-    /// Appends since construction.
-    std::uint64_t appends_this_run_ VNFR_GUARDED_BY(mu_) = 0;
     std::optional<WalWriter> wal_ VNFR_GUARDED_BY(mu_);
-    std::uint64_t crash_countdown_ VNFR_GUARDED_BY(mu_) = 0;
-    int checkpoint_crash_stage_ VNFR_GUARDED_BY(mu_) = 0;
     /// Generations below this are known-unlinked (release_wals_below).
     std::uint64_t release_floor_ VNFR_GUARDED_BY(mu_) = 0;
     ControllerRole role_ VNFR_GUARDED_BY(mu_) = ControllerRole::kPrimary;

@@ -1,61 +1,20 @@
-// Shared plumbing for the chaos harnesses (chaos_study and the failover
-// study): scratch-directory hygiene, the deterministic drive pattern, and
-// the baseline-equivalence predicates every trial is gated on. Header-only
-// so both studies compare runs with literally the same code.
+// Shared plumbing for the crash harnesses (disk_fault_study and the
+// failover study): the deterministic drive pattern and the one
+// compare-to-baseline verdict every trial is gated on. Header-only so
+// both studies judge runs with literally the same code.
 #pragma once
 
-#include <dirent.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdint>
 #include <set>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/instance.hpp"
+#include "core/verify.hpp"
 #include "serve/admission_controller.hpp"
-#include "serve/vfs.hpp"
-#include "serve/wal.hpp"
+#include "serve/wal_scrubber.hpp"
 
 namespace vnfr::serve::chaos {
-
-/// Creates `path` if needed and removes any controller state files left
-/// by a previous run, so every trial starts from a virgin directory.
-inline void fresh_state_dir(const std::string& path) {
-    if (::mkdir(path.c_str(), 0755) != 0 && errno != EEXIST) {
-        throw std::invalid_argument("chaos study: cannot create state dir " + path);
-    }
-    DIR* dir = ::opendir(path.c_str());
-    if (dir == nullptr) {
-        throw std::invalid_argument("chaos study: cannot open state dir " + path);
-    }
-    std::vector<std::string> doomed;
-    while (const dirent* entry = ::readdir(dir)) {
-        const std::string name = entry->d_name;
-        if (name.starts_with("wal-") || name.starts_with("snapshot.bin")) {
-            doomed.push_back(path + "/" + name);
-        }
-    }
-    ::closedir(dir);
-    for (const std::string& file : doomed) posix_vfs().unlink(file);
-}
-
-/// The WAL file in `path` with the highest generation number (the live
-/// one under rotation — with retention enabled older generations linger),
-/// or empty when none exists yet.
-inline std::string newest_wal_file(const std::string& path) {
-    const std::vector<std::uint64_t> gens = list_wal_generations(posix_vfs(), path);
-    return gens.empty() ? std::string() : wal_file_path(path, gens.back());
-}
-
-inline std::uint64_t file_size(const std::string& path) {
-    struct stat st{};
-    if (::stat(path.c_str(), &st) != 0) return 0;
-    return static_cast<std::uint64_t>(st.st_size);
-}
 
 /// Progress markers the driver updates as it goes, so a CrashInjected
 /// unwind tells the recovery path exactly where the stream stood.
@@ -142,31 +101,79 @@ inline std::vector<core::Decision> assemble_decisions(
     return decisions;
 }
 
-inline bool same_admitted(const std::vector<AdmittedRecord>& a,
-                          const std::vector<AdmittedRecord>& b) {
-    if (a.size() != b.size()) return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (a[i].seq != b[i].seq || a[i].request_id != b[i].request_id ||
-            a[i].payment != b[i].payment || a[i].sites != b[i].sites) {
-            return false;
-        }
-    }
-    return true;
+/// True when a cut at an op on `path` landed inside a checkpoint
+/// rotation: creating the next WAL generation (published through
+/// `wal-<g>.log.tmp`) or publishing the snapshot.
+inline bool cut_in_rotation(const std::string& path) {
+    return path.find("snapshot.bin") != std::string::npos ||
+           path.ends_with(".log.tmp");
 }
 
-inline bool unique_admitted(const std::vector<AdmittedRecord>& records) {
+/// What an uninterrupted run ended at; every trial is compared to it.
+struct Baseline {
+    std::uint64_t digest{0};
+    ServeMetrics metrics;
+    std::vector<AdmittedRecord> admitted;
+};
+
+inline Baseline capture_baseline(const AdmissionController& controller) {
+    return Baseline{controller.state_digest(), controller.metrics(),
+                    controller.admitted_records()};
+}
+
+/// The gates a finished trial must pass against its baseline.
+struct Verdict {
+    bool digest_match{false};    ///< state digest equals the baseline's
+    bool revenue_match{false};   ///< revenue + shed revenue bit-equal
+    bool metrics_match{false};   ///< all counters equal
+    bool admitted_match{false};  ///< same admitted (seq, id, sites) sequence
+    bool no_double_admits{false};
+    bool capacity_ok{false};     ///< verify_schedule found no violations
+    /// A read-only WAL scrub of the controller's data directory reports
+    /// zero findings: every retained generation and the snapshot
+    /// re-verify their CRCs and cross-file invariants.
+    bool scrub_clean{false};
+
+    [[nodiscard]] bool ok() const {
+        return digest_match && revenue_match && metrics_match &&
+               admitted_match && no_double_admits && capacity_ok && scrub_clean;
+    }
+};
+
+/// Judges `controller`, which finished the trace over `data_dir` on its
+/// own Vfs, against `baseline`.
+inline Verdict judge(const core::Instance& instance,
+                     const AdmissionController& controller,
+                     const std::string& data_dir, const Baseline& baseline) {
+    Verdict v;
+    v.digest_match = controller.state_digest() == baseline.digest;
+    const ServeMetrics m = controller.metrics();
+    v.revenue_match = m.revenue == baseline.metrics.revenue &&
+                      m.shed_revenue == baseline.metrics.shed_revenue;
+    v.metrics_match = m.processed == baseline.metrics.processed &&
+                      m.admitted == baseline.metrics.admitted &&
+                      m.rejected == baseline.metrics.rejected &&
+                      m.shed == baseline.metrics.shed;
+    const std::vector<AdmittedRecord> admitted = controller.admitted_records();
+    v.admitted_match = admitted.size() == baseline.admitted.size();
+    for (std::size_t i = 0; v.admitted_match && i < admitted.size(); ++i) {
+        const AdmittedRecord& a = admitted[i];
+        const AdmittedRecord& b = baseline.admitted[i];
+        v.admitted_match = a.seq == b.seq && a.request_id == b.request_id &&
+                           a.payment == b.payment && a.sites == b.sites;
+    }
     std::set<std::uint64_t> seqs;
     std::set<std::int64_t> ids;
-    for (const AdmittedRecord& rec : records) {
-        if (!seqs.insert(rec.seq).second) return false;
-        if (!ids.insert(rec.request_id).second) return false;
+    v.no_double_admits = true;
+    for (const AdmittedRecord& rec : admitted) {
+        v.no_double_admits = v.no_double_admits && seqs.insert(rec.seq).second &&
+                             ids.insert(rec.request_id).second;
     }
-    return true;
-}
-
-inline bool metrics_equal(const ServeMetrics& a, const ServeMetrics& b) {
-    return a.processed == b.processed && a.admitted == b.admitted &&
-           a.rejected == b.rejected && a.shed == b.shed;
+    v.capacity_ok =
+        core::verify_schedule(instance, assemble_decisions(instance, controller))
+            .ok();
+    v.scrub_clean = scrub_data_dir(controller.vfs(), data_dir).clean();
+    return v;
 }
 
 }  // namespace vnfr::serve::chaos

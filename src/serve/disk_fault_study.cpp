@@ -2,14 +2,11 @@
 
 #include <cerrno>
 #include <algorithm>
-#include <optional>
 #include <stdexcept>
 
 #include "common/rng.hpp"
 #include "core/verify.hpp"
 #include "serve/admission_controller.hpp"
-#include "serve/chaos_support.hpp"
-#include "serve/vfs.hpp"
 #include "serve/wal.hpp"
 #include "serve/wal_scrubber.hpp"
 
@@ -20,10 +17,8 @@ namespace {
 using chaos::assemble_decisions;
 using chaos::DriveProgress;
 using chaos::drive;
-using chaos::metrics_equal;
+using chaos::judge;
 using chaos::rebuild_queue;
-using chaos::same_admitted;
-using chaos::unique_admitted;
 
 // All trial storage lives inside per-trial FaultyVfs instances, so the
 // data directory is just a name in their flat namespace.
@@ -31,11 +26,11 @@ constexpr const char* kDataDir = "/faultdisk";
 
 // RNG stream bases per trial family (disjoint from the other studies).
 constexpr std::uint64_t kPatternStream = 1;
-constexpr std::uint64_t kPowerCutStream = 2000;
+constexpr std::uint64_t kCutStream = 2000;
 constexpr std::uint64_t kDegradedStream = 3000;
 
 // Plan-seed salts so no two trials share a fault stream.
-constexpr std::uint64_t kPowerCutSalt = 0xD15C0C07ULL;
+constexpr std::uint64_t kCutSalt = 0xD15C0C07ULL;
 constexpr std::uint64_t kTransientSalt = 0xD15CF417ULL;
 
 /// Proves the scrubber detects latent corruption: XOR one bit into a
@@ -81,7 +76,7 @@ DiskFaultStudyResult run_disk_fault_study(const core::Instance& instance,
         throw std::invalid_argument("disk fault study: instance has no requests");
     }
 
-    // Same overload-inducing drain cadence as the crash studies: more
+    // Same overload-inducing drain cadence as the failover study: more
     // submissions than queue slots between drains, so faults land in
     // shed paths too.
     common::Rng pattern_rng =
@@ -106,100 +101,96 @@ DiskFaultStudyResult run_disk_fault_study(const core::Instance& instance,
     result.scheme = config.scheme;
 
     // Baseline: an uninterrupted run on a fault-free FaultyVfs. Its
-    // mutating-op count is the power-cut domain; its write count scales
-    // the degraded trials' ENOSPC onset.
-    std::vector<AdmittedRecord> baseline_admitted;
+    // mutating-op count is the cut domain; its write count scales the
+    // degraded trials' ENOSPC onset.
+    chaos::Baseline baseline;
     std::uint64_t baseline_writes = 0;
     {
         FaultyVfs disk;
         ServeConfig cfg = serve;
         cfg.vfs = &disk;
-        AdmissionController baseline(instance, config.scheme, cfg);
-        DriveProgress progress;
-        drive(baseline, requests, 0, false, drain_every, progress);
-        result.baseline_digest = baseline.state_digest();
-        result.baseline_metrics = baseline.metrics();
-        result.baseline_outcomes =
-            baseline.metrics().processed + baseline.metrics().shed;
-        baseline_admitted = baseline.admitted_records();
-        result.baseline_capacity_ok =
-            core::verify_schedule(instance,
-                                  assemble_decisions(instance, baseline))
-                .ok();
-        result.baseline_mutating_ops = disk.op_count();
-        baseline_writes = disk.stats().writes;
-        result.baseline_scrub_clean = scrub_data_dir(disk, kDataDir).clean();
-        result.corruption_detected = prove_corruption_detection(disk);
+        {
+            AdmissionController controller(instance, config.scheme, cfg);
+            DriveProgress progress;
+            drive(controller, requests, 0, false, drain_every, progress);
+            baseline = chaos::capture_baseline(controller);
+            result.baseline_capacity_ok =
+                core::verify_schedule(instance,
+                                      assemble_decisions(instance, controller))
+                    .ok();
+            result.baseline_mutating_ops = disk.op_count();
+            baseline_writes = disk.stats().writes;
+            result.baseline_scrub_clean = scrub_data_dir(disk, kDataDir).clean();
+            result.corruption_detected = prove_corruption_detection(disk);
+            controller.checkpoint();
+        }
+        // Reopening the checkpointed directory must reproduce the digest.
+        const AdmissionController reloaded(instance, config.scheme, cfg);
+        result.baseline_reload_ok = reloaded.state_digest() == baseline.digest;
     }
+    result.baseline_digest = baseline.digest;
+    result.baseline_metrics = baseline.metrics;
+    result.baseline_outcomes = baseline.metrics.processed + baseline.metrics.shed;
 
-    // Power-cut trials: cut at a mutating-op index, collapse the cache
-    // to its durable view, revive, finish the trace, compare.
-    const std::size_t cut_trials =
+    // Cut trials: end the process at a mutating-op index under each
+    // crash kind, revive on what the page cache kept, finish the trace,
+    // compare.
+    const std::size_t cut_points =
         config.exhaustive_power_cuts
             ? static_cast<std::size_t>(result.baseline_mutating_ops)
             : config.power_cut_points;
-    for (std::size_t trial = 0; trial < cut_trials; ++trial) {
-        common::Rng rng =
-            common::stream_rng(config.master_seed, kPowerCutStream + trial);
-        PowerCutTrial outcome;
-        outcome.cut_at_op =
+    for (std::size_t point = 0; point < cut_points; ++point) {
+        common::Rng rng = common::stream_rng(config.master_seed, kCutStream + point);
+        const std::uint64_t cut_at_op =
             config.exhaustive_power_cuts
-                ? static_cast<std::uint64_t>(trial + 1)
+                ? static_cast<std::uint64_t>(point + 1)
                 : static_cast<std::uint64_t>(rng.uniform_int(
                       1, static_cast<std::int64_t>(
                              std::max<std::uint64_t>(1, result.baseline_mutating_ops))));
+        for (const CutKind kind : kCutTrialKinds) {
+            CutTrial outcome;
+            outcome.kind = kind;
+            outcome.cut_at_op = cut_at_op;
 
-        DiskFaultPlan plan;
-        plan.seed = config.master_seed ^ (kPowerCutSalt + trial);
-        plan.power_cut_at_op = outcome.cut_at_op;
-        plan.power_cut_keeps_prefix = true;  // torn-tail crash shape
-        FaultyVfs disk(plan);
-        ServeConfig cfg = serve;
-        cfg.vfs = &disk;
+            DiskFaultPlan plan;
+            plan.seed = config.master_seed ^ (kCutSalt + point);
+            plan.cut_at_op = cut_at_op;
+            plan.cut_kind = kind;
+            FaultyVfs disk(plan);
+            ServeConfig cfg = serve;
+            cfg.vfs = &disk;
 
-        DriveProgress progress;
-        try {
-            // The cut can fire inside the constructor (WAL creation is
-            // mutating) — the victim scope covers both.
-            AdmissionController victim(instance, config.scheme, cfg);
-            drive(victim, requests, 0, false, drain_every, progress);
-        } catch (const PowerLossInjected&) {
-            outcome.cut_fired = true;
+            DriveProgress progress;
+            try {
+                // The cut can fire inside the constructor (WAL creation
+                // is mutating) — the victim scope covers both.
+                AdmissionController victim(instance, config.scheme, cfg);
+                drive(victim, requests, 0, false, drain_every, progress);
+            } catch (const CrashInjected& crash) {
+                outcome.cut_fired = true;
+                outcome.cut_op = crash.op();
+                outcome.cut_path = crash.path();
+            }
+            outcome.submitted_at_cut = progress.submitted;
+
+            if (outcome.cut_fired) {
+                // Restart on the surviving bytes: recovery replays the
+                // durable prefix (dropping any torn tail), the queue is
+                // rebuilt through the normal submit path, an interrupted
+                // drain refires first, then the trace completes.
+                AdmissionController revived(instance, config.scheme, cfg);
+                outcome.recovered_torn_tail_bytes =
+                    revived.recovery_stats().torn_tail_bytes;
+                rebuild_queue(revived, requests, progress.submitted);
+                DriveProgress rest;
+                drive(revived, requests, progress.submitted, progress.in_drain,
+                      drain_every, rest);
+                outcome.verdict = judge(instance, revived, kDataDir, baseline);
+            }
+
+            if (!outcome.ok()) ++result.failed_cut_trials;
+            result.cut_trials.push_back(std::move(outcome));
         }
-        outcome.submitted_at_cut = progress.submitted;
-
-        if (outcome.cut_fired) {
-            // Reboot on the surviving bytes: recovery replays the
-            // durable prefix (dropping any torn tail), the queue is
-            // rebuilt through the normal submit path, an interrupted
-            // drain refires first, then the trace completes.
-            AdmissionController revived(instance, config.scheme, cfg);
-            outcome.recovered_torn_tail_bytes =
-                revived.recovery_stats().torn_tail_bytes;
-            rebuild_queue(revived, requests, progress.submitted);
-            DriveProgress rest;
-            drive(revived, requests, progress.submitted, progress.in_drain,
-                  drain_every, rest);
-
-            outcome.digest_match =
-                revived.state_digest() == result.baseline_digest;
-            const ServeMetrics& m = revived.metrics();
-            outcome.revenue_match =
-                m.revenue == result.baseline_metrics.revenue &&
-                m.shed_revenue == result.baseline_metrics.shed_revenue;
-            outcome.metrics_match = metrics_equal(m, result.baseline_metrics);
-            outcome.admitted_match =
-                same_admitted(revived.admitted_records(), baseline_admitted);
-            outcome.no_double_admits = unique_admitted(revived.admitted_records());
-            outcome.capacity_ok =
-                core::verify_schedule(instance,
-                                      assemble_decisions(instance, revived))
-                    .ok();
-            outcome.scrub_clean = scrub_data_dir(disk, kDataDir).clean();
-        }
-
-        if (!outcome.ok()) ++result.failed_power_cut_trials;
-        result.power_cut_trials.push_back(outcome);
     }
 
     // Transient-fault trials: seeded bursts of spurious EIO and short
@@ -232,20 +223,7 @@ DiskFaultStudyResult run_disk_fault_study(const core::Instance& instance,
                 controller.storage_health() == StorageHealth::kHealthy;
             outcome.retries_absorbed =
                 controller.storage_stats().transient_retries;
-            outcome.digest_match =
-                controller.state_digest() == result.baseline_digest;
-            const ServeMetrics& m = controller.metrics();
-            outcome.revenue_match =
-                m.revenue == result.baseline_metrics.revenue &&
-                m.shed_revenue == result.baseline_metrics.shed_revenue;
-            outcome.metrics_match = metrics_equal(m, result.baseline_metrics);
-            outcome.admitted_match =
-                same_admitted(controller.admitted_records(), baseline_admitted);
-            outcome.capacity_ok =
-                core::verify_schedule(instance,
-                                      assemble_decisions(instance, controller))
-                    .ok();
-            outcome.scrub_clean = scrub_data_dir(disk, kDataDir).clean();
+            outcome.verdict = judge(instance, controller, kDataDir, baseline);
         } catch (const StorageDegradedError&) {
             degraded = true;  // a transient burst must never degrade
         }
@@ -330,23 +308,7 @@ DiskFaultStudyResult run_disk_fault_study(const core::Instance& instance,
                 drive(controller, requests, progress.submitted,
                       progress.in_drain, drain_every, rest);
 
-                outcome.digest_match =
-                    controller.state_digest() == result.baseline_digest;
-                const ServeMetrics& m = controller.metrics();
-                outcome.revenue_match =
-                    m.revenue == result.baseline_metrics.revenue &&
-                    m.shed_revenue == result.baseline_metrics.shed_revenue;
-                outcome.metrics_match =
-                    metrics_equal(m, result.baseline_metrics);
-                outcome.admitted_match = same_admitted(
-                    controller.admitted_records(), baseline_admitted);
-                outcome.no_double_admits =
-                    unique_admitted(controller.admitted_records());
-                outcome.capacity_ok =
-                    core::verify_schedule(
-                        instance, assemble_decisions(instance, controller))
-                        .ok();
-                outcome.scrub_clean = scrub_data_dir(disk, kDataDir).clean();
+                outcome.verdict = judge(instance, controller, kDataDir, baseline);
             }
         }
 

@@ -3,17 +3,20 @@
 // mutating storage operations), then attack replicas of that run three
 // ways and gate that admission state survives bit-identically:
 //
-//   power-cut trials    cut power at a scripted mutating-op index — the
-//                       un-fsync'ed page cache drops, the live WAL may
-//                       keep a torn prefix of its un-synced suffix, and
-//                       every open fd goes stale. Revive a controller on
-//                       the survived bytes, resubmit the uncovered
-//                       suffix, finish the trace: digest, revenue,
-//                       metrics, and admitted set must equal the
-//                       baseline bit-for-bit with no double-admits.
-//                       Exhaustive mode cuts at EVERY mutating op of the
-//                       baseline run — including both checkpoint-rotation
-//                       stages and mid-group-commit writes.
+//   cut trials          end the process at a scripted mutating-op index,
+//                       once per crash kind: a process crash (the page
+//                       cache survives, fds go stale) and a power cut
+//                       (the un-fsync'ed page cache drops, the live WAL
+//                       may keep a torn prefix of its un-synced suffix).
+//                       Revive a controller on the surviving bytes,
+//                       resubmit the uncovered suffix, finish the trace:
+//                       digest, revenue, metrics, and admitted set must
+//                       equal the baseline bit-for-bit with no
+//                       double-admits. Exhaustive mode cuts at EVERY
+//                       mutating op of the baseline run — every WAL
+//                       record's write and fdatasync, both
+//                       checkpoint-rotation stages, mid-group-commit
+//                       writes — under both kinds.
 //   transient trials    seeded bursts of EIO write/sync failures and
 //                       short writes; the retry layer must absorb every
 //                       one (controller never degrades) and the final
@@ -29,7 +32,8 @@
 //
 // Every trial ends with a read-only WAL scrub of the surviving
 // directory; the baseline additionally proves the scrubber's teeth by
-// flipping one durable bit and checking the scrub reports it.
+// flipping one durable bit and checking the scrub reports it, and
+// proves that reopening its own checkpoint reproduces its digest.
 //
 // Fault schedules derive from counter-based RNG streams of the master
 // seed — the whole study is replayable bit-for-bit.
@@ -41,17 +45,20 @@
 
 #include "core/instance.hpp"
 #include "core/offline.hpp"
+#include "serve/chaos_support.hpp"
 #include "serve/snapshot.hpp"
+#include "serve/vfs.hpp"
 
 namespace vnfr::serve {
 
 struct DiskFaultStudyConfig {
     core::Scheme scheme{core::Scheme::kOnsite};
     std::uint64_t master_seed{0};
-    /// Number of sampled power-cut trials (ignored in exhaustive mode).
+    /// Number of sampled cut points (ignored in exhaustive mode); each
+    /// point is cut once per crash kind.
     std::size_t power_cut_points{12};
     /// Cut at EVERY mutating storage op of the baseline run instead of
-    /// sampling — the full crash matrix, one trial per op index.
+    /// sampling — the full crash matrix, one trial per (op index, kind).
     bool exhaustive_power_cuts{false};
     std::size_t transient_trials{3};
     std::size_t degraded_trials{2};
@@ -69,24 +76,22 @@ struct DiskFaultStudyConfig {
     std::size_t retry_max_attempts{6};
 };
 
-struct PowerCutTrial {
+/// The crash kinds every cut point is tried under, in trial order.
+inline constexpr CutKind kCutTrialKinds[] = {CutKind::kProcessCrash,
+                                             CutKind::kPowerCutTornTail};
+
+struct CutTrial {
+    CutKind kind{CutKind::kProcessCrash};
     std::uint64_t cut_at_op{0};  ///< 1-based mutating-op index of the cut
     bool cut_fired{false};
+    std::string cut_op;    ///< the storage op the cut skipped
+    std::string cut_path;  ///< the path that op addressed
     std::size_t submitted_at_cut{0};
     /// Torn WAL tail the revived recovery observed and dropped.
     std::uint64_t recovered_torn_tail_bytes{0};
-    bool digest_match{false};
-    bool revenue_match{false};
-    bool metrics_match{false};
-    bool admitted_match{false};
-    bool no_double_admits{false};
-    bool capacity_ok{false};
-    bool scrub_clean{false};
+    chaos::Verdict verdict;
 
-    [[nodiscard]] bool ok() const {
-        return cut_fired && digest_match && revenue_match && metrics_match &&
-               admitted_match && no_double_admits && capacity_ok && scrub_clean;
-    }
+    [[nodiscard]] bool ok() const { return cut_fired && verdict.ok(); }
 };
 
 struct TransientFaultTrial {
@@ -96,17 +101,9 @@ struct TransientFaultTrial {
     /// Retries the storage layer absorbed (WalWriter + snapshot paths).
     std::uint64_t retries_absorbed{0};
     bool stayed_healthy{false};  ///< never entered degraded mode
-    bool digest_match{false};
-    bool revenue_match{false};
-    bool metrics_match{false};
-    bool admitted_match{false};
-    bool capacity_ok{false};
-    bool scrub_clean{false};
+    chaos::Verdict verdict;
 
-    [[nodiscard]] bool ok() const {
-        return stayed_healthy && digest_match && revenue_match &&
-               metrics_match && admitted_match && capacity_ok && scrub_clean;
-    }
+    [[nodiscard]] bool ok() const { return stayed_healthy && verdict.ok(); }
 };
 
 struct DegradedModeTrial {
@@ -117,19 +114,11 @@ struct DegradedModeTrial {
     std::uint64_t degraded_refusals{0};
     bool recovered{false};
     bool recovered_via_probe{false};  ///< auto-probe path vs explicit call
-    bool digest_match{false};
-    bool revenue_match{false};
-    bool metrics_match{false};
-    bool admitted_match{false};
-    bool no_double_admits{false};
-    bool capacity_ok{false};
-    bool scrub_clean{false};
+    chaos::Verdict verdict;
 
     [[nodiscard]] bool ok() const {
         return entered_degraded && degraded_refusals > 0 && recovered &&
-               digest_match && revenue_match && metrics_match &&
-               admitted_match && no_double_admits && capacity_ok &&
-               scrub_clean;
+               verdict.ok();
     }
 };
 
@@ -138,17 +127,21 @@ struct DiskFaultStudyResult {
     std::uint64_t baseline_digest{0};
     ServeMetrics baseline_metrics;
     std::uint64_t baseline_outcomes{0};
-    /// Mutating storage ops in the baseline run — the power-cut domain.
+    /// Mutating storage ops in the baseline run — the cut domain.
     std::uint64_t baseline_mutating_ops{0};
+    /// Restarting an idle controller from the baseline's own checkpoint
+    /// reproduces its digest.
+    bool baseline_reload_ok{false};
     bool baseline_capacity_ok{false};
     bool baseline_scrub_clean{false};
     /// The scrubber detected a single flipped durable bit in a retained
     /// generation (and reported clean again once it was flipped back).
     bool corruption_detected{false};
-    std::vector<PowerCutTrial> power_cut_trials;
+    /// Both kinds per cut point, in kCutTrialKinds order.
+    std::vector<CutTrial> cut_trials;
     std::vector<TransientFaultTrial> transient_trials;
     std::vector<DegradedModeTrial> degraded_trials;
-    std::size_t failed_power_cut_trials{0};
+    std::size_t failed_cut_trials{0};
     std::size_t failed_transient_trials{0};
     std::size_t failed_degraded_trials{0};
     /// Aggregate fault exposure (all transient trials).
@@ -156,8 +149,9 @@ struct DiskFaultStudyResult {
     std::uint64_t transient_retries_absorbed{0};
 
     [[nodiscard]] bool ok() const {
-        return baseline_capacity_ok && baseline_scrub_clean &&
-               corruption_detected && failed_power_cut_trials == 0 &&
+        return baseline_reload_ok && baseline_capacity_ok &&
+               baseline_scrub_clean && corruption_detected &&
+               failed_cut_trials == 0 &&
                failed_transient_trials == 0 && failed_degraded_trials == 0 &&
                (transient_trials.empty() || transient_faults_injected > 0);
     }

@@ -1,19 +1,13 @@
 #include "serve/replication/failover_chaos.hpp"
 
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cerrno>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "common/rng.hpp"
 #include "core/verify.hpp"
 #include "serve/admission_controller.hpp"
-#include "serve/chaos_support.hpp"
-#include "serve/vfs.hpp"
 #include "serve/replication/failover.hpp"
 #include "serve/replication/standby.hpp"
 #include "serve/replication/wal_shipper.hpp"
@@ -26,13 +20,18 @@ using chaos::assemble_decisions;
 using chaos::DriveProgress;
 using chaos::drive;
 using chaos::drive_with_tick;
-using chaos::file_size;
-using chaos::fresh_state_dir;
-using chaos::metrics_equal;
-using chaos::newest_wal_file;
+using chaos::judge;
 using chaos::rebuild_queue;
-using chaos::same_admitted;
-using chaos::unique_admitted;
+
+// Each side of the pair owns a FaultyVfs, so both directories are names
+// in separate flat namespaces.
+constexpr const char* kPrimaryDir = "/primary";
+constexpr const char* kStandbyDir = "/standby";
+
+/// The crash kinds cut trials cycle through, indexed by trial % 3.
+constexpr CutKind kCutKinds[] = {CutKind::kProcessCrash,
+                                 CutKind::kPowerCutTornTail,
+                                 CutKind::kPowerCutClean};
 
 void add_stats(TransportStats& into, const TransportStats& from) {
     into.frames_sent += from.frames_sent;
@@ -57,6 +56,16 @@ void settle_link(WalShipper& shipper, StandbyController& standby,
     throw std::logic_error("failover chaos: replication link failed to settle");
 }
 
+void arm_faulty_link(ShipTransport& transport, std::uint64_t seed) {
+    TransportFaultPlan plan;
+    plan.seed = seed;
+    plan.drop = 0.08;
+    plan.truncate = 0.08;
+    plan.duplicate = 0.08;
+    plan.reorder = 0.08;
+    transport.set_fault_plan(plan);
+}
+
 }  // namespace
 
 FailoverChaosResult run_failover_chaos_study(const core::Instance& instance,
@@ -65,17 +74,10 @@ FailoverChaosResult run_failover_chaos_study(const core::Instance& instance,
     if (requests.empty()) {
         throw std::invalid_argument("failover chaos: instance has no requests");
     }
-    if (config.work_dir.empty()) {
-        throw std::invalid_argument("failover chaos: work_dir not set");
-    }
-    if (::mkdir(config.work_dir.c_str(), 0755) != 0 && errno != EEXIST) {
-        throw std::invalid_argument("failover chaos: cannot create work_dir " +
-                                    config.work_dir);
-    }
     const std::size_t ship_every = std::max<std::size_t>(1, config.ship_every);
 
-    // Same cadence formula as the single-node chaos study: overflow the
-    // queue between drains so shedding stays exercised across failovers.
+    // Same cadence formula as the disk-fault study: overflow the queue
+    // between drains so shedding stays exercised across failovers.
     common::Rng pattern_rng = common::stream_rng(config.master_seed, 1);
     const std::size_t drain_every =
         config.queue_capacity +
@@ -83,56 +85,58 @@ FailoverChaosResult run_failover_chaos_study(const core::Instance& instance,
             1, static_cast<std::int64_t>(config.queue_capacity)));
 
     ServeConfig primary_serve;
+    primary_serve.data_dir = kPrimaryDir;
     primary_serve.checkpoint_every = config.checkpoint_every;
     primary_serve.queue_capacity = config.queue_capacity;
     primary_serve.group_commit = config.group_commit;
     primary_serve.retain_wals = true;  // the shipper tails rotated gens
 
-    ServeConfig standby_serve;
-    standby_serve.checkpoint_every = config.checkpoint_every;
-    standby_serve.queue_capacity = config.queue_capacity;
-    standby_serve.group_commit = config.group_commit;
+    ServeConfig standby_serve = primary_serve;
+    standby_serve.data_dir = kStandbyDir;
+    standby_serve.retain_wals = false;
 
     FailoverChaosResult result;
     result.scheme = config.scheme;
 
-    // Baseline: one uninterrupted, unreplicated run.
-    const std::string baseline_dir = config.work_dir + "/baseline";
-    fresh_state_dir(baseline_dir);
-    std::vector<AdmittedRecord> baseline_admitted;
+    // Baseline: one uninterrupted, unreplicated run with the primary's
+    // storage settings. A replicated primary performs exactly these
+    // mutating ops plus the unlinks its shipper's releases add, so every
+    // op index past construction is a cut point that fires.
+    chaos::Baseline baseline;
+    std::uint64_t construction_ops = 0;
+    std::uint64_t baseline_ops = 0;
     {
-        ServeConfig cfg = standby_serve;
-        cfg.data_dir = baseline_dir;
-        AdmissionController baseline(instance, config.scheme, cfg);
+        FaultyVfs disk;
+        ServeConfig cfg = primary_serve;
+        cfg.vfs = &disk;
+        AdmissionController controller(instance, config.scheme, cfg);
+        construction_ops = disk.op_count();
         DriveProgress progress;
-        drive(baseline, requests, 0, false, drain_every, progress);
-        result.baseline_digest = baseline.state_digest();
-        result.baseline_metrics = baseline.metrics();
-        result.baseline_outcomes =
-            baseline.metrics().processed + baseline.metrics().shed;
-        baseline_admitted = baseline.admitted_records();
+        drive(controller, requests, 0, false, drain_every, progress);
+        baseline_ops = disk.op_count();
+        baseline = chaos::capture_baseline(controller);
         result.baseline_capacity_ok =
-            core::verify_schedule(instance, assemble_decisions(instance, baseline))
+            core::verify_schedule(instance, assemble_decisions(instance, controller))
                 .ok();
     }
-
-    const std::string primary_dir = config.work_dir + "/primary";
-    const std::string standby_dir = config.work_dir + "/standby";
+    result.baseline_digest = baseline.digest;
+    result.baseline_metrics = baseline.metrics;
+    result.baseline_outcomes = baseline.metrics.processed + baseline.metrics.shed;
 
     // Control: never kill the primary; a fully shipped standby must
     // promote to the baseline digest with nothing left to recover from
     // disk — replication alone carries the complete state.
     {
-        fresh_state_dir(primary_dir);
-        fresh_state_dir(standby_dir);
+        FaultyVfs primary_disk;
+        FaultyVfs standby_disk;
         ShipTransport transport(config.transport_capacity);
         ServeConfig pcfg = primary_serve;
-        pcfg.data_dir = primary_dir;
+        pcfg.vfs = &primary_disk;
         AdmissionController primary(instance, config.scheme, pcfg);
         ServeConfig scfg = standby_serve;
-        scfg.data_dir = standby_dir;
+        scfg.vfs = &standby_disk;
         StandbyController standby(instance, config.scheme, scfg, transport);
-        WalShipper shipper(primary, primary_dir, transport);
+        WalShipper shipper(primary, kPrimaryDir, transport);
         DriveProgress progress;
         std::size_t steps = 0;
         drive_with_tick(primary, requests, 0, false, drain_every, progress, [&] {
@@ -142,78 +146,80 @@ FailoverChaosResult run_failover_chaos_study(const core::Instance& instance,
             }
         });
         settle_link(shipper, standby, transport);
-        FailoverCoordinator coordinator(primary_dir);
+        FailoverCoordinator coordinator(kPrimaryDir, primary_disk);
         const PromotionReport report = coordinator.promote(standby);
         result.sync_promote_ok = report.disk_records_applied == 0 &&
                                  report.promoted_digest == result.baseline_digest;
         result.sync_release_ok = shipper.stats().generations_released > 0;
     }
 
-    // Kill trials.
+    // Promotes `standby` from the dead (or degraded) primary's disk,
+    // finishes the trace on it, and judges the result.
+    const auto promote_and_finish = [&](FailoverTrial& outcome,
+                                        StandbyController& standby,
+                                        Vfs& primary_disk,
+                                        const DriveProgress& progress) {
+        FailoverCoordinator coordinator(kPrimaryDir, primary_disk);
+        const PromotionReport report = coordinator.promote(standby);
+        outcome.disk_records_applied = report.disk_records_applied;
+        outcome.disk_records_skipped = report.disk_records_skipped;
+        outcome.promote_torn_tail_bytes = report.torn_tail_bytes;
+        result.total_disk_records_applied += report.disk_records_applied;
+
+        // Resume admissions on the promoted standby: rebuild the
+        // crash-time queue, complete any interrupted drain, finish the
+        // trace — the same continuation the disk-fault study applies to
+        // a revived controller.
+        AdmissionController& promoted = standby.controller();
+        rebuild_queue(promoted, requests, progress.submitted);
+        DriveProgress rest;
+        drive(promoted, requests, progress.submitted, progress.in_drain,
+              drain_every, rest);
+        outcome.verdict = judge(instance, promoted, kStandbyDir, baseline);
+    };
+
+    // Cut trials.
     for (std::size_t trial = 0; trial < config.kill_points; ++trial) {
         common::Rng rng = common::stream_rng(config.master_seed, 2000 + trial);
         FailoverTrial outcome;
-        // Every 5th/(5n+4)th trial dies inside checkpoint rotation; the
-        // rest die right after a randomized WAL append.
-        if (trial % 5 == 3) {
-            outcome.checkpoint_crash_stage = 1;
-        } else if (trial % 5 == 4) {
-            outcome.checkpoint_crash_stage = 2;
-        }
+        outcome.kind = kCutKinds[trial % 3];
         outcome.faulty_transport = config.transport_faults && trial % 2 == 1;
-        // For rotation kills, arm the stage hook after a randomized
-        // prefix of submits so different trials die at different
-        // rotations (the hook fires at the next checkpoint once armed).
-        const std::size_t arm_at = static_cast<std::size_t>(rng.uniform_int(
-            0, std::max<std::int64_t>(0,
-                                      static_cast<std::int64_t>(requests.size()) / 2)));
-        if (outcome.checkpoint_crash_stage == 0) {
-            outcome.kill_after_records = static_cast<std::uint64_t>(rng.uniform_int(
-                1, std::max<std::int64_t>(
-                       1, static_cast<std::int64_t>(result.baseline_outcomes) - 1)));
-        }
+        outcome.cut_at_op = static_cast<std::uint64_t>(rng.uniform_int(
+            static_cast<std::int64_t>(construction_ops) + 1,
+            static_cast<std::int64_t>(std::max(baseline_ops, construction_ops + 1))));
 
-        fresh_state_dir(primary_dir);
-        fresh_state_dir(standby_dir);
+        DiskFaultPlan plan;
+        plan.seed = config.master_seed ^ (0xC07FA11ULL + trial);
+        plan.cut_at_op = outcome.cut_at_op;
+        plan.cut_kind = outcome.kind;
+        FaultyVfs primary_disk(plan);
+        FaultyVfs standby_disk;
         ShipTransport transport(config.transport_capacity);
         if (outcome.faulty_transport) {
-            TransportFaultPlan plan;
-            plan.seed = config.master_seed ^ (0xFA017EE0ULL + trial);
-            plan.drop = 0.08;
-            plan.truncate = 0.08;
-            plan.duplicate = 0.08;
-            plan.reorder = 0.08;
-            transport.set_fault_plan(plan);
+            arm_faulty_link(transport, config.master_seed ^ (0xFA017EE0ULL + trial));
         }
         ServeConfig scfg = standby_serve;
-        scfg.data_dir = standby_dir;
+        scfg.vfs = &standby_disk;
         StandbyController standby(instance, config.scheme, scfg, transport);
         DriveProgress progress;
         {
             ServeConfig pcfg = primary_serve;
-            pcfg.data_dir = primary_dir;
+            pcfg.vfs = &primary_disk;
             AdmissionController victim(instance, config.scheme, pcfg);
-            WalShipper shipper(victim, primary_dir, transport);
-            if (outcome.kill_after_records != 0) {
-                victim.crash_after_records(outcome.kill_after_records);
-            }
+            WalShipper shipper(victim, kPrimaryDir, transport);
             std::size_t steps = 0;
-            bool armed = outcome.checkpoint_crash_stage == 0;
             try {
                 drive_with_tick(victim, requests, 0, false, drain_every, progress,
                                 [&] {
-                                    if (!armed && progress.submitted >= arm_at) {
-                                        victim.crash_at_checkpoint_stage(
-                                            outcome.checkpoint_crash_stage);
-                                        armed = true;
-                                    }
                                     if (++steps % ship_every == 0) {
                                         shipper.pump();
                                         standby.poll();
                                     }
                                 });
-            } catch (const CrashInjected&) {
+            } catch (const CrashInjected& crash) {
                 outcome.crashed = true;
+                outcome.cut_op = crash.op();
+                outcome.cut_path = crash.path();
             }
             add_stats(result.transport_totals, transport.stats());
             result.total_resync_rewinds += shipper.stats().resync_rewinds;
@@ -225,59 +231,12 @@ FailoverChaosResult run_failover_chaos_study(const core::Instance& instance,
         standby.poll();
         outcome.standby_applied_at_kill = standby.stats().records_applied;
 
-        // Optionally tear the primary WAL tail, as an interrupted append
-        // would. (The newest generation right after a stage-1 rotation
-        // kill is an empty header and stays under the size guard.)
-        if (outcome.crashed && config.torn_tails && trial % 2 == 0) {
-            const std::string wal = newest_wal_file(primary_dir);
-            const std::uint64_t size = wal.empty() ? 0 : file_size(wal);
-            if (size > kWalHeaderSize + 16) {
-                outcome.truncated_bytes =
-                    static_cast<std::uint64_t>(rng.uniform_int(1, 12));
-                if (::truncate(wal.c_str(),
-                               static_cast<off_t>(size - outcome.truncated_bytes)) ==
-                    0) {
-                    outcome.torn_tail_applied = true;
-                }
-            }
-        }
-
         if (outcome.crashed) {
-            FailoverCoordinator coordinator(primary_dir);
-            const PromotionReport report = coordinator.promote(standby);
-            outcome.disk_records_applied = report.disk_records_applied;
-            outcome.disk_records_skipped = report.disk_records_skipped;
-            outcome.promote_torn_tail_bytes = report.torn_tail_bytes;
-            result.total_disk_records_applied += report.disk_records_applied;
-
-            // Resume admissions on the promoted standby: rebuild the
-            // crash-time queue, complete any interrupted drain, finish
-            // the trace — the same continuation the single-node study
-            // applies to a revived controller.
-            AdmissionController& promoted = standby.controller();
-            rebuild_queue(promoted, requests, progress.submitted);
-            DriveProgress rest;
-            drive(promoted, requests, progress.submitted, progress.in_drain,
-                  drain_every, rest);
-
-            outcome.digest_match =
-                promoted.state_digest() == result.baseline_digest;
-            const ServeMetrics& m = promoted.metrics();
-            outcome.revenue_match =
-                m.revenue == result.baseline_metrics.revenue &&
-                m.shed_revenue == result.baseline_metrics.shed_revenue;
-            outcome.metrics_match = metrics_equal(m, result.baseline_metrics);
-            outcome.admitted_match =
-                same_admitted(promoted.admitted_records(), baseline_admitted);
-            outcome.no_double_admits = unique_admitted(promoted.admitted_records());
-            outcome.capacity_ok =
-                core::verify_schedule(instance,
-                                      assemble_decisions(instance, promoted))
-                    .ok();
+            promote_and_finish(outcome, standby, primary_disk, progress);
         }
 
         if (!outcome.ok()) ++result.failed_trials;
-        result.trials.push_back(outcome);
+        result.trials.push_back(std::move(outcome));
     }
 
     // Degraded-primary trials: the primary's disk fills mid-run
@@ -291,27 +250,20 @@ FailoverChaosResult run_failover_chaos_study(const core::Instance& instance,
         FailoverTrial outcome;
         outcome.faulty_transport = config.transport_faults && trial % 2 == 1;
 
-        FaultyVfs disk;  // the primary's private, about-to-fill disk
-        fresh_state_dir(standby_dir);
+        FaultyVfs primary_disk;  // about to fill
+        FaultyVfs standby_disk;
         ShipTransport transport(config.transport_capacity);
         if (outcome.faulty_transport) {
-            TransportFaultPlan plan;
-            plan.seed = config.master_seed ^ (0xDE64ADE0ULL + trial);
-            plan.drop = 0.08;
-            plan.truncate = 0.08;
-            plan.duplicate = 0.08;
-            plan.reorder = 0.08;
-            transport.set_fault_plan(plan);
+            arm_faulty_link(transport, config.master_seed ^ (0xDE64ADE0ULL + trial));
         }
         ServeConfig scfg = standby_serve;
-        scfg.data_dir = standby_dir;
+        scfg.vfs = &standby_disk;
         StandbyController standby(instance, config.scheme, scfg, transport);
 
         ServeConfig pcfg = primary_serve;
-        pcfg.data_dir = primary_dir;
-        pcfg.vfs = &disk;
+        pcfg.vfs = &primary_disk;
         AdmissionController primary(instance, config.scheme, pcfg);
-        WalShipper shipper(primary, primary_dir, transport);
+        WalShipper shipper(primary, kPrimaryDir, transport);
         // Arm the disk after a randomized prefix of successful writes,
         // kept well below the trace's write count so the degradation
         // always fires mid-stream. ENOSPC is persistent: a full disk does
@@ -322,7 +274,7 @@ FailoverChaosResult run_failover_chaos_study(const core::Instance& instance,
             (2 * std::max<std::size_t>(1, config.group_commit)));
         const std::uint64_t fail_from = static_cast<std::uint64_t>(
             rng.uniform_int(2, std::max<std::int64_t>(3, writes_floor)));
-        disk.script_fault(VfsOp::kWrite, fail_from, -1, ENOSPC, false);
+        primary_disk.script_fault(VfsOp::kWrite, fail_from, -1, ENOSPC, false);
 
         DriveProgress progress;
         std::size_t steps = 0;
@@ -349,38 +301,11 @@ FailoverChaosResult run_failover_chaos_study(const core::Instance& instance,
         outcome.standby_applied_at_kill = standby.stats().records_applied;
 
         if (outcome.crashed && outcome.degraded) {
-            FailoverCoordinator coordinator(primary_dir, primary.vfs());
-            const PromotionReport report = coordinator.promote(standby);
-            outcome.disk_records_applied = report.disk_records_applied;
-            outcome.disk_records_skipped = report.disk_records_skipped;
-            outcome.promote_torn_tail_bytes = report.torn_tail_bytes;
-            result.total_disk_records_applied += report.disk_records_applied;
-
-            AdmissionController& promoted = standby.controller();
-            rebuild_queue(promoted, requests, progress.submitted);
-            DriveProgress rest;
-            drive(promoted, requests, progress.submitted, progress.in_drain,
-                  drain_every, rest);
-
-            outcome.digest_match =
-                promoted.state_digest() == result.baseline_digest;
-            const ServeMetrics& m = promoted.metrics();
-            outcome.revenue_match =
-                m.revenue == result.baseline_metrics.revenue &&
-                m.shed_revenue == result.baseline_metrics.shed_revenue;
-            outcome.metrics_match = metrics_equal(m, result.baseline_metrics);
-            outcome.admitted_match =
-                same_admitted(promoted.admitted_records(), baseline_admitted);
-            outcome.no_double_admits =
-                unique_admitted(promoted.admitted_records());
-            outcome.capacity_ok =
-                core::verify_schedule(instance,
-                                      assemble_decisions(instance, promoted))
-                    .ok();
+            promote_and_finish(outcome, standby, primary_disk, progress);
         }
 
         if (!outcome.ok() || !outcome.degraded) ++result.failed_trials;
-        result.trials.push_back(outcome);
+        result.trials.push_back(std::move(outcome));
     }
     return result;
 }

@@ -1,15 +1,18 @@
 // Failover chaos harness: run a request trace once on a plain controller
 // (the baseline), then repeatedly run a primary + shipped standby pair,
-// kill the primary at randomized points — mid-group-commit, mid-ship,
-// mid-checkpoint-rotation, during standby lag, optionally with a torn WAL
-// tail and a faulty replication link — promote the standby from the
-// primary's on-disk tail, finish the trace on the promoted controller,
-// and gate that the result is indistinguishable from the uninterrupted
-// run: bit-identical state digest, identical revenue bits, the same
-// admitted set with no double-admits, and zero capacity violations under
-// independent verification.
+// each on its own simulated disk (FaultyVfs), cut the primary's process
+// at a randomized mutating storage op — mid-group-commit, mid-ship,
+// mid-checkpoint-rotation, mid-release, during standby lag — with the
+// crash kind cycling by trial (process crash, power cut with a torn
+// tail, clean power cut) and a faulty replication link on odd trials.
+// Promote the standby from the primary's surviving disk image, finish
+// the trace on the promoted controller, and gate that the result is
+// indistinguishable from the uninterrupted run: bit-identical state
+// digest, identical revenue bits, the same admitted set with no
+// double-admits, zero capacity violations under independent
+// verification, and a clean scrub of the promoted controller's files.
 //
-// Kill points, fault schedules, and the driving pattern derive from
+// Cut points, fault schedules, and the driving pattern derive from
 // counter-based RNG streams of the master seed — bit-reproducible.
 #pragma once
 
@@ -19,17 +22,19 @@
 
 #include "core/instance.hpp"
 #include "core/offline.hpp"
+#include "serve/chaos_support.hpp"
 #include "serve/replication/ship_transport.hpp"
 #include "serve/snapshot.hpp"
+#include "serve/vfs.hpp"
 
 namespace vnfr::serve::replication {
 
 struct FailoverChaosConfig {
     core::Scheme scheme{core::Scheme::kOnsite};
     std::uint64_t master_seed{0};
-    /// Number of randomized kill-and-promote trials. Every 5th and every
-    /// (5n+4)-th trial kills inside checkpoint rotation (stages 1 and 2)
-    /// instead of after a WAL append; odd trials run a faulty link.
+    /// Number of randomized cut-and-promote trials. The crash kind cycles
+    /// process crash, torn-tail power cut, clean power cut by trial; odd
+    /// trials run a faulty link.
     std::size_t kill_points{25};
     /// Controller snapshot cadence (WAL records between checkpoints).
     std::size_t checkpoint_every{16};
@@ -47,9 +52,6 @@ struct FailoverChaosConfig {
     /// Mangle the data direction on odd trials (drop / truncate /
     /// duplicate / reorder, ~8% each) to exercise resync.
     bool transport_faults{true};
-    /// Additionally truncate the primary's newest WAL by a few bytes on
-    /// every other crashed trial, simulating a torn final append.
-    bool torn_tails{true};
     /// Extra trials in which the primary does not die but DEGRADES: its
     /// storage (a FaultyVfs) starts returning persistent ENOSPC on
     /// writes, the controller enters read-only degraded mode, and the
@@ -59,24 +61,21 @@ struct FailoverChaosConfig {
     /// bit-identical gates. 0 disables (the default keeps older trial
     /// counts stable).
     std::size_t degraded_primary_trials{0};
-    /// Scratch directory; the study creates and reuses subdirectories.
-    std::string work_dir;
 };
 
-/// One kill-and-promote trial's outcome; `ok()` is the acceptance gate.
+/// One cut-and-promote trial's outcome; `ok()` is the acceptance gate.
 struct FailoverTrial {
-    std::uint64_t kill_after_records{0};  ///< 0 for rotation-stage kills
-    /// 0 = kill after a WAL append; 1/2 = kill inside checkpoint
-    /// rotation (after the next generation exists / after the snapshot
-    /// is durable).
-    int checkpoint_crash_stage{0};
+    CutKind kind{CutKind::kProcessCrash};
+    /// 1-based mutating-op index on the primary's disk at which it was
+    /// cut; 0 for degraded-primary trials.
+    std::uint64_t cut_at_op{0};
+    std::string cut_op;    ///< the storage op the cut skipped
+    std::string cut_path;  ///< the path that op addressed
     bool faulty_transport{false};
-    bool crashed{false};  ///< the injected kill actually fired
+    bool crashed{false};  ///< the cut fired (or the primary degraded)
     /// The "kill" was a storage degradation, not a process death: the
     /// primary survived in read-only mode and was failed over from.
     bool degraded{false};
-    bool torn_tail_applied{false};
-    std::uint64_t truncated_bytes{0};
     std::size_t submitted_at_crash{0};
     /// Records the standby had applied when the primary died — the
     /// replication watermark's distance behind the crash point is the
@@ -85,17 +84,9 @@ struct FailoverTrial {
     std::uint64_t disk_records_applied{0};  ///< promotion catch-up from disk
     std::uint64_t disk_records_skipped{0};  ///< already shipped (covered set)
     std::uint64_t promote_torn_tail_bytes{0};
-    bool digest_match{false};
-    bool revenue_match{false};
-    bool metrics_match{false};
-    bool admitted_match{false};
-    bool no_double_admits{false};
-    bool capacity_ok{false};
+    chaos::Verdict verdict;  ///< the promoted controller vs the baseline
 
-    [[nodiscard]] bool ok() const {
-        return crashed && digest_match && revenue_match && metrics_match &&
-               admitted_match && no_double_admits && capacity_ok;
-    }
+    [[nodiscard]] bool ok() const { return crashed && verdict.ok(); }
 };
 
 struct FailoverChaosResult {
@@ -125,8 +116,9 @@ struct FailoverChaosResult {
     }
 };
 
-/// Runs the study over `instance.requests` as the stream. Throws
-/// std::invalid_argument for an empty trace or missing work_dir.
+/// Runs the study over `instance.requests` as the stream. All storage
+/// lives in per-run FaultyVfs instances — nothing touches the real disk.
+/// Throws std::invalid_argument for an empty trace.
 FailoverChaosResult run_failover_chaos_study(const core::Instance& instance,
                                              const FailoverChaosConfig& config);
 

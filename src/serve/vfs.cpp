@@ -181,6 +181,18 @@ constexpr std::uint64_t kCatReadFlip = 3;
 
 }  // namespace
 
+const char* cut_kind_name(CutKind kind) {
+    switch (kind) {
+        case CutKind::kProcessCrash:
+            return "process crash";
+        case CutKind::kPowerCutTornTail:
+            return "power cut (torn tail)";
+        case CutKind::kPowerCutClean:
+            return "power cut (clean)";
+    }
+    return "unknown cut";
+}
+
 Vfs& posix_vfs() {
     static PosixVfs vfs;
     return vfs;
@@ -195,13 +207,13 @@ FaultyVfs::FaultyVfs(DiskFaultPlan plan) {
     plan_ = plan;
 }
 
-void FaultyVfs::count_mutating_op_locked() {
+void FaultyVfs::count_mutating_op_locked(const char* op_name,
+                                         const std::string& path) {
     ++op_count_;
-    if (plan_.power_cut_at_op != 0 && op_count_ == plan_.power_cut_at_op) {
-        plan_.power_cut_at_op = 0;  // one-shot
-        const std::uint64_t at = op_count_;
-        apply_power_cut_locked();
-        throw PowerLossInjected(at);
+    if (plan_.cut_at_op != 0 && op_count_ == plan_.cut_at_op) {
+        plan_.cut_at_op = 0;  // one-shot
+        apply_cut_locked(plan_.cut_kind);
+        throw CrashInjected(plan_.cut_kind, op_count_, op_name, path);
     }
 }
 
@@ -267,14 +279,20 @@ FaultyVfs::OpenFile& FaultyVfs::require_live_fd_locked(int fd,
     return it->second;
 }
 
-void FaultyVfs::apply_power_cut_locked() {
-    const std::uint64_t cut_index = stats_.power_cuts++;
+void FaultyVfs::apply_cut_locked(CutKind kind) {
+    const std::uint64_t cut_index = stats_.cuts++;
+    for (auto& [fd, open_file] : fds_) {
+        open_file.stale = true;
+    }
+    // A process crash ends here: the page cache belongs to the kernel,
+    // which is still up, so cached bytes and names stay visible.
+    if (kind == CutKind::kProcessCrash) return;
     // The namespace collapses to its durable view: renames, creations,
     // and unlinks that never saw a directory sync un-happen.
     namespace_ = durable_namespace_;
     common::Rng rng = common::stream_rng(plan_.seed, 0x700000000ULL + cut_index);
     for (const auto& [path, inode] : namespace_) {
-        if (plan_.power_cut_keeps_prefix &&
+        if (kind == CutKind::kPowerCutTornTail &&
             inode->durable_data.size() < inode->data.size() &&
             inode->data.compare(0, inode->durable_data.size(),
                                 inode->durable_data) == 0) {
@@ -289,9 +307,6 @@ void FaultyVfs::apply_power_cut_locked() {
         } else {
             inode->data = inode->durable_data;
         }
-    }
-    for (auto& [fd, open_file] : fds_) {
-        open_file.stale = true;
     }
 }
 
@@ -341,7 +356,7 @@ std::vector<std::string> FaultyVfs::list_dir(const std::string& dir) {
 int FaultyVfs::create_truncate(const std::string& path) {
     common::MutexLock lock(&vfs_mu_);
     ++stats_.creates;
-    count_mutating_op_locked();
+    count_mutating_op_locked("create", path);
     maybe_fail_locked(VfsOp::kCreate, path, "create");
     std::shared_ptr<Inode> inode;
     const auto it = namespace_.find(path);
@@ -372,7 +387,7 @@ int FaultyVfs::open_append(const std::string& path) {
 void FaultyVfs::write_all(int fd, const std::string& path, std::string_view bytes) {
     common::MutexLock lock(&vfs_mu_);
     ++stats_.writes;
-    count_mutating_op_locked();
+    count_mutating_op_locked("write", path);
     OpenFile& open_file = require_live_fd_locked(fd, path, "write");
     maybe_fail_locked(VfsOp::kWrite, path, "write");
     bool short_write = false;
@@ -401,7 +416,7 @@ void FaultyVfs::write_all(int fd, const std::string& path, std::string_view byte
 void FaultyVfs::fsync(int fd, const std::string& path) {
     common::MutexLock lock(&vfs_mu_);
     ++stats_.syncs;
-    count_mutating_op_locked();
+    count_mutating_op_locked("fsync", path);
     OpenFile& open_file = require_live_fd_locked(fd, path, "fsync");
     maybe_fail_locked(VfsOp::kSync, path, "fsync");
     open_file.inode->durable_data = open_file.inode->data;
@@ -410,7 +425,7 @@ void FaultyVfs::fsync(int fd, const std::string& path) {
 void FaultyVfs::fdatasync(int fd, const std::string& path) {
     common::MutexLock lock(&vfs_mu_);
     ++stats_.syncs;
-    count_mutating_op_locked();
+    count_mutating_op_locked("fdatasync", path);
     OpenFile& open_file = require_live_fd_locked(fd, path, "fdatasync");
     maybe_fail_locked(VfsOp::kSync, path, "fdatasync");
     open_file.inode->durable_data = open_file.inode->data;
@@ -419,7 +434,7 @@ void FaultyVfs::fdatasync(int fd, const std::string& path) {
 void FaultyVfs::ftruncate(int fd, const std::string& path, std::uint64_t size) {
     common::MutexLock lock(&vfs_mu_);
     ++stats_.truncates;
-    count_mutating_op_locked();
+    count_mutating_op_locked("ftruncate", path);
     OpenFile& open_file = require_live_fd_locked(fd, path, "ftruncate");
     maybe_fail_locked(VfsOp::kTruncate, path, "ftruncate");
     open_file.inode->data.resize(size, '\0');
@@ -433,7 +448,7 @@ void FaultyVfs::close(int fd) noexcept {
 void FaultyVfs::rename(const std::string& from, const std::string& to) {
     common::MutexLock lock(&vfs_mu_);
     ++stats_.renames;
-    count_mutating_op_locked();
+    count_mutating_op_locked("rename", from);
     maybe_fail_locked(VfsOp::kRename, from, "rename");
     std::shared_ptr<Inode> inode = require_inode_locked(from, "rename");
     namespace_[to] = std::move(inode);
@@ -443,7 +458,7 @@ void FaultyVfs::rename(const std::string& from, const std::string& to) {
 void FaultyVfs::unlink(const std::string& path) {
     common::MutexLock lock(&vfs_mu_);
     ++stats_.unlinks;
-    count_mutating_op_locked();
+    count_mutating_op_locked("unlink", path);
     maybe_fail_locked(VfsOp::kUnlink, path, "unlink");
     namespace_.erase(path);  // missing files are tolerated by contract
 }
@@ -451,7 +466,7 @@ void FaultyVfs::unlink(const std::string& path) {
 void FaultyVfs::fsync_parent_dir(const std::string& path) {
     common::MutexLock lock(&vfs_mu_);
     ++stats_.dirsyncs;
-    count_mutating_op_locked();
+    count_mutating_op_locked("fsync directory", path);
     maybe_fail_locked(VfsOp::kDirSync, path, "fsync directory");
     // The durable view of this directory becomes its cached view: new
     // entries appear, renamed-away and unlinked entries disappear.
@@ -490,9 +505,9 @@ void FaultyVfs::clear_scripted_faults() {
     scripted_.clear();
 }
 
-void FaultyVfs::power_cut() {
+void FaultyVfs::cut(CutKind kind) {
     common::MutexLock lock(&vfs_mu_);
-    apply_power_cut_locked();
+    apply_cut_locked(kind);
 }
 
 void FaultyVfs::corrupt_durable_byte(const std::string& path,

@@ -6,17 +6,18 @@
 // while the deterministic FaultyVfs simulates a disk plus its page
 // cache entirely in memory, driven by a replayable seeded DiskFaultPlan
 // — EIO/ENOSPC injection, short writes, read-side bit flips, and
-// scripted power cuts that discard every un-fsync'ed byte. That turns
-// the durable-first ordering claims of DESIGN.md 6c–6f into properties
-// a test can falsify instead of assumptions about the disk.
+// scripted cuts at a mutating-op index: a process crash (the page cache
+// survives) or a power cut (every un-fsync'ed byte is discarded). That
+// turns the durable-first ordering claims of DESIGN.md 6c–6f into
+// properties a test can falsify instead of assumptions about the disk.
 //
 // Error model: every failed operation throws VfsError carrying the
 // path, operation, and errno-style code, plus a transient() bit —
 // transient errors (EIO, EAGAIN, ...) are worth a bounded retry with
 // backoff (with_storage_retries below), non-transient ones (ENOSPC)
-// should degrade the caller instead. A scripted power cut throws
-// PowerLossInjected, which deliberately is NOT a VfsError so no retry
-// loop can swallow the simulated death of the process.
+// should degrade the caller instead. A scripted cut throws
+// CrashInjected, which deliberately is NOT a VfsError so no retry loop
+// can swallow the simulated death of the process.
 #pragma once
 
 #include <cstdint>
@@ -59,22 +60,54 @@ class VfsError : public std::runtime_error {
     bool transient_;
 };
 
-/// Thrown by FaultyVfs when a scripted power cut fires: the simulated
-/// machine lost power mid-operation and every byte not yet fsync'ed is
-/// gone. Deliberately not a VfsError — retry/backoff wrappers catch
-/// VfsError only, so a power cut always propagates to the harness the
-/// way a real power loss ends the process.
-class PowerLossInjected : public std::runtime_error {
-  public:
-    explicit PowerLossInjected(std::uint64_t op_index)
-        : std::runtime_error("power loss injected at storage op " +
-                             std::to_string(op_index)),
-          op_index_(op_index) {}
+/// How a scripted cut ends the simulated process. Every kind skips the
+/// op it fires at and stales every open fd; they differ in what the
+/// page cache keeps.
+enum class CutKind : std::uint8_t {
+    /// The process dies, the machine stays up: un-fsync'ed bytes and
+    /// un-dirsynced namespace changes (creates, renames, unlinks) all
+    /// survive in the page cache — what `kill -9` leaves behind.
+    kProcessCrash,
+    /// Power is lost: the cache collapses to its durable view, except
+    /// that a file whose durable bytes prefix its cached bytes keeps a
+    /// random prefix of the un-synced suffix — the torn tail an
+    /// interrupted append leaves on a real disk.
+    kPowerCutTornTail,
+    /// Power is lost and only durable bytes and names survive.
+    kPowerCutClean,
+};
 
+[[nodiscard]] const char* cut_kind_name(CutKind kind);
+
+/// Thrown by FaultyVfs when a scripted cut fires: the simulated process
+/// is gone, mid-operation. Carries where it died (the 1-based mutating
+/// op index, that op's name and path) so a failing trial names its cut.
+/// Deliberately not a VfsError — retry/backoff wrappers catch VfsError
+/// only, so a cut always propagates to the harness the way a real crash
+/// ends the process.
+class CrashInjected : public std::runtime_error {
+  public:
+    CrashInjected(CutKind kind, std::uint64_t op_index, std::string op,
+                  std::string path)
+        : std::runtime_error(std::string(cut_kind_name(kind)) +
+                             " injected at storage op " +
+                             std::to_string(op_index) + " (" + op + " " + path +
+                             ")"),
+          kind_(kind),
+          op_index_(op_index),
+          op_(std::move(op)),
+          path_(std::move(path)) {}
+
+    [[nodiscard]] CutKind kind() const { return kind_; }
     [[nodiscard]] std::uint64_t op_index() const { return op_index_; }
+    [[nodiscard]] const std::string& op() const { return op_; }
+    [[nodiscard]] const std::string& path() const { return path_; }
 
   private:
+    CutKind kind_;
     std::uint64_t op_index_;
+    std::string op_;
+    std::string path_;
 };
 
 /// Bounded exponential backoff for transient storage errors. Attempt n
@@ -191,7 +224,7 @@ class VfsFdGuard {
 
 /// Runs `fn`, retrying transient VfsErrors per `policy` with exponential
 /// backoff. Non-transient errors, exhausted attempts, and every
-/// non-VfsError exception (PowerLossInjected in particular) propagate
+/// non-VfsError exception (CrashInjected in particular) propagate
 /// unchanged. `retries`, when given, is incremented once per retry.
 template <typename Fn>
 auto with_storage_retries(Vfs& vfs, const StorageRetryPolicy& policy, Fn&& fn,
@@ -246,15 +279,12 @@ struct DiskFaultPlan {
     /// unchanged).
     double read_flip_rate{0.0};
     /// 1-based index of the mutating operation (write/sync/truncate/
-    /// create/rename/unlink/dirsync) at which power is cut: the op does
-    /// not happen, every un-fsync'ed byte is dropped, and
-    /// PowerLossInjected is thrown. 0 = never. One-shot.
-    std::uint64_t power_cut_at_op{0};
-    /// When true, a file whose durable bytes are a prefix of its cached
-    /// bytes keeps a random prefix of the un-synced suffix through the
-    /// cut — the torn-tail shape an interrupted append leaves on a real
-    /// disk. When false the cut is clean (durable bytes only).
-    bool power_cut_keeps_prefix{true};
+    /// create/rename/unlink/dirsync) at which the process is cut: the op
+    /// does not happen, the page cache is treated per `cut_kind`, and
+    /// CrashInjected is thrown. 0 = never. One-shot.
+    std::uint64_t cut_at_op{0};
+    /// What the cut at `cut_at_op` does to the page cache.
+    CutKind cut_kind{CutKind::kPowerCutTornTail};
 };
 
 /// Observable counters of a FaultyVfs (for gates and assertions).
@@ -271,7 +301,7 @@ struct FaultyVfsStats {
     std::uint64_t injected_errors{0};
     std::uint64_t short_writes{0};
     std::uint64_t bit_flips{0};
-    std::uint64_t power_cuts{0};
+    std::uint64_t cuts{0};
     std::uint64_t sleeps{0};
 };
 
@@ -280,8 +310,9 @@ struct FaultyVfsStats {
 /// (`durable_data`, advanced only by fsync/fdatasync), and the namespace
 /// itself has a cached and a durable view (renames/creates/unlinks
 /// become durable only via fsync_parent_dir). A power cut resets both to
-/// their durable views, so exactly the crash states the real protocol
-/// can produce — and no friendlier ones — are reachable.
+/// their durable views and a process crash keeps both, so exactly the
+/// crash states the real protocol can produce — and no friendlier ones —
+/// are reachable.
 ///
 /// Faults come from the DiskFaultPlan (seeded random mix) and from
 /// script_fault() (precise, counted injections for targeted tests).
@@ -306,8 +337,8 @@ class FaultyVfs : public Vfs {
     void fsync_parent_dir(const std::string& path) override;
     void sleep_for_micros(std::uint64_t micros) override;
 
-    /// Replaces the fault plan (counters keep running; the power-cut
-    /// index of the new plan is compared against the ongoing op count).
+    /// Replaces the fault plan (counters keep running; the cut index of
+    /// the new plan is compared against the ongoing op count).
     void set_plan(const DiskFaultPlan& plan);
 
     /// Scripts a precise fault: after `skip` further operations of
@@ -320,12 +351,12 @@ class FaultyVfs : public Vfs {
     /// Drops every scripted fault (plan faults keep applying).
     void clear_scripted_faults();
 
-    /// Cuts power now (between operations): both cache layers collapse
-    /// to their durable views and all open fds go stale — a later write
-    /// through one fails with a persistent error, close is tolerated.
-    /// Unlike a plan-scripted cut, nothing is thrown; the caller is the
-    /// harness, not the victim.
-    void power_cut();
+    /// Cuts the process now (between operations) with `kind`: the page
+    /// cache is treated as for a plan-scripted cut and all open fds go
+    /// stale — a later write through one fails with a persistent error,
+    /// close is tolerated. Unlike a plan-scripted cut, nothing is thrown;
+    /// the caller is the harness, not the victim.
+    void cut(CutKind kind);
 
     /// XORs `mask` into byte `byte_index` of the stored file (both the
     /// cached and durable images): simulated latent media corruption for
@@ -333,7 +364,7 @@ class FaultyVfs : public Vfs {
     void corrupt_durable_byte(const std::string& path, std::uint64_t byte_index,
                               std::uint8_t mask);
 
-    /// Mutating operations performed so far (the power_cut_at_op scale).
+    /// Mutating operations performed so far (the cut_at_op scale).
     [[nodiscard]] std::uint64_t op_count() const;
 
     [[nodiscard]] FaultyVfsStats stats() const;
@@ -346,7 +377,7 @@ class FaultyVfs : public Vfs {
     struct OpenFile {
         std::string path;
         std::shared_ptr<Inode> inode;
-        bool stale{false};  ///< fd belonged to a process that lost power
+        bool stale{false};  ///< fd belonged to a process that was cut
     };
     struct ScriptedFault {
         VfsOp op;
@@ -356,16 +387,17 @@ class FaultyVfs : public Vfs {
         bool transient;
     };
 
-    /// Counts a mutating op, firing the plan's power cut when its index
-    /// comes up (the op itself then never happens).
-    void count_mutating_op_locked() VNFR_REQUIRES(vfs_mu_);
+    /// Counts a mutating op, firing the plan's cut when its index comes
+    /// up (the op itself then never happens).
+    void count_mutating_op_locked(const char* op_name, const std::string& path)
+        VNFR_REQUIRES(vfs_mu_);
     /// Applies scripted faults, then the plan's random draws, for one
     /// operation of category `op`. Throws VfsError when one fires.
     void maybe_fail_locked(VfsOp op, const std::string& path,
                            const char* op_name) VNFR_REQUIRES(vfs_mu_);
     [[nodiscard]] bool draw_locked(std::uint64_t category, double rate)
         VNFR_REQUIRES(vfs_mu_);
-    void apply_power_cut_locked() VNFR_REQUIRES(vfs_mu_);
+    void apply_cut_locked(CutKind kind) VNFR_REQUIRES(vfs_mu_);
     [[nodiscard]] std::shared_ptr<Inode> require_inode_locked(
         const std::string& path, const char* op_name) VNFR_REQUIRES(vfs_mu_);
     [[nodiscard]] OpenFile& require_live_fd_locked(int fd, const std::string& path,

@@ -160,7 +160,7 @@ void atomic_write_file(Vfs& vfs, const std::string& path, std::string_view bytes
         try {
             vfs.write_all(fd.get(), tmp, bytes);
             vfs.fsync(fd.get(), tmp);
-        } catch (const PowerLossInjected&) {
+        } catch (const CrashInjected&) {
             throw;  // the simulated process is gone; no cleanup runs
         } catch (...) {
             fd.close();
@@ -174,7 +174,7 @@ void atomic_write_file(Vfs& vfs, const std::string& path, std::string_view bytes
     }
     try {
         vfs.rename(tmp, path);
-    } catch (const PowerLossInjected&) {
+    } catch (const CrashInjected&) {
         throw;
     } catch (...) {
         try {

@@ -15,6 +15,7 @@
 #include "core/onsite_primal_dual.hpp"
 #include "helpers.hpp"
 #include "serve/admission_controller.hpp"
+#include "serve/vfs.hpp"
 
 namespace vnfr::serve {
 namespace {
@@ -288,29 +289,55 @@ TEST(ServeController, CheckpointRotatesAndRemovesOldGenerations) {
 }
 
 TEST(ServeController, CrashInjectionFiresAfterExactlyNAppends) {
+    // Group 1 and no checkpoint in reach: every decided request costs one
+    // write and one fdatasync. A fault-free run locates record 3's
+    // fdatasync; the cut there skips it. A process crash keeps the
+    // written record in the page cache, a clean power cut drops it.
     const core::Instance inst = controller_instance(10);
-    const std::string dir = fresh_dir("serve_crashhook");
-    std::optional<AdmissionController> ctl(std::in_place, inst,
-                                           core::Scheme::kOnsite,
-                                           config_for(dir, 1000));
-    ctl->crash_after_records(3);
-    std::size_t submitted = 0;
-    try {
-        for (std::size_t i = 0; i < inst.requests.size(); ++i) {
-            ctl->submit(i, inst.requests[i]);
+    const auto drive = [&](AdmissionController& ctl, std::size_t& submitted,
+                           std::size_t count) {
+        for (std::size_t i = 0; i < count; ++i) {
+            ctl.submit(i, inst.requests[i]);
             ++submitted;
-            ctl->drain();
+            ctl.drain();
         }
-        FAIL() << "expected CrashInjected";
-    } catch (const CrashInjected&) {
-        EXPECT_EQ(submitted, 3u);  // one WAL record per decided request here
+    };
+    std::uint64_t third_sync = 0;
+    {
+        FaultyVfs disk;
+        ServeConfig cfg = config_for("/disk", 1000);
+        cfg.vfs = &disk;
+        AdmissionController ctl(inst, core::Scheme::kOnsite, cfg);
+        std::size_t submitted = 0;
+        drive(ctl, submitted, 3);
+        third_sync = disk.op_count();
     }
-    ctl.reset();
+    for (const auto& [kind, recovered] :
+         {std::pair{CutKind::kProcessCrash, 3u}, std::pair{CutKind::kPowerCutClean, 2u}}) {
+        SCOPED_TRACE(cut_kind_name(kind));
+        DiskFaultPlan plan;
+        plan.cut_at_op = third_sync;
+        plan.cut_kind = kind;
+        FaultyVfs disk(plan);
+        ServeConfig cfg = config_for("/disk", 1000);
+        cfg.vfs = &disk;
+        std::size_t submitted = 0;
+        try {
+            AdmissionController ctl(inst, core::Scheme::kOnsite, cfg);
+            drive(ctl, submitted, inst.requests.size());
+            FAIL() << "expected CrashInjected";
+        } catch (const CrashInjected& crash) {
+            EXPECT_EQ(crash.kind(), kind);
+            EXPECT_EQ(crash.op_index(), third_sync);
+            EXPECT_EQ(crash.op(), "fdatasync");
+            EXPECT_EQ(crash.path(), "/disk/wal-0.log");
+            EXPECT_EQ(submitted, 3u);  // one WAL record per decided request
+        }
 
-    // The third record was durable before the "crash": recovery sees it.
-    AdmissionController revived(inst, core::Scheme::kOnsite, config_for(dir, 1000));
-    EXPECT_EQ(revived.metrics().processed, 3u);
-    EXPECT_EQ(revived.resume_cursor(), 3u);
+        AdmissionController revived(inst, core::Scheme::kOnsite, cfg);
+        EXPECT_EQ(revived.metrics().processed, recovered);
+        EXPECT_EQ(revived.resume_cursor(), recovered);
+    }
 }
 
 // The serve path's concurrent shape: one thread submits in seq order,

@@ -1,19 +1,22 @@
 // Group-commit WAL tests: stage/commit unit semantics, torn-group
-// recovery, and the full crash matrix — kill the controller at EVERY
-// WAL-append point (batch boundaries and mid-batch alike) for batch
-// sizes {1, 4, 32}, with torn tails layered on top, and require the
-// recovered controller to match the uninterrupted baseline bit for bit.
+// recovery, and the full crash matrix — cut the controller at EVERY
+// mutating storage op (every record's write and fdatasync, batch
+// boundaries and mid-batch alike, and every rotation op) for batch sizes
+// {1, 4, 32} under both schemes and both crash kinds (process crash,
+// torn-tail power cut), and require the recovered controller to match
+// the uninterrupted baseline bit for bit.
 #include <gtest/gtest.h>
 
 #include <cerrno>
 #include <filesystem>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "helpers.hpp"
 #include "serve/admission_controller.hpp"
-#include "serve/chaos_study.hpp"
+#include "serve/disk_fault_study.hpp"
 #include "serve/vfs.hpp"
 #include "serve/wal.hpp"
 
@@ -123,77 +126,87 @@ core::Instance matrix_instance(std::size_t n) {
     return small_instance({0.98, 0.97, 0.99}, 10.0, 10, std::move(reqs));
 }
 
-ChaosStudyResult run_matrix(core::Scheme scheme, std::size_t group_commit,
-                            const std::string& dir) {
-    ChaosStudyConfig cfg;
+std::string describe(const CutTrial& trial) {
+    return std::string(cut_kind_name(trial.kind)) + " at op " +
+           std::to_string(trial.cut_at_op) + " (" + trial.cut_op + " " +
+           trial.cut_path + ")";
+}
+
+/// The study at one group size with no trials: just the baseline.
+DiskFaultStudyConfig matrix_config(core::Scheme scheme, std::size_t group_commit) {
+    DiskFaultStudyConfig cfg;
     cfg.scheme = scheme;
     cfg.master_seed = 0xBA7C4ull;
-    cfg.exhaustive_kill_points = true;  // every record: boundary + mid-batch
+    cfg.power_cut_points = 0;
+    cfg.transient_trials = 0;
+    cfg.degraded_trials = 0;
     cfg.checkpoint_every = 8;
     cfg.queue_capacity = 4;
     cfg.group_commit = group_commit;
-    cfg.torn_tails = true;
-    cfg.work_dir = dir;
-    return run_chaos_study(matrix_instance(40), cfg);
+    return cfg;
 }
 
-void expect_matrix_ok(const ChaosStudyResult& result, std::size_t group_commit) {
-    EXPECT_TRUE(result.ok()) << "failed trials: " << result.failed_trials;
-    ASSERT_EQ(result.trials.size(), result.baseline_outcomes - 1);
-    std::size_t boundary = 0;
-    std::size_t mid = 0;
+void expect_matrix_ok(core::Scheme scheme, std::size_t group_commit) {
+    DiskFaultStudyConfig cfg = matrix_config(scheme, group_commit);
+    cfg.exhaustive_power_cuts = true;  // every op: boundary + mid-batch
+    const DiskFaultStudyResult result =
+        run_disk_fault_study(matrix_instance(40), cfg);
+    EXPECT_TRUE(result.ok()) << "failed trials: " << result.failed_cut_trials;
+    ASSERT_EQ(result.cut_trials.size(),
+              std::size(kCutTrialKinds) * result.baseline_mutating_ops);
+    std::size_t crashes = 0;
+    std::size_t record_syncs = 0;
     std::size_t torn = 0;
-    for (const ChaosTrial& trial : result.trials) {
-        EXPECT_TRUE(trial.ok()) << "kill point " << trial.kill_after_records
-                                << (trial.mid_batch ? " (mid-batch)" : " (boundary)");
-        trial.mid_batch ? ++mid : ++boundary;
-        if (trial.torn_tail_applied) ++torn;
+    for (const CutTrial& trial : result.cut_trials) {
+        EXPECT_TRUE(trial.ok()) << describe(trial);
+        if (trial.kind == CutKind::kProcessCrash) ++crashes;
+        if (trial.cut_op == "fdatasync") ++record_syncs;
+        if (trial.recovered_torn_tail_bytes > 0) ++torn;
     }
-    // The matrix really covered both kinds of kill point and tore tails.
-    EXPECT_GT(boundary, 0u);
-    if (group_commit > 1) {
-        EXPECT_GT(mid, 0u);
-    }
+    // The matrix really covered both kinds, every commit's fdatasync,
+    // and torn tails.
+    EXPECT_EQ(crashes, result.cut_trials.size() / 2);
+    EXPECT_GT(record_syncs, 0u);
     EXPECT_GT(torn, 0u);
 }
 
 TEST(ServeGroupCommitChaos, CrashMatrixBatch1) {
-    const ChaosStudyResult r =
-        run_matrix(core::Scheme::kOnsite, 1, fresh_dir("gc_matrix_1"));
-    expect_matrix_ok(r, 1);
+    expect_matrix_ok(core::Scheme::kOnsite, 1);
+    expect_matrix_ok(core::Scheme::kOffsite, 1);
 }
 
 TEST(ServeGroupCommitChaos, CrashMatrixBatch4) {
-    const ChaosStudyResult r =
-        run_matrix(core::Scheme::kOnsite, 4, fresh_dir("gc_matrix_4"));
-    expect_matrix_ok(r, 4);
+    expect_matrix_ok(core::Scheme::kOnsite, 4);
 }
 
 TEST(ServeGroupCommitChaos, CrashMatrixBatch32) {
-    const ChaosStudyResult r =
-        run_matrix(core::Scheme::kOnsite, 32, fresh_dir("gc_matrix_32"));
-    expect_matrix_ok(r, 32);
+    expect_matrix_ok(core::Scheme::kOnsite, 32);
+    expect_matrix_ok(core::Scheme::kOffsite, 32);
 }
 
 TEST(ServeGroupCommitChaos, CrashMatrixBatch4Offsite) {
-    const ChaosStudyResult r =
-        run_matrix(core::Scheme::kOffsite, 4, fresh_dir("gc_matrix_4_off"));
-    expect_matrix_ok(r, 4);
+    expect_matrix_ok(core::Scheme::kOffsite, 4);
 }
 
 TEST(ServeGroupCommitChaos, GroupSizeNeverChangesTheFinalState) {
     // Group commit only changes durability batching; the decided stream
     // (and therefore the digest, revenue, and admitted set) is invariant.
-    const ChaosStudyResult b1 =
-        run_matrix(core::Scheme::kOnsite, 1, fresh_dir("gc_invariant_1"));
-    const ChaosStudyResult b4 =
-        run_matrix(core::Scheme::kOnsite, 4, fresh_dir("gc_invariant_4"));
-    const ChaosStudyResult b32 =
-        run_matrix(core::Scheme::kOnsite, 32, fresh_dir("gc_invariant_32"));
-    EXPECT_EQ(b1.baseline_digest, b4.baseline_digest);
-    EXPECT_EQ(b1.baseline_digest, b32.baseline_digest);
-    EXPECT_EQ(b1.baseline_metrics.revenue, b32.baseline_metrics.revenue);
-    EXPECT_EQ(b1.baseline_metrics.shed_revenue, b32.baseline_metrics.shed_revenue);
+    for (const core::Scheme scheme :
+         {core::Scheme::kOnsite, core::Scheme::kOffsite}) {
+        const core::Instance inst = matrix_instance(40);
+        const DiskFaultStudyResult b1 =
+            run_disk_fault_study(inst, matrix_config(scheme, 1));
+        const DiskFaultStudyResult b4 =
+            run_disk_fault_study(inst, matrix_config(scheme, 4));
+        const DiskFaultStudyResult b32 =
+            run_disk_fault_study(inst, matrix_config(scheme, 32));
+        EXPECT_EQ(b1.baseline_digest, b4.baseline_digest);
+        EXPECT_EQ(b1.baseline_digest, b32.baseline_digest);
+        EXPECT_EQ(b1.baseline_metrics.revenue, b32.baseline_metrics.revenue);
+        EXPECT_EQ(b1.baseline_metrics.shed_revenue,
+                  b32.baseline_metrics.shed_revenue);
+        EXPECT_TRUE(b32.ok());
+    }
 }
 
 // ------------------------------------------------------ rollback equivalence

@@ -11,6 +11,7 @@
 
 #include "helpers.hpp"
 #include "serve/admission_controller.hpp"
+#include "serve/chaos_support.hpp"
 #include "serve/replication/failover.hpp"
 #include "serve/replication/failover_chaos.hpp"
 #include "serve/replication/ship_transport.hpp"
@@ -352,54 +353,61 @@ TEST(RecoveryStats, SurfacesTornTailBytes) {
 }
 
 TEST(CheckpointCrash, BothRotationStagesAreRecoverable) {
+    // Cut a short run at every mutating op, under both crash kinds, and
+    // revive the cuts that landed inside a checkpoint rotation: stage 1
+    // (creating the next WAL generation, before the snapshot names it)
+    // and stage 2 (publishing the snapshot, before the old generation
+    // retires). Each must finish the trace at the uncut digest.
     const core::Instance instance = replication_instance(40);
-    for (const int stage : {1, 2}) {
-        const std::string dir =
-            fresh_work_dir("repl_ckpt_stage" + std::to_string(stage));
-        ServeConfig cfg = standby_config(dir);
-        cfg.retain_wals = true;
-        std::uint64_t baseline_digest = 0;
-        {
-            const std::string bdir =
-                fresh_work_dir("repl_ckpt_base" + std::to_string(stage));
-            ServeConfig bcfg = standby_config(bdir);
-            AdmissionController baseline(instance, core::Scheme::kOnsite, bcfg);
-            for (std::size_t i = 0; i < instance.requests.size(); ++i) {
-                baseline.submit(i, instance.requests[i]);
-                if ((i + 1) % 5 == 0) baseline.drain();
-            }
-            baseline.drain();
-            baseline_digest = baseline.state_digest();
-        }
-        std::size_t submitted = 0;
-        bool crashed = false;
-        {
-            AdmissionController victim(instance, core::Scheme::kOnsite, cfg);
-            victim.crash_at_checkpoint_stage(stage);
+    const std::vector<workload::Request>& requests = instance.requests;
+    constexpr std::size_t kDrainEvery = 5;
+    ServeConfig cfg = standby_config("/disk");
+    cfg.retain_wals = true;
+    std::uint64_t baseline_digest = 0;
+    std::uint64_t ops = 0;
+    {
+        FaultyVfs disk;
+        ServeConfig bcfg = cfg;
+        bcfg.vfs = &disk;
+        AdmissionController baseline(instance, core::Scheme::kOnsite, bcfg);
+        chaos::DriveProgress progress;
+        chaos::drive(baseline, requests, 0, false, kDrainEvery, progress);
+        baseline_digest = baseline.state_digest();
+        ops = disk.op_count();
+    }
+    for (const CutKind kind : {CutKind::kProcessCrash, CutKind::kPowerCutTornTail}) {
+        std::size_t wal_creates = 0;
+        std::size_t snapshot_ops = 0;
+        for (std::uint64_t op = 1; op <= ops; ++op) {
+            DiskFaultPlan plan;
+            plan.cut_at_op = op;
+            plan.cut_kind = kind;
+            FaultyVfs disk(plan);
+            ServeConfig vcfg = cfg;
+            vcfg.vfs = &disk;
+            chaos::DriveProgress progress;
+            std::string path;
             try {
-                for (std::size_t i = 0; i < instance.requests.size(); ++i) {
-                    submitted = i;
-                    victim.submit(i, instance.requests[i]);
-                    submitted = i + 1;
-                    if ((i + 1) % 5 == 0) victim.drain();
-                }
-                victim.drain();
-            } catch (const CrashInjected&) {
-                crashed = true;
+                AdmissionController victim(instance, core::Scheme::kOnsite, vcfg);
+                chaos::drive(victim, requests, 0, false, kDrainEvery, progress);
+            } catch (const CrashInjected& crash) {
+                path = crash.path();
             }
+            // Rotations only: the constructor creates the first WAL
+            // generation before any request is submitted.
+            if (progress.submitted == 0 || !chaos::cut_in_rotation(path)) continue;
+            ++(path.find("snapshot.bin") != std::string::npos ? snapshot_ops
+                                                              : wal_creates);
+            AdmissionController revived(instance, core::Scheme::kOnsite, vcfg);
+            chaos::rebuild_queue(revived, requests, progress.submitted);
+            chaos::DriveProgress rest;
+            chaos::drive(revived, requests, progress.submitted, progress.in_drain,
+                         kDrainEvery, rest);
+            EXPECT_EQ(revived.state_digest(), baseline_digest)
+                << cut_kind_name(kind) << " at op " << op << " (" << path << ")";
         }
-        ASSERT_TRUE(crashed) << "stage " << stage;
-        AdmissionController revived(instance, core::Scheme::kOnsite, cfg);
-        for (std::uint64_t i = revived.resume_cursor(); i < submitted; ++i) {
-            revived.submit(i, instance.requests[static_cast<std::size_t>(i)]);
-        }
-        revived.drain();
-        for (std::size_t i = submitted; i < instance.requests.size(); ++i) {
-            revived.submit(i, instance.requests[i]);
-            if ((i + 1) % 5 == 0) revived.drain();
-        }
-        revived.drain();
-        EXPECT_EQ(revived.state_digest(), baseline_digest) << "stage " << stage;
+        EXPECT_GT(wal_creates, 0u) << cut_kind_name(kind);
+        EXPECT_GT(snapshot_ops, 0u) << cut_kind_name(kind);
     }
 }
 
@@ -489,10 +497,6 @@ TEST(FailoverChaos, GatePassesOnBothSchemesWithLag) {
             cfg.queue_capacity = 4;
             cfg.group_commit = 2;
             cfg.ship_every = lag;
-            cfg.work_dir = fresh_work_dir(
-                "failover_chaos_" +
-                std::to_string(static_cast<int>(scheme)) + "_" +
-                std::to_string(lag));
             const FailoverChaosResult result =
                 run_failover_chaos_study(instance, cfg);
             EXPECT_TRUE(result.ok())
@@ -501,13 +505,21 @@ TEST(FailoverChaos, GatePassesOnBothSchemesWithLag) {
                 << result.trials.size();
             ASSERT_EQ(result.trials.size(), 6u);
             std::size_t rotation_kills = 0;
+            std::size_t process_crashes = 0;
+            std::size_t power_cuts = 0;
             std::size_t faulty = 0;
             for (const FailoverTrial& trial : result.trials) {
-                EXPECT_TRUE(trial.crashed);
-                if (trial.checkpoint_crash_stage != 0) ++rotation_kills;
+                EXPECT_TRUE(trial.ok())
+                    << cut_kind_name(trial.kind) << " at op " << trial.cut_at_op
+                    << " (" << trial.cut_op << " " << trial.cut_path << ")";
+                if (chaos::cut_in_rotation(trial.cut_path)) ++rotation_kills;
+                ++(trial.kind == CutKind::kProcessCrash ? process_crashes
+                                                        : power_cuts);
                 if (trial.faulty_transport) ++faulty;
             }
             EXPECT_GT(rotation_kills, 0u);
+            EXPECT_GT(process_crashes, 0u);
+            EXPECT_GT(power_cuts, 0u);
             EXPECT_GT(faulty, 0u);
             EXPECT_GT(result.total_disk_records_applied, 0u)
                 << "no trial exercised promotion catch-up";
@@ -529,7 +541,6 @@ TEST(FailoverChaos, DegradedPrimaryIsFailedOverLikeADeadOne) {
     cfg.queue_capacity = 4;
     cfg.group_commit = 2;
     cfg.ship_every = 2;
-    cfg.work_dir = fresh_work_dir("failover_degraded");
     const FailoverChaosResult result = run_failover_chaos_study(instance, cfg);
     EXPECT_TRUE(result.ok()) << "failed " << result.failed_trials << "/"
                              << result.trials.size();

@@ -40,50 +40,63 @@ TEST(ServeVfs, FaultyVfsRoundTripsThroughTheCache) {
     EXPECT_THROW((void)vfs.read_file(at("missing")), VfsError);
 }
 
+// The two crash kinds differ only in what the page cache keeps: a
+// process crash keeps un-synced bytes and un-dirsynced names, a clean
+// power cut drops both. Either way every pre-cut fd is stale.
 TEST(ServeVfs, PowerCutDropsUnsyncedBytesAndUnsyncedNames) {
-    DiskFaultPlan plan;
-    plan.power_cut_keeps_prefix = false;  // clean cut: durable bytes only
-    FaultyVfs vfs(plan);
+    for (const CutKind kind : {CutKind::kProcessCrash, CutKind::kPowerCutClean}) {
+        SCOPED_TRACE(cut_kind_name(kind));
+        const bool keeps_cache = kind == CutKind::kProcessCrash;
+        FaultyVfs vfs;
 
-    const int fd = vfs.create_truncate(at("wal"));
-    vfs.write_all(fd, at("wal"), "durable");
-    vfs.fdatasync(fd, at("wal"));
-    vfs.fsync_parent_dir(at("wal"));  // name survives the cut
-    vfs.write_all(fd, at("wal"), " volatile");
+        const int fd = vfs.create_truncate(at("wal"));
+        vfs.write_all(fd, at("wal"), "durable");
+        vfs.fdatasync(fd, at("wal"));
+        vfs.fsync_parent_dir(at("wal"));  // name survives the cut
+        vfs.write_all(fd, at("wal"), " volatile");
 
-    const int never_synced = vfs.create_truncate(at("ghost"));
-    vfs.write_all(never_synced, at("ghost"), "gone");
+        const int never_synced = vfs.create_truncate(at("ghost"));
+        vfs.write_all(never_synced, at("ghost"), "gone");
 
-    vfs.power_cut();
+        vfs.cut(kind);
 
-    EXPECT_EQ(vfs.read_file(at("wal")), "durable");
-    EXPECT_FALSE(vfs.file_exists(at("ghost")));  // creation never dirsynced
-    // fds from before the cut are stale: writes through them must fail.
-    EXPECT_THROW(vfs.write_all(fd, at("wal"), "x"), VfsError);
-    vfs.close(fd);  // tolerated
-    vfs.close(never_synced);
+        EXPECT_EQ(vfs.read_file(at("wal")),
+                  keeps_cache ? "durable volatile" : "durable");
+        // The creation was never dirsynced.
+        EXPECT_EQ(vfs.file_exists(at("ghost")), keeps_cache);
+        // fds from before the cut are stale: writes through them must fail.
+        EXPECT_THROW(vfs.write_all(fd, at("wal"), "x"), VfsError);
+        EXPECT_THROW(vfs.write_all(never_synced, at("ghost"), "x"), VfsError);
+        vfs.close(fd);  // tolerated
+        vfs.close(never_synced);
+        EXPECT_EQ(vfs.stats().cuts, 1u);
+    }
 }
 
 TEST(ServeVfs, RenameIsNotDurableUntilTheParentDirIsSynced) {
-    DiskFaultPlan plan;
-    plan.power_cut_keeps_prefix = false;
-    FaultyVfs vfs(plan);
+    for (const CutKind kind : {CutKind::kProcessCrash, CutKind::kPowerCutClean}) {
+        SCOPED_TRACE(cut_kind_name(kind));
+        FaultyVfs vfs;
 
-    auto put = [&vfs](const std::string& path, const std::string& bytes) {
-        const int fd = vfs.create_truncate(path);
-        vfs.write_all(fd, path, bytes);
-        vfs.fsync(fd, path);
-        vfs.close(fd);
-    };
-    put(at("target"), "old");
-    vfs.fsync_parent_dir(at("target"));
-    put(at("target.tmp"), "new");
-    vfs.rename(at("target.tmp"), at("target"));
-    EXPECT_EQ(vfs.read_file(at("target")), "new");  // visible in the cache
+        auto put = [&vfs](const std::string& path, const std::string& bytes) {
+            const int fd = vfs.create_truncate(path);
+            vfs.write_all(fd, path, bytes);
+            vfs.fsync(fd, path);
+            vfs.close(fd);
+        };
+        put(at("target"), "old");
+        vfs.fsync_parent_dir(at("target"));
+        put(at("target.tmp"), "new");
+        vfs.rename(at("target.tmp"), at("target"));
+        EXPECT_EQ(vfs.read_file(at("target")), "new");  // visible in the cache
 
-    vfs.power_cut();  // ...but the rename never reached the directory
+        // The rename never reached the directory: only a process crash,
+        // which leaves the cache standing, keeps it.
+        vfs.cut(kind);
 
-    EXPECT_EQ(vfs.read_file(at("target")), "old");
+        EXPECT_EQ(vfs.read_file(at("target")),
+                  kind == CutKind::kProcessCrash ? "new" : "old");
+    }
 }
 
 TEST(ServeVfs, ScriptedFaultsFireAfterTheirSkipCountThenClear) {

@@ -66,7 +66,6 @@ struct Options {
     std::string serve_dir;
     std::size_t checkpoint_every{64};
     std::size_t queue_capacity{256};
-    std::uint64_t chaos_kill{0};
     std::size_t group_commit{1};
 };
 
@@ -109,12 +108,11 @@ Serve mode (crash-safe admission controller):
                             the recovered state (already-decided requests
                             are skipped, never double-admitted). Requires a
                             single primal-dual algorithm (default
-                            onsite-primal-dual).
+                            onsite-primal-dual). A run killed mid-stream
+                            (kill -9) resumes the same way.
   --checkpoint-every N      WAL records between snapshots            [64]
   --queue-capacity N        admission queue bound; overflow sheds the
                             lowest-payment request                   [256]
-  --chaos-kill K            kill the controller after K WAL appends
-                            (exit code 2); rerun --serve to recover
   --group-commit N          WAL records per fdatasync in pump (group
                             commit; 1 = per-record durability)     [1]
 
@@ -208,8 +206,6 @@ Options parse_args(int argc, char** argv) {
             opt.checkpoint_every = parse_count(need_value(i, flag), flag);
         else if (flag == "--queue-capacity")
             opt.queue_capacity = parse_count(need_value(i, flag), flag);
-        else if (flag == "--chaos-kill")
-            opt.chaos_kill = parse_count(need_value(i, flag), flag);
         else if (flag == "--group-commit")
             opt.group_commit = parse_count(need_value(i, flag), flag);
         else if (flag == "--csv") opt.csv = true;
@@ -272,7 +268,7 @@ struct AlgorithmAggregate {
 };
 
 /// --serve: one pass of the workload through the durable admission
-/// controller. Restarts (including after --chaos-kill) recover from the
+/// controller. Restarts (including after a kill) recover from the
 /// snapshot + WAL in the directory; resubmitted covered requests are
 /// skipped, so running this any number of times never double-admits.
 int run_serve(const Options& opt) {
@@ -326,20 +322,13 @@ int run_serve(const Options& opt) {
         }
         std::cout << "\n";
     }
-    if (opt.chaos_kill > 0) controller.crash_after_records(opt.chaos_kill);
 
-    try {
-        for (std::size_t i = 0; i < instance.requests.size(); ++i) {
-            controller.submit(i, instance.requests[i]);
-            if ((i + 1) % opt.queue_capacity == 0) controller.drain();
-        }
-        controller.drain();
-        controller.checkpoint();
-    } catch (const serve::CrashInjected& e) {
-        std::cout << "chaos: " << e.what() << "; durable state is in "
-                  << opt.serve_dir << ", rerun --serve to recover\n";
-        return 2;
+    for (std::size_t i = 0; i < instance.requests.size(); ++i) {
+        controller.submit(i, instance.requests[i]);
+        if ((i + 1) % opt.queue_capacity == 0) controller.drain();
     }
+    controller.drain();
+    controller.checkpoint();
 
     const serve::ServeMetrics& m = controller.metrics();
     report::Table table({"metric", "value"});
