@@ -4,8 +4,9 @@
 // gives fast local failover but is capped by the cloudlet's own
 // reliability; off-site survives cloudlet failures at the cost of
 // inter-cloudlet traffic. This bench quantifies the trade-off: revenue,
-// compute consumed per admitted request, delivered availability (analytic
-// and failure-injected), and mean backup hop distance.
+// compute consumed per admitted request, delivered availability (analytic,
+// and empirical from Markov up/down fault replays under no recovery policy),
+// and mean backup hop distance.
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -14,6 +15,7 @@
 #include "core/onsite_primal_dual.hpp"
 #include "report/table.hpp"
 #include "sim/metrics.hpp"
+#include "sim/recovery_study.hpp"
 #include "sim/simulator.hpp"
 
 using namespace vnfr;
@@ -44,10 +46,13 @@ int main() {
             core::make_instance(bench::paper_environment(requests), rng);
 
         const auto measure = [&](core::OnlineScheduler& scheduler, Row& row) {
-            sim::SimulatorConfig sim_cfg;
-            sim_cfg.inject_failures = true;
-            sim_cfg.failure_seed = common::stream_seed(master, 1000 + s);
-            const sim::SimulationReport report = sim::simulate(inst, scheduler, sim_cfg);
+            const sim::SimulationReport report = sim::simulate(inst, scheduler);
+            sim::RecoveryStudyConfig replay;
+            replay.injector = sim::markov_injector({});
+            replay.replications = bench::quick_mode() ? 2 : 4;
+            replay.master_seed = common::stream_seed(master, 1000 + s);
+            const sim::RecoveryStudyOutcome faults =
+                sim::run_recovery_replications(inst, report.schedule.decisions, replay);
             const sim::PlacementStats stats =
                 sim::placement_stats(inst, report.schedule.decisions);
             row.revenue.add(report.schedule.revenue);
@@ -67,7 +72,7 @@ int main() {
                                             static_cast<double>(report.schedule.admitted));
             }
             row.availability.add(stats.mean_availability);
-            row.empirical.add(report.empirical_availability());
+            row.empirical.add(faults.total.availability());
             row.backup_hops.add(stats.mean_pairwise_hops);
         };
 

@@ -25,28 +25,4 @@ double analytic_availability(const core::Instance& instance,
     return VNFR_CHECK_PROB(common::one_minus_exp(log_all_fail));
 }
 
-bool sample_served(const core::Instance& instance, const workload::Request& request,
-                   const core::Placement& placement, common::Rng& rng) {
-    const double vnf_rel = instance.catalog.reliability(request.vnf);
-    for (const core::Site& site : placement.sites) {
-        if (!rng.bernoulli(instance.network.cloudlet(site.cloudlet).reliability)) continue;
-        for (int k = 0; k < site.replicas; ++k) {
-            if (rng.bernoulli(vnf_rel)) return true;
-        }
-    }
-    return false;
-}
-
-double monte_carlo_availability(const core::Instance& instance,
-                                const workload::Request& request,
-                                const core::Placement& placement, std::size_t trials,
-                                common::Rng& rng) {
-    if (trials == 0) throw std::invalid_argument("monte_carlo_availability: zero trials");
-    std::size_t served = 0;
-    for (std::size_t i = 0; i < trials; ++i) {
-        if (sample_served(instance, request, placement, rng)) ++served;
-    }
-    return VNFR_CHECK_PROB(static_cast<double>(served) / static_cast<double>(trials));
-}
-
 }  // namespace vnfr::sim

@@ -1,17 +1,14 @@
-// Availability of a concrete placement, analytically and by Monte-Carlo
-// failure injection.
+// Analytic availability of a concrete placement.
 //
 // Failure model (matching the paper's reliability semantics): in any
 // observation, cloudlet c_j is up with probability r(c_j) and each VNF
 // instance is independently up with probability r(f_i); a request is served
 // when at least one of its sites has its cloudlet up and >= 1 instance up.
 // This generalizes both Eq. 2 (one site, N replicas) and Eq. 10 (many
-// sites, 1 replica each).
+// sites, 1 replica each). The Markov fault schedules of recovery_faults.hpp
+// sample exactly this model over time.
 #pragma once
 
-#include <cstddef>
-
-#include "common/rng.hpp"
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
 #include "workload/request.hpp"
@@ -23,15 +20,5 @@ namespace vnfr::sim {
 double analytic_availability(const core::Instance& instance,
                              const workload::Request& request,
                              const core::Placement& placement);
-
-/// One sampled observation: true when the request would be served.
-bool sample_served(const core::Instance& instance, const workload::Request& request,
-                   const core::Placement& placement, common::Rng& rng);
-
-/// Fraction of `trials` observations in which the request is served.
-double monte_carlo_availability(const core::Instance& instance,
-                                const workload::Request& request,
-                                const core::Placement& placement, std::size_t trials,
-                                common::Rng& rng);
 
 }  // namespace vnfr::sim

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 #include <stdexcept>
 
 #include "common/contracts.hpp"
@@ -34,6 +35,14 @@ struct ReplicaState {
     TimeSlot expires_at{0};
     int retries{0};
     TimeSlot next_attempt{0};    ///< respawn backoff gate
+    TimeSlot down_until{0};      ///< unreachable (instance outage) before this slot
+};
+
+/// Where a request is served from in one slot; site < 0 when it is not.
+struct ServingReplica {
+    std::ptrdiff_t site{-1};
+    std::size_t replica{0};
+    friend bool operator==(const ServingReplica&, const ServingReplica&) = default;
 };
 
 struct SiteState {
@@ -52,7 +61,7 @@ struct RequestState {
     bool accounted{false};      ///< at least one slot accounted
     bool was_serving{false};
     TimeSlot disruption_start{-1};
-    std::ptrdiff_t last_site{-1};
+    ServingReplica last{};
     CloudletId last_cloudlet{};
 };
 
@@ -84,7 +93,7 @@ class RecoveryEngine {
                 s.cloudlet = site.cloudlet;
                 for (int k = 0; k < site.replicas; ++k) {
                     if (!ledger_.reserve(site.cloudlet, req.arrival, req.end(), compute))
-                        throw std::invalid_argument(
+                        throw ScheduleNotReplayable(
                             "run_recovery_study: schedule violates cloudlet capacity "
                             "(pure Algorithm 1 schedules are not replayable)");
                     ReplicaState r;
@@ -149,6 +158,7 @@ class RecoveryEngine {
     void kill_replica(RequestState& state, SiteState& site, ReplicaState& replica,
                       TimeSlot t) {
         replica.alive = false;
+        replica.down_until = 0;  // a respawn is a fresh, reachable instance
         const TimeSlot begin = std::max(t, replica.reserved_from);
         if (begin < replica.reserved_until)
             ledger_.release(site.cloudlet, begin, replica.reserved_until,
@@ -190,28 +200,36 @@ class RecoveryEngine {
             case FaultKind::kTransientBlip:
                 ++report_.transient_blips;
                 down_until_[e.cloudlet.index()] =
-                    std::max(down_until_[e.cloudlet.index()],
-                             static_cast<TimeSlot>(t + 1));
+                    std::max(down_until_[e.cloudlet.index()], t + e.down_slots);
                 break;
-            case FaultKind::kInstanceCrash: {
-                if (e.request_index >= states_.size()) break;
-                RequestState& state = states_[e.request_index];
-                if (!decisions_[e.request_index].admitted || state.shed ||
-                    !request_of(state).covers(t)) {
-                    break;
+            case FaultKind::kInstanceCrash:
+                if (ReplicaState* replica = address(e, t)) {
+                    ++report_.instance_crashes;
+                    RequestState& state = states_[e.request_index];
+                    kill_replica(state, state.sites[e.site], *replica, t);
                 }
-                // Address the replica slot in the *current* layout; after a
-                // re-admission reshaped the placement the slot may be gone.
-                if (e.site >= state.sites.size()) break;
-                SiteState& site = state.sites[e.site];
-                if (e.replica >= site.replicas.size()) break;
-                ReplicaState& replica = site.replicas[e.replica];
-                if (!replica.alive) break;
-                ++report_.instance_crashes;
-                kill_replica(state, site, replica, t);
                 break;
-            }
+            case FaultKind::kInstanceOutage:
+                if (ReplicaState* replica = address(e, t)) {
+                    replica->down_until = std::max(replica->down_until, t + e.down_slots);
+                }
+                break;
         }
+    }
+
+    /// The live replica an instance event addresses at `t`, or nullptr when
+    /// the event is a no-op: the request is not active and standing, or the
+    /// (site, replica) slot is gone from the *current* layout (a
+    /// re-admission may have reshaped the placement) or already dead.
+    ReplicaState* address(const FaultEvent& e, TimeSlot t) {
+        RequestState& state = states_[e.request_index];
+        if (!decisions_[e.request_index].admitted || state.shed ||
+            !request_of(state).covers(t) || e.site >= state.sites.size()) {
+            return nullptr;
+        }
+        std::vector<ReplicaState>& replicas = state.sites[e.site].replicas;
+        if (e.replica >= replicas.size() || !replicas[e.replica].alive) return nullptr;
+        return &replicas[e.replica];
     }
 
     /// Analytic availability of the live placement: per site
@@ -233,18 +251,21 @@ class RecoveryEngine {
         return VNFR_CHECK_PROB(1.0 - fail);
     }
 
-    /// True when the request would be counted as served at `t` (the same
-    /// scan account() performs): some up cloudlet hosts a live replica that
-    /// has finished spinning up and has not handed service over yet.
-    [[nodiscard]] bool serving_now(const RequestState& state, TimeSlot t) const {
-        if (state.shed) return false;
-        for (const SiteState& site : state.sites) {
+    /// The first replica, in (site, replica) order, that serves the request
+    /// at `t`: a live, reachable replica on an up cloudlet that has finished
+    /// spinning up and has not handed service over yet.
+    [[nodiscard]] ServingReplica serving(const RequestState& state, TimeSlot t) const {
+        if (state.shed) return {};
+        for (std::size_t s = 0; s < state.sites.size(); ++s) {
+            const SiteState& site = state.sites[s];
             if (!cloudlet_up(site.cloudlet, t)) continue;
-            for (const ReplicaState& r : site.replicas) {
-                if (r.alive && r.ready_at <= t && t < r.expires_at) return true;
+            for (std::size_t k = 0; k < site.replicas.size(); ++k) {
+                const ReplicaState& r = site.replicas[k];
+                if (r.alive && r.ready_at <= t && t < r.expires_at && t >= r.down_until)
+                    return {static_cast<std::ptrdiff_t>(s), k};
             }
         }
-        return false;
+        return {};
     }
 
     /// Slots the request stands to gain if a recovery action lands now: the
@@ -252,7 +273,7 @@ class RecoveryEngine {
     /// still serving, because then recovery only restores redundancy and
     /// shedding a serving victim for redundancy is a pure availability loss.
     [[nodiscard]] std::size_t shed_gain_slots(const RequestState& state, TimeSlot t) const {
-        if (serving_now(state, t)) return 0;
+        if (serving(state, t).site >= 0) return 0;
         const TimeSlot ready = t + config_.respawn_delay_slots;
         const TimeSlot end = request_of(state).end();
         return end > ready ? static_cast<std::size_t>(end - ready) : 0;
@@ -659,29 +680,15 @@ class RecoveryEngine {
         ++report_.request_slots;
         ++state.window_slots;
 
-        std::ptrdiff_t serving_site = -1;
-        if (!state.shed) {
-            for (std::size_t s = 0; s < state.sites.size() && serving_site < 0; ++s) {
-                const SiteState& site = state.sites[s];
-                if (!cloudlet_up(site.cloudlet, t)) continue;
-                for (const ReplicaState& r : site.replicas) {
-                    if (r.alive && r.ready_at <= t && t < r.expires_at) {
-                        serving_site = static_cast<std::ptrdiff_t>(s);
-                        break;
-                    }
-                }
-            }
-        }
-
-        if (serving_site >= 0) {
+        const ServingReplica now = serving(state, t);
+        if (now.site >= 0) {
             ++report_.served_slots;
             ++state.served;
-            const CloudletId c =
-                state.sites[static_cast<std::size_t>(serving_site)].cloudlet;
+            const CloudletId c = state.sites[static_cast<std::size_t>(now.site)].cloudlet;
             if (state.was_serving) {
                 if (c != state.last_cloudlet) {
                     ++report_.remote_failovers;
-                } else if (serving_site != state.last_site) {
+                } else if (now != state.last) {
                     ++report_.local_failovers;
                 }
             } else if (state.accounted) {
@@ -692,7 +699,7 @@ class RecoveryEngine {
                 }
             }
             state.was_serving = true;
-            state.last_site = serving_site;
+            state.last = now;
             state.last_cloudlet = c;
         } else {
             ++report_.disrupted_slots;
@@ -742,6 +749,39 @@ class RecoveryEngine {
     RecoveryReport report_;
 };
 
+/// Rejects a schedule the engine would misread: RecoveryEngine::run consumes
+/// events in slot order and indexes cloudlets and requests directly.
+void validate_schedule(const core::Instance& instance, const FaultSchedule& schedule) {
+    const auto reject = [](std::size_t index, const char* field, const auto& value) {
+        std::ostringstream msg;
+        msg << "run_recovery_study: fault event " << index << " has invalid " << field
+            << " " << value;
+        throw std::invalid_argument(msg.str());
+    };
+    TimeSlot previous = 0;
+    for (std::size_t n = 0; n < schedule.events.size(); ++n) {
+        const FaultEvent& e = schedule.events[n];
+        if (e.slot < previous || e.slot >= instance.horizon) reject(n, "slot", e.slot);
+        previous = e.slot;
+        if (e.down_slots < 1) reject(n, "down_slots", e.down_slots);
+        if (e.span < 1) reject(n, "span", e.span);
+        switch (e.kind) {
+            case FaultKind::kCloudletCrash:
+            case FaultKind::kTransientBlip:
+            case FaultKind::kRackFailure:
+                if (!e.cloudlet.valid() ||
+                    e.cloudlet.index() >= instance.network.cloudlet_count())
+                    reject(n, "cloudlet", e.cloudlet.value);
+                break;
+            case FaultKind::kInstanceCrash:
+            case FaultKind::kInstanceOutage:
+                if (e.request_index >= instance.requests.size())
+                    reject(n, "request_index", e.request_index);
+                break;
+        }
+    }
+}
+
 }  // namespace
 
 RecoveryReport run_recovery_study(const core::Instance& instance,
@@ -751,6 +791,7 @@ RecoveryReport run_recovery_study(const core::Instance& instance,
     instance.validate();
     if (decisions.size() != instance.requests.size())
         throw std::invalid_argument("run_recovery_study: decisions/requests size mismatch");
+    validate_schedule(instance, schedule);
     RecoveryEngine engine(instance, decisions, config);
     return engine.run(schedule);
 }

@@ -1,14 +1,14 @@
 // Recovery orchestrator: event-driven fault-tolerance loop over a finished
-// schedule.
+// schedule, and the one failure-replay path of the simulator.
 //
-// run_failover_study() replays a frozen schedule under Markov failures and
-// merely counts outages — nothing ever repairs a degraded placement, so
-// delivered availability silently drifts below the promised R_i. This
-// engine closes the loop: a FaultSchedule (recovery_faults.hpp) injects
-// cloudlet crashes, instance crashes, transient blips and correlated rack
-// failures, and a per-slot recovery pass reacts with a configurable policy:
+// A FaultSchedule (recovery_faults.hpp) injects cloudlet crashes, instance
+// crashes, transient blips, correlated rack failures and instance outages.
+// Either generator feeds it: per-slot independent fault rates, or the
+// Markov up/down model whose replay under kNone measures the Eq. 2 / Eq. 10
+// availability actually delivered. A per-slot recovery pass reacts with a
+// configurable policy:
 //
-//   kNone           today's behaviour — dead instances stay dead;
+//   kNone           no recovery — dead instances stay dead;
 //   kLocalRespawn   re-instantiate dead replicas on their own cloudlet,
 //                   with bounded retry and exponential backoff;
 //   kRemoteMigrate  re-run the off-site selection of Algorithm 2 (with
@@ -35,6 +35,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "core/instance.hpp"
@@ -94,7 +95,9 @@ struct RecoveryReport {
     std::size_t readmissions{0};       ///< placements rebuilt from scratch
     std::size_t failed_recoveries{0};  ///< attempts beaten by capacity/outages
 
-    // Failovers observed in the serving path (as in FailoverReport).
+    // Failovers observed in the serving path, between consecutive served
+    // slots: the serving (site, replica) changed on the same cloudlet
+    // (local) or the serving cloudlet changed (remote).
     std::size_t local_failovers{0};
     std::size_t remote_failovers{0};
     std::size_t outages{0};            ///< served -> disrupted transitions
@@ -142,12 +145,24 @@ struct RecoveryReport {
     }
 };
 
+/// Thrown when the admitted decisions overcommit a cloudlet, so they cannot
+/// be replayed into the enforcing ledger (the pure Algorithm 1 variant).
+class ScheduleNotReplayable : public std::invalid_argument {
+  public:
+    using std::invalid_argument::invalid_argument;
+};
+
 /// Replays `decisions` under `schedule`'s faults with the configured
-/// recovery policy. The initial reservations of every admitted decision are
-/// replayed into a fresh kEnforce ledger (throws std::invalid_argument if
-/// they do not fit — recovery studies require capacity-respecting
-/// schedules, i.e. any scheduler except the pure Algorithm 1 variant).
-/// Deterministic: consumes no randomness beyond what `schedule` froze.
+/// recovery policy. The schedule is validated up front: slots must be
+/// non-decreasing and inside [0, horizon), cloudlet ids (crash, blip, rack)
+/// and request indices in range, and down_slots and span >= 1; a violation
+/// throws std::invalid_argument naming the event index and the field. A
+/// site/replica address the placement does not have is a no-op, not an
+/// error. The initial reservations of every admitted decision are replayed
+/// into a fresh kEnforce ledger (throws ScheduleNotReplayable if they do
+/// not fit — recovery studies require capacity-respecting schedules, i.e.
+/// any scheduler except the pure Algorithm 1 variant). Deterministic:
+/// consumes no randomness beyond what `schedule` froze.
 RecoveryReport run_recovery_study(const core::Instance& instance,
                                   const std::vector<core::Decision>& decisions,
                                   const FaultSchedule& schedule,

@@ -38,6 +38,13 @@ void accumulate(RecoveryReport& total, const RecoveryReport& rep) {
 
 }  // namespace
 
+FaultScheduleFactory markov_injector(MarkovFaultConfig config) {
+    return [config](const core::Instance& instance,
+                    const std::vector<core::Decision>& decisions, std::uint64_t seed) {
+        return generate_markov_schedule(instance, decisions, config, seed);
+    };
+}
+
 std::uint64_t recovery_metrics_checksum(const RecoveryStudyOutcome& outcome) {
     common::Fnv1a digest;
     const RecoveryReport& t = outcome.total;

@@ -22,11 +22,18 @@ namespace vnfr::sim {
 
 /// Pluggable injector hook: replication k receives stream_seed(master_seed,
 /// k) and must return the fault schedule to replay. The default generates
-/// via generate_fault_schedule with the study's FaultInjectorConfig; tests
+/// via generate_fault_schedule with the study's FaultInjectorConfig;
+/// markov_injector() plugs in the Markov up/down model, and tests
 /// substitute handcrafted schedules. Invoked concurrently — must be a pure
 /// function of its arguments.
 using FaultScheduleFactory = std::function<FaultSchedule(
     const core::Instance&, const std::vector<core::Decision>&, std::uint64_t seed)>;
+
+/// An injector that replays generate_markov_schedule with `config`. Under
+/// RecoveryPolicy::kNone this is the failure-replay study: delivered
+/// availability against the promised Eq. 2 / Eq. 10 R_i, outages and
+/// local/remote failovers.
+FaultScheduleFactory markov_injector(MarkovFaultConfig config);
 
 struct RecoveryStudyConfig {
     FaultInjectorConfig faults{};

@@ -1,27 +1,17 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/contracts.hpp"
-#include "sim/failure_model.hpp"
 
 namespace vnfr::sim {
 
-double SimulationReport::empirical_availability() const {
-    const std::size_t total = served_request_slots + disrupted_request_slots;
-    if (total == 0) return 0.0;
-    return VNFR_CHECK_PROB(static_cast<double>(served_request_slots) /
-                           static_cast<double>(total));
-}
-
-SimulationReport simulate(const core::Instance& instance, core::OnlineScheduler& scheduler,
-                          const SimulatorConfig& config) {
+SimulationReport simulate(const core::Instance& instance, core::OnlineScheduler& scheduler) {
     instance.validate();
     SimulationReport report;
     report.schedule.decisions.resize(instance.requests.size());
     report.timeline.reserve(static_cast<std::size_t>(instance.horizon));
-
-    common::Rng failure_rng(config.failure_seed);
 
     // Admitted requests whose window covers the current slot, kept as
     // indices into instance.requests.
@@ -53,16 +43,6 @@ SimulationReport simulate(const core::Instance& instance, core::OnlineScheduler&
             return !instance.requests[i].covers(t);
         });
         record.active_requests = active.size();
-
-        if (config.inject_failures) {
-            for (const std::size_t i : active) {
-                const bool served = sample_served(instance, instance.requests[i],
-                                                  report.schedule.decisions[i].placement,
-                                                  failure_rng);
-                if (served) ++report.served_request_slots;
-                else ++report.disrupted_request_slots;
-            }
-        }
 
         const edge::ResourceLedger& ledger = scheduler.ledger();
         double util = 0.0;

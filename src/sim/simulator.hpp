@@ -2,15 +2,13 @@
 //
 // Walks the horizon T slot by slot, delivers each slot's arrivals to the
 // scheduler (the online model of Section III.B: requests arrive at slot
-// starts, one by one, future unknown), records a per-slot timeline, and can
-// inject failures each slot to measure the availability actually delivered
-// to admitted requests.
+// starts, one by one, future unknown) and records a per-slot timeline. The
+// availability actually delivered to admitted requests is measured by
+// replaying the schedule through the recovery engine (recovery_study.hpp).
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
 
@@ -24,27 +22,13 @@ struct SlotRecord {
     double mean_utilization{0};      ///< across cloudlets at this slot
 };
 
-struct SimulatorConfig {
-    /// Sample cloudlet/instance failures each slot for each active request.
-    bool inject_failures{false};
-    std::uint64_t failure_seed{0x5eed};
-};
-
 struct SimulationReport {
     core::ScheduleResult schedule;
     std::vector<SlotRecord> timeline;  ///< one record per slot
-    /// Failure-injection tallies over (active request x slot) pairs; both 0
-    /// when injection is disabled.
-    std::size_t served_request_slots{0};
-    std::size_t disrupted_request_slots{0};
-
-    /// Empirical availability delivered across active request-slots.
-    [[nodiscard]] double empirical_availability() const;
 };
 
 /// Runs `scheduler` over the instance. Requests must already be sorted by
 /// arrival (Instance::validate enforces this).
-SimulationReport simulate(const core::Instance& instance, core::OnlineScheduler& scheduler,
-                          const SimulatorConfig& config = {});
+SimulationReport simulate(const core::Instance& instance, core::OnlineScheduler& scheduler);
 
 }  // namespace vnfr::sim

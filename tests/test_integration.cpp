@@ -8,9 +8,8 @@
 #include "core/instance.hpp"
 #include "core/offline.hpp"
 #include "sim/experiment.hpp"
-#include "sim/failure_model.hpp"
 #include "sim/metrics.hpp"
-#include "sim/simulator.hpp"
+#include "sim/recovery_study.hpp"
 #include "workload/trace_io.hpp"
 
 namespace vnfr {
@@ -92,14 +91,16 @@ TEST(Integration, TraceRoundTripReproducesSchedule) {
 TEST(Integration, FailureInjectionAcrossSchemes) {
     common::Rng rng(321);
     const core::Instance inst = core::make_instance(standard_config(80), rng);
-    sim::SimulatorConfig cfg;
-    cfg.inject_failures = true;
+    sim::RecoveryStudyConfig cfg;
+    cfg.injector = sim::markov_injector({});
     for (const sim::Algorithm a :
          {sim::Algorithm::kOnsitePrimalDual, sim::Algorithm::kOffsitePrimalDual}) {
         const auto scheduler = sim::make_scheduler(a, inst);
-        const sim::SimulationReport report = sim::simulate(inst, *scheduler, cfg);
-        if (report.served_request_slots + report.disrupted_request_slots > 200) {
-            EXPECT_GE(report.empirical_availability(), 0.85) << sim::algorithm_name(a);
+        const core::ScheduleResult result = core::run_online(inst, *scheduler);
+        const sim::RecoveryStudyOutcome out =
+            sim::run_recovery_replications(inst, result.decisions, cfg);
+        if (out.total.request_slots > 200) {
+            EXPECT_GE(out.total.availability(), 0.85) << sim::algorithm_name(a);
         }
     }
 }

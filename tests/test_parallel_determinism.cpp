@@ -12,7 +12,6 @@
 #include "core/onsite_primal_dual.hpp"
 #include "helpers.hpp"
 #include "sim/experiment.hpp"
-#include "sim/failover_study.hpp"
 #include "sim/recovery_study.hpp"
 #include "sim/scenarios.hpp"
 
@@ -103,26 +102,27 @@ TEST(ParallelDeterminism, PaperEnvironmentSweepChecksumStable) {
 }
 
 TEST(ParallelDeterminism, FailoverReplicationsBitIdenticalAcrossThreadCounts) {
+    // Markov up/down replays through the recovery engine.
     common::Rng rng = common::stream_rng(0xfa11, 0);
     const core::Instance inst = vnfr::testing::random_instance(rng, 40, 4, 12, 10, 20);
     core::OnsitePrimalDual scheduler(inst);
     const core::ScheduleResult result = core::run_online(inst, scheduler);
 
-    FailoverStudyConfig cfg;
+    RecoveryStudyConfig cfg;
+    cfg.injector = markov_injector({});
     cfg.replications = 7;
     cfg.master_seed = 0xabcd;
 
     cfg.threads = 1;
-    const FailoverStudyOutcome serial = run_failover_replications(inst, result.decisions, cfg);
+    const RecoveryStudyOutcome serial = run_recovery_replications(inst, result.decisions, cfg);
     EXPECT_GT(serial.total.request_slots, 0u);
 
     for (const std::size_t threads : kThreadCounts) {
         cfg.threads = threads;
-        const FailoverStudyOutcome parallel =
-            run_failover_replications(inst, result.decisions, cfg);
-        EXPECT_EQ(parallel.total.request_slots, serial.total.request_slots);
-        EXPECT_EQ(parallel.total.served_slots, serial.total.served_slots);
-        EXPECT_EQ(parallel.total.disrupted_slots, serial.total.disrupted_slots);
+        const RecoveryStudyOutcome parallel =
+            run_recovery_replications(inst, result.decisions, cfg);
+        EXPECT_EQ(recovery_metrics_checksum(parallel), recovery_metrics_checksum(serial))
+            << "threads=" << threads;
         EXPECT_EQ(parallel.total.local_failovers, serial.total.local_failovers);
         EXPECT_EQ(parallel.total.remote_failovers, serial.total.remote_failovers);
         EXPECT_EQ(parallel.total.outages, serial.total.outages);

@@ -1,5 +1,5 @@
-#include "sim/failover_study.hpp"
-
+// The Markov up/down failure model: generate_markov_schedule replayed
+// through the recovery engine under RecoveryPolicy::kNone.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -8,7 +8,9 @@
 #include "core/offsite_primal_dual.hpp"
 #include "core/onsite_primal_dual.hpp"
 #include "helpers.hpp"
-#include "sim/availability_process.hpp"
+#include "sim/recovery_engine.hpp"
+#include "sim/recovery_faults.hpp"
+#include "sim/recovery_study.hpp"
 
 namespace vnfr::sim {
 namespace {
@@ -17,77 +19,105 @@ using vnfr::testing::make_request;
 using vnfr::testing::random_instance;
 using vnfr::testing::small_instance;
 
+core::Decision admit(std::int64_t request, std::vector<core::Site> sites) {
+    core::Decision d;
+    d.admitted = true;
+    d.placement = core::Placement{RequestId{request}, std::move(sites)};
+    return d;
+}
+
+/// Slots cloudlet 0 spends down over the horizon, and its number of outages.
+struct CloudletDowntime {
+    std::size_t down_slots{0};
+    std::size_t outages{0};
+};
+
+CloudletDowntime cloudlet_downtime(const core::Instance& inst, const FaultSchedule& schedule) {
+    CloudletDowntime out;
+    for (const FaultEvent& e : schedule.events) {
+        EXPECT_EQ(e.kind, FaultKind::kTransientBlip);
+        out.down_slots += static_cast<std::size_t>(std::min(e.down_slots, inst.horizon - e.slot));
+        ++out.outages;
+    }
+    return out;
+}
+
+FaultSchedule markov(const core::Instance& inst, const std::vector<core::Decision>& decisions,
+                     MarkovFaultConfig cfg = {}, std::uint64_t seed = 0xfa11) {
+    return generate_markov_schedule(inst, decisions, cfg, seed);
+}
+
+RecoveryReport replay(const core::Instance& inst, const std::vector<core::Decision>& decisions,
+                      MarkovFaultConfig cfg = {}, std::uint64_t seed = 0xfa11) {
+    return run_recovery_study(inst, decisions, markov(inst, decisions, cfg, seed));
+}
+
 TEST(AvailabilityProcess, RejectsBadMttr) {
     const auto inst = small_instance({0.99}, 10.0, 5, {});
-    EXPECT_THROW(AvailabilityProcess(inst, 0.5, 2.0, common::Rng(1)),
-                 std::invalid_argument);
-    EXPECT_THROW(AvailabilityProcess(inst, 2.0, 0.0, common::Rng(1)),
-                 std::invalid_argument);
+    EXPECT_THROW(markov(inst, {}, {.cloudlet_mttr_slots = 0.5}), common::ContractViolation);
+    EXPECT_THROW(markov(inst, {}, {.instance_mttr_slots = 0.0}), common::ContractViolation);
 }
 
 TEST(AvailabilityProcess, StationaryUpFractionMatchesReliability) {
     // Long-run fraction of up-slots of the Markov chain must converge to
     // the configured reliability, independent of the repair time.
-    const auto inst = small_instance({0.9}, 10.0, 5, {});
+    const auto inst = small_instance({0.9}, 10.0, 200000, {});
     for (const double mttr : {1.0, 3.0, 8.0}) {
-        AvailabilityProcess process(inst, mttr, 2.0, common::Rng(7));
-        std::size_t up = 0;
-        const std::size_t slots = 200000;
-        for (std::size_t t = 0; t < slots; ++t) {
-            process.step();
-            if (process.cloudlet_up(CloudletId{0})) ++up;
-        }
-        EXPECT_NEAR(static_cast<double>(up) / static_cast<double>(slots), 0.9, 0.01)
+        const CloudletDowntime d =
+            cloudlet_downtime(inst, markov(inst, {}, {.cloudlet_mttr_slots = mttr}, 7));
+        EXPECT_NEAR(1.0 - static_cast<double>(d.down_slots) / static_cast<double>(inst.horizon),
+                    0.9, 0.01)
             << "mttr=" << mttr;
     }
 }
 
 TEST(AvailabilityProcess, LongerMttrMeansLongerOutages) {
-    const auto inst = small_instance({0.9}, 10.0, 5, {});
+    const auto inst = small_instance({0.9}, 10.0, 200000, {});
     const auto mean_outage_length = [&](double mttr) {
-        AvailabilityProcess process(inst, mttr, 2.0, common::Rng(11));
-        std::size_t outages = 0;
-        std::size_t down_slots = 0;
-        bool was_up = true;
-        for (std::size_t t = 0; t < 200000; ++t) {
-            process.step();
-            const bool up = process.cloudlet_up(CloudletId{0});
-            if (!up) {
-                ++down_slots;
-                if (was_up) ++outages;
-            }
-            was_up = up;
-        }
-        return outages == 0 ? 0.0
-                            : static_cast<double>(down_slots) / static_cast<double>(outages);
+        const CloudletDowntime d =
+            cloudlet_downtime(inst, markov(inst, {}, {.cloudlet_mttr_slots = mttr}, 11));
+        return d.outages == 0
+                   ? 0.0
+                   : static_cast<double>(d.down_slots) / static_cast<double>(d.outages);
     };
     EXPECT_NEAR(mean_outage_length(2.0), 2.0, 0.3);
     EXPECT_NEAR(mean_outage_length(6.0), 6.0, 0.9);
 }
 
 TEST(AvailabilityProcess, ServingReplicaPrefersFirstSite) {
-    const auto inst = small_instance({0.999, 0.999}, 10.0, 5,
-                                     {make_request(0, 0, 0.9, 0, 2, 5.0)});
-    AvailabilityProcess process(inst, 4.0, 2.0, common::Rng(3));
-    const core::Placement p{RequestId{0},
-                            {core::Site{CloudletId{0}, 2}, core::Site{CloudletId{1}, 1}}};
-    const std::size_t handle = process.track(inst.requests[0], p);
-    const auto serving = process.serving_replica(handle);
-    // With everything near-certainly up at steady state, site 0 serves.
-    if (serving.valid()) {
-        EXPECT_LE(serving.site, 1u);
-    }
-    EXPECT_EQ(process.site_cloudlet(handle, 0), CloudletId{0});
-    EXPECT_EQ(process.site_cloudlet(handle, 1), CloudletId{1});
+    // Site 0 holds two replicas on cloudlet 0, site 1 one on cloudlet 1.
+    // The engine serves from the first reachable (site, replica) and moves
+    // back as soon as it is reachable again.
+    const auto inst = small_instance({0.999, 0.999}, 10.0, 10,
+                                     {make_request(0, 0, 0.9, 0, 10, 5.0)});
+    const std::vector<core::Decision> decisions = {
+        admit(0, {core::Site{CloudletId{0}, 2}, core::Site{CloudletId{1}, 1}})};
+    FaultEvent outage;
+    outage.slot = 2;
+    outage.kind = FaultKind::kInstanceOutage;
+    outage.down_slots = 2;
+    outage.request_index = 0;
+    FaultEvent blip;
+    blip.slot = 6;
+    blip.kind = FaultKind::kTransientBlip;
+    blip.cloudlet = CloudletId{0};
+    blip.down_slots = 2;
+    FaultSchedule schedule;
+    schedule.events = {outage, blip};
+    const RecoveryReport r = run_recovery_study(inst, decisions, schedule);
+    EXPECT_EQ(r.served_slots, 10u);
+    EXPECT_EQ(r.outages, 0u);
+    EXPECT_EQ(r.local_failovers, 2u);   // replica 0 -> 1 at slot 2, back at 4
+    EXPECT_EQ(r.remote_failovers, 2u);  // site 0 -> 1 at slot 6, back at 8
+    EXPECT_EQ(r.instances_lost, 0u);    // outages keep their state
 }
 
 TEST(AvailabilityProcess, TrackValidatesPlacements) {
     const auto inst = small_instance({0.99}, 10.0, 5, {make_request(0, 0, 0.9, 0, 2, 5.0)});
-    AvailabilityProcess process(inst, 4.0, 2.0, common::Rng(3));
-    const core::Placement bad_cloudlet{RequestId{0}, {core::Site{CloudletId{9}, 1}}};
-    EXPECT_THROW(process.track(inst.requests[0], bad_cloudlet), std::invalid_argument);
-    const core::Placement bad_replicas{RequestId{0}, {core::Site{CloudletId{0}, 0}}};
-    EXPECT_THROW(process.track(inst.requests[0], bad_replicas), std::invalid_argument);
+    EXPECT_THROW(markov(inst, {admit(0, {core::Site{CloudletId{9}, 1}})}),
+                 std::invalid_argument);
+    EXPECT_THROW(markov(inst, {admit(0, {core::Site{CloudletId{0}, 0}})}),
+                 std::invalid_argument);
 }
 
 TEST(FailoverStudy, AccountingIsConsistent) {
@@ -95,11 +125,13 @@ TEST(FailoverStudy, AccountingIsConsistent) {
     const core::Instance inst = random_instance(rng, 80, 4, 15, 20, 40);
     core::OffsitePrimalDual scheduler(inst);
     const core::ScheduleResult result = core::run_online(inst, scheduler);
-    const FailoverReport report = run_failover_study(inst, result.decisions);
+    const RecoveryReport report = replay(inst, result.decisions);
     EXPECT_EQ(report.served_slots + report.disrupted_slots, report.request_slots);
     EXPECT_GT(report.request_slots, 0u);
     EXPECT_GE(report.availability(), 0.0);
     EXPECT_LE(report.availability(), 1.0);
+    EXPECT_EQ(report.instances_lost, 0u);
+    EXPECT_EQ(report.capacity_violations, 0u);
 }
 
 TEST(FailoverStudy, DeterministicBySeed) {
@@ -107,14 +139,20 @@ TEST(FailoverStudy, DeterministicBySeed) {
     const core::Instance inst = random_instance(rng, 60, 3, 12);
     core::OnsitePrimalDual scheduler(inst);
     const core::ScheduleResult result = core::run_online(inst, scheduler);
-    FailoverConfig cfg;
-    cfg.seed = 99;
-    const FailoverReport a = run_failover_study(inst, result.decisions, cfg);
-    const FailoverReport b = run_failover_study(inst, result.decisions, cfg);
-    EXPECT_EQ(a.served_slots, b.served_slots);
-    EXPECT_EQ(a.local_failovers, b.local_failovers);
-    EXPECT_EQ(a.remote_failovers, b.remote_failovers);
-    EXPECT_EQ(a.outages, b.outages);
+    const FaultSchedule a = markov(inst, result.decisions, {}, 99);
+    const FaultSchedule b = markov(inst, result.decisions, {}, 99);
+    ASSERT_EQ(a.events.size(), b.events.size());
+    for (std::size_t n = 0; n < a.events.size(); ++n) {
+        EXPECT_EQ(a.events[n].slot, b.events[n].slot);
+        EXPECT_EQ(a.events[n].kind, b.events[n].kind);
+        EXPECT_EQ(a.events[n].down_slots, b.events[n].down_slots);
+    }
+    const RecoveryReport ra = run_recovery_study(inst, result.decisions, a);
+    const RecoveryReport rb = run_recovery_study(inst, result.decisions, b);
+    EXPECT_EQ(ra.served_slots, rb.served_slots);
+    EXPECT_EQ(ra.local_failovers, rb.local_failovers);
+    EXPECT_EQ(ra.remote_failovers, rb.remote_failovers);
+    EXPECT_EQ(ra.outages, rb.outages);
 }
 
 TEST(FailoverStudy, OnsitePlacementsNeverFailOverRemotely) {
@@ -124,8 +162,9 @@ TEST(FailoverStudy, OnsitePlacementsNeverFailOverRemotely) {
     const core::Instance inst = random_instance(rng, 100, 4, 15, 20, 40);
     core::OnsitePrimalDual scheduler(inst);
     const core::ScheduleResult result = core::run_online(inst, scheduler);
-    const FailoverReport report = run_failover_study(inst, result.decisions);
+    const RecoveryReport report = replay(inst, result.decisions);
     EXPECT_EQ(report.remote_failovers, 0u);
+    EXPECT_GT(report.local_failovers, 0u);
 }
 
 TEST(FailoverStudy, OffsiteSurvivesCloudletOutagesBetter) {
@@ -138,10 +177,15 @@ TEST(FailoverStudy, OffsiteSurvivesCloudletOutagesBetter) {
     core::OffsitePrimalDual offsite(inst);
     const core::ScheduleResult on_result = core::run_online(inst, onsite);
     const core::ScheduleResult off_result = core::run_online(inst, offsite);
-    FailoverConfig cfg;
-    cfg.cloudlet_mttr_slots = 6.0;  // long cloudlet outages
-    const FailoverReport on_report = run_failover_study(inst, on_result.decisions, cfg);
-    const FailoverReport off_report = run_failover_study(inst, off_result.decisions, cfg);
+    // Long cloudlet outages make one replay noisy (a per-replay standard
+    // deviation of ~0.05 on-site), so pool 200 replays of each schedule.
+    RecoveryStudyConfig cfg;
+    cfg.injector = markov_injector({.cloudlet_mttr_slots = 6.0});
+    cfg.replications = 200;
+    const RecoveryReport on_report =
+        run_recovery_replications(inst, on_result.decisions, cfg).total;
+    const RecoveryReport off_report =
+        run_recovery_replications(inst, off_result.decisions, cfg).total;
     EXPECT_GT(off_report.availability(), on_report.availability() - 0.005);
     // And it does so by using remote failovers, which on-site cannot.
     EXPECT_GT(off_report.remote_failovers, 0u);
@@ -150,7 +194,7 @@ TEST(FailoverStudy, OffsiteSurvivesCloudletOutagesBetter) {
 TEST(FailoverStudy, SizeMismatchThrows) {
     common::Rng rng(409);
     const core::Instance inst = random_instance(rng, 10, 2, 8);
-    EXPECT_THROW(run_failover_study(inst, {}), std::invalid_argument);
+    EXPECT_THROW(markov(inst, {}), std::invalid_argument);
 }
 
 TEST(FailoverStudy, RejectsNonPositiveOrNonFiniteMttr) {
@@ -161,14 +205,10 @@ TEST(FailoverStudy, RejectsNonPositiveOrNonFiniteMttr) {
     for (const double bad :
          {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
           std::numeric_limits<double>::infinity()}) {
-        FailoverConfig cfg;
-        cfg.cloudlet_mttr_slots = bad;
-        EXPECT_THROW(run_failover_study(inst, result.decisions, cfg),
+        EXPECT_THROW(markov(inst, result.decisions, {.cloudlet_mttr_slots = bad}),
                      common::ContractViolation)
             << "cloudlet_mttr_slots=" << bad;
-        cfg = FailoverConfig{};
-        cfg.instance_mttr_slots = bad;
-        EXPECT_THROW(run_failover_study(inst, result.decisions, cfg),
+        EXPECT_THROW(markov(inst, result.decisions, {.instance_mttr_slots = bad}),
                      common::ContractViolation)
             << "instance_mttr_slots=" << bad;
     }
@@ -179,29 +219,11 @@ TEST(FailoverStudy, ReplicationsRejectZero) {
     const core::Instance inst = random_instance(rng, 10, 2, 8);
     core::OnsitePrimalDual scheduler(inst);
     const core::ScheduleResult result = core::run_online(inst, scheduler);
-    FailoverStudyConfig cfg;
+    RecoveryStudyConfig cfg;
+    cfg.injector = markov_injector({});
     cfg.replications = 0;
-    EXPECT_THROW(run_failover_replications(inst, result.decisions, cfg),
+    EXPECT_THROW(run_recovery_replications(inst, result.decisions, cfg),
                  common::ContractViolation);
-}
-
-TEST(FailoverStudy, ReplicationsRejectProcessSeedOverride) {
-    // FailoverConfig::seed is a single-run knob; the Monte-Carlo path seeds
-    // every replication from master_seed. Setting the wrong knob used to be
-    // silently ignored — now it is an error.
-    common::Rng rng(415);
-    const core::Instance inst = random_instance(rng, 10, 2, 8);
-    core::OnsitePrimalDual scheduler(inst);
-    const core::ScheduleResult result = core::run_online(inst, scheduler);
-    FailoverStudyConfig cfg;
-    cfg.process.seed = 99;
-    EXPECT_THROW(run_failover_replications(inst, result.decisions, cfg),
-                 std::invalid_argument);
-    // Seeding through the supported knob works.
-    cfg = FailoverStudyConfig{};
-    cfg.master_seed = 99;
-    cfg.replications = 2;
-    EXPECT_NO_THROW(run_failover_replications(inst, result.decisions, cfg));
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "helpers.hpp"
+#include "sim/recovery_engine.hpp"
+#include "sim/recovery_faults.hpp"
 #include "vnf/reliability.hpp"
 
 namespace vnfr::sim {
@@ -52,45 +54,39 @@ TEST(AnalyticAvailability, RejectsNonPositiveReplicas) {
     EXPECT_THROW(analytic_availability(inst, inst.requests[0], p), std::invalid_argument);
 }
 
-TEST(MonteCarlo, RejectsZeroTrials) {
-    const auto inst = small_instance({0.98}, 10.0, 5, {make_request(0, 0, 0.9, 0, 2, 5.0)});
-    const core::Placement p{RequestId{0}, {core::Site{CloudletId{0}, 1}}};
-    common::Rng rng(1);
-    EXPECT_THROW(monte_carlo_availability(inst, inst.requests[0], p, 0, rng),
-                 std::invalid_argument);
-}
-
 class MonteCarloConvergence : public ::testing::TestWithParam<int> {};
 
 TEST_P(MonteCarloConvergence, MatchesAnalyticWithinTolerance) {
+    // A Markov up/down replay under kNone delivers the Eq. 2 / Eq. 10
+    // availability: one request spanning the horizon, random placement
+    // shape per seed, replayed at two repair times.
     common::Rng rng(static_cast<std::uint64_t>(GetParam()) * 131 + 7);
-    // Random placement shape per seed.
-    const auto inst = small_instance({0.97, 0.95, 0.93}, 10.0, 5,
-                                     {make_request(0, 1, 0.9, 0, 2, 5.0)});
+    constexpr TimeSlot kHorizon = 200000;
+    const auto inst = small_instance({0.97, 0.95, 0.93}, 10.0, kHorizon,
+                                     {make_request(0, 1, 0.9, 0, kHorizon, 5.0)});
     core::Placement p{RequestId{0}, {}};
     const int sites = static_cast<int>(rng.uniform_int(1, 3));
     for (int s = 0; s < sites; ++s) {
         p.sites.push_back(core::Site{CloudletId{s}, static_cast<int>(rng.uniform_int(1, 3))});
     }
+    core::Decision admitted;
+    admitted.admitted = true;
+    admitted.placement = p;
+    const std::vector<core::Decision> decisions = {admitted};
     const double analytic = analytic_availability(inst, inst.requests[0], p);
-    const double empirical =
-        monte_carlo_availability(inst, inst.requests[0], p, 60000, rng);
-    // 60k trials: 99.9% CI half-width is about 3.3 * sqrt(p(1-p)/n) < 0.007.
-    EXPECT_NEAR(empirical, analytic, 0.01);
+    for (const double mttr : {1.0, 4.0}) {
+        const FaultSchedule schedule = generate_markov_schedule(
+            inst, decisions, {.cloudlet_mttr_slots = mttr, .instance_mttr_slots = mttr},
+            rng());
+        const double empirical = run_recovery_study(inst, decisions, schedule).availability();
+        // 200k correlated slots: the 99.9% band of the worst shape (one
+        // replica on one cloudlet) is about 0.0025 at MTTR 1 and 0.0068 at
+        // MTTR 4.
+        EXPECT_NEAR(empirical, analytic, 0.01) << "mttr=" << mttr;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MonteCarloConvergence, ::testing::Range(0, 6));
-
-TEST(SampleServed, DeterministicGivenSeed) {
-    const auto inst = small_instance({0.5}, 10.0, 5, {make_request(0, 0, 0.9, 0, 2, 5.0)});
-    const core::Placement p{RequestId{0}, {core::Site{CloudletId{0}, 1}}};
-    common::Rng a(99);
-    common::Rng b(99);
-    for (int i = 0; i < 100; ++i) {
-        EXPECT_EQ(sample_served(inst, inst.requests[0], p, a),
-                  sample_served(inst, inst.requests[0], p, b));
-    }
-}
 
 }  // namespace
 }  // namespace vnfr::sim

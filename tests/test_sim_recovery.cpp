@@ -94,24 +94,32 @@ TEST(FaultInjector, CountsMatchEvents) {
     const core::ScheduleResult result = core::run_online(inst, scheduler);
     FaultInjectorConfig cfg;
     cfg.rack_failure_per_slot = 0.05;
-    const FaultSchedule s = generate_fault_schedule(inst, result.decisions, cfg, 11);
-    std::size_t crashes = 0, instances = 0, blips = 0, racks = 0;
-    TimeSlot last_slot = 0;
-    for (const FaultEvent& e : s.events) {
-        EXPECT_GE(e.slot, last_slot);  // sorted by slot
-        last_slot = e.slot;
-        switch (e.kind) {
-            case FaultKind::kCloudletCrash: ++crashes; break;
-            case FaultKind::kInstanceCrash: ++instances; break;
-            case FaultKind::kTransientBlip: ++blips; break;
-            case FaultKind::kRackFailure: ++racks; break;
+    // Both generators: independent per-slot rates and the Markov model. The
+    // schedules they emit pass run_recovery_study's validation.
+    for (const FaultSchedule& s :
+         {generate_fault_schedule(inst, result.decisions, cfg, 11),
+          generate_markov_schedule(inst, result.decisions, MarkovFaultConfig{}, 11)}) {
+        std::size_t crashes = 0, instances = 0, blips = 0, racks = 0, outages = 0;
+        TimeSlot last_slot = 0;
+        for (const FaultEvent& e : s.events) {
+            EXPECT_GE(e.slot, last_slot);  // sorted by slot
+            last_slot = e.slot;
+            switch (e.kind) {
+                case FaultKind::kCloudletCrash: ++crashes; break;
+                case FaultKind::kInstanceCrash: ++instances; break;
+                case FaultKind::kTransientBlip: ++blips; break;
+                case FaultKind::kRackFailure: ++racks; break;
+                case FaultKind::kInstanceOutage: ++outages; break;
+            }
         }
+        EXPECT_EQ(s.cloudlet_crashes, crashes);
+        EXPECT_EQ(s.instance_crashes, instances);
+        EXPECT_EQ(s.transient_blips, blips);
+        EXPECT_EQ(s.rack_failures, racks);
+        EXPECT_EQ(s.instance_outages, outages);
+        EXPECT_GT(s.events.size(), 0u);
+        EXPECT_NO_THROW(run_recovery_study(inst, result.decisions, s));
     }
-    EXPECT_EQ(s.cloudlet_crashes, crashes);
-    EXPECT_EQ(s.instance_crashes, instances);
-    EXPECT_EQ(s.transient_blips, blips);
-    EXPECT_EQ(s.rack_failures, racks);
-    EXPECT_GT(s.events.size(), 0u);
 }
 
 TEST(FaultInjector, ValidatesConfig) {
@@ -264,6 +272,24 @@ TEST(RecoveryEngine, InstanceCrashTargetsTheAddressedReplica) {
     // An out-of-range site/replica address is a no-op, not a crash.
     schedule.events.push_back(instance_crash(6, 0, 7, 9));
     EXPECT_NO_THROW(run_recovery_study(inst, decisions, schedule, RecoveryConfig{}));
+}
+
+TEST(RecoveryEngine, ReplicaSwitchOnTheSameCloudletIsALocalFailover) {
+    // Two replicas on cloudlet 0; the serving replica 0 dies and replica 1
+    // takes over on the same cloudlet.
+    const auto inst =
+        small_instance({0.98, 0.97}, 10.0, 8, {make_request(0, 0, 0.95, 0, 8, 5.0)});
+    const std::vector<core::Decision> decisions = {
+        admit(0, {core::Site{CloudletId{0}, 2}})};
+    FaultSchedule schedule;
+    schedule.events = {instance_crash(3, 0, 0, 0)};
+    schedule.instance_crashes = 1;
+    const RecoveryReport r =
+        run_recovery_study(inst, decisions, schedule, RecoveryConfig{});
+    EXPECT_EQ(r.served_slots, 8u);
+    EXPECT_EQ(r.local_failovers, 1u);
+    EXPECT_EQ(r.remote_failovers, 0u);
+    EXPECT_EQ(r.outages, 0u);
 }
 
 TEST(RecoveryEngine, ShedsLowestPaymentRequestToRecoverHigherPayment) {

@@ -1,6 +1,9 @@
 // Edge cases of the recovery orchestrator: total outages, zero residual
-// capacity, and faults landing on a request's final slot.
+// capacity, faults landing on a request's final slot, and malformed fault
+// schedules.
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "helpers.hpp"
 #include "sim/recovery_engine.hpp"
@@ -160,6 +163,78 @@ TEST(RecoveryEdge, FaultsAfterTheWindowAreNoOps) {
     EXPECT_EQ(r.instances_lost, 0u);
     EXPECT_EQ(r.instance_crashes, 0u);  // landed outside the window: not applied
     EXPECT_EQ(r.sla_violations, 0u);
+}
+
+TEST(RecoveryEdge, MalformedSchedulesAreRejectedUpFront) {
+    // Every malformed event is rejected before the replay starts, by a
+    // std::invalid_argument naming the event index and the field; none of
+    // them is mistaken for an overcommitted (not replayable) schedule.
+    const auto inst = small_instance({0.98, 0.97}, 10.0, 8,
+                                     {make_request(0, 0, 0.9, 0, 8, 5.0)});
+    const std::vector<core::Decision> decisions = {
+        admit(0, {core::Site{CloudletId{0}, 1}})};
+    const auto event = [](TimeSlot slot, FaultKind kind) {
+        FaultEvent e;
+        e.slot = slot;
+        e.kind = kind;
+        e.cloudlet = CloudletId{0};
+        return e;
+    };
+    struct Case {
+        const char* name;
+        FaultEvent bad;
+        const char* field;
+    };
+    std::vector<Case> cases;
+    FaultEvent e = event(1, FaultKind::kTransientBlip);
+    cases.push_back({"slot before the previous event", e, "slot"});
+    e = event(-1, FaultKind::kCloudletCrash);
+    cases.push_back({"negative slot", e, "slot"});
+    e = event(8, FaultKind::kCloudletCrash);
+    cases.push_back({"slot at the horizon", e, "slot"});
+    e = event(3, FaultKind::kCloudletCrash);
+    e.cloudlet = CloudletId{};
+    cases.push_back({"invalid cloudlet id", e, "cloudlet"});
+    e = event(3, FaultKind::kTransientBlip);
+    e.cloudlet = CloudletId{2};
+    cases.push_back({"blip past the fleet", e, "cloudlet"});
+    e = event(3, FaultKind::kRackFailure);
+    e.cloudlet = CloudletId{5};
+    cases.push_back({"rack past the fleet", e, "cloudlet"});
+    e = event(3, FaultKind::kInstanceCrash);
+    e.request_index = 1;
+    cases.push_back({"crash of an unknown request", e, "request_index"});
+    e = event(3, FaultKind::kInstanceOutage);
+    e.request_index = 9;
+    cases.push_back({"outage of an unknown request", e, "request_index"});
+    e = event(3, FaultKind::kTransientBlip);
+    e.down_slots = 0;
+    cases.push_back({"zero-length blip", e, "down_slots"});
+    e = event(3, FaultKind::kRackFailure);
+    e.span = 0;
+    cases.push_back({"empty rack", e, "span"});
+
+    for (const Case& c : cases) {
+        // A valid event first, so the bad one sits at index 1.
+        FaultSchedule schedule;
+        schedule.events = {event(2, FaultKind::kTransientBlip), c.bad};
+        try {
+            run_recovery_study(inst, decisions, schedule, RecoveryConfig{});
+            ADD_FAILURE() << c.name << ": accepted";
+        } catch (const ScheduleNotReplayable&) {
+            ADD_FAILURE() << c.name << ": reported as not replayable";
+        } catch (const std::invalid_argument& err) {
+            const std::string what = err.what();
+            EXPECT_NE(what.find("event 1 "), std::string::npos) << c.name << ": " << what;
+            EXPECT_NE(what.find(c.field), std::string::npos) << c.name << ": " << what;
+        }
+    }
+
+    // The overcommitted schedule is the one typed as not replayable.
+    const auto tight =
+        small_instance({0.99}, 1.0, 5, {make_request(0, 1, 0.8, 0, 2, 1.0)});
+    EXPECT_THROW(run_recovery_study(tight, decisions, FaultSchedule{}, RecoveryConfig{}),
+                 ScheduleNotReplayable);
 }
 
 }  // namespace

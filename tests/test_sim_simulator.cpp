@@ -7,6 +7,9 @@
 #include "helpers.hpp"
 #include "net/generators.hpp"
 #include "sim/metrics.hpp"
+#include "sim/recovery_engine.hpp"
+#include "sim/recovery_faults.hpp"
+#include "sim/recovery_study.hpp"
 
 namespace vnfr::sim {
 namespace {
@@ -79,42 +82,53 @@ TEST(Simulator, UtilizationWithinUnitForEnforcingSchedulers) {
 }
 
 TEST(Simulator, FailureInjectionDisabledByDefault) {
+    // Without injected faults the replay serves every active request-slot.
     common::Rng rng(19);
     const core::Instance inst = random_instance(rng, 30, 3, 10);
     core::OnsitePrimalDual scheduler(inst);
     const SimulationReport report = simulate(inst, scheduler);
-    EXPECT_EQ(report.served_request_slots, 0u);
-    EXPECT_EQ(report.disrupted_request_slots, 0u);
-    EXPECT_DOUBLE_EQ(report.empirical_availability(), 0.0);
+    const RecoveryReport replay =
+        run_recovery_study(inst, report.schedule.decisions, FaultSchedule{});
+    EXPECT_GT(replay.request_slots, 0u);
+    EXPECT_EQ(replay.served_slots, replay.request_slots);
+    EXPECT_EQ(replay.disrupted_slots, 0u);
+    EXPECT_DOUBLE_EQ(replay.availability(), 1.0);
 }
 
 TEST(Simulator, FailureInjectionDeliversRequiredAvailability) {
     common::Rng rng(23);
     const core::Instance inst = random_instance(rng, 120, 4, 20, 30, 50);
     core::OnsitePrimalDual scheduler(inst);
-    SimulatorConfig cfg;
-    cfg.inject_failures = true;
-    cfg.failure_seed = 777;
-    const SimulationReport report = simulate(inst, scheduler, cfg);
-    const std::size_t samples = report.served_request_slots + report.disrupted_request_slots;
-    ASSERT_GT(samples, 100u);
+    const SimulationReport report = simulate(inst, scheduler);
+    RecoveryStudyConfig cfg;
+    cfg.injector = markov_injector({});
+    cfg.replications = 20;
+    cfg.master_seed = 777;
+    const RecoveryReport replay =
+        run_recovery_replications(inst, report.schedule.decisions, cfg).total;
+    ASSERT_GT(replay.request_slots, 100u);
     // Every admitted placement has availability >= its requirement >= 0.90,
-    // so the pooled empirical availability must clear 0.90 minus noise.
-    EXPECT_GE(report.empirical_availability(), 0.88);
+    // so the empirical availability pooled over 20 Markov replays (one
+    // replay alone has a standard deviation of ~0.05) must clear 0.90
+    // minus noise.
+    EXPECT_GE(replay.availability(), 0.88);
 }
 
 TEST(Simulator, FailureInjectionDeterministicBySeed) {
     common::Rng rng(29);
     const core::Instance inst = random_instance(rng, 60, 3, 12);
-    SimulatorConfig cfg;
-    cfg.inject_failures = true;
-    cfg.failure_seed = 555;
     core::OnsitePrimalDual s1(inst);
     core::OnsitePrimalDual s2(inst);
-    const SimulationReport r1 = simulate(inst, s1, cfg);
-    const SimulationReport r2 = simulate(inst, s2, cfg);
-    EXPECT_EQ(r1.served_request_slots, r2.served_request_slots);
-    EXPECT_EQ(r1.disrupted_request_slots, r2.disrupted_request_slots);
+    const SimulationReport r1 = simulate(inst, s1);
+    const SimulationReport r2 = simulate(inst, s2);
+    const RecoveryReport a = run_recovery_study(
+        inst, r1.schedule.decisions,
+        generate_markov_schedule(inst, r1.schedule.decisions, {}, 555));
+    const RecoveryReport b = run_recovery_study(
+        inst, r2.schedule.decisions,
+        generate_markov_schedule(inst, r2.schedule.decisions, {}, 555));
+    EXPECT_EQ(a.served_slots, b.served_slots);
+    EXPECT_EQ(a.disrupted_slots, b.disrupted_slots);
 }
 
 TEST(Metrics, PlacementStatsBasics) {

@@ -94,7 +94,9 @@ Execution:
   --seed S                  base seed                            [42]
   --seeds K                 independent repetitions              [1]
   --offline-bound           also compute the offline LP bound (both schemes)
-  --inject-failures         per-slot failure injection, report availability
+  --inject-failures         replay each schedule under Markov up/down
+                            cloudlet and replica failures (no recovery) and
+                            report the empirical availability
   --recovery POLICY         replay each schedule through the fault-injection
                             runtime: none | local-respawn | remote-migrate |
                             readmit; reports delivered availability, time to
@@ -258,6 +260,7 @@ struct AlgorithmAggregate {
     common::RunningStats acceptance;
     common::RunningStats availability;
     common::RunningStats empirical;
+    bool empirical_unavailable{false};  ///< schedule not replayable (pure Alg. 1)
     common::RunningStats access_hops;
     // --recovery: the schedule replayed through the fault-injection runtime.
     common::RunningStats recovery_delivered;
@@ -266,6 +269,19 @@ struct AlgorithmAggregate {
     common::RunningStats recovery_sla_rate;
     bool recovery_unavailable{false};  ///< schedule not replayable (pure Alg. 1)
 };
+
+/// Replays `decisions` through the fault-injection runtime; std::nullopt when
+/// the schedule overbooks capacity (pure Algorithm 1) and so cannot be
+/// replayed into the enforcing ledger.
+std::optional<sim::RecoveryStudyOutcome> replay(const core::Instance& instance,
+                                                const std::vector<core::Decision>& decisions,
+                                                const sim::RecoveryStudyConfig& config) {
+    try {
+        return sim::run_recovery_replications(instance, decisions, config);
+    } catch (const sim::ScheduleNotReplayable&) {
+        return std::nullopt;
+    }
+}
 
 /// --serve: one pass of the workload through the durable admission
 /// controller. Restarts (including after a kill) recover from the
@@ -382,10 +398,7 @@ int run(const Options& opt) {
 
         for (std::size_t ai = 0; ai < algorithms.size(); ++ai) {
             const auto scheduler = sim::make_scheduler(algorithms[ai], instance);
-            sim::SimulatorConfig sim_cfg;
-            sim_cfg.inject_failures = opt.inject_failures;
-            sim_cfg.failure_seed = opt.seed + k;
-            const sim::SimulationReport report = sim::simulate(instance, *scheduler, sim_cfg);
+            const sim::SimulationReport report = sim::simulate(instance, *scheduler);
             const sim::PlacementStats stats =
                 sim::placement_stats(instance, report.schedule.decisions);
             AlgorithmAggregate& agg = aggregates[ai];
@@ -393,27 +406,34 @@ int run(const Options& opt) {
             agg.acceptance.add(static_cast<double>(report.schedule.admitted) /
                                static_cast<double>(instance.requests.size()));
             agg.availability.add(stats.mean_availability);
-            if (opt.inject_failures) agg.empirical.add(report.empirical_availability());
             agg.access_hops.add(stats.mean_access_hops);
+            if (opt.inject_failures) {
+                sim::RecoveryStudyConfig markov_cfg;
+                markov_cfg.injector = sim::markov_injector({});
+                markov_cfg.replications = opt.fault_replications;
+                markov_cfg.master_seed = common::stream_seed(opt.seed, 2000 + k);
+                if (const auto outcome = replay(instance, report.schedule.decisions, markov_cfg))
+                    agg.empirical.add(outcome->total.availability());
+                else
+                    agg.empirical_unavailable = true;
+            }
             if (opt.recovery) {
                 sim::RecoveryStudyConfig recovery_cfg;
                 recovery_cfg.recovery.policy = *opt.recovery;
                 recovery_cfg.replications = opt.fault_replications;
                 recovery_cfg.master_seed = common::stream_seed(opt.seed, 1000 + k);
-                try {
-                    const sim::RecoveryStudyOutcome outcome = sim::run_recovery_replications(
-                        instance, report.schedule.decisions, recovery_cfg);
-                    agg.recovery_delivered.add(outcome.total.availability());
-                    agg.recovery_ttr.add(outcome.total.mean_time_to_recover());
-                    agg.recovery_shed.add(outcome.total.shed_revenue);
+                if (const auto outcome =
+                        replay(instance, report.schedule.decisions, recovery_cfg)) {
+                    const sim::RecoveryReport& total = outcome->total;
+                    agg.recovery_delivered.add(total.availability());
+                    agg.recovery_ttr.add(total.mean_time_to_recover());
+                    agg.recovery_shed.add(total.shed_revenue);
                     agg.recovery_sla_rate.add(
-                        outcome.total.sla_requests == 0
+                        total.sla_requests == 0
                             ? 0.0
-                            : static_cast<double>(outcome.total.sla_violations) /
-                                  static_cast<double>(outcome.total.sla_requests));
-                } catch (const std::invalid_argument&) {
-                    // Pure Algorithm 1 schedules can overbook capacity and
-                    // are not replayable through the enforcing ledger.
+                            : static_cast<double>(total.sla_violations) /
+                                  static_cast<double>(total.sla_requests));
+                } else {
                     agg.recovery_unavailable = true;
                 }
             }
@@ -448,7 +468,7 @@ int run(const Options& opt) {
                 std::to_string(agg.revenue.ci95_halfwidth()),
                 std::to_string(agg.acceptance.mean()),
                 std::to_string(agg.availability.mean()),
-                std::to_string(agg.empirical.mean()),
+                agg.empirical_unavailable ? "" : std::to_string(agg.empirical.mean()),
                 std::to_string(agg.access_hops.mean())};
             if (opt.recovery) {
                 if (agg.recovery_unavailable) {
@@ -491,8 +511,9 @@ int run(const Options& opt) {
                                               agg.revenue.ci95_halfwidth()),
                        report::format_double(agg.acceptance.mean(), 3),
                        report::format_double(agg.availability.mean(), 4),
-                       opt.inject_failures ? report::format_double(agg.empirical.mean(), 4)
-                                           : "-",
+                       !opt.inject_failures       ? "-"
+                       : agg.empirical_unavailable ? "not replayable"
+                                                   : report::format_double(agg.empirical.mean(), 4),
                        report::format_double(agg.access_hops.mean(), 2)});
     }
     if (opt.offline_bound) {
