@@ -42,18 +42,14 @@ OfflineModel build_onsite_model(const Instance& instance) {
     const std::size_t n = instance.requests.size();
     const std::size_t m = instance.network.cloudlet_count();
 
-    model.x_vars.reserve(n);
     model.y_vars.assign(n, std::vector<std::optional<std::size_t>>(m));
 
     // Replica counts N_ij; Y_ij exists only where the cloudlet can satisfy
-    // the requirement at all.
+    // the requirement at all. X_i = sum_j Y_ij is substituted out, so Y_ij
+    // earns the payment p_i.
     std::vector<std::vector<int>> replicas(n, std::vector<int>(m, 0));
     for (std::size_t i = 0; i < n; ++i) {
         const workload::Request& r = instance.requests[i];
-        const std::size_t x =
-            model.lp.add_variable(r.payment, 1.0, "x" + std::to_string(i));
-        model.x_vars.push_back(x);
-        model.binaries.push_back(x);
         for (std::size_t j = 0; j < m; ++j) {
             const auto count = vnf::min_onsite_replicas(
                 instance.network.cloudlet(CloudletId{static_cast<std::int64_t>(j)})
@@ -64,7 +60,7 @@ OfflineModel build_onsite_model(const Instance& instance) {
                        " on cloudlet ", j);
             replicas[i][j] = *count;
             const std::size_t y = model.lp.add_variable(
-                0.0, 1.0, "y" + std::to_string(i) + "_" + std::to_string(j));
+                r.payment, 1.0, "y" + std::to_string(i) + "_" + std::to_string(j));
             model.y_vars[i][j] = y;
             model.binaries.push_back(y);
         }
@@ -75,14 +71,15 @@ OfflineModel build_onsite_model(const Instance& instance) {
         return replicas[i][j] * instance.catalog.compute_units(instance.requests[i].vnf);
     });
 
-    // Assignment (5): sum_j Y_ij = X_i.
+    // Assignment (5) with X_i substituted: sum_j Y_ij <= 1. A request with
+    // no feasible cloudlet has no Y column and so no row.
     for (std::size_t i = 0; i < n; ++i) {
         std::vector<std::pair<std::size_t, double>> terms;
         for (std::size_t j = 0; j < m; ++j) {
             if (model.y_vars[i][j]) terms.emplace_back(*model.y_vars[i][j], 1.0);
         }
-        terms.emplace_back(model.x_vars[i], -1.0);
-        model.lp.add_row(std::move(terms), opt::Relation::kEq, 0.0);
+        if (terms.empty()) continue;
+        model.lp.add_row(std::move(terms), opt::Relation::kLe, 1.0);
     }
     return model;
 }

@@ -2,7 +2,11 @@
 //
 // Builds the paper's ILP formulations and solves them with the in-repo
 // simplex + branch-and-bound:
-//   * on-site: Eqs. (4)-(8)   — objective (6), capacity (4), assignment (5)
+//   * on-site: Eqs. (4)-(8)   — objective (6), capacity (4), assignment (5),
+//     with X_i = sum_j Y_ij substituted: each Y_ij earns p_i and (5) becomes
+//     the packing row sum_j Y_ij <= 1. With binary Y that row keeps
+//     sum_j Y_ij in {0, 1}, so the ILP is unchanged; the LP has only <=
+//     rows with rhs >= 0 and starts from the feasible slack basis.
 //   * off-site: Eqs. (48)-(53) — the log-linearized reformulation of the
 //     INP, with the per-request lower bound L_i = sum_j ln(1 - r_f r_cj)
 //     (tighter than, and equivalent to, the paper's global constant L).
@@ -30,12 +34,14 @@ enum class Scheme { kOnsite, kOffsite };
 /// interpret a solution vector.
 struct OfflineModel {
     opt::LinearProgram lp;
-    /// x_vars[i] is the column of X_i.
+    /// x_vars[i] is the column of X_i (off-site only: the on-site model
+    /// substitutes X_i = sum_j Y_ij and leaves this empty).
     std::vector<std::size_t> x_vars;
     /// y_vars[i][j] is the column of Y_ij, or nullopt when placing request
     /// i on cloudlet j is a priori infeasible (on-site: r(c_j) <= R_i).
     std::vector<std::vector<std::optional<std::size_t>>> y_vars;
-    /// All X and Y columns, i.e. the ILP's binary variables.
+    /// The ILP's binary variables: all X and Y columns off-site, the Y
+    /// columns on-site.
     std::vector<std::size_t> binaries;
 };
 

@@ -8,8 +8,21 @@
 
 namespace vnfr::opt {
 
+bool empty_row_holds(Relation relation, double rhs) {
+    constexpr double kTol = 1e-9;
+    switch (relation) {
+        case Relation::kLe: return rhs >= -kTol;
+        case Relation::kGe: return rhs <= kTol;
+        case Relation::kEq: return std::fabs(rhs) <= kTol;
+    }
+    return false;
+}
+
 std::size_t LinearProgram::add_variable(double objective, double upper, std::string name) {
-    if (upper < 0.0) throw std::invalid_argument("LinearProgram: negative upper bound");
+    if (std::isnan(upper) || upper < 0.0)
+        throw std::invalid_argument("LinearProgram: negative or NaN upper bound");
+    if (!std::isfinite(objective))
+        throw std::invalid_argument("LinearProgram: non-finite objective coefficient");
     objective_.push_back(objective);
     lower_.push_back(0.0);
     upper_.push_back(upper);
@@ -49,8 +62,8 @@ const Row& LinearProgram::row(std::size_t k) const { return rows_.at(k); }
 
 void LinearProgram::set_bounds(std::size_t var, double lower, double upper) {
     if (var >= variable_count()) throw std::invalid_argument("LinearProgram: unknown variable");
-    if (lower < 0.0 || upper < lower)
-        throw std::invalid_argument("LinearProgram: require 0 <= lower <= upper");
+    if (!std::isfinite(lower) || std::isnan(upper) || lower < 0.0 || upper < lower)
+        throw std::invalid_argument("LinearProgram: require 0 <= lower <= upper, lower finite");
     lower_[var] = lower;
     upper_[var] = upper;
 }

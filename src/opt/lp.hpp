@@ -8,7 +8,8 @@
 // The paper's offline benchmark solves its ILPs with CPLEX; this module is
 // that substitute. Variable bounds are first-class (X_i <= 1 everywhere in
 // the paper's relaxations, and branch-and-bound fixes binaries by moving
-// bounds) — the solver lowers them to rows/shifts internally.
+// bounds) — the solver shifts lower bounds out and keeps upper bounds as
+// column bounds.
 #pragma once
 
 #include <cstddef>
@@ -30,10 +31,14 @@ struct Row {
     double rhs{0};
 };
 
+/// Whether a row with no terms, 0 (relation) rhs, holds to within 1e-9.
+[[nodiscard]] bool empty_row_holds(Relation relation, double rhs);
+
 class LinearProgram {
   public:
     /// Adds a variable with objective coefficient `objective` and bounds
-    /// [0, upper]; returns its index. Throws on negative upper bound.
+    /// [0, upper]; returns its index. Throws on a negative or NaN upper
+    /// bound and on a non-finite objective.
     std::size_t add_variable(double objective, double upper = kInfinity,
                              std::string name = {});
 
@@ -51,8 +56,9 @@ class LinearProgram {
     [[nodiscard]] const std::string& variable_name(std::size_t var) const;
     [[nodiscard]] const Row& row(std::size_t k) const;
 
-    /// Set bounds; requires 0 <= lower <= upper. Branch-and-bound fixes a
-    /// binary to v by set_bounds(var, v, v).
+    /// Set bounds; requires 0 <= lower <= upper with lower finite (upper may
+    /// be kInfinity). Branch-and-bound fixes a binary to v by
+    /// set_bounds(var, v, v).
     void set_bounds(std::size_t var, double lower, double upper);
 
     /// Evaluates c^T x.

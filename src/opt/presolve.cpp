@@ -1,6 +1,5 @@
 #include "opt/presolve.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "common/contracts.hpp"
@@ -112,10 +111,7 @@ PresolveResult presolve(const LinearProgram& lp) {
             }
             if (live == 0) {
                 // Empty row: trivially satisfied or infeasible.
-                const bool ok = (row.relation == Relation::kLe && row.rhs >= -kTol) ||
-                                (row.relation == Relation::kGe && row.rhs <= kTol) ||
-                                (row.relation == Relation::kEq && std::fabs(row.rhs) <= kTol);
-                if (!ok) {
+                if (!empty_row_holds(row.relation, row.rhs)) {
                     result.infeasible = true;
                     return result;
                 }

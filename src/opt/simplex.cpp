@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace vnfr::opt {
 
@@ -16,7 +17,11 @@ namespace {
 struct StandardForm {
     std::size_t rows{0};
     std::size_t structural_count{0};
-    std::vector<std::vector<std::pair<std::size_t, double>>> columns;  ///< CSC
+    /// M in compressed sparse columns: column j's entries are
+    /// [col_start[j], col_start[j + 1]) of row_index / value.
+    std::vector<std::size_t> col_start{0};
+    std::vector<std::size_t> row_index;
+    std::vector<double> value;
     std::vector<double> cost;       ///< phase-2 cost (min sense)
     std::vector<double> ub;         ///< per column; kInfinity when free above
     std::vector<char> artificial;   ///< per column
@@ -24,6 +29,25 @@ struct StandardForm {
     std::vector<double> row_sign;   ///< +1/-1 applied during normalization
     std::size_t original_rows{0};
     std::vector<double> lower;      ///< per user variable (the shift)
+
+    [[nodiscard]] std::size_t column_count() const { return col_start.size() - 1; }
+
+    /// Appends a one-entry column (slack, surplus or artificial) at `row`.
+    void add_unit_column(std::size_t row, double coeff, bool is_artificial) {
+        row_index.push_back(row);
+        value.push_back(coeff);
+        col_start.push_back(row_index.size());
+        cost.push_back(0.0);
+        ub.push_back(kInfinity);
+        artificial.push_back(is_artificial ? 1 : 0);
+    }
+
+    /// Whether column j is a +1 unit column, which equals an identity
+    /// column of the basis matrix and so needs no eta.
+    [[nodiscard]] bool is_unit_column(std::size_t j) const {
+        return col_start[j + 1] - col_start[j] == 1 &&
+               value[col_start[j]] == 1.0;  // vnfr-lint: allow(float-eq) slack and artificial columns carry a literal 1.0 coefficient
+    }
 };
 
 StandardForm build_standard_form(const LinearProgram& lp) {
@@ -40,11 +64,7 @@ StandardForm build_standard_form(const LinearProgram& lp) {
             throw std::invalid_argument("simplex: upper < lower");
     }
 
-    struct WorkRow {
-        Relation relation;
-        double rhs;
-    };
-    std::vector<WorkRow> work(sf.rows);
+    std::vector<Relation> relation(sf.rows);
     sf.b.resize(sf.rows);
     sf.row_sign.assign(sf.rows, 1.0);
 
@@ -53,20 +73,32 @@ StandardForm build_standard_form(const LinearProgram& lp) {
         double rhs = r.rhs;
         for (const auto& [var, coeff] : r.terms) rhs -= coeff * sf.lower[var];
         Relation rel = r.relation;
-        double sign = 1.0;
         if (rhs < 0.0) {
-            sign = -1.0;
+            sf.row_sign[k] = -1.0;
             rhs = -rhs;
             if (rel == Relation::kLe) rel = Relation::kGe;
             else if (rel == Relation::kGe) rel = Relation::kLe;
         }
-        work[k] = WorkRow{rel, rhs};
-        sf.row_sign[k] = sign;
+        relation[k] = rel;
         sf.b[k] = rhs;
     }
 
     // Structural columns (phase-2 cost = -c to minimize), shifted bounds.
-    sf.columns.assign(n, {});
+    // Rows are visited in order, so each column's row indices ascend.
+    sf.col_start.assign(n + 1, 0);
+    for (std::size_t k = 0; k < sf.rows; ++k) {
+        for (const auto& term : lp.row(k).terms) ++sf.col_start[term.first + 1];
+    }
+    for (std::size_t j = 0; j < n; ++j) sf.col_start[j + 1] += sf.col_start[j];
+    sf.row_index.resize(sf.col_start[n]);
+    sf.value.resize(sf.col_start[n]);
+    std::vector<std::size_t> fill(sf.col_start.begin(), sf.col_start.end() - 1);
+    for (std::size_t k = 0; k < sf.rows; ++k) {
+        for (const auto& [var, coeff] : lp.row(k).terms) {
+            sf.row_index[fill[var]] = k;
+            sf.value[fill[var]++] = sf.row_sign[k] * coeff;
+        }
+    }
     sf.cost.assign(n, 0.0);
     sf.ub.assign(n, kInfinity);
     sf.artificial.assign(n, 0);
@@ -75,33 +107,22 @@ StandardForm build_standard_form(const LinearProgram& lp) {
         const double u = lp.upper_bound(j);
         sf.ub[j] = u == kInfinity ? kInfinity : u - sf.lower[j];
     }
-    for (std::size_t k = 0; k < lp.row_count(); ++k) {
-        for (const auto& [var, coeff] : lp.row(k).terms) {
-            sf.columns[var].push_back({k, sf.row_sign[k] * coeff});
-        }
-    }
 
     // Slack (<=) and surplus (>=) columns; artificials are appended when
     // the initial basis is installed.
     for (std::size_t k = 0; k < sf.rows; ++k) {
-        const Relation rel = work[k].relation;
-        if (rel == Relation::kLe) {
-            sf.columns.push_back({{k, 1.0}});
-            sf.cost.push_back(0.0);
-            sf.ub.push_back(kInfinity);
-            sf.artificial.push_back(0);
-        } else if (rel == Relation::kGe) {
-            sf.columns.push_back({{k, -1.0}});
-            sf.cost.push_back(0.0);
-            sf.ub.push_back(kInfinity);
-            sf.artificial.push_back(0);
-        }
+        if (relation[k] == Relation::kLe) sf.add_unit_column(k, 1.0, false);
+        else if (relation[k] == Relation::kGe) sf.add_unit_column(k, -1.0, false);
     }
     return sf;
 }
 
 enum class VarStatus : char { kBasic, kAtLower, kAtUpper };
 
+/// Bounded-variable revised simplex over a product-form inverse: B^-1 is
+/// kept as a file of eta matrices E_k ... E_1, each the elementary matrix
+/// of one pivot, so FTRAN, BTRAN and a basis change cost the etas'
+/// nonzeros rather than m^2.
 class RevisedSimplex {
   public:
     RevisedSimplex(StandardForm sf, const SimplexOptions& opt)
@@ -113,15 +134,25 @@ class RevisedSimplex {
     enum class StepResult { kOptimal, kUnbounded, kMoved };
 
     void install_initial_basis();
-    void refactorize();
-    void compute_duals(const std::vector<double>& cost, std::vector<double>& y) const;
-    StepResult step(const std::vector<double>& cost, bool blands);
+    void reinvert();
+    /// Pivots on `cost` until optimal, unbounded or the iteration cap.
+    SolveStatus iterate(const std::vector<double>& cost);
+    /// One pricing + ratio test + move; `improvement` receives the
+    /// objective decrease of a move.
+    StepResult step(const std::vector<double>& cost, bool blands, double& improvement);
     void drive_out_artificials();
-    [[nodiscard]] double reduced_cost(std::size_t j, const std::vector<double>& cost,
-                                      const std::vector<double>& y) const;
-    void ftran(std::size_t j, std::vector<double>& w) const;
-    void pivot(std::size_t entering, std::size_t leaving_row, double entering_value,
-               VarStatus leaving_status, const std::vector<double>& w);
+
+    /// v := B^-1 v, applying the etas oldest first.
+    void ftran(std::vector<double>& v) const;
+    /// v^T := v^T B^-1, applying the etas newest first.
+    void btran(std::vector<double>& v) const;
+    /// w := B^-1 a_j.
+    void load_column(std::size_t j, std::vector<double>& w) const;
+    /// Appends the eta of a pivot on row r of the FTRANed column w.
+    void add_eta(std::size_t r, const std::vector<double>& w);
+    /// y^T := c_B^T B^-1, from scratch.
+    void compute_duals(const std::vector<double>& cost);
+    [[nodiscard]] double reduced_cost(std::size_t j, const std::vector<double>& cost) const;
     [[nodiscard]] double objective_of(const std::vector<double>& cost) const;
     [[nodiscard]] double nonbasic_value(std::size_t j) const {
         return status_[j] == VarStatus::kAtUpper ? sf_.ub[j] : 0.0;
@@ -133,226 +164,225 @@ class RevisedSimplex {
 
     std::vector<std::size_t> basis_;  ///< column per row
     std::vector<VarStatus> status_;   ///< per column
-    std::vector<double> binv_;        ///< dense row-major m x m
     std::vector<double> xb_;          ///< basic variable values
+    std::vector<double> y_;           ///< duals of the current phase's cost
     std::vector<char> allowed_;       ///< columns allowed to enter
+    // Eta file: eta k pivots on eta_row_[k] with element eta_pivot_[k];
+    // its other nonzeros are [eta_start_[k], eta_start_[k + 1]).
+    std::vector<std::size_t> eta_row_;
+    std::vector<double> eta_pivot_;
+    std::vector<std::size_t> eta_start_{0};
+    std::vector<std::size_t> eta_index_;
+    std::vector<double> eta_value_;
     std::size_t iterations_{0};
     std::size_t pivots_since_refactor_{0};
     // Scratch buffers reused across iterations.
-    std::vector<double> y_scratch_;
     std::vector<double> w_scratch_;
+    std::vector<double> rho_scratch_;
 };
+
+void RevisedSimplex::ftran(std::vector<double>& v) const {
+    for (std::size_t k = 0; k < eta_row_.size(); ++k) {
+        const std::size_t r = eta_row_[k];
+        if (v[r] == 0.0) continue;  // vnfr-lint: allow(float-eq) exact-zero skip only avoids a no-op eta
+        const double t = v[r] / eta_pivot_[k];
+        v[r] = t;
+        for (std::size_t p = eta_start_[k]; p < eta_start_[k + 1]; ++p) {
+            v[eta_index_[p]] -= eta_value_[p] * t;
+        }
+    }
+}
+
+void RevisedSimplex::btran(std::vector<double>& v) const {
+    for (std::size_t k = eta_row_.size(); k-- > 0;) {
+        double s = v[eta_row_[k]];
+        for (std::size_t p = eta_start_[k]; p < eta_start_[k + 1]; ++p) {
+            s -= eta_value_[p] * v[eta_index_[p]];
+        }
+        v[eta_row_[k]] = s / eta_pivot_[k];
+    }
+}
+
+void RevisedSimplex::load_column(std::size_t j, std::vector<double>& w) const {
+    w.assign(m_, 0.0);
+    for (std::size_t p = sf_.col_start[j]; p < sf_.col_start[j + 1]; ++p) {
+        w[sf_.row_index[p]] = sf_.value[p];
+    }
+    ftran(w);
+}
+
+void RevisedSimplex::add_eta(std::size_t r, const std::vector<double>& w) {
+    eta_row_.push_back(r);
+    eta_pivot_.push_back(w[r]);
+    for (std::size_t i = 0; i < m_; ++i) {
+        if (i == r || w[i] == 0.0) continue;  // vnfr-lint: allow(float-eq) stores exact nonzeros only
+        eta_index_.push_back(i);
+        eta_value_.push_back(w[i]);
+    }
+    eta_start_.push_back(eta_index_.size());
+}
 
 void RevisedSimplex::install_initial_basis() {
     basis_.assign(m_, 0);
     std::vector<char> has_basic(m_, 0);
 
     // Slacks (+1 columns) form the natural starting basis where available.
-    for (std::size_t j = sf_.structural_count; j < sf_.columns.size(); ++j) {
-        const auto& col = sf_.columns[j];
-        if (col.size() == 1 && col[0].second == 1.0 &&  // vnfr-lint: allow(float-eq) slack columns carry a literal 1.0 coefficient
-            !has_basic[col[0].first]) {
-            basis_[col[0].first] = j;
-            has_basic[col[0].first] = 1;
+    for (std::size_t j = sf_.structural_count; j < sf_.column_count(); ++j) {
+        const std::size_t row = sf_.row_index[sf_.col_start[j]];
+        if (sf_.is_unit_column(j) && !has_basic[row]) {
+            basis_[row] = j;
+            has_basic[row] = 1;
         }
     }
     // Artificials cover >= and = rows.
     for (std::size_t k = 0; k < m_; ++k) {
         if (has_basic[k]) continue;
-        sf_.columns.push_back({{k, 1.0}});
-        sf_.cost.push_back(0.0);
-        sf_.ub.push_back(kInfinity);
-        sf_.artificial.push_back(1);
-        basis_[k] = sf_.columns.size() - 1;
+        sf_.add_unit_column(k, 1.0, true);
+        basis_[k] = sf_.column_count() - 1;
     }
 
-    status_.assign(sf_.columns.size(), VarStatus::kAtLower);
+    status_.assign(sf_.column_count(), VarStatus::kAtLower);
     for (const std::size_t j : basis_) status_[j] = VarStatus::kBasic;
-
-    binv_.assign(m_ * m_, 0.0);
-    for (std::size_t i = 0; i < m_; ++i) binv_[i * m_ + i] = 1.0;
+    // The basis is the identity: an empty eta file.
     xb_ = sf_.b;  // all structural nonbasics start at lower (0)
 }
 
-void RevisedSimplex::refactorize() {
-    // Invert the basis matrix with Gauss-Jordan and partial pivoting.
-    std::vector<double> mat(m_ * m_, 0.0);
-    for (std::size_t col = 0; col < m_; ++col) {
-        for (const auto& [row, val] : sf_.columns[basis_[col]]) {
-            mat[row * m_ + col] = val;
-        }
-    }
-    std::vector<double> inv(m_ * m_, 0.0);
-    for (std::size_t i = 0; i < m_; ++i) inv[i * m_ + i] = 1.0;
+void RevisedSimplex::reinvert() {
+    eta_row_.clear();
+    eta_pivot_.clear();
+    eta_start_.assign(1, 0);
+    eta_index_.clear();
+    eta_value_.clear();
 
-    for (std::size_t col = 0; col < m_; ++col) {
-        std::size_t pivot_row = col;
-        double best = std::fabs(mat[col * m_ + col]);
-        for (std::size_t r = col + 1; r < m_; ++r) {
-            const double v = std::fabs(mat[r * m_ + col]);
-            if (v > best) {
-                best = v;
-                pivot_row = r;
+    // Unit columns claim their rows for free; the rest pivot in, sparsest
+    // first, each on its largest entry among the rows still unclaimed.
+    std::vector<std::size_t> next_basis(m_, 0);
+    std::vector<char> claimed(m_, 0);
+    std::vector<std::pair<std::size_t, std::size_t>> rest;  // (nonzeros, column)
+    for (const std::size_t j : basis_) {
+        if (sf_.is_unit_column(j)) {
+            const std::size_t row = sf_.row_index[sf_.col_start[j]];
+            if (!claimed[row]) {
+                next_basis[row] = j;
+                claimed[row] = 1;
+                continue;
             }
         }
-        if (best < 1e-12) throw std::runtime_error("simplex: singular basis");
-        if (pivot_row != col) {
-            for (std::size_t c = 0; c < m_; ++c) {
-                std::swap(mat[pivot_row * m_ + c], mat[col * m_ + c]);
-                std::swap(inv[pivot_row * m_ + c], inv[col * m_ + c]);
-            }
-        }
-        const double p = mat[col * m_ + col];
-        for (std::size_t c = 0; c < m_; ++c) {
-            mat[col * m_ + c] /= p;
-            inv[col * m_ + c] /= p;
-        }
-        for (std::size_t r = 0; r < m_; ++r) {
-            if (r == col) continue;
-            const double f = mat[r * m_ + col];
-            if (f == 0.0) continue;  // vnfr-lint: allow(float-eq) exact-zero skip only avoids a no-op row update
-            for (std::size_t c = 0; c < m_; ++c) {
-                mat[r * m_ + c] -= f * mat[col * m_ + c];
-                inv[r * m_ + c] -= f * inv[col * m_ + c];
-            }
-        }
+        rest.emplace_back(sf_.col_start[j + 1] - sf_.col_start[j], j);
     }
-    binv_ = std::move(inv);
+    std::sort(rest.begin(), rest.end());
+    std::vector<double>& w = w_scratch_;
+    for (const auto& [nonzeros, j] : rest) {
+        load_column(j, w);
+        std::size_t r = m_;
+        double best = 0.0;
+        for (std::size_t i = 0; i < m_; ++i) {
+            if (!claimed[i] && std::fabs(w[i]) > best) {
+                best = std::fabs(w[i]);
+                r = i;
+            }
+        }
+        if (best < 1e-9) throw std::runtime_error("simplex: singular basis in reinversion");
+        add_eta(r, w);
+        next_basis[r] = j;
+        claimed[r] = 1;
+    }
+    basis_ = std::move(next_basis);
 
     // Recompute basic values: xb = B^-1 (b - sum_{j at upper} a_j ub_j).
-    std::vector<double> rhs = sf_.b;
-    for (std::size_t j = 0; j < sf_.columns.size(); ++j) {
+    xb_ = sf_.b;
+    for (std::size_t j = 0; j < sf_.column_count(); ++j) {
         if (status_[j] != VarStatus::kAtUpper) continue;
-        for (const auto& [row, val] : sf_.columns[j]) rhs[row] -= val * sf_.ub[j];
+        for (std::size_t p = sf_.col_start[j]; p < sf_.col_start[j + 1]; ++p) {
+            xb_[sf_.row_index[p]] -= sf_.value[p] * sf_.ub[j];
+        }
     }
-    for (std::size_t i = 0; i < m_; ++i) {
-        double v = 0.0;
-        for (std::size_t r = 0; r < m_; ++r) v += binv_[i * m_ + r] * rhs[r];
-        xb_[i] = v;
-    }
+    ftran(xb_);
     pivots_since_refactor_ = 0;
 }
 
-void RevisedSimplex::compute_duals(const std::vector<double>& cost,
-                                   std::vector<double>& y) const {
-    y.assign(m_, 0.0);
-    for (std::size_t r = 0; r < m_; ++r) {
-        const double cb = cost[basis_[r]];
-        if (cb == 0.0) continue;  // vnfr-lint: allow(float-eq) exact-zero skip only avoids a no-op accumulation
-        const double* row = &binv_[r * m_];
-        for (std::size_t i = 0; i < m_; ++i) y[i] += cb * row[i];
-    }
+void RevisedSimplex::compute_duals(const std::vector<double>& cost) {
+    y_.resize(m_);
+    for (std::size_t r = 0; r < m_; ++r) y_[r] = cost[basis_[r]];
+    btran(y_);
 }
 
-double RevisedSimplex::reduced_cost(std::size_t j, const std::vector<double>& cost,
-                                    const std::vector<double>& y) const {
+double RevisedSimplex::reduced_cost(std::size_t j, const std::vector<double>& cost) const {
     double d = cost[j];
-    for (const auto& [row, val] : sf_.columns[j]) d -= y[row] * val;
-    return d;
-}
-
-void RevisedSimplex::ftran(std::size_t j, std::vector<double>& w) const {
-    w.assign(m_, 0.0);
-    for (const auto& [row, val] : sf_.columns[j]) {
-        const std::size_t col = row;
-        for (std::size_t i = 0; i < m_; ++i) w[i] += binv_[i * m_ + col] * val;
+    for (std::size_t p = sf_.col_start[j]; p < sf_.col_start[j + 1]; ++p) {
+        d -= y_[sf_.row_index[p]] * sf_.value[p];
     }
+    return d;
 }
 
 double RevisedSimplex::objective_of(const std::vector<double>& cost) const {
     double v = 0.0;
     for (std::size_t i = 0; i < m_; ++i) v += cost[basis_[i]] * xb_[i];
-    for (std::size_t j = 0; j < sf_.columns.size(); ++j) {
+    for (std::size_t j = 0; j < sf_.column_count(); ++j) {
         if (status_[j] == VarStatus::kAtUpper) v += cost[j] * sf_.ub[j];
     }
     return v;
 }
 
-void RevisedSimplex::pivot(std::size_t entering, std::size_t leaving_row,
-                           double entering_value, VarStatus leaving_status,
-                           const std::vector<double>& w) {
-    const double pivot_val = w[leaving_row];
-    double* prow = &binv_[leaving_row * m_];
-    for (std::size_t c = 0; c < m_; ++c) prow[c] /= pivot_val;
-    for (std::size_t i = 0; i < m_; ++i) {
-        if (i == leaving_row) continue;
-        const double f = w[i];
-        if (f == 0.0) continue;  // vnfr-lint: allow(float-eq) exact-zero skip only avoids a no-op row update
-        double* irow = &binv_[i * m_];
-        for (std::size_t c = 0; c < m_; ++c) irow[c] -= f * prow[c];
-    }
-
-    status_[basis_[leaving_row]] = leaving_status;
-    status_[entering] = VarStatus::kBasic;
-    basis_[leaving_row] = entering;
-    xb_[leaving_row] = entering_value;
-    ++pivots_since_refactor_;
-}
-
 void RevisedSimplex::drive_out_artificials() {
-    std::vector<double> w;
+    std::vector<double>& rho = rho_scratch_;
     for (std::size_t i = 0; i < m_; ++i) {
         if (!sf_.artificial[basis_[i]]) continue;
-        for (std::size_t j = 0; j < sf_.columns.size(); ++j) {
+        // Entry i of B^-1 a_j is rho^T a_j with rho = e_i^T B^-1.
+        rho.assign(m_, 0.0);
+        rho[i] = 1.0;
+        btran(rho);
+        for (std::size_t j = 0; j < sf_.column_count(); ++j) {
             if (status_[j] == VarStatus::kBasic || sf_.artificial[j]) continue;
-            ftran(j, w);
-            if (std::fabs(w[i]) > 1e-7) {
-                // Zero-level swap: the artificial sits at ~0, so replacing
-                // it with column j at its current bound value keeps x fixed.
-                const double keep = nonbasic_value(j);
-                // The entering variable stays at its bound value; only the
-                // basis bookkeeping changes.
-                status_[basis_[i]] = VarStatus::kAtLower;
-                status_[j] = VarStatus::kBasic;
-                basis_[i] = j;
-                // Update the inverse for the swapped column.
-                const double pivot_val = w[i];
-                double* prow = &binv_[i * m_];
-                for (std::size_t c = 0; c < m_; ++c) prow[c] /= pivot_val;
-                for (std::size_t r = 0; r < m_; ++r) {
-                    if (r == i) continue;
-                    const double f = w[r];
-                    if (f == 0.0) continue;  // vnfr-lint: allow(float-eq) exact-zero skip only avoids a no-op row update
-                    double* rrow = &binv_[r * m_];
-                    for (std::size_t c = 0; c < m_; ++c) rrow[c] -= f * prow[c];
-                }
-                xb_[i] = keep;
-                ++pivots_since_refactor_;
-                break;
+            double wi = 0.0;
+            for (std::size_t p = sf_.col_start[j]; p < sf_.col_start[j + 1]; ++p) {
+                wi += rho[sf_.row_index[p]] * sf_.value[p];
             }
+            if (std::fabs(wi) <= 1e-7) continue;
+            // Zero-level swap: the artificial sits at ~0, so replacing it
+            // with column j at its current bound value keeps x fixed.
+            const double keep = nonbasic_value(j);
+            load_column(j, w_scratch_);
+            add_eta(i, w_scratch_);
+            status_[basis_[i]] = VarStatus::kAtLower;
+            status_[j] = VarStatus::kBasic;
+            basis_[i] = j;
+            xb_[i] = keep;
+            ++pivots_since_refactor_;
+            break;
         }
     }
 }
 
-RevisedSimplex::StepResult RevisedSimplex::step(const std::vector<double>& cost,
-                                                bool blands) {
-    compute_duals(cost, y_scratch_);
-    const std::vector<double>& y = y_scratch_;
-
+RevisedSimplex::StepResult RevisedSimplex::step(const std::vector<double>& cost, bool blands,
+                                                double& improvement) {
     // Pricing. A nonbasic-at-lower column improves when d_j < 0 (increase);
     // a nonbasic-at-upper column improves when d_j > 0 (decrease).
-    std::size_t entering = sf_.columns.size();
+    std::size_t entering = sf_.column_count();
+    double entering_d = 0.0;
     double best = opt_.tolerance;
-    for (std::size_t j = 0; j < sf_.columns.size(); ++j) {
+    for (std::size_t j = 0; j < sf_.column_count(); ++j) {
         if (status_[j] == VarStatus::kBasic || !allowed_[j]) continue;
         if (sf_.ub[j] <= opt_.tolerance) continue;  // fixed at 0: can't move
-        const double d = reduced_cost(j, cost, y);
+        const double d = reduced_cost(j, cost);
         const double gain = status_[j] == VarStatus::kAtLower ? -d : d;
         if (blands) {
             if (gain > opt_.tolerance) {
                 entering = j;
+                entering_d = d;
                 break;
             }
         } else if (gain > best) {
             best = gain;
             entering = j;
+            entering_d = d;
         }
     }
-    if (entering == sf_.columns.size()) return StepResult::kOptimal;
+    if (entering == sf_.column_count()) return StepResult::kOptimal;
 
     // sigma = +1: entering increases from lower; -1: decreases from upper.
     const double sigma = status_[entering] == VarStatus::kAtLower ? 1.0 : -1.0;
-    ftran(entering, w_scratch_);
+    load_column(entering, w_scratch_);
     const std::vector<double>& w = w_scratch_;
 
     // Ratio test. x_B changes by -sigma * t * w as the entering variable
@@ -395,6 +425,8 @@ RevisedSimplex::StepResult RevisedSimplex::step(const std::vector<double>& cost,
     }
     if (t_max == kInfinity) return StepResult::kUnbounded;
     t_max = std::max(0.0, t_max);
+    // The objective falls by exactly t |d_q| along the move.
+    improvement = t_max * std::fabs(entering_d);
 
     // Apply the move to the basic values.
     for (std::size_t i = 0; i < m_; ++i) {
@@ -409,77 +441,76 @@ RevisedSimplex::StepResult RevisedSimplex::step(const std::vector<double>& cost,
         return StepResult::kMoved;
     }
 
+    // Duals of the new basis: y += (d_q / w_r) rho_r, rho_r = e_r^T B^-1
+    // taken on the old basis.
+    std::vector<double>& rho = rho_scratch_;
+    rho.assign(m_, 0.0);
+    rho[leaving] = 1.0;
+    btran(rho);
+    const double f = entering_d / w[leaving];
+    for (std::size_t i = 0; i < m_; ++i) y_[i] += f * rho[i];
+
     // Entering becomes basic at its new value.
     const double entering_value =
         status_[entering] == VarStatus::kAtLower ? t_max : sf_.ub[entering] - t_max;
-    pivot(entering, leaving, entering_value, leaving_status, w);
+    add_eta(leaving, w);
+    status_[basis_[leaving]] = leaving_status;
+    status_[entering] = VarStatus::kBasic;
+    basis_[leaving] = entering;
+    xb_[leaving] = entering_value;
+    ++pivots_since_refactor_;
     return StepResult::kMoved;
+}
+
+SolveStatus RevisedSimplex::iterate(const std::vector<double>& cost) {
+    compute_duals(cost);
+    std::size_t degenerate_run = 0;
+    while (iterations_ < opt_.max_iterations) {
+        if (pivots_since_refactor_ >= opt_.refactor_interval) {
+            reinvert();
+            compute_duals(cost);
+        }
+        double improvement = 0.0;
+        const StepResult res = step(cost, degenerate_run > opt_.degenerate_limit, improvement);
+        ++iterations_;
+        if (res == StepResult::kOptimal) return SolveStatus::kOptimal;
+        if (res == StepResult::kUnbounded) return SolveStatus::kUnbounded;
+        degenerate_run = improvement > opt_.tolerance ? 0 : degenerate_run + 1;
+    }
+    return SolveStatus::kIterationLimit;
 }
 
 LpSolution RevisedSimplex::run(const LinearProgram& lp) {
     LpSolution out;
     install_initial_basis();
 
-    std::vector<double> phase1_cost(sf_.columns.size(), 0.0);
+    std::vector<double> phase1_cost(sf_.column_count(), 0.0);
     bool any_artificial = false;
-    for (std::size_t j = 0; j < sf_.columns.size(); ++j) {
+    for (std::size_t j = 0; j < sf_.column_count(); ++j) {
         if (sf_.artificial[j]) {
             phase1_cost[j] = 1.0;
             any_artificial = true;
         }
     }
-    allowed_.assign(sf_.columns.size(), 1);
+    allowed_.assign(sf_.column_count(), 1);
 
     if (any_artificial) {
-        std::size_t degenerate_run = 0;
-        while (iterations_ < opt_.max_iterations) {
-            if (pivots_since_refactor_ >= opt_.refactor_interval) refactorize();
-            const double before = objective_of(phase1_cost);
-            const StepResult res = step(phase1_cost, degenerate_run > opt_.degenerate_limit);
-            ++iterations_;
-            if (res == StepResult::kOptimal) break;
-            if (res == StepResult::kUnbounded)
-                throw std::runtime_error("simplex: phase-1 unbounded (bug)");
-            degenerate_run = (before - objective_of(phase1_cost) > opt_.tolerance)
-                                 ? 0
-                                 : degenerate_run + 1;
-        }
+        if (iterate(phase1_cost) == SolveStatus::kUnbounded)
+            throw std::runtime_error("simplex: phase-1 unbounded (bug)");
         const double infeasibility = objective_of(phase1_cost);
-        if (iterations_ >= opt_.max_iterations && infeasibility > 1e-6) {
-            out.status = SolveStatus::kIterationLimit;
-            out.iterations = iterations_;
-            return out;
-        }
         if (infeasibility > 1e-6) {
-            out.status = SolveStatus::kInfeasible;
+            out.status = iterations_ >= opt_.max_iterations ? SolveStatus::kIterationLimit
+                                                            : SolveStatus::kInfeasible;
             out.iterations = iterations_;
             return out;
         }
-        for (std::size_t j = 0; j < sf_.columns.size(); ++j) {
+        for (std::size_t j = 0; j < sf_.column_count(); ++j) {
             if (sf_.artificial[j]) allowed_[j] = 0;
         }
         drive_out_artificials();
     }
 
-    std::size_t degenerate_run = 0;
-    SolveStatus status = SolveStatus::kIterationLimit;
-    while (iterations_ < opt_.max_iterations) {
-        if (pivots_since_refactor_ >= opt_.refactor_interval) refactorize();
-        const double before = objective_of(sf_.cost);
-        const StepResult res = step(sf_.cost, degenerate_run > opt_.degenerate_limit);
-        ++iterations_;
-        if (res == StepResult::kOptimal) {
-            status = SolveStatus::kOptimal;
-            break;
-        }
-        if (res == StepResult::kUnbounded) {
-            status = SolveStatus::kUnbounded;
-            break;
-        }
-        degenerate_run =
-            (before - objective_of(sf_.cost) > opt_.tolerance) ? 0 : degenerate_run + 1;
-    }
-
+    const SolveStatus status = iterate(sf_.cost);
     out.status = status;
     out.iterations = iterations_;
     if (status != SolveStatus::kOptimal) return out;
@@ -496,11 +527,10 @@ LpSolution RevisedSimplex::run(const LinearProgram& lp) {
     }
     out.objective = lp.objective_value(out.x);
 
-    std::vector<double> y;
-    compute_duals(sf_.cost, y);
+    compute_duals(sf_.cost);
     out.duals.assign(sf_.original_rows, 0.0);
     for (std::size_t k = 0; k < sf_.original_rows; ++k) {
-        out.duals[k] = -sf_.row_sign[k] * y[k];
+        out.duals[k] = -sf_.row_sign[k] * y_[k];
     }
     return out;
 }
@@ -508,10 +538,21 @@ LpSolution RevisedSimplex::run(const LinearProgram& lp) {
 }  // namespace
 
 LpSolution solve_lp(const LinearProgram& lp, const SimplexOptions& options) {
+    if (!std::isfinite(options.tolerance) || options.tolerance <= 0.0)
+        throw std::invalid_argument("simplex: tolerance must be finite and positive");
+    if (options.refactor_interval == 0)
+        throw std::invalid_argument("simplex: refactor_interval must be positive");
     if (lp.variable_count() == 0) {
+        // Every row is empty: it holds or it does not.
         LpSolution out;
         out.status = SolveStatus::kOptimal;
-        out.objective = 0.0;
+        for (std::size_t k = 0; k < lp.row_count(); ++k) {
+            if (!empty_row_holds(lp.row(k).relation, lp.row(k).rhs)) {
+                out.status = SolveStatus::kInfeasible;
+                return out;
+            }
+        }
+        out.duals.assign(lp.row_count(), 0.0);
         return out;
     }
     StandardForm sf = build_standard_form(lp);

@@ -1,10 +1,17 @@
-// Two-phase revised primal simplex with a dense basis inverse.
+// Two-phase bounded-variable revised primal simplex over a product-form
+// inverse.
 //
 // Solves LinearProgram instances (maximize form). Internally: shifts lower
-// bounds to zero, lowers finite upper bounds to slack rows, normalizes
-// rhs >= 0, and runs phase 1 (artificials) then phase 2. Anti-cycling by
-// switching to Bland's rule after a run of degenerate pivots; periodic
-// refactorization of the basis inverse bounds numerical drift.
+// bounds to zero, keeps finite upper bounds as column bounds, normalizes
+// rhs >= 0, and runs phase 1 (artificials) then phase 2; a program whose
+// rows are all <= with rhs >= 0 starts from the slack basis and skips
+// phase 1. B^-1 is a file of eta matrices, one per pivot, so FTRAN, BTRAN
+// and a basis change cost the etas' nonzeros instead of m^2; the duals are
+// updated per basis change with one BTRAN. Every `refactor_interval`
+// pivots the basis is reinverted (unit columns free, the others sparsest
+// first on their largest unclaimed entry), which bounds both the eta file's
+// length and numerical drift. Anti-cycling by switching to Bland's rule
+// after a run of degenerate pivots.
 //
 // Scale target: a few thousand rows / ~10^4 columns — the offline LP
 // relaxations of the paper's ILPs at the evaluation sizes (Section VI).
@@ -22,8 +29,9 @@ enum class SolveStatus { kOptimal, kInfeasible, kUnbounded, kIterationLimit };
 struct SimplexOptions {
     std::size_t max_iterations{200000};
     double tolerance{1e-8};
-    /// Rebuild the basis inverse from scratch every this many pivots.
-    std::size_t refactor_interval{1024};
+    /// Reinvert the basis every this many pivots (> 0). Each eta adds to
+    /// every later FTRAN and BTRAN, so a short file pays for the rebuilds.
+    std::size_t refactor_interval{64};
     /// Switch to Bland's rule after this many consecutive degenerate pivots.
     std::size_t degenerate_limit{64};
 };
@@ -38,7 +46,9 @@ struct LpSolution {
 };
 
 /// Solves `lp`. Never throws on infeasible/unbounded inputs (reported via
-/// status); throws std::invalid_argument only on malformed models.
+/// status); throws std::invalid_argument only on malformed models or
+/// options (a tolerance that is not finite and positive, a zero
+/// refactor_interval), and std::runtime_error on a singular basis.
 LpSolution solve_lp(const LinearProgram& lp, const SimplexOptions& options = {});
 
 }  // namespace vnfr::opt

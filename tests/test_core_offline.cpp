@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <ostream>
+#include <vector>
+
 #include "core/exhaustive.hpp"
 #include "core/greedy.hpp"
 #include "helpers.hpp"
+#include "opt/presolve.hpp"
 #include "opt/simplex.hpp"
+#include "sim/scenarios.hpp"
+#include "vnf/reliability.hpp"
 
 namespace vnfr::core {
 namespace {
@@ -24,19 +32,32 @@ TEST(OfflineModel, OnsiteVariableBookkeeping) {
                                          {make_request(0, 0, 0.9, 0, 2, 5.0),
                                           make_request(1, 0, 0.97, 1, 2, 4.0)});
     const OfflineModel model = build_onsite_model(inst);
-    ASSERT_EQ(model.x_vars.size(), 2u);
+    // X_i = sum_j Y_ij is substituted out: no X columns.
+    EXPECT_TRUE(model.x_vars.empty());
     // Request 0 (R=0.9) fits both cloudlets; request 1 (R=0.97) only the
     // 0.99-reliable one.
     EXPECT_TRUE(model.y_vars[0][0].has_value());
     EXPECT_TRUE(model.y_vars[0][1].has_value());
     EXPECT_TRUE(model.y_vars[1][0].has_value());
     EXPECT_FALSE(model.y_vars[1][1].has_value());
-    // Binaries = 2 X + 3 Y.
-    EXPECT_EQ(model.binaries.size(), 5u);
+    ASSERT_EQ(model.lp.variable_count(), 3u);
+    // Each Y_ij earns its request's payment.
+    EXPECT_DOUBLE_EQ(model.lp.objective_coefficient(*model.y_vars[0][0]), 5.0);
+    EXPECT_DOUBLE_EQ(model.lp.objective_coefficient(*model.y_vars[0][1]), 5.0);
+    EXPECT_DOUBLE_EQ(model.lp.objective_coefficient(*model.y_vars[1][0]), 4.0);
+    // Binaries = the 3 Y columns.
+    EXPECT_EQ(model.binaries.size(), 3u);
+    // Every row is a <= packing row with rhs >= 0, so the slack basis is
+    // feasible.
+    for (std::size_t k = 0; k < model.lp.row_count(); ++k) {
+        EXPECT_EQ(model.lp.row(k).relation, opt::Relation::kLe);
+        EXPECT_GE(model.lp.row(k).rhs, 0.0);
+    }
 }
 
 TEST(OfflineModel, OnsiteInfeasibleRequestForcedToZero) {
-    // No cloudlet can meet R = 0.999: the assignment row forces X = 0.
+    // No cloudlet can meet R = 0.999: the request has no Y column, so the
+    // program is empty and earns nothing.
     const Instance inst = small_instance({0.99}, 10.0, 5,
                                          {make_request(0, 0, 0.999, 0, 2, 100.0)});
     const OfflineModel model = build_onsite_model(inst);
@@ -112,6 +133,134 @@ TEST(SolveOffline, LpOnlyModeSkipsIlp) {
     EXPECT_FALSE(res.has_ilp);
     EXPECT_EQ(res.bnb_nodes, 0u);
 }
+
+// Paper-scale LP relaxations: n = 400 requests in the Section VI
+// environment, as in Figure 1. The golden bounds and on-site pivot counts
+// were computed with the earlier dense-inverse simplex on the on-site
+// model that kept X_i columns and = assignment rows.
+struct PaperLpCase {
+    std::uint64_t seed;
+    double onsite_bound;
+    double offsite_bound;
+    std::size_t dense_onsite_iterations;
+};
+
+void PrintTo(const PaperLpCase& c, std::ostream* os) { *os << "seed" << c.seed; }
+
+class PaperScaleLp : public ::testing::TestWithParam<PaperLpCase> {
+  protected:
+    static Instance make() {
+        common::Rng rng(GetParam().seed);
+        return make_instance(sim::paper_environment(400), rng);
+    }
+
+    /// Strong duality for max c'x, Ax <= b, 0 <= x <= u: with s_j =
+    /// max(0, c_j - a_j'y) the dual objective b'y + u's equals c'x, y >= 0
+    /// and s_j > 0 only where u_j is finite.
+    static void expect_duality_certificate(const opt::LinearProgram& lp,
+                                           const opt::LpSolution& sol) {
+        ASSERT_EQ(sol.duals.size(), lp.row_count());
+        std::vector<double> aty(lp.variable_count(), 0.0);
+        double dual_objective = 0.0;
+        for (std::size_t k = 0; k < lp.row_count(); ++k) {
+            const opt::Row& row = lp.row(k);
+            ASSERT_EQ(row.relation, opt::Relation::kLe);
+            EXPECT_GE(sol.duals[k], -1e-7) << "row " << k;
+            dual_objective += sol.duals[k] * row.rhs;
+            for (const auto& [var, coeff] : row.terms) aty[var] += sol.duals[k] * coeff;
+        }
+        double primal_objective = 0.0;
+        for (std::size_t j = 0; j < lp.variable_count(); ++j) {
+            ASSERT_DOUBLE_EQ(lp.lower_bound(j), 0.0);
+            primal_objective += lp.objective_coefficient(j) * sol.x[j];
+            const double s = std::max(0.0, lp.objective_coefficient(j) - aty[j]);
+            if (lp.upper_bound(j) == opt::kInfinity) {
+                EXPECT_LE(s, 1e-6) << "dual feasibility, column " << j;
+            } else {
+                dual_objective += lp.upper_bound(j) * s;
+            }
+        }
+        EXPECT_NEAR(dual_objective, primal_objective, 1e-6 * primal_objective);
+        EXPECT_NEAR(primal_objective, sol.objective, 1e-9 * primal_objective);
+    }
+};
+
+TEST_P(PaperScaleLp, OnsiteBoundMeetsEqs4And5WithACertificate) {
+    const Instance inst = make();
+    OfflineConfig lp_only;
+    lp_only.run_ilp = false;
+    const OfflineResult res = solve_offline(inst, Scheme::kOnsite, lp_only);
+    ASSERT_TRUE(res.lp_optimal);
+    EXPECT_NEAR(res.lp_bound, GetParam().onsite_bound, 1e-9 * GetParam().onsite_bound);
+
+    // solve_offline's path, split open.
+    const OfflineModel model = build_onsite_model(inst);
+    const opt::PresolveResult pre = opt::presolve(model.lp);
+    ASSERT_FALSE(pre.infeasible);
+    const opt::LpSolution sol = opt::solve_lp(pre.reduced);
+    ASSERT_EQ(sol.status, opt::SolveStatus::kOptimal);
+    EXPECT_EQ(sol.objective + pre.objective_offset, res.lp_bound);
+    EXPECT_LT(sol.iterations, GetParam().dense_onsite_iterations);
+    expect_duality_certificate(pre.reduced, sol);
+
+    // Y against the paper's rows, rebuilt from the instance: capacity (4)
+    // and assignment (5) with X_i = sum_j Y_ij <= 1.
+    const std::vector<double> x = pre.restore(sol.x);
+    const std::size_t m = inst.network.cloudlet_count();
+    std::vector<std::vector<double>> load(
+        m, std::vector<double>(static_cast<std::size_t>(inst.horizon), 0.0));
+    double revenue = 0.0;
+    for (std::size_t i = 0; i < inst.requests.size(); ++i) {
+        const workload::Request& r = inst.requests[i];
+        double assigned = 0.0;
+        for (std::size_t j = 0; j < m; ++j) {
+            if (!model.y_vars[i][j]) continue;
+            const double y = x[*model.y_vars[i][j]];
+            EXPECT_GE(y, -1e-6);
+            assigned += y;
+            const int replicas = *vnf::min_onsite_replicas(
+                inst.network.cloudlet(CloudletId{static_cast<std::int64_t>(j)}).reliability,
+                inst.catalog.reliability(r.vnf), r.requirement);
+            for (TimeSlot t = r.arrival; t < r.end(); ++t) {
+                load[j][static_cast<std::size_t>(t)] +=
+                    replicas * inst.catalog.compute_units(r.vnf) * y;
+            }
+        }
+        EXPECT_LE(assigned, 1.0 + 1e-6) << "request " << i;
+        revenue += r.payment * assigned;
+    }
+    for (std::size_t j = 0; j < m; ++j) {
+        const double capacity =
+            inst.network.cloudlet(CloudletId{static_cast<std::int64_t>(j)}).capacity;
+        for (std::size_t t = 0; t < load[j].size(); ++t) {
+            EXPECT_LE(load[j][t], capacity + 1e-6) << "cloudlet " << j << " slot " << t;
+        }
+    }
+    EXPECT_NEAR(revenue, res.lp_bound, 1e-6 * res.lp_bound);
+}
+
+TEST_P(PaperScaleLp, OffsiteBoundWithACertificate) {
+    const Instance inst = make();
+    OfflineConfig lp_only;
+    lp_only.run_ilp = false;
+    const OfflineResult res = solve_offline(inst, Scheme::kOffsite, lp_only);
+    ASSERT_TRUE(res.lp_optimal);
+    EXPECT_NEAR(res.lp_bound, GetParam().offsite_bound, 1e-9 * GetParam().offsite_bound);
+
+    const OfflineModel model = build_offsite_model(inst, /*anchor_rejected_requests=*/false);
+    const opt::PresolveResult pre = opt::presolve(model.lp);
+    ASSERT_FALSE(pre.infeasible);
+    const opt::LpSolution sol = opt::solve_lp(pre.reduced);
+    ASSERT_EQ(sol.status, opt::SolveStatus::kOptimal);
+    EXPECT_EQ(sol.objective + pre.objective_offset, res.lp_bound);
+    expect_duality_certificate(pre.reduced, sol);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PaperScaleLp,
+                         ::testing::Values(PaperLpCase{1, 18924.474183702328,
+                                                       21790.309449982829, 5353},
+                                           PaperLpCase{2, 16100.27246883829,
+                                                       18302.364059813208, 4114}));
 
 // Property: branch-and-bound on the ILP models equals exhaustive search.
 class OfflineExactTest : public ::testing::TestWithParam<int> {};

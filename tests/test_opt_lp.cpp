@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace vnfr::opt {
 namespace {
 
@@ -24,6 +26,34 @@ TEST(LinearProgram, AddVariableAndRow) {
 TEST(LinearProgram, RejectsNegativeUpperBound) {
     LinearProgram lp;
     EXPECT_THROW(lp.add_variable(1.0, -1.0), std::invalid_argument);
+}
+
+TEST(LinearProgram, RejectsNanUpperBound) {
+    LinearProgram lp;
+    EXPECT_THROW(lp.add_variable(1.0, std::nan("")), std::invalid_argument);
+    EXPECT_NO_THROW(lp.add_variable(1.0, kInfinity));
+    EXPECT_EQ(lp.variable_count(), 1u);
+}
+
+TEST(LinearProgram, RejectsNonFiniteObjective) {
+    LinearProgram lp;
+    EXPECT_THROW(lp.add_variable(std::nan(""), 1.0), std::invalid_argument);
+    EXPECT_THROW(lp.add_variable(kInfinity, 1.0), std::invalid_argument);
+    EXPECT_THROW(lp.add_variable(-kInfinity, 1.0), std::invalid_argument);
+    EXPECT_EQ(lp.variable_count(), 0u);
+}
+
+TEST(LinearProgram, SetBoundsRejectsNan) {
+    LinearProgram lp;
+    const std::size_t x = lp.add_variable(1.0, 1.0);
+    EXPECT_THROW(lp.set_bounds(x, std::nan(""), std::nan("")), std::invalid_argument);
+    EXPECT_THROW(lp.set_bounds(x, 0.0, std::nan("")), std::invalid_argument);
+    EXPECT_THROW(lp.set_bounds(x, std::nan(""), 1.0), std::invalid_argument);
+    EXPECT_THROW(lp.set_bounds(x, kInfinity, kInfinity), std::invalid_argument);
+    EXPECT_DOUBLE_EQ(lp.lower_bound(x), 0.0);
+    EXPECT_DOUBLE_EQ(lp.upper_bound(x), 1.0);
+    lp.set_bounds(x, 0.5, kInfinity);
+    EXPECT_DOUBLE_EQ(lp.upper_bound(x), kInfinity);
 }
 
 TEST(LinearProgram, RejectsBadRows) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -16,6 +18,46 @@ TEST(Simplex, EmptyProgram) {
     const LpSolution sol = solve_lp(lp);
     EXPECT_EQ(sol.status, SolveStatus::kOptimal);
     EXPECT_DOUBLE_EQ(sol.objective, 0.0);
+}
+
+TEST(Simplex, EmptyProgramWithUnsatisfiableRowIsInfeasible) {
+    for (const auto& [relation, rhs] : {std::pair{Relation::kGe, 1.0},
+                                        std::pair{Relation::kLe, -1.0},
+                                        std::pair{Relation::kEq, 0.5}}) {
+        LinearProgram lp;
+        lp.add_row({}, Relation::kLe, 2.0);
+        lp.add_row({}, relation, rhs);
+        EXPECT_EQ(solve_lp(lp).status, SolveStatus::kInfeasible);
+    }
+}
+
+TEST(Simplex, EmptyProgramReturnsOneDualPerRow) {
+    LinearProgram lp;
+    lp.add_row({}, Relation::kLe, 1.0);
+    lp.add_row({}, Relation::kEq, 0.0);
+    lp.add_row({}, Relation::kGe, -3.0);
+    const LpSolution sol = solve_lp(lp);
+    ASSERT_EQ(sol.status, SolveStatus::kOptimal);
+    EXPECT_DOUBLE_EQ(sol.objective, 0.0);
+    EXPECT_EQ(sol.duals, std::vector<double>(3, 0.0));
+}
+
+TEST(Simplex, RejectsMalformedOptions) {
+    // max x s.t. x <= 1: with a NaN tolerance every pricing comparison is
+    // false and the solve would report a wrong optimum of 0.
+    LinearProgram lp;
+    const std::size_t x = lp.add_variable(1.0);
+    lp.add_row({{x, 1.0}}, Relation::kLe, 1.0);
+    for (const double tolerance : {std::nan(""), kInfinity, 0.0, -1e-8}) {
+        SimplexOptions options;
+        options.tolerance = tolerance;
+        EXPECT_THROW(solve_lp(lp, options), std::invalid_argument) << tolerance;
+    }
+    SimplexOptions options;
+    options.refactor_interval = 0;
+    EXPECT_THROW(solve_lp(lp, options), std::invalid_argument);
+    options.refactor_interval = 1;
+    EXPECT_NEAR(solve_lp(lp, options).objective, 1.0, 1e-12);
 }
 
 TEST(Simplex, ClassicTextbookProblem) {
@@ -354,6 +396,49 @@ TEST_P(SimplexRandomPacking, OptimalityCertificate) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimplexRandomPacking, ::testing::Range(0, 25));
+
+// Property: reinverting the basis before every pivot changes neither the
+// status nor the optimum on random programs that mix <=, >= and = rows,
+// finite and infinite upper bounds and shifted lower bounds, so the
+// reinversion and its surplus/artificial columns are exercised even where
+// the default interval is never reached.
+class SimplexReinversion : public ::testing::TestWithParam<int> {};
+
+TEST_P(SimplexReinversion, EveryPivotMatchesDefaultInterval) {
+    common::Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 3);
+    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(2, 20));
+    const std::size_t m = static_cast<std::size_t>(rng.uniform_int(1, 15));
+    LinearProgram lp;
+    for (std::size_t j = 0; j < n; ++j) {
+        const double ub = rng.bernoulli(0.3) ? kInfinity : rng.uniform(0.5, 5.0);
+        const std::size_t v = lp.add_variable(rng.uniform(-2.0, 5.0), ub);
+        if (rng.bernoulli(0.2)) lp.set_bounds(v, std::min(ub, rng.uniform(0.0, 1.0)), ub);
+    }
+    for (std::size_t i = 0; i < m; ++i) {
+        std::vector<std::pair<std::size_t, double>> terms;
+        for (std::size_t j = 0; j < n; ++j) {
+            if (rng.bernoulli(0.4)) terms.emplace_back(j, rng.uniform(-1.0, 3.0));
+        }
+        const double u = rng.uniform(0.0, 1.0);
+        const Relation rel = u < 0.7 ? Relation::kLe : u < 0.85 ? Relation::kGe : Relation::kEq;
+        lp.add_row(std::move(terms), rel,
+                   rel == Relation::kLe ? rng.uniform(-0.5, 10.0) : rng.uniform(-2.0, 2.0));
+    }
+    std::vector<std::pair<std::size_t, double>> box;
+    for (std::size_t j = 0; j < n; ++j) box.emplace_back(j, 1.0);
+    lp.add_row(std::move(box), Relation::kLe, 50.0);
+
+    SimplexOptions every_pivot;
+    every_pivot.refactor_interval = 1;
+    const LpSolution a = solve_lp(lp);
+    const LpSolution b = solve_lp(lp, every_pivot);
+    ASSERT_EQ(a.status, b.status);
+    if (a.status != SolveStatus::kOptimal) return;
+    EXPECT_NEAR(a.objective, b.objective, 1e-9 * (1.0 + std::fabs(a.objective)));
+    EXPECT_LE(lp.max_violation(b.x), 1e-6);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SimplexReinversion, ::testing::Range(0, 40));
 
 }  // namespace
 }  // namespace vnfr::opt
