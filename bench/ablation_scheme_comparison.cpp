@@ -13,10 +13,10 @@
 #include "core/hybrid_primal_dual.hpp"
 #include "core/offsite_primal_dual.hpp"
 #include "core/onsite_primal_dual.hpp"
+#include "core/schedule.hpp"
 #include "report/table.hpp"
 #include "sim/metrics.hpp"
 #include "sim/recovery_study.hpp"
-#include "sim/simulator.hpp"
 
 using namespace vnfr;
 
@@ -46,30 +46,28 @@ int main() {
             core::make_instance(bench::paper_environment(requests), rng);
 
         const auto measure = [&](core::OnlineScheduler& scheduler, Row& row) {
-            const sim::SimulationReport report = sim::simulate(inst, scheduler);
+            const core::ScheduleResult schedule = core::run_online(inst, scheduler);
             sim::RecoveryStudyConfig replay;
             replay.injector = sim::markov_injector({});
             replay.replications = bench::quick_mode() ? 2 : 4;
             replay.master_seed = common::stream_seed(master, 1000 + s);
             const sim::RecoveryStudyOutcome faults =
-                sim::run_recovery_replications(inst, report.schedule.decisions, replay);
-            const sim::PlacementStats stats =
-                sim::placement_stats(inst, report.schedule.decisions);
-            row.revenue.add(report.schedule.revenue);
-            row.accepted.add(static_cast<double>(report.schedule.admitted));
+                sim::run_recovery_replications(inst, schedule.decisions, replay);
+            const sim::PlacementStats stats = sim::placement_stats(inst, schedule.decisions);
+            row.revenue.add(schedule.revenue);
+            row.accepted.add(static_cast<double>(schedule.admitted));
             // Compute units reserved per admitted request (replicas x c(f) x
             // duration), normalized per request.
             double units = 0.0;
-            for (std::size_t i = 0; i < report.schedule.decisions.size(); ++i) {
-                const core::Decision& d = report.schedule.decisions[i];
+            for (std::size_t i = 0; i < schedule.decisions.size(); ++i) {
+                const core::Decision& d = schedule.decisions[i];
                 if (!d.admitted) continue;
                 units += d.placement.compute_per_slot(
                              inst.catalog.compute_units(inst.requests[i].vnf)) *
                          inst.requests[i].duration;
             }
-            if (report.schedule.admitted > 0) {
-                row.compute_per_request.add(units /
-                                            static_cast<double>(report.schedule.admitted));
+            if (schedule.admitted > 0) {
+                row.compute_per_request.add(units / static_cast<double>(schedule.admitted));
             }
             row.availability.add(stats.mean_availability);
             row.empirical.add(faults.total.availability());

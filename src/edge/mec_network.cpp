@@ -1,5 +1,6 @@
 #include "edge/mec_network.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "common/math.hpp"
@@ -12,7 +13,7 @@ MecNetwork::MecNetwork(net::Graph graph)
 
 CloudletId MecNetwork::add_cloudlet(NodeId node, double capacity, double reliability) {
     if (!graph_.has_node(node)) throw std::invalid_argument("MecNetwork: unknown AP node");
-    if (capacity <= 0.0) throw std::invalid_argument("MecNetwork: non-positive capacity");
+    if (!(capacity > 0.0)) throw std::invalid_argument("MecNetwork: non-positive capacity");
     common::require_open_unit(reliability, "cloudlet reliability");
     if (cloudlet_by_node_[node.index()].valid())
         throw std::invalid_argument("MecNetwork: node already hosts a cloudlet");
@@ -26,10 +27,12 @@ CloudletId MecNetwork::add_cloudlet(NodeId node, double capacity, double reliabi
 void MecNetwork::attach_random_cloudlets(const CloudletAttachment& spec, common::Rng& rng) {
     if (spec.count > graph_.node_count())
         throw std::invalid_argument("MecNetwork: more cloudlets than APs");
-    if (spec.capacity_min <= 0.0 || spec.capacity_max < spec.capacity_min)
+    // Written so that a NaN bound fails: every comparison with NaN is false.
+    if (!(spec.capacity_min > 0.0) || !(spec.capacity_max >= spec.capacity_min) ||
+        !std::isfinite(spec.capacity_max))
         throw std::invalid_argument("MecNetwork: bad capacity range");
-    if (spec.reliability_min <= 0.0 || spec.reliability_max >= 1.0 ||
-        spec.reliability_max < spec.reliability_min)
+    if (!(spec.reliability_min > 0.0) || !(spec.reliability_max < 1.0) ||
+        !(spec.reliability_max >= spec.reliability_min))
         throw std::invalid_argument("MecNetwork: bad reliability range");
     const auto nodes = rng.sample_without_replacement(graph_.node_count(), spec.count);
     for (const std::size_t node : nodes) {

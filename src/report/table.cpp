@@ -40,24 +40,6 @@ std::string Table::to_text() const {
     return os.str();
 }
 
-std::string Table::to_markdown() const {
-    std::ostringstream os;
-    const auto emit = [&](const std::vector<std::string>& cells) {
-        os << "| ";
-        for (std::size_t c = 0; c < cells.size(); ++c) {
-            os << cells[c];
-            os << (c + 1 < cells.size() ? " | " : " |");
-        }
-        os << '\n';
-    };
-    emit(headers_);
-    os << "|";
-    for (std::size_t c = 0; c < headers_.size(); ++c) os << "---|";
-    os << '\n';
-    for (const auto& row : rows_) emit(row);
-    return os.str();
-}
-
 std::string format_double(double value, int precision) {
     std::ostringstream os;
     os.setf(std::ios::fixed);

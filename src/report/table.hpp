@@ -1,4 +1,4 @@
-// Console/markdown table rendering for benches and examples.
+// Console table rendering for benches and examples.
 #pragma once
 
 #include <cstddef>
@@ -21,9 +21,6 @@ class Table {
 
     /// Plain text with aligned columns and a header rule.
     [[nodiscard]] std::string to_text() const;
-
-    /// GitHub-flavored markdown.
-    [[nodiscard]] std::string to_markdown() const;
 
   private:
     std::vector<std::string> headers_;

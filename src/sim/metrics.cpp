@@ -76,15 +76,6 @@ PlacementStats placement_stats(const core::Instance& instance,
     return stats;
 }
 
-std::vector<double> cloudlet_utilizations(const edge::ResourceLedger& ledger) {
-    std::vector<double> out;
-    out.reserve(ledger.cloudlet_count());
-    for (std::size_t j = 0; j < ledger.cloudlet_count(); ++j) {
-        out.push_back(ledger.mean_utilization(CloudletId{static_cast<std::int64_t>(j)}));
-    }
-    return out;
-}
-
 double total_revenue(const core::Instance& instance,
                      const std::vector<core::Decision>& decisions) {
     if (decisions.size() != instance.requests.size())

@@ -6,7 +6,6 @@
 
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
-#include "edge/resource_ledger.hpp"
 
 namespace vnfr::sim {
 
@@ -31,9 +30,6 @@ struct PlacementStats {
 
 PlacementStats placement_stats(const core::Instance& instance,
                                const std::vector<core::Decision>& decisions);
-
-/// Mean utilization per cloudlet (index = cloudlet id) over the horizon.
-std::vector<double> cloudlet_utilizations(const edge::ResourceLedger& ledger);
 
 /// Revenue of the decisions against the instance (recomputed; equals
 /// ScheduleResult::revenue for consistent inputs).

@@ -7,7 +7,7 @@
 namespace vnfr::workload {
 
 void GeneratorConfig::set_payment_ratio(double h) {
-    if (h < 1.0) throw std::invalid_argument("set_payment_ratio: H must be >= 1");
+    if (!(h >= 1.0)) throw std::invalid_argument("set_payment_ratio: H must be >= 1");
     payment_rate_min = payment_rate_max / h;
 }
 
@@ -32,13 +32,16 @@ void validate(const GeneratorConfig& cfg, const vnf::Catalog& catalog) {
         throw std::invalid_argument("generate: bad duration range");
     if (cfg.duration_max > cfg.horizon)
         throw std::invalid_argument("generate: duration_max exceeds horizon");
-    if (cfg.requirement_min <= 0.0 || cfg.requirement_max >= 1.0 ||
-        cfg.requirement_max < cfg.requirement_min)
+    // The real-valued checks are written so that NaN fails them: every
+    // comparison with NaN is false.
+    if (!(cfg.requirement_min > 0.0) || !(cfg.requirement_max < 1.0) ||
+        !(cfg.requirement_max >= cfg.requirement_min))
         throw std::invalid_argument("generate: bad requirement range");
-    if (cfg.payment_rate_min <= 0.0 || cfg.payment_rate_max < cfg.payment_rate_min)
+    if (!(cfg.payment_rate_min > 0.0) || !(cfg.payment_rate_max >= cfg.payment_rate_min) ||
+        !std::isfinite(cfg.payment_rate_max))
         throw std::invalid_argument("generate: bad payment-rate range");
-    if (cfg.pareto_alpha <= 0.0) throw std::invalid_argument("generate: bad pareto_alpha");
-    if (cfg.diurnal_amplitude < 0.0 || cfg.diurnal_amplitude > 1.0)
+    if (!(cfg.pareto_alpha > 0.0)) throw std::invalid_argument("generate: bad pareto_alpha");
+    if (!(cfg.diurnal_amplitude >= 0.0) || !(cfg.diurnal_amplitude <= 1.0))
         throw std::invalid_argument("generate: diurnal_amplitude outside [0, 1]");
 }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <string>
 
 #include "common/rng.hpp"
 #include "net/generators.hpp"
@@ -74,6 +76,42 @@ TEST(MecNetwork, AttachRejectsBadRanges) {
     spec.reliability_min = 0.99;
     spec.reliability_max = 0.95;
     EXPECT_THROW(mec.attach_random_cloudlets(spec, rng), std::invalid_argument);
+}
+
+/// Expects the range validator's own error (naming `range`), not a later
+/// per-cloudlet check tripping over a value drawn from a bad range.
+void expect_range_rejected(const CloudletAttachment& spec, const char* range) {
+    common::Rng rng(5);
+    MecNetwork mec(net::ring(8));
+    try {
+        mec.attach_random_cloudlets(spec, rng);
+        ADD_FAILURE() << "attach_random_cloudlets accepted a bad " << range;
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(range), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(mec.cloudlet_count(), 0u);
+}
+
+TEST(MecNetwork, AttachRejectsNanCapacityRange) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    CloudletAttachment spec;
+    spec.count = 2;
+    spec.capacity_min = nan;
+    expect_range_rejected(spec, "capacity range");
+    spec.capacity_min = 10;
+    spec.capacity_max = nan;
+    expect_range_rejected(spec, "capacity range");
+}
+
+TEST(MecNetwork, AttachRejectsNanReliabilityRange) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    CloudletAttachment spec;
+    spec.count = 2;
+    spec.reliability_min = nan;
+    expect_range_rejected(spec, "reliability range");
+    spec.reliability_min = 0.95;
+    spec.reliability_max = nan;
+    expect_range_rejected(spec, "reliability range");
 }
 
 TEST(MecNetwork, CapacityAndReliabilityVectors) {

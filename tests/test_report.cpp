@@ -33,15 +33,6 @@ TEST(Table, TextLayoutAligned) {
     EXPECT_EQ(t.columns(), 2u);
 }
 
-TEST(Table, MarkdownShape) {
-    Table t({"a", "b"});
-    t.add_row({"1", "2"});
-    const std::string md = t.to_markdown();
-    EXPECT_NE(md.find("| a | b |"), std::string::npos);
-    EXPECT_NE(md.find("|---|---|"), std::string::npos);
-    EXPECT_NE(md.find("| 1 | 2 |"), std::string::npos);
-}
-
 TEST(Formatting, FixedPrecision) {
     EXPECT_EQ(format_double(3.14159, 2), "3.14");
     EXPECT_EQ(format_double(2.0, 0), "2");

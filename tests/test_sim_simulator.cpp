@@ -1,12 +1,12 @@
-#include "sim/simulator.hpp"
+#include "sim/metrics.hpp"
 
 #include <gtest/gtest.h>
 
 #include "core/greedy.hpp"
 #include "core/onsite_primal_dual.hpp"
+#include "core/schedule.hpp"
 #include "helpers.hpp"
 #include "net/generators.hpp"
-#include "sim/metrics.hpp"
 #include "sim/recovery_engine.hpp"
 #include "sim/recovery_faults.hpp"
 #include "sim/recovery_study.hpp"
@@ -18,77 +18,14 @@ using vnfr::testing::make_request;
 using vnfr::testing::random_instance;
 using vnfr::testing::small_instance;
 
-TEST(Simulator, TimelineCoversHorizon) {
-    common::Rng rng(7);
-    const core::Instance inst = random_instance(rng, 30, 3, 10);
-    core::OnsitePrimalDual scheduler(inst);
-    const SimulationReport report = simulate(inst, scheduler);
-    ASSERT_EQ(report.timeline.size(), static_cast<std::size_t>(inst.horizon));
-    for (TimeSlot t = 0; t < inst.horizon; ++t) {
-        EXPECT_EQ(report.timeline[static_cast<std::size_t>(t)].slot, t);
-    }
-}
-
-TEST(Simulator, ArrivalsAccountedExactlyOnce) {
-    common::Rng rng(11);
-    const core::Instance inst = random_instance(rng, 50, 3, 12);
-    core::OnsitePrimalDual scheduler(inst);
-    const SimulationReport report = simulate(inst, scheduler);
-    std::size_t arrivals = 0;
-    for (const SlotRecord& rec : report.timeline) arrivals += rec.arrivals;
-    EXPECT_EQ(arrivals, inst.requests.size());
-}
-
-TEST(Simulator, MatchesRunOnline) {
-    // Slot-stepped simulation must produce exactly the same decisions as
-    // the plain request-ordered driver.
-    common::Rng rng(13);
-    const core::Instance inst = random_instance(rng, 60, 3, 12);
-    core::OnsitePrimalDual s1(inst);
-    core::OnsitePrimalDual s2(inst);
-    const SimulationReport sim_report = simulate(inst, s1);
-    const core::ScheduleResult direct = run_online(inst, s2);
-    EXPECT_DOUBLE_EQ(sim_report.schedule.revenue, direct.revenue);
-    EXPECT_EQ(sim_report.schedule.admitted, direct.admitted);
-    ASSERT_EQ(sim_report.schedule.decisions.size(), direct.decisions.size());
-    for (std::size_t i = 0; i < direct.decisions.size(); ++i) {
-        EXPECT_EQ(sim_report.schedule.decisions[i].admitted, direct.decisions[i].admitted);
-    }
-}
-
-TEST(Simulator, ActiveRequestsTrackWindows) {
-    const auto inst = small_instance({0.99}, 100.0, 6,
-                                     {make_request(0, 0, 0.9, 0, 3, 5.0),
-                                      make_request(1, 0, 0.9, 2, 2, 5.0)});
-    core::OnsitePrimalDual scheduler(inst);
-    const SimulationReport report = simulate(inst, scheduler);
-    ASSERT_EQ(report.schedule.admitted, 2u);
-    EXPECT_EQ(report.timeline[0].active_requests, 1u);  // r0
-    EXPECT_EQ(report.timeline[1].active_requests, 1u);  // r0
-    EXPECT_EQ(report.timeline[2].active_requests, 2u);  // r0 + r1
-    EXPECT_EQ(report.timeline[3].active_requests, 1u);  // r1
-    EXPECT_EQ(report.timeline[4].active_requests, 0u);
-}
-
-TEST(Simulator, UtilizationWithinUnitForEnforcingSchedulers) {
-    common::Rng rng(17);
-    const core::Instance inst = random_instance(rng, 80, 3, 12, 8, 15);
-    core::OnsiteGreedy scheduler(inst);
-    const SimulationReport report = simulate(inst, scheduler);
-    for (const SlotRecord& rec : report.timeline) {
-        EXPECT_GE(rec.mean_utilization, 0.0);
-        EXPECT_LE(rec.mean_utilization, 1.0 + 1e-9);
-    }
-}
-
 TEST(Simulator, FailureInjectionDisabledByDefault) {
     // Without injected faults the replay serves every active request-slot.
     common::Rng rng(19);
     const core::Instance inst = random_instance(rng, 30, 3, 10);
     core::OnsitePrimalDual scheduler(inst);
-    const SimulationReport report = simulate(inst, scheduler);
+    const core::ScheduleResult schedule = run_online(inst, scheduler);
     const RecoveryReport replay =
-        run_recovery_study(inst, report.schedule.decisions, FaultSchedule{});
+        run_recovery_study(inst, schedule.decisions, FaultSchedule{});
     EXPECT_GT(replay.request_slots, 0u);
     EXPECT_EQ(replay.served_slots, replay.request_slots);
     EXPECT_EQ(replay.disrupted_slots, 0u);
@@ -99,13 +36,13 @@ TEST(Simulator, FailureInjectionDeliversRequiredAvailability) {
     common::Rng rng(23);
     const core::Instance inst = random_instance(rng, 120, 4, 20, 30, 50);
     core::OnsitePrimalDual scheduler(inst);
-    const SimulationReport report = simulate(inst, scheduler);
+    const core::ScheduleResult schedule = run_online(inst, scheduler);
     RecoveryStudyConfig cfg;
     cfg.injector = markov_injector({});
     cfg.replications = 20;
     cfg.master_seed = 777;
     const RecoveryReport replay =
-        run_recovery_replications(inst, report.schedule.decisions, cfg).total;
+        run_recovery_replications(inst, schedule.decisions, cfg).total;
     ASSERT_GT(replay.request_slots, 100u);
     // Every admitted placement has availability >= its requirement >= 0.90,
     // so the empirical availability pooled over 20 Markov replays (one
@@ -119,14 +56,14 @@ TEST(Simulator, FailureInjectionDeterministicBySeed) {
     const core::Instance inst = random_instance(rng, 60, 3, 12);
     core::OnsitePrimalDual s1(inst);
     core::OnsitePrimalDual s2(inst);
-    const SimulationReport r1 = simulate(inst, s1);
-    const SimulationReport r2 = simulate(inst, s2);
+    const core::ScheduleResult r1 = run_online(inst, s1);
+    const core::ScheduleResult r2 = run_online(inst, s2);
     const RecoveryReport a = run_recovery_study(
-        inst, r1.schedule.decisions,
-        generate_markov_schedule(inst, r1.schedule.decisions, {}, 555));
+        inst, r1.decisions,
+        generate_markov_schedule(inst, r1.decisions, {}, 555));
     const RecoveryReport b = run_recovery_study(
-        inst, r2.schedule.decisions,
-        generate_markov_schedule(inst, r2.schedule.decisions, {}, 555));
+        inst, r2.decisions,
+        generate_markov_schedule(inst, r2.decisions, {}, 555));
     EXPECT_EQ(a.served_slots, b.served_slots);
     EXPECT_EQ(a.disrupted_slots, b.disrupted_slots);
 }
@@ -187,16 +124,6 @@ TEST(Metrics, AccessHopsZeroWithoutSources) {
     const core::ScheduleResult result = run_online(inst, scheduler);
     const PlacementStats stats = placement_stats(inst, result.decisions);
     EXPECT_DOUBLE_EQ(stats.mean_access_hops, 0.0);
-}
-
-TEST(Metrics, CloudletUtilizations) {
-    const auto inst = small_instance({0.99}, 10.0, 4, {make_request(0, 0, 0.9, 0, 4, 5.0)});
-    core::OnsitePrimalDual scheduler(inst);
-    run_online(inst, scheduler);
-    const auto utils = cloudlet_utilizations(scheduler.ledger());
-    ASSERT_EQ(utils.size(), 1u);
-    EXPECT_GT(utils[0], 0.0);
-    EXPECT_LE(utils[0], 1.0);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "common/rng.hpp"
@@ -204,6 +205,30 @@ TEST(Generator, ValidationErrors) {
     cfg.payment_rate_min = 0.0;
     EXPECT_THROW(generate(cfg, cat, rng), std::invalid_argument);
     EXPECT_THROW(generate(GeneratorConfig{}, vnf::Catalog{}, rng), std::invalid_argument);
+}
+
+TEST(Generator, RejectsNanRequirementRange) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    common::Rng rng(1);
+    const auto cat = test_catalog();
+    GeneratorConfig cfg;
+    cfg.requirement_min = nan;
+    EXPECT_THROW(generate(cfg, cat, rng), std::invalid_argument);
+    cfg = {};
+    cfg.requirement_max = nan;
+    EXPECT_THROW(generate(cfg, cat, rng), std::invalid_argument);
+}
+
+TEST(Generator, RejectsNanPaymentRateRange) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    common::Rng rng(1);
+    const auto cat = test_catalog();
+    GeneratorConfig cfg;
+    cfg.payment_rate_min = nan;
+    EXPECT_THROW(generate(cfg, cat, rng), std::invalid_argument);
+    cfg = {};
+    cfg.payment_rate_max = nan;
+    EXPECT_THROW(generate(cfg, cat, rng), std::invalid_argument);
 }
 
 TEST(TraceIo, RoundTripsExactly) {

@@ -11,6 +11,7 @@
 // Run with --help for the full flag list.
 #include <cerrno>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <limits>
@@ -18,6 +19,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <sys/stat.h>
@@ -25,6 +27,7 @@
 #include "common/rng.hpp"
 #include "core/instance.hpp"
 #include "core/offline.hpp"
+#include "core/schedule.hpp"
 #include "net/topology_zoo.hpp"
 #include "report/csv.hpp"
 #include "report/json.hpp"
@@ -33,7 +36,6 @@
 #include "sim/experiment.hpp"
 #include "sim/metrics.hpp"
 #include "sim/recovery_study.hpp"
-#include "sim/simulator.hpp"
 #include "workload/trace_io.hpp"
 
 namespace {
@@ -125,17 +127,31 @@ Output:
     std::exit(exit_code);
 }
 
+/// Parses a LO:HI flag value: each half a finite decimal number with no
+/// trailing characters.
 std::pair<double, double> parse_range(const std::string& value, const std::string& flag) {
     const auto colon = value.find(':');
     if (colon == std::string::npos) {
         throw std::invalid_argument(flag + " expects LO:HI, got '" + value + "'");
     }
-    return {std::stod(value.substr(0, colon)), std::stod(value.substr(colon + 1))};
+    const auto parse_half = [&](std::string_view half) {
+        double parsed = 0;
+        const char* const end = half.data() + half.size();
+        const auto [ptr, ec] = std::from_chars(half.data(), end, parsed);
+        if (ec != std::errc() || ptr != end || !std::isfinite(parsed)) {
+            throw std::invalid_argument(flag + " expects LO:HI with finite numbers, got '" +
+                                        value + "'");
+        }
+        return parsed;
+    };
+    const std::string_view view(value);
+    return {parse_half(view.substr(0, colon)), parse_half(view.substr(colon + 1))};
 }
 
 /// Parses an integer flag value: decimal digits only, no sign, no
-/// trailing characters, and no larger than `max`.
+/// trailing characters, and within [min, max].
 std::uint64_t parse_count(const std::string& value, const std::string& flag,
+                          std::uint64_t min = 0,
                           std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
     std::uint64_t parsed = 0;
     const char* const end = value.data() + value.size();
@@ -143,6 +159,10 @@ std::uint64_t parse_count(const std::string& value, const std::string& flag,
     if (ec != std::errc() || ptr != end) {
         throw std::invalid_argument(flag + " expects a non-negative integer, got '" +
                                     value + "'");
+    }
+    if (parsed < min) {
+        throw std::invalid_argument(flag + " must be at least " + std::to_string(min) +
+                                    ", got " + value);
     }
     if (parsed > max) {
         throw std::invalid_argument(flag + " must be at most " + std::to_string(max) +
@@ -167,10 +187,10 @@ Options parse_args(int argc, char** argv) {
         else if (flag == "--cloudlet-reliability")
             std::tie(opt.cloudlet_rel_lo, opt.cloudlet_rel_hi) =
                 parse_range(need_value(i, flag), flag);
-        else if (flag == "--requests") opt.requests = parse_count(need_value(i, flag), flag);
+        else if (flag == "--requests") opt.requests = parse_count(need_value(i, flag), flag, 1);
         else if (flag == "--horizon")
             opt.horizon = static_cast<TimeSlot>(parse_count(
-                need_value(i, flag), flag,
+                need_value(i, flag), flag, 0,
                 static_cast<std::uint64_t>(std::numeric_limits<TimeSlot>::max())));
         else if (flag == "--durations") {
             const auto [lo, hi] = parse_range(need_value(i, flag), flag);
@@ -190,7 +210,7 @@ Options parse_args(int argc, char** argv) {
                 if (!name.empty()) opt.algorithms.push_back(name);
             }
         } else if (flag == "--seed") opt.seed = parse_count(need_value(i, flag), flag);
-        else if (flag == "--seeds") opt.seeds = parse_count(need_value(i, flag), flag);
+        else if (flag == "--seeds") opt.seeds = parse_count(need_value(i, flag), flag, 1);
         else if (flag == "--offline-bound") opt.offline_bound = true;
         else if (flag == "--inject-failures") opt.inject_failures = true;
         else if (flag == "--recovery") {
@@ -398,13 +418,11 @@ int run(const Options& opt) {
 
         for (std::size_t ai = 0; ai < algorithms.size(); ++ai) {
             const auto scheduler = sim::make_scheduler(algorithms[ai], instance);
-            const sim::SimulationReport report = sim::simulate(instance, *scheduler);
-            const sim::PlacementStats stats =
-                sim::placement_stats(instance, report.schedule.decisions);
+            const core::ScheduleResult schedule = core::run_online(instance, *scheduler);
+            const sim::PlacementStats stats = sim::placement_stats(instance, schedule.decisions);
             AlgorithmAggregate& agg = aggregates[ai];
-            agg.revenue.add(report.schedule.revenue);
-            agg.acceptance.add(static_cast<double>(report.schedule.admitted) /
-                               static_cast<double>(instance.requests.size()));
+            agg.revenue.add(schedule.revenue);
+            agg.acceptance.add(core::acceptance_ratio(schedule, instance));
             agg.availability.add(stats.mean_availability);
             agg.access_hops.add(stats.mean_access_hops);
             if (opt.inject_failures) {
@@ -412,7 +430,7 @@ int run(const Options& opt) {
                 markov_cfg.injector = sim::markov_injector({});
                 markov_cfg.replications = opt.fault_replications;
                 markov_cfg.master_seed = common::stream_seed(opt.seed, 2000 + k);
-                if (const auto outcome = replay(instance, report.schedule.decisions, markov_cfg))
+                if (const auto outcome = replay(instance, schedule.decisions, markov_cfg))
                     agg.empirical.add(outcome->total.availability());
                 else
                     agg.empirical_unavailable = true;
@@ -422,8 +440,7 @@ int run(const Options& opt) {
                 recovery_cfg.recovery.policy = *opt.recovery;
                 recovery_cfg.replications = opt.fault_replications;
                 recovery_cfg.master_seed = common::stream_seed(opt.seed, 1000 + k);
-                if (const auto outcome =
-                        replay(instance, report.schedule.decisions, recovery_cfg)) {
+                if (const auto outcome = replay(instance, schedule.decisions, recovery_cfg)) {
                     const sim::RecoveryReport& total = outcome->total;
                     agg.recovery_delivered.add(total.availability());
                     agg.recovery_ttr.add(total.mean_time_to_recover());
