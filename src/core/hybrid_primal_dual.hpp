@@ -7,39 +7,38 @@
 // traffic. A provider running both can pick whichever is cheaper *at
 // current prices* for each request:
 //
-//   1. Price the best on-site option exactly as Algorithm 1 does
-//      (arg-min_j sum_t N_ij c(f_i) lambda^on_tj over feasible cloudlets).
-//   2. Price the best off-site option exactly as Algorithm 2 does
-//      (cheapest-w_j site set meeting R_i), costing it at its own duals:
+//   1. Quote the best on-site option with Algorithm 1's quote_onsite over
+//      the on-site duals.
+//   2. Quote the best off-site site set with Algorithm 2's quote_offsite
+//      over the off-site duals, and cost it at those duals:
 //      sum_{j in S} c(f_i) sum_t lambda^off_tj.
 //   3. Admit via the affordable option with the larger profit
-//      pay_i - price; update only the chosen scheme's duals.
+//      pay_i - price, committing it with that scheme's commit step (so
+//      only the chosen scheme's duals move, with the same saturation).
 //
 // Both schemes share one capacity ledger (a cloudlet's compute serves both
-// kinds of placements), which is always enforced.
+// kinds of placements), which is always enforced. Each dual table runs at
+// its scheme's automatic capacity scale.
 #pragma once
 
-#include <optional>
 #include <string_view>
-#include <vector>
 
+#include "core/dual_limits.hpp"
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
 #include "edge/resource_ledger.hpp"
 
 namespace vnfr::core {
 
-struct HybridPrimalDualConfig {
-    /// Dual-capacity scales for the two pricing subsystems (see the
-    /// corresponding fields on Onsite-/OffsitePrimalDualConfig); 0 = auto.
-    double onsite_dual_capacity_scale{0.0};
-    double offsite_dual_capacity_scale{0.0};
-};
-
 class HybridPrimalDual final : public OnlineScheduler {
   public:
-    explicit HybridPrimalDual(const Instance& instance, HybridPrimalDualConfig config = {});
+    /// Keeps a reference to `instance`; the caller must keep it alive.
+    explicit HybridPrimalDual(const Instance& instance);
 
+    /// A request neither scheme admits is rejected as kInfeasibleRequirement
+    /// only when both schemes call it infeasible, kPricedOut when either
+    /// scheme found a placement or rejects it on price, and kNoCapacity
+    /// otherwise.
     Decision decide(const workload::Request& request) override;
     [[nodiscard]] const edge::ResourceLedger& ledger() const override { return ledger_; }
     [[nodiscard]] std::string_view name() const override { return "hybrid-primal-dual"; }
@@ -49,29 +48,12 @@ class HybridPrimalDual final : public OnlineScheduler {
     [[nodiscard]] std::size_t offsite_admissions() const { return offsite_admissions_; }
 
   private:
-    struct OnsiteOption {
-        CloudletId cloudlet;
-        int replicas{0};
-        double price{0};
-    };
-    struct OffsiteOption {
-        std::vector<CloudletId> sites;
-        double price{0};
-    };
-
-    [[nodiscard]] std::optional<OnsiteOption> price_onsite(
-        const workload::Request& request) const;
-    [[nodiscard]] std::optional<OffsiteOption> price_offsite(
-        const workload::Request& request) const;
-    void admit_onsite(const workload::Request& request, const OnsiteOption& option);
-    void admit_offsite(const workload::Request& request, const OffsiteOption& option);
-
     const Instance& instance_;
     edge::ResourceLedger ledger_;
-    double onsite_scale_{1.0};
-    double offsite_scale_{1.0};
-    std::vector<std::vector<double>> lambda_onsite_;   ///< [cloudlet][slot]
-    std::vector<std::vector<double>> lambda_offsite_;  ///< [cloudlet][slot]
+    double onsite_scale_;
+    double offsite_scale_;
+    DualTable lambda_onsite_;
+    DualTable lambda_offsite_;
     std::size_t onsite_admissions_{0};
     std::size_t offsite_admissions_{0};
 };

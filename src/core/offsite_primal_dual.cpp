@@ -12,11 +12,31 @@ namespace vnfr::core {
 
 namespace {
 
-/// Catalog-level estimate of the typical per-request demand under the
-/// off-site scheme: c(f) times the expected number of sites needed,
-/// ln(1-R)/ln(1 - r_f r_c), at a representative requirement. Uses no
-/// knowledge of the request sequence.
-double estimate_typical_demand(const Instance& instance) {
+/// ln(1 - r_f r_c) for a VNF of reliability `vnf_rel` on cloudlet c.
+double log_pair_failure(double vnf_rel, const edge::Cloudlet& c) {
+    // < 0 whenever both reliabilities are in (0, 1), which keeps w_j >= 0.
+    const double log_pair = vnf::offsite_log_failure(vnf_rel, c.reliability);
+    VNFR_CHECK(log_pair < 0.0, "offsite log-failure must be negative for cloudlet ",
+               c.id.value);
+    return log_pair;
+}
+
+/// w_j = sum_t lambda_{tj} / -ln(1 - r_f r_c) over the request's window of
+/// cloudlet c's dual row `lam`.
+double normalized_price_of(const std::vector<double>& lam, const workload::Request& request,
+                           [[maybe_unused]] const edge::Cloudlet& c, double log_pair) {
+    double lambda_sum = 0.0;
+    for (TimeSlot t = request.arrival; t < request.end(); ++t) {
+        VNFR_DCHECK(lam[static_cast<std::size_t>(t)] >= 0.0, "dual price lambda_",
+                    c.id.value, "(", t, ") went negative");
+        lambda_sum += lam[static_cast<std::size_t>(t)];
+    }
+    return VNFR_CHECK_FINITE(lambda_sum / -log_pair);
+}
+
+}  // namespace
+
+double offsite_typical_demand(const Instance& instance) {
     double total = 0.0;
     std::size_t pairs = 0;
     for (const vnf::VnfType& type : instance.catalog.types()) {
@@ -31,7 +51,102 @@ double estimate_typical_demand(const Instance& instance) {
     return pairs == 0 ? 1.0 : std::max(1.0, total / static_cast<double>(pairs));
 }
 
-}  // namespace
+OffsiteQuote quote_offsite(const Instance& instance, const DualTable& lambda,
+                           const edge::ResourceLedger& ledger,
+                           const workload::Request& request) {
+    const double compute = instance.catalog.compute_units(request.vnf);
+    const double vnf_rel = VNFR_CHECK_PROB(instance.catalog.reliability(request.vnf));
+    const double log_target = common::log1m(request.requirement);  // ln(1 - R_i)
+    VNFR_CHECK(log_target < 0.0, "requirement R_i must be positive for request ",
+               request.id.value);
+    OffsiteQuote quote;
+
+    // Step 1: price every cloudlet and prune the unaffordable ones.
+    struct Candidate {
+        CloudletId cloudlet;
+        double price;     ///< w_j
+        double log_pair;  ///< ln(1 - r_f r_c)
+    };
+    // Classification baseline: can the full cloudlet set meet R at all?
+    double log_fail_everything = 0.0;
+    std::vector<Candidate> candidates;
+    candidates.reserve(instance.network.cloudlet_count());
+    for (const edge::Cloudlet& c : instance.network.cloudlets()) {
+        const double log_pair = log_pair_failure(vnf_rel, c);
+        log_fail_everything += log_pair;
+        const double w = normalized_price_of(lambda[c.id.index()], request, c, log_pair);
+        // Line 5: pay_i + ln(1-R_i) * c(f_i) * w_j <= 0 -> skip cloudlet.
+        if (request.payment + log_target * compute * w <= 0.0) continue;
+        candidates.push_back({c.id, w, log_pair});
+    }
+    const bool reachable = log_fail_everything <= log_target;
+    if (candidates.empty()) {
+        quote.verdict = reachable ? RejectReason::kPricedOut
+                                  : RejectReason::kInfeasibleRequirement;
+        return quote;
+    }
+
+    // Step 2: cheapest-first greedy selection under residual capacity.
+    // Price ties (whole windows still unpriced) are broken toward the more
+    // reliable cloudlet, which needs the fewest sites to reach R_i.
+    std::sort(candidates.begin(), candidates.end(),
+              [&](const Candidate& a, const Candidate& b) {
+                  if (a.price < b.price - 1e-12 || b.price < a.price - 1e-12) {
+                      return a.price < b.price;
+                  }
+                  const double ra = instance.network.cloudlet(a.cloudlet).reliability;
+                  const double rb = instance.network.cloudlet(b.cloudlet).reliability;
+                  if (!common::almost_equal(ra, rb)) return ra > rb;
+                  return a.cloudlet < b.cloudlet;
+              });
+
+    double log_fail = 0.0;  // sum of ln(1 - r_f r_c) over S(i)
+    for (const Candidate& cand : candidates) {
+        if (!ledger.fits(cand.cloudlet, request.arrival, request.end(), compute)) continue;
+        quote.sites.push_back(Site{cand.cloudlet, 1});
+        log_fail += cand.log_pair;
+        if (log_fail <= log_target) return quote;
+    }
+
+    // Line 22: reject. Classify: if even the full price-feasible candidate
+    // set ignoring capacity cannot reach R, the pruning priced the request
+    // out; otherwise capacity blocked a sufficient subset.
+    quote.sites.clear();
+    if (!reachable) {
+        quote.verdict = RejectReason::kInfeasibleRequirement;
+    } else {
+        double log_fail_candidates = 0.0;
+        for (const Candidate& cand : candidates) log_fail_candidates += cand.log_pair;
+        quote.verdict = log_fail_candidates <= log_target ? RejectReason::kNoCapacity
+                                                          : RejectReason::kPricedOut;
+    }
+    return quote;
+}
+
+void commit_offsite(const Instance& instance, DualTable& lambda,
+                    edge::ResourceLedger& ledger, double dual_scale,
+                    const workload::Request& request, const OffsiteQuote& quote) {
+    VNFR_CHECK(quote.verdict == RejectReason::kNone && !quote.sites.empty(),
+               "commit_offsite needs an admissible quote for request ", request.id.value);
+    const double compute = instance.catalog.compute_units(request.vnf);
+    const double vnf_rel = instance.catalog.reliability(request.vnf);
+    const double log_target = common::log1m(request.requirement);
+    for (const Site& site : quote.sites) {
+        ledger.reserve(site.cloudlet, request.arrival, request.end(), compute);
+
+        const edge::Cloudlet& cloudlet = instance.network.cloudlet(site.cloudlet);
+        // Eq. 67 against the (possibly scaled) capacity;
+        // ln(1-R)/ln(1-r_f r_c) > 0, so lambda grows monotonically.
+        const double ratio =
+            log_target / vnf::offsite_log_failure(vnf_rel, cloudlet.reliability);
+        VNFR_CHECK(ratio > 0.0, "Eq. (67) growth ratio for cloudlet ", cloudlet.id.value);
+        const double cap = cloudlet.capacity * dual_scale;
+        VNFR_CHECK(cap > 0.0, "dual update capacity for cloudlet ", cloudlet.id.value);
+        bump_duals(lambda[site.cloudlet.index()], request.arrival, request.end(),
+                   1.0 + ratio * compute / cap,
+                   ratio * compute * request.payment / (request.duration * cap));
+    }
+}
 
 OffsitePrimalDual::OffsitePrimalDual(const Instance& instance,
                                      OffsitePrimalDualConfig config)
@@ -43,7 +158,7 @@ OffsitePrimalDual::OffsitePrimalDual(const Instance& instance,
     if (config.dual_capacity_scale < 0.0)
         throw std::invalid_argument("OffsitePrimalDual: negative dual_capacity_scale");
     dual_scale_ = config.dual_capacity_scale > 0.0 ? config.dual_capacity_scale
-                                                   : estimate_typical_demand(instance);
+                                                   : offsite_typical_demand(instance);
 }
 
 SchedulerState OffsitePrimalDual::export_state() const {
@@ -63,143 +178,21 @@ double OffsitePrimalDual::lambda(CloudletId j, TimeSlot t) const {
 
 double OffsitePrimalDual::normalized_price(const workload::Request& request,
                                            CloudletId j) const {
-    const double vnf_rel = instance_.catalog.reliability(request.vnf);
-    const double cloud_rel = instance_.network.cloudlet(j).reliability;
-    double lambda_sum = 0.0;
-    const auto& lam = lambda_[j.index()];
-    for (TimeSlot t = request.arrival; t < request.end(); ++t) {
-        VNFR_DCHECK(lam[static_cast<std::size_t>(t)] >= 0.0, "dual price lambda_",
-                    j.value, "(", t, ") went negative");
-        lambda_sum += lam[static_cast<std::size_t>(t)];
-    }
-    // ln(1 - r_f r_c) < 0 whenever both reliabilities are in (0, 1), so the
-    // normalized price w_j = sum(lambda) / -ln(1 - r_f r_c) stays >= 0.
-    const double log_pair = vnf::offsite_log_failure(vnf_rel, cloud_rel);
-    VNFR_CHECK(log_pair < 0.0, "offsite log-failure must be negative for cloudlet ",
-               j.value);
-    return VNFR_CHECK_FINITE(lambda_sum / -log_pair);
+    const edge::Cloudlet& c = instance_.network.cloudlet(j);
+    return normalized_price_of(lambda_[j.index()], request, c,
+                               log_pair_failure(instance_.catalog.reliability(request.vnf), c));
 }
 
 Decision OffsitePrimalDual::decide(const workload::Request& request) {
-    const std::size_t m = instance_.network.cloudlet_count();
-    const double compute = instance_.catalog.compute_units(request.vnf);
-    const double vnf_rel = VNFR_CHECK_PROB(instance_.catalog.reliability(request.vnf));
-    const double log_target = common::log1m(request.requirement);  // ln(1 - R_i)
-    VNFR_CHECK(log_target < 0.0, "requirement R_i must be positive for request ",
-               request.id.value);
-
-    // Step 1: price every cloudlet and prune the unaffordable ones.
-    struct Candidate {
-        CloudletId cloudlet;
-        double price;  ///< w_j
-    };
-    // Classification baseline: can the full cloudlet set meet R at all?
-    double log_fail_everything = 0.0;
-    for (std::size_t idx = 0; idx < m; ++idx) {
-        log_fail_everything += vnf::offsite_log_failure(
-            vnf_rel,
-            instance_.network.cloudlet(CloudletId{static_cast<std::int64_t>(idx)})
-                .reliability);
-    }
-    const bool reachable = log_fail_everything <= log_target;
-
-    std::vector<Candidate> candidates;
-    candidates.reserve(m);
-    for (std::size_t idx = 0; idx < m; ++idx) {
-        const CloudletId j{static_cast<std::int64_t>(idx)};
-        const double w = normalized_price(request, j);
-        // Line 5: pay_i + ln(1-R_i) * c(f_i) * w_j <= 0 -> skip cloudlet.
-        if (request.payment + log_target * compute * w <= 0.0) continue;
-        candidates.push_back({j, w});
-    }
-    if (candidates.empty()) {
-        Decision rejected;
-        rejected.reject_reason = reachable ? RejectReason::kPricedOut
-                                           : RejectReason::kInfeasibleRequirement;
-        return rejected;
-    }
-
-    // Step 2: cheapest-first greedy selection under residual capacity.
-    // Price ties (whole windows still unpriced) are broken toward the more
-    // reliable cloudlet, which needs the fewest sites to reach R_i.
-    std::sort(candidates.begin(), candidates.end(),
-              [&](const Candidate& a, const Candidate& b) {
-                  if (a.price < b.price - 1e-12 || b.price < a.price - 1e-12) {
-                      return a.price < b.price;
-                  }
-                  const double ra = instance_.network.cloudlet(a.cloudlet).reliability;
-                  const double rb = instance_.network.cloudlet(b.cloudlet).reliability;
-                  if (!common::almost_equal(ra, rb)) return ra > rb;
-                  return a.cloudlet < b.cloudlet;
-              });
-
-    std::vector<CloudletId> selected;
-    double log_fail = 0.0;  // sum of ln(1 - r_f r_c) over S(i)
-    bool met = false;
-    for (const Candidate& cand : candidates) {
-        if (!ledger_.fits(cand.cloudlet, request.arrival, request.end(), compute)) continue;
-        selected.push_back(cand.cloudlet);
-        log_fail += vnf::offsite_log_failure(
-            vnf_rel, instance_.network.cloudlet(cand.cloudlet).reliability);
-        if (log_fail <= log_target) {
-            met = true;
-            break;
-        }
-    }
-    if (!met) {
-        // Line 22: reject, no state touched. Classify: if even the full
-        // price-feasible candidate set ignoring capacity cannot reach R,
-        // the pruning priced the request out; otherwise capacity blocked a
-        // sufficient subset.
-        Decision rejected;
-        if (!reachable) {
-            rejected.reject_reason = RejectReason::kInfeasibleRequirement;
-        } else {
-            double log_fail_candidates = 0.0;
-            for (const Candidate& cand : candidates) {
-                log_fail_candidates += vnf::offsite_log_failure(
-                    vnf_rel, instance_.network.cloudlet(cand.cloudlet).reliability);
-            }
-            rejected.reject_reason = log_fail_candidates <= log_target
-                                         ? RejectReason::kNoCapacity
-                                         : RejectReason::kPricedOut;
-        }
-        return rejected;
-    }
-
-    // Step 3: admit; reserve and update duals per selected cloudlet.
-    Placement placement{request.id, {}};
-    placement.sites.reserve(selected.size());
-    for (const CloudletId j : selected) {
-        ledger_.reserve(j, request.arrival, request.end(), compute);
-        placement.sites.push_back(Site{j, 1});
-
-        const edge::Cloudlet& cloudlet = instance_.network.cloudlet(j);
-        const double log_pair = vnf::offsite_log_failure(vnf_rel, cloudlet.reliability);
-        // Eq. 67 against the (possibly scaled) capacity;
-        // ln(1-R)/ln(1-r_f r_c) > 0, so lambda grows monotonically.
-        const double ratio = log_target / log_pair;
-        VNFR_CHECK(ratio > 0.0, "Eq. (67) growth ratio for cloudlet ", j.value);
-        const double cap = cloudlet.capacity * dual_scale_;
-        VNFR_CHECK(cap > 0.0, "dual update capacity for cloudlet ", j.value);
-        const double mult = 1.0 + ratio * compute / cap;
-        const double add = ratio * compute * request.payment / (request.duration * cap);
-        auto& lam = lambda_[j.index()];
-        for (TimeSlot t = request.arrival; t < request.end(); ++t) {
-            auto& value = lam[static_cast<std::size_t>(t)];
-            double updated = value * mult + add;
-            // Saturate as in Eq. 34 (see core/dual_limits.hpp): past the
-            // ceiling the slot prices out every representable payment, and
-            // the unbounded recursion would overflow on long traces.
-            if (!(updated < kDualPriceCeiling)) updated = kDualPriceCeiling;
-            value = VNFR_CHECK_FINITE(updated);
-            VNFR_DCHECK(value >= 0.0, "Eq. (67) dual update for ", j.value, " slot ", t);
-        }
-    }
-
+    OffsiteQuote quote = quote_offsite(instance_, lambda_, ledger_, request);
     Decision d;
+    if (quote.verdict != RejectReason::kNone) {
+        d.reject_reason = quote.verdict;
+        return d;
+    }
+    commit_offsite(instance_, lambda_, ledger_, dual_scale_, request, quote);
     d.admitted = true;
-    d.placement = std::move(placement);
+    d.placement = Placement{request.id, std::move(quote.sites)};
     return d;
 }
 

@@ -20,16 +20,53 @@
 //
 // Capacity is always enforced (Theorem 2: no violations), so the ledger
 // runs in kEnforce mode.
+//
+// decide() is quote_offsite (steps 1-2, read-only) followed, on admission,
+// by commit_offsite (step 3). Both take the dual table and ledger as
+// arguments so HybridPrimalDual prices its off-site side with the same code.
 #pragma once
 
 #include <string_view>
 #include <vector>
 
+#include "core/dual_limits.hpp"
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
 #include "edge/resource_ledger.hpp"
 
 namespace vnfr::core {
+
+/// Algorithm 2's pricing of one request at the duals `lambda` (steps 1-2).
+struct OffsiteQuote {
+    /// S(i) in selection order, one instance per cloudlet; empty unless
+    /// the verdict is kNone.
+    std::vector<Site> sites;
+    /// kNone when S(i) meets R_i (admit); otherwise why Algorithm 2
+    /// rejects: even every cloudlet together misses R_i, the price
+    /// pruning left too little reliability, or residual capacity did.
+    RejectReason verdict{RejectReason::kNone};
+};
+
+/// Steps 1-2: prune cloudlets on w_j at `lambda`, then scan the rest in
+/// non-decreasing w_j order, taking each with room for c(f_i) over the
+/// window in `ledger`, until the Eq. 10 product meets R_i. Reads nothing
+/// but its arguments.
+[[nodiscard]] OffsiteQuote quote_offsite(const Instance& instance, const DualTable& lambda,
+                                         const edge::ResourceLedger& ledger,
+                                         const workload::Request& request);
+
+/// Step 3 for a quote with verdict kNone: reserve c(f_i) on every site and
+/// apply Eq. 67 over the window against `dual_scale * cap_j`, saturating
+/// at kDualPriceCeiling.
+void commit_offsite(const Instance& instance, DualTable& lambda,
+                    edge::ResourceLedger& ledger, double dual_scale,
+                    const workload::Request& request, const OffsiteQuote& quote);
+
+/// Catalog-level estimate of the typical off-site demand: c(f) times the
+/// expected number of sites ln(1-R)/ln(1 - r_f r_c) at a representative
+/// requirement. The automatic dual capacity scale; uses no knowledge of
+/// the request sequence.
+[[nodiscard]] double offsite_typical_demand(const Instance& instance);
 
 struct OffsitePrimalDualConfig {
     /// Analogue of the on-site scaling approach: dual updates run against
@@ -72,7 +109,7 @@ class OffsitePrimalDual final : public OnlineScheduler {
     const Instance& instance_;
     edge::ResourceLedger ledger_;
     double dual_scale_{1.0};
-    std::vector<std::vector<double>> lambda_;  ///< [cloudlet][slot]
+    DualTable lambda_;
 };
 
 }  // namespace vnfr::core

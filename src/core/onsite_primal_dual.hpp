@@ -20,17 +20,56 @@
 //     paper evaluates (its "scaling approach" guarantees no real violation);
 //     cloudlets whose residual capacity cannot host the replicas are
 //     excluded from the arg-min.
+//
+// decide() is quote_onsite (steps 1-2, read-only) followed, on admission,
+// by commit_onsite (step 3). Both take the dual table and ledger as
+// arguments so HybridPrimalDual prices its on-site side with the same code.
 #pragma once
 
 #include <optional>
 #include <string_view>
 #include <vector>
 
+#include "core/dual_limits.hpp"
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
 #include "edge/resource_ledger.hpp"
 
 namespace vnfr::core {
+
+/// Algorithm 1's pricing of one request at the duals `lambda` (steps 1-2).
+struct OnsiteQuote {
+    CloudletId cloudlet;  ///< the arg-min cloudlet; invalid when none qualifies
+    int replicas{0};      ///< N_ij on `cloudlet` (Eq. 3)
+    /// sum_t N_ij c(f_i) lambda_{tj} on `cloudlet`; +inf when it is invalid
+    double price{0.0};
+    /// kNone when pay_i beats `price` (admit); otherwise why Algorithm 1
+    /// rejects: no cloudlet with r(c_j) > R_i, none with room (only when
+    /// capacity is enforced), or the cheapest price is not below pay_i.
+    RejectReason verdict{RejectReason::kNone};
+};
+
+/// Steps 1-2: the cheapest cloudlet by dual price among those with
+/// r(c_j) > R_i (and, when `enforce_capacity`, residual capacity for
+/// N_ij c(f_i) over the window in `ledger`), and the admission test.
+/// Reads nothing but its arguments.
+[[nodiscard]] OnsiteQuote quote_onsite(const Instance& instance, const DualTable& lambda,
+                                       const edge::ResourceLedger& ledger,
+                                       bool enforce_capacity,
+                                       const workload::Request& request);
+
+/// Step 3 for a quote with verdict kNone: reserve N_ij c(f_i) on the
+/// quoted cloudlet and apply Eq. 34 over the window against
+/// `dual_scale * cap_j`, saturating at kDualPriceCeiling.
+void commit_onsite(const Instance& instance, DualTable& lambda, edge::ResourceLedger& ledger,
+                   double dual_scale, const workload::Request& request,
+                   const OnsiteQuote& quote);
+
+/// Catalog-level estimate of the typical on-site placement demand
+/// a = N c(f): the automatic dual capacity scale. Uses no knowledge of
+/// the request sequence, so the scheduler stays a legitimate online
+/// algorithm.
+[[nodiscard]] double onsite_typical_demand(const Instance& instance);
 
 struct OnsitePrimalDualConfig {
     bool enforce_capacity{true};
@@ -97,7 +136,7 @@ class OnsitePrimalDual final : public OnlineScheduler {
     OnsitePrimalDualConfig config_;
     edge::ResourceLedger ledger_;
     double dual_scale_{1.0};
-    std::vector<std::vector<double>> lambda_;  ///< [cloudlet][slot]
+    DualTable lambda_;
     std::vector<double> deltas_;
 };
 

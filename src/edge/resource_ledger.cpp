@@ -133,11 +133,4 @@ void ResourceLedger::restore_usage(std::vector<double> usage) {
     usage_ = std::move(usage);
 }
 
-double ResourceLedger::mean_utilization(CloudletId c) const {
-    const double cap = capacity(c);
-    double total = 0.0;
-    for (TimeSlot t = 0; t < horizon_; ++t) total += cell(c, t) / cap;
-    return total / static_cast<double>(horizon_);
-}
-
 }  // namespace vnfr::edge

@@ -53,9 +53,6 @@ class ResourceLedger {
     /// Largest overshoot across all cloudlets.
     [[nodiscard]] double max_overshoot() const;
 
-    /// usage / capacity averaged over slots [0, horizon) for cloudlet c.
-    [[nodiscard]] double mean_utilization(CloudletId c) const;
-
     /// The raw row-major [cloudlet][slot] usage table — the ledger half of
     /// a scheduler state export.
     [[nodiscard]] const std::vector<double>& usage_table() const { return usage_; }

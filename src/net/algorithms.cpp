@@ -1,10 +1,6 @@
 #include "net/algorithms.hpp"
 
-#include <algorithm>
 #include <queue>
-#include <stdexcept>
-
-#include "net/shortest_path.hpp"
 
 namespace vnfr::net {
 
@@ -34,37 +30,6 @@ Components connected_components(const Graph& g) {
 bool is_connected(const Graph& g) {
     if (g.node_count() == 0) return true;
     return connected_components(g).count == 1;
-}
-
-double weighted_diameter(const Graph& g) {
-    if (g.node_count() == 0) throw std::invalid_argument("weighted_diameter: empty graph");
-    double best = 0.0;
-    for (std::size_t v = 0; v < g.node_count(); ++v) {
-        const auto tree = dijkstra(g, NodeId{static_cast<std::int64_t>(v)});
-        for (const double d : tree.distance) {
-            if (d == kUnreachable) return kUnreachable;
-            best = std::max(best, d);
-        }
-    }
-    return best;
-}
-
-int hop_diameter(const Graph& g) {
-    if (g.node_count() == 0) throw std::invalid_argument("hop_diameter: empty graph");
-    int best = 0;
-    for (std::size_t v = 0; v < g.node_count(); ++v) {
-        const auto hops = bfs_hops(g, NodeId{static_cast<std::int64_t>(v)});
-        for (const int h : hops) {
-            if (h < 0) return -1;
-            best = std::max(best, h);
-        }
-    }
-    return best;
-}
-
-double average_degree(const Graph& g) {
-    if (g.node_count() == 0) return 0.0;
-    return 2.0 * static_cast<double>(g.edge_count()) / static_cast<double>(g.node_count());
 }
 
 }  // namespace vnfr::net

@@ -1,4 +1,4 @@
-// Structural graph utilities: connectivity, components, diameter.
+// Structural graph utilities: connectivity and components.
 #pragma once
 
 #include <vector>
@@ -19,15 +19,5 @@ struct Components {
 };
 
 Components connected_components(const Graph& g);
-
-/// Weighted diameter: the largest finite pairwise distance. Throws
-/// std::invalid_argument on an empty graph; returns infinity if disconnected.
-double weighted_diameter(const Graph& g);
-
-/// Hop diameter: largest pairwise hop count; -1 if disconnected.
-int hop_diameter(const Graph& g);
-
-/// Mean node degree; 0 on the empty graph.
-double average_degree(const Graph& g);
 
 }  // namespace vnfr::net

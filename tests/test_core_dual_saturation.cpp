@@ -9,6 +9,7 @@
 #include <cmath>
 
 #include "core/dual_limits.hpp"
+#include "core/hybrid_primal_dual.hpp"
 #include "core/offsite_primal_dual.hpp"
 #include "core/onsite_primal_dual.hpp"
 #include "helpers.hpp"
@@ -95,6 +96,27 @@ TEST(DualSaturation, OffsiteMillionRequestSingleCloudletStaysFinite) {
         scheduler.decide(hammer_request(kRequests, 1e6));
     EXPECT_FALSE(modest.admitted);
     EXPECT_NE(modest.reject_reason, RejectReason::kNone);
+    const Decision rich =
+        scheduler.decide(hammer_request(kRequests + 1, 1e35));
+    EXPECT_TRUE(rich.admitted);
+}
+
+TEST(DualSaturation, HybridMillionRequestSingleCloudletStaysFinite) {
+    // The hybrid commits through the on-site and off-site commit steps, so
+    // whichever dual table the ramp drives saturates at the same ceiling.
+    const Instance inst = one_cloudlet_instance();
+    HybridPrimalDual scheduler(inst);
+
+    std::size_t admitted = 0;
+    for (std::size_t i = 0; i < kRequests; ++i) {
+        if (scheduler.decide(hammer_request(i, ramp_payment(i))).admitted) ++admitted;
+    }
+    EXPECT_EQ(admitted, kRequests);
+
+    const Decision modest =
+        scheduler.decide(hammer_request(kRequests, 1e6));
+    EXPECT_FALSE(modest.admitted);
+    EXPECT_EQ(modest.reject_reason, RejectReason::kPricedOut);
     const Decision rich =
         scheduler.decide(hammer_request(kRequests + 1, 1e35));
     EXPECT_TRUE(rich.admitted);

@@ -90,6 +90,26 @@ TEST(RejectReason, HybridInfeasibleRequirement) {
               RejectReason::kInfeasibleRequirement);
 }
 
+TEST(RejectReason, HybridPricedOutWhenOffsitePrunes) {
+    // R above both cloudlets' reliability, so on-site is infeasible, while
+    // both cloudlets together reach it off-site. A rich request raises the
+    // off-site duals on the window; a near-zero payment on the same window
+    // is then pruned on every cloudlet, which Algorithm 2 calls priced out
+    // although both cloudlets still have room.
+    std::vector<workload::Request> requests;
+    requests.push_back(make_request(0, 0, 0.95, 0, 2, 1000.0));
+    requests.push_back(make_request(1, 0, 0.95, 0, 2, 1e-6));
+    const Instance inst = small_instance({0.91, 0.91}, 100.0, 10, std::move(requests));
+    HybridPrimalDual hybrid(inst);
+    OffsitePrimalDual offsite(inst);
+    ASSERT_TRUE(hybrid.decide(inst.requests[0]).admitted);
+    ASSERT_TRUE(offsite.decide(inst.requests[0]).admitted);
+    const Decision d = hybrid.decide(inst.requests[1]);
+    ASSERT_FALSE(d.admitted);
+    EXPECT_EQ(offsite.decide(inst.requests[1]).reject_reason, RejectReason::kPricedOut);
+    EXPECT_EQ(d.reject_reason, RejectReason::kPricedOut);
+}
+
 TEST(RejectReason, AdmittedRequestsCarryNone) {
     common::Rng rng(501);
     const Instance inst = random_instance(rng, 40, 3, 10);

@@ -104,15 +104,6 @@ TEST(ResourceLedger, RangeValidation) {
     EXPECT_THROW(ledger.reserve(CloudletId{}, 0, 2, 1.0), std::invalid_argument);
 }
 
-TEST(ResourceLedger, MeanUtilization) {
-    auto ledger = make_enforcing();
-    ledger.reserve(CloudletId{0}, 0, 5, 5.0);  // 50% everywhere
-    EXPECT_NEAR(ledger.mean_utilization(CloudletId{0}), 0.5, 1e-12);
-    ledger.release(CloudletId{0}, 0, 5, 5.0);
-    ledger.reserve(CloudletId{0}, 0, 1, 10.0);  // 100% in one of five slots
-    EXPECT_NEAR(ledger.mean_utilization(CloudletId{0}), 0.2, 1e-12);
-}
-
 TEST(ResourceLedger, IndependentCloudlets) {
     auto ledger = make_enforcing();
     ledger.reserve(CloudletId{0}, 0, 5, 10.0);

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "net/algorithms.hpp"
 
 namespace vnfr::net {
@@ -105,30 +103,6 @@ TEST(Algorithms, DisconnectedDetected) {
     EXPECT_EQ(comps.label[0], comps.label[1]);
     EXPECT_EQ(comps.label[2], comps.label[3]);
     EXPECT_NE(comps.label[0], comps.label[2]);
-}
-
-TEST(Algorithms, PathGraphDiameters) {
-    Graph g(4);
-    g.add_edge(NodeId{0}, NodeId{1}, 1.0);
-    g.add_edge(NodeId{1}, NodeId{2}, 2.0);
-    g.add_edge(NodeId{2}, NodeId{3}, 3.0);
-    EXPECT_DOUBLE_EQ(weighted_diameter(g), 6.0);
-    EXPECT_EQ(hop_diameter(g), 3);
-}
-
-TEST(Algorithms, DisconnectedDiameters) {
-    Graph g(3);
-    g.add_edge(NodeId{0}, NodeId{1});
-    EXPECT_EQ(hop_diameter(g), -1);
-    EXPECT_TRUE(std::isinf(weighted_diameter(g)));
-}
-
-TEST(Algorithms, AverageDegree) {
-    Graph g(4);
-    g.add_edge(NodeId{0}, NodeId{1});
-    g.add_edge(NodeId{1}, NodeId{2});
-    EXPECT_DOUBLE_EQ(average_degree(g), 1.0);
-    EXPECT_DOUBLE_EQ(average_degree(Graph{}), 0.0);
 }
 
 }  // namespace
