@@ -19,9 +19,9 @@ TheoryBounds compute_onsite_bounds(const Instance& instance) {
 
     for (const workload::Request& r : instance.requests) {
         const double compute = instance.catalog.compute_units(r.vnf);
-        const double vnf_rel = instance.catalog.reliability(r.vnf);
+        const vnf::ReplicaRow& row = instance.catalog.replica_row(r.vnf);
         for (const edge::Cloudlet& c : instance.network.cloudlets()) {
-            const auto n = vnf::min_onsite_replicas(c.reliability, vnf_rel, r.requirement);
+            const auto n = vnf::onsite_replicas(row, c.reliability, r.requirement);
             if (!n) continue;
             any_pair = true;
             const double a = *n * compute;

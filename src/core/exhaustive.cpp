@@ -1,6 +1,7 @@
 #include "core/exhaustive.hpp"
 
 #include <optional>
+#include <span>
 #include <stdexcept>
 
 #include "common/math.hpp"
@@ -42,11 +43,11 @@ void search_onsite(SearchState& st, std::size_t i, double revenue) {
 
     const workload::Request& r = st.instance.requests[i];
     const double compute = st.instance.catalog.compute_units(r.vnf);
-    const double vnf_rel = st.instance.catalog.reliability(r.vnf);
+    const vnf::ReplicaRow& row = st.instance.catalog.replica_row(r.vnf);
 
     // Option A: admit on some cloudlet.
     for (const edge::Cloudlet& c : st.instance.network.cloudlets()) {
-        const auto n = vnf::min_onsite_replicas(c.reliability, vnf_rel, r.requirement);
+        const auto n = vnf::onsite_replicas(row, c.reliability, r.requirement);
         if (!n) continue;
         const double demand = *n * compute;
         if (!st.ledger.fits(c.id, r.arrival, r.end(), demand)) continue;
@@ -128,20 +129,16 @@ ExhaustiveResult exhaustive_offsite(const Instance& instance) {
     // Pre-compute, per request, every cloudlet subset meeting R_i. Any
     // feasible admission can be reduced to such a subset without losing
     // revenue, so enumerating them is exact.
+    const vnf::OffsiteLogTable log_failure(instance.catalog, instance.network.reliabilities());
     std::vector<std::vector<unsigned>> masks(instance.requests.size());
     for (std::size_t i = 0; i < instance.requests.size(); ++i) {
         const workload::Request& r = instance.requests[i];
-        const double vnf_rel = instance.catalog.reliability(r.vnf);
+        const std::span<const double> logs = log_failure.row(r.vnf);
         const double log_target = common::log1m(r.requirement);
         for (unsigned mask = 1; mask < (1u << m); ++mask) {
             double log_fail = 0.0;
             for (std::size_t j = 0; j < m; ++j) {
-                if (mask & (1u << j)) {
-                    log_fail += vnf::offsite_log_failure(
-                        vnf_rel,
-                        instance.network.cloudlet(CloudletId{static_cast<std::int64_t>(j)})
-                            .reliability);
-                }
+                if (mask & (1u << j)) log_fail += logs[j];
             }
             if (log_fail <= log_target) masks[i].push_back(mask);
         }

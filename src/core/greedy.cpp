@@ -1,6 +1,7 @@
 #include "core/greedy.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "common/contracts.hpp"
 #include "common/math.hpp"
@@ -33,11 +34,11 @@ OnsiteGreedy::OnsiteGreedy(const Instance& instance)
 
 Decision OnsiteGreedy::decide(const workload::Request& request) {
     const double compute = instance_.catalog.compute_units(request.vnf);
-    const double vnf_rel = instance_.catalog.reliability(request.vnf);
+    const vnf::ReplicaRow& row = instance_.catalog.replica_row(request.vnf);
     bool any_reliable = false;
     for (const CloudletId j : by_reliability_) {
-        const auto n = vnf::min_onsite_replicas(instance_.network.cloudlet(j).reliability,
-                                                vnf_rel, request.requirement);
+        const auto n = vnf::onsite_replicas(row, instance_.network.cloudlet(j).reliability,
+                                            request.requirement);
         if (!n) continue;
         VNFR_CHECK(*n >= 1, "Eq. (3) replica count for request ", request.id.value,
                    " on cloudlet ", j.value);
@@ -58,13 +59,14 @@ Decision OnsiteGreedy::decide(const workload::Request& request) {
 
 OffsiteGreedy::OffsiteGreedy(const Instance& instance)
     : instance_(instance),
+      log_failure_(instance.catalog, instance.network.reliabilities()),
       ledger_(instance.network.capacities(), instance.horizon,
               edge::CapacityPolicy::kEnforce),
       by_reliability_(cloudlets_by_reliability(instance)) {}
 
 Decision OffsiteGreedy::decide(const workload::Request& request) {
     const double compute = instance_.catalog.compute_units(request.vnf);
-    const double vnf_rel = VNFR_CHECK_PROB(instance_.catalog.reliability(request.vnf));
+    const std::span<const double> logs = log_failure_.row(request.vnf);
     const double log_target = common::log1m(request.requirement);
 
     std::vector<CloudletId> selected;
@@ -72,10 +74,7 @@ Decision OffsiteGreedy::decide(const workload::Request& request) {
     double log_fail_everything = 0.0;
     bool met = false;
     for (const CloudletId j : by_reliability_) {
-        const double pair_fail =
-            vnf::offsite_log_failure(vnf_rel, instance_.network.cloudlet(j).reliability);
-        VNFR_DCHECK(pair_fail < 0.0, "offsite log-failure must be negative for cloudlet ",
-                    j.value);
+        const double pair_fail = logs[j.index()];
         log_fail_everything += pair_fail;
         if (met || !ledger_.fits(j, request.arrival, request.end(), compute)) continue;
         selected.push_back(j);

@@ -17,6 +17,7 @@
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
 #include "edge/resource_ledger.hpp"
+#include "vnf/reliability.hpp"
 
 namespace vnfr::core {
 
@@ -44,6 +45,7 @@ class OffsiteGreedy final : public OnlineScheduler {
 
   private:
     const Instance& instance_;
+    vnf::OffsiteLogTable log_failure_;
     edge::ResourceLedger ledger_;
     std::vector<CloudletId> by_reliability_;
 };

@@ -28,10 +28,11 @@ RejectReason combined_reject_reason(RejectReason onsite, RejectReason offsite) {
 
 HybridPrimalDual::HybridPrimalDual(const Instance& instance)
     : instance_(instance),
+      log_failure_(instance.catalog, instance.network.reliabilities()),
       ledger_(instance.network.capacities(), instance.horizon,
               edge::CapacityPolicy::kEnforce),
       onsite_scale_(onsite_typical_demand(instance)),
-      offsite_scale_(offsite_typical_demand(instance)),
+      offsite_scale_(offsite_typical_demand(instance, log_failure_)),
       lambda_onsite_(instance.network.cloudlet_count(),
                      std::vector<double>(static_cast<std::size_t>(instance.horizon), 0.0)),
       lambda_offsite_(instance.network.cloudlet_count(),
@@ -40,7 +41,8 @@ HybridPrimalDual::HybridPrimalDual(const Instance& instance)
 Decision HybridPrimalDual::decide(const workload::Request& request) {
     const OnsiteQuote onsite =
         quote_onsite(instance_, lambda_onsite_, ledger_, /*enforce_capacity=*/true, request);
-    OffsiteQuote offsite = quote_offsite(instance_, lambda_offsite_, ledger_, request);
+    OffsiteQuote offsite =
+        quote_offsite(instance_, log_failure_, lambda_offsite_, ledger_, request);
 
     // Profit of each scheme's placement at its own duals; -inf without one.
     constexpr double kNoPlacement = -std::numeric_limits<double>::infinity();
@@ -70,7 +72,8 @@ Decision HybridPrimalDual::decide(const workload::Request& request) {
         ++onsite_admissions_;
         d.placement = Placement{request.id, {Site{onsite.cloudlet, onsite.replicas}}};
     } else {
-        commit_offsite(instance_, lambda_offsite_, ledger_, offsite_scale_, request, offsite);
+        commit_offsite(instance_, log_failure_, lambda_offsite_, ledger_, offsite_scale_,
+                       request, offsite);
         ++offsite_admissions_;
         d.placement = Placement{request.id, std::move(offsite.sites)};
     }

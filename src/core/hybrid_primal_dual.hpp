@@ -27,6 +27,7 @@
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
 #include "edge/resource_ledger.hpp"
+#include "vnf/reliability.hpp"
 
 namespace vnfr::core {
 
@@ -49,6 +50,7 @@ class HybridPrimalDual final : public OnlineScheduler {
 
   private:
     const Instance& instance_;
+    vnf::OffsiteLogTable log_failure_;  ///< for the off-site quote and commit
     edge::ResourceLedger ledger_;
     double onsite_scale_;
     double offsite_scale_;

@@ -7,6 +7,25 @@
 
 namespace vnfr::core {
 
+void validate_request(const Instance& instance, const workload::Request& request) {
+    const auto fail = [&](const char* what) {
+        throw std::invalid_argument("Instance: request " + std::to_string(request.id.value) +
+                                    " " + what);
+    };
+    if (!request.fits_horizon(instance.horizon)) fail("does not fit the horizon");
+    if (!request.vnf.valid() || request.vnf.index() >= instance.catalog.size()) {
+        fail("references unknown VNF type");
+    }
+    // Negated comparisons so that NaN fails them too.
+    if (!(request.requirement > 0.0 && request.requirement < 1.0)) {
+        fail("requirement outside (0,1)");
+    }
+    if (!(request.payment > 0.0)) fail("non-positive payment");
+    if (request.source.valid() && !instance.network.graph().has_node(request.source)) {
+        fail("has an unknown source AP");
+    }
+}
+
 void Instance::validate() const {
     if (network.cloudlet_count() == 0)
         throw std::invalid_argument("Instance: no cloudlets");
@@ -15,29 +34,10 @@ void Instance::validate() const {
     TimeSlot prev_arrival = 0;
     for (std::size_t i = 0; i < requests.size(); ++i) {
         const workload::Request& r = requests[i];
-        if (!r.fits_horizon(horizon)) {
-            throw std::invalid_argument("Instance: request " + std::to_string(i) +
-                                        " does not fit the horizon");
-        }
-        if (!r.vnf.valid() || r.vnf.index() >= catalog.size()) {
-            throw std::invalid_argument("Instance: request " + std::to_string(i) +
-                                        " references unknown VNF type");
-        }
-        if (r.requirement <= 0.0 || r.requirement >= 1.0) {
-            throw std::invalid_argument("Instance: request " + std::to_string(i) +
-                                        " requirement outside (0,1)");
-        }
-        if (r.payment <= 0.0) {
-            throw std::invalid_argument("Instance: request " + std::to_string(i) +
-                                        " non-positive payment");
-        }
+        validate_request(*this, r);
         if (r.arrival < prev_arrival) {
             throw std::invalid_argument("Instance: requests not in arrival order at " +
                                         std::to_string(i));
-        }
-        if (r.source.valid() && !network.graph().has_node(r.source)) {
-            throw std::invalid_argument("Instance: request " + std::to_string(i) +
-                                        " has an unknown source AP");
         }
         prev_arrival = r.arrival;
     }

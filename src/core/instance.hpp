@@ -24,10 +24,17 @@ struct Instance {
     std::vector<workload::Request> requests;
 
     /// Throws std::invalid_argument describing the first inconsistency
-    /// (no cloudlets, empty catalog, request outside horizon, unknown VNF
-    /// type, unsorted arrival order, ...).
+    /// (no cloudlets, empty catalog, a request validate_request rejects,
+    /// unsorted arrival order, ...).
     void validate() const;
 };
+
+/// The per-request checks of Instance::validate, for a request checked
+/// against `instance` on its own (the serve layer's submit): its window
+/// fits the horizon, its VNF type is in the catalog, R_i lies in (0, 1)
+/// and pay_i > 0 (NaN fails both), and a set source AP is a node of the
+/// network. Throws std::invalid_argument naming the first failed check.
+void validate_request(const Instance& instance, const workload::Request& request);
 
 /// Everything needed to synthesize an instance; defaults mirror the
 /// paper's Section VI environment (real topology, 10 VNF types, uniform

@@ -1,5 +1,6 @@
 #include "core/offline.hpp"
 
+#include <span>
 #include <string>
 
 #include "common/contracts.hpp"
@@ -50,11 +51,13 @@ OfflineModel build_onsite_model(const Instance& instance) {
     std::vector<std::vector<int>> replicas(n, std::vector<int>(m, 0));
     for (std::size_t i = 0; i < n; ++i) {
         const workload::Request& r = instance.requests[i];
+        const vnf::ReplicaRow& row = instance.catalog.replica_row(r.vnf);
         for (std::size_t j = 0; j < m; ++j) {
-            const auto count = vnf::min_onsite_replicas(
+            const auto count = vnf::onsite_replicas(
+                row,
                 instance.network.cloudlet(CloudletId{static_cast<std::int64_t>(j)})
                     .reliability,
-                instance.catalog.reliability(r.vnf), r.requirement);
+                r.requirement);
             if (!count) continue;
             VNFR_CHECK(*count >= 1, "Eq. (3) replica count for request ", i,
                        " on cloudlet ", j);
@@ -112,21 +115,15 @@ OfflineModel build_offsite_model(const Instance& instance, bool anchor_rejected_
         return instance.catalog.compute_units(instance.requests[i].vnf);
     });
 
-    // Reliability (50) and anchoring (51), in log space. a_ij < 0.
+    // Reliability (50) and anchoring (51), in log space. a_ij < 0: the
+    // table checks it, and constraint (50) divides through these, so a
+    // zero or positive coefficient would silently invert the row's meaning.
+    const vnf::OffsiteLogTable log_failure(instance.catalog, instance.network.reliabilities());
     for (std::size_t i = 0; i < n; ++i) {
         const workload::Request& r = instance.requests[i];
-        const double vnf_rel = instance.catalog.reliability(r.vnf);
-        std::vector<double> a(m);
+        const std::span<const double> a = log_failure.row(r.vnf);
         double lower_li = 0.0;
-        for (std::size_t j = 0; j < m; ++j) {
-            a[j] = vnf::offsite_log_failure(
-                vnf_rel, instance.network.cloudlet(CloudletId{static_cast<std::int64_t>(j)})
-                             .reliability);
-            // Constraint (50) divides through these; a zero or positive
-            // coefficient would silently invert the row's meaning.
-            VNFR_CHECK(a[j] < 0.0, "offsite log-failure coefficient a[", i, "][", j, "]");
-            lower_li += a[j];
-        }
+        for (const double a_ij : a) lower_li += a_ij;
         const double log_target = common::log1m(r.requirement);
         VNFR_CHECK(log_target < 0.0, "requirement R_i must be positive for request ", i);
 

@@ -24,6 +24,9 @@
 // decide() is quote_offsite (steps 1-2, read-only) followed, on admission,
 // by commit_offsite (step 3). Both take the dual table and ledger as
 // arguments so HybridPrimalDual prices its off-site side with the same code.
+// Every ln(1 - r_f r_c) they use is read from a vnf::OffsiteLogTable built
+// once with the scheduler (one row per catalog type, one entry per
+// cloudlet of the instance).
 #pragma once
 
 #include <string_view>
@@ -33,6 +36,7 @@
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
 #include "edge/resource_ledger.hpp"
+#include "vnf/reliability.hpp"
 
 namespace vnfr::core {
 
@@ -51,22 +55,26 @@ struct OffsiteQuote {
 /// non-decreasing w_j order, taking each with room for c(f_i) over the
 /// window in `ledger`, until the Eq. 10 product meets R_i. Reads nothing
 /// but its arguments.
-[[nodiscard]] OffsiteQuote quote_offsite(const Instance& instance, const DualTable& lambda,
+[[nodiscard]] OffsiteQuote quote_offsite(const Instance& instance,
+                                         const vnf::OffsiteLogTable& log_failure,
+                                         const DualTable& lambda,
                                          const edge::ResourceLedger& ledger,
                                          const workload::Request& request);
 
 /// Step 3 for a quote with verdict kNone: reserve c(f_i) on every site and
 /// apply Eq. 67 over the window against `dual_scale * cap_j`, saturating
 /// at kDualPriceCeiling.
-void commit_offsite(const Instance& instance, DualTable& lambda,
-                    edge::ResourceLedger& ledger, double dual_scale,
+void commit_offsite(const Instance& instance, const vnf::OffsiteLogTable& log_failure,
+                    DualTable& lambda, edge::ResourceLedger& ledger, double dual_scale,
                     const workload::Request& request, const OffsiteQuote& quote);
 
 /// Catalog-level estimate of the typical off-site demand: c(f) times the
 /// expected number of sites ln(1-R)/ln(1 - r_f r_c) at a representative
-/// requirement. The automatic dual capacity scale; uses no knowledge of
-/// the request sequence.
-[[nodiscard]] double offsite_typical_demand(const Instance& instance);
+/// requirement, with ln(1 - r_f r_c) read from `log_failure`. The
+/// automatic dual capacity scale; uses no knowledge of the request
+/// sequence.
+[[nodiscard]] double offsite_typical_demand(const Instance& instance,
+                                            const vnf::OffsiteLogTable& log_failure);
 
 struct OffsitePrimalDualConfig {
     /// Analogue of the on-site scaling approach: dual updates run against
@@ -107,6 +115,7 @@ class OffsitePrimalDual final : public OnlineScheduler {
 
   private:
     const Instance& instance_;
+    vnf::OffsiteLogTable log_failure_;
     edge::ResourceLedger ledger_;
     double dual_scale_{1.0};
     DualTable lambda_;

@@ -14,10 +14,10 @@ double onsite_typical_demand(const Instance& instance) {
     double total = 0.0;
     std::size_t pairs = 0;
     for (const vnf::VnfType& type : instance.catalog.types()) {
+        const vnf::ReplicaRow& row = instance.catalog.replica_row(type.id);
         for (const edge::Cloudlet& c : instance.network.cloudlets()) {
             const double representative_r = std::min(0.95, c.reliability * 0.97);
-            const auto n =
-                vnf::min_onsite_replicas(c.reliability, type.reliability, representative_r);
+            const auto n = vnf::onsite_replicas(row, c.reliability, representative_r);
             if (!n) continue;
             total += *n * type.compute_units;
             ++pairs;
@@ -30,7 +30,7 @@ OnsiteQuote quote_onsite(const Instance& instance, const DualTable& lambda,
                          const edge::ResourceLedger& ledger, bool enforce_capacity,
                          const workload::Request& request) {
     const double compute = instance.catalog.compute_units(request.vnf);
-    const double vnf_rel = instance.catalog.reliability(request.vnf);
+    const vnf::ReplicaRow& row = instance.catalog.replica_row(request.vnf);
 
     // Arg-min of the dual price over feasible cloudlets (lines 3-7). Price
     // ties (ubiquitous early on, when whole windows still have lambda = 0)
@@ -43,7 +43,7 @@ OnsiteQuote quote_onsite(const Instance& instance, const DualTable& lambda,
     bool any_reliable = false;
     for (const edge::Cloudlet& c : instance.network.cloudlets()) {
         const std::optional<int> n =
-            vnf::min_onsite_replicas(c.reliability, vnf_rel, request.requirement);
+            vnf::onsite_replicas(row, c.reliability, request.requirement);
         if (!n) continue;  // r(c_j) <= R_i: this cloudlet can never satisfy rho_i
         // Eq. (3) only yields a count when r(c_j) > R_i, and it is >= 1.
         VNFR_CHECK(*n >= 1, "Eq. (3) replica count for request ", request.id.value,
@@ -137,17 +137,11 @@ double OnsitePrimalDual::lambda(CloudletId j, TimeSlot t) const {
     return lambda_.at(j.index()).at(static_cast<std::size_t>(t));
 }
 
-std::optional<int> OnsitePrimalDual::replica_count(const workload::Request& request,
-                                                   CloudletId j) const {
-    const edge::Cloudlet& cloudlet = instance_.network.cloudlet(j);
-    return vnf::min_onsite_replicas(cloudlet.reliability,
-                                    instance_.catalog.reliability(request.vnf),
-                                    request.requirement);
-}
-
 std::optional<double> OnsitePrimalDual::dual_price(const workload::Request& request,
                                                    CloudletId j) const {
-    const std::optional<int> n = replica_count(request, j);
+    const std::optional<int> n = vnf::onsite_replicas(
+        instance_.catalog.replica_row(request.vnf), instance_.network.cloudlet(j).reliability,
+        request.requirement);
     if (!n) return std::nullopt;
     const double demand = *n * instance_.catalog.compute_units(request.vnf);
     double price = 0.0;

@@ -109,10 +109,6 @@ class OnsitePrimalDual final : public OnlineScheduler {
     /// indexed by processing order.
     [[nodiscard]] const std::vector<double>& deltas() const { return deltas_; }
 
-    /// N_ij for `request` on cloudlet j; nullopt when r(c_j) <= R_i.
-    [[nodiscard]] std::optional<int> replica_count(const workload::Request& request,
-                                                   CloudletId j) const;
-
     /// The dual admission price sum_t V_i[t] N_ij c(f_i) lambda_{tj} for
     /// `request` on cloudlet j; nullopt when the cloudlet is infeasible.
     [[nodiscard]] std::optional<double> dual_price(const workload::Request& request,

@@ -331,6 +331,10 @@ WalPosition AdmissionController::wal_position() const {
 
 SubmitResult AdmissionController::submit(std::uint64_t seq,
                                          const workload::Request& request) {
+    // Outside input: a request the schedulers cannot price must never
+    // reach the queue, where every pump would throw on it again. The
+    // instance is immutable, so this needs no lock.
+    core::validate_request(instance_, request);
     const common::MutexLock lock(&mu_);
     require_primary("submit");
     if (is_covered_locked(seq)) return SubmitResult::kAlreadyCovered;

@@ -201,7 +201,9 @@ class AdmissionController {
 
     /// Feeds one request into the stream. `seq` is the request's position
     /// in the stream; submit seqs in increasing order (covered seqs may be
-    /// replayed in any order and are skipped).
+    /// replayed in any order and are skipped). Throws
+    /// std::invalid_argument, before anything is queued or logged, for a
+    /// request core::validate_request rejects.
     SubmitResult submit(std::uint64_t seq, const workload::Request& request)
         VNFR_EXCLUDES(mu_);
 

@@ -37,10 +37,10 @@ double estimate_typical_chain_demand(const core::Instance& instance) {
     double total = 0.0;
     std::size_t pairs = 0;
     for (const vnf::VnfType& type : instance.catalog.types()) {
+        const vnf::ReplicaRow& row = instance.catalog.replica_row(type.id);
         for (const edge::Cloudlet& c : instance.network.cloudlets()) {
             const double representative_r = std::min(0.95, c.reliability * 0.97);
-            const auto n =
-                vnf::min_onsite_replicas(c.reliability, type.reliability, representative_r);
+            const auto n = vnf::onsite_replicas(row, c.reliability, representative_r);
             if (!n) continue;
             total += 2.0 * *n * type.compute_units;
             ++pairs;

@@ -538,6 +538,7 @@ class RecoveryEngine {
 
         const double compute = compute_of(state);
         const double vnf_rel = instance_.catalog.reliability(req.vnf);
+        const vnf::ReplicaRow& row = instance_.catalog.replica_row(req.vnf);
 
         // The live scheduler's per-request choice (as in HybridPrimalDual):
         // cheapest of the on-site Eq. 3 placement and the off-site Eq. 10
@@ -551,7 +552,7 @@ class RecoveryEngine {
             const CloudletId c{static_cast<std::int64_t>(j)};
             if (!cloudlet_up(c, t)) continue;
             const double rel = instance_.network.cloudlet(c).reliability;
-            const auto replicas = vnf::min_onsite_replicas(rel, vnf_rel, req.requirement);
+            const auto replicas = vnf::onsite_replicas(row, rel, req.requirement);
             if (!replicas) continue;
             const double cost = *replicas * compute;
             if (!ledger_.fits(c, t, req.end(), cost)) continue;
@@ -610,8 +611,7 @@ class RecoveryEngine {
                 const CloudletId c{static_cast<std::int64_t>(j)};
                 if (!cloudlet_up(c, t)) continue;
                 const double rel = instance_.network.cloudlet(c).reliability;
-                const auto replicas =
-                    vnf::min_onsite_replicas(rel, vnf_rel, req.requirement);
+                const auto replicas = vnf::onsite_replicas(row, rel, req.requirement);
                 if (!replicas) continue;
                 const double cost = *replicas * compute;
                 if (!forced || cost < forced->cost) {

@@ -1,17 +1,17 @@
 #include "vnf/catalog.hpp"
 
 #include <stdexcept>
-
-#include "common/math.hpp"
+#include <utility>
 
 namespace vnfr::vnf {
 
 VnfTypeId Catalog::add(std::string name, double compute_units, double reliability) {
     if (compute_units <= 0.0)
         throw std::invalid_argument("Catalog::add: non-positive compute demand");
-    common::require_open_unit(reliability, "VNF reliability");
+    ReplicaRow row(reliability);  // validates the reliability
     const VnfTypeId id{static_cast<std::int64_t>(types_.size())};
     types_.push_back(VnfType{id, std::move(name), compute_units, reliability});
+    rows_.push_back(std::move(row));
     return id;
 }
 

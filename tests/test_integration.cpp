@@ -3,6 +3,7 @@
 // trace replay.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "core/instance.hpp"
@@ -135,6 +136,20 @@ TEST(Integration, InstanceValidationCatchesCorruption) {
     inst.requests[0].requirement = 0.9;
     inst.requests[0].duration = inst.horizon + 5;
     EXPECT_THROW(inst.validate(), std::invalid_argument);
+}
+
+TEST(Integration, InstanceValidationRejectsNaNRequirementAndPayment) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    common::Rng rng(778);
+    core::Instance inst = core::make_instance(standard_config(10), rng);
+    inst.requests[3].requirement = nan;
+    EXPECT_THROW(inst.validate(), std::invalid_argument);
+    EXPECT_THROW(core::validate_request(inst, inst.requests[3]), std::invalid_argument);
+    inst.requests[3].requirement = 0.9;
+    inst.validate();
+    inst.requests[3].payment = nan;
+    EXPECT_THROW(inst.validate(), std::invalid_argument);
+    EXPECT_THROW(core::validate_request(inst, inst.requests[3]), std::invalid_argument);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <filesystem>
+#include <limits>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -241,6 +242,51 @@ TEST(ServeController, OutOfOrderUncoveredSubmitViolatesContract) {
     EXPECT_EQ(ctl.submit(5, make_request(5, 0, 0.9, 0, 1, 2.0)), SubmitResult::kQueued);
     EXPECT_THROW(ctl.submit(3, make_request(3, 0, 0.9, 0, 1, 2.0)),
                  common::ContractViolation);
+}
+
+TEST(ServeController, SubmitRejectsAnInvalidRequestBeforeQueueing) {
+    // controller_instance: horizon 8, VNF types 0 and 1.
+    const core::Instance inst = controller_instance(0);
+    AdmissionController ctl(inst, core::Scheme::kOnsite,
+                            config_for(fresh_dir("serve_submit_validates")));
+    const std::vector<workload::Request> invalid = {
+        make_request(0, 0, 1.5, 0, 1, 5.0),                                       // R > 1
+        make_request(0, 0, std::numeric_limits<double>::quiet_NaN(), 0, 1, 5.0),  // R NaN
+        make_request(0, 7, 0.9, 0, 1, 5.0),  // unknown VNF type
+        make_request(0, 0, 0.9, 6, 4, 5.0),  // window ends past the horizon
+    };
+    for (const workload::Request& r : invalid) {
+        EXPECT_THROW(ctl.submit(0, r), std::invalid_argument);
+        EXPECT_EQ(ctl.queue_size(), 0u);
+        EXPECT_FALSE(ctl.is_covered(0));
+    }
+    // The stream goes on: the next valid request queues and pumps.
+    EXPECT_EQ(ctl.submit(0, make_request(0, 0, 0.9, 0, 1, 5.0)), SubmitResult::kQueued);
+    EXPECT_EQ(ctl.pump(1).size(), 1u);
+    EXPECT_EQ(ctl.metrics().processed, 1u);
+    EXPECT_EQ(ctl.queue_size(), 0u);
+}
+
+TEST(ServeController, RejectedSubmitLeavesAGroupCommitBatchUntouched) {
+    // With group_commit = 2, an invalid request queued behind a valid one
+    // used to fail every pump after the valid one was decided in it.
+    const core::Instance inst = controller_instance(0);
+    const workload::Request valid = make_request(0, 0, 0.9, 0, 1, 5.0);
+    ServeConfig only_valid_cfg = config_for(fresh_dir("serve_group_only_valid"));
+    only_valid_cfg.group_commit = 2;
+    AdmissionController only_valid(inst, core::Scheme::kOnsite, only_valid_cfg);
+    only_valid.submit(0, valid);
+    only_valid.drain();
+
+    ServeConfig cfg = config_for(fresh_dir("serve_group_rejected"));
+    cfg.group_commit = 2;
+    AdmissionController ctl(inst, core::Scheme::kOnsite, cfg);
+    EXPECT_EQ(ctl.submit(0, valid), SubmitResult::kQueued);
+    EXPECT_THROW(ctl.submit(1, make_request(1, 0, 1.5, 0, 1, 5.0)), std::invalid_argument);
+    EXPECT_EQ(ctl.queue_size(), 1u);
+    EXPECT_NO_THROW(ctl.drain());
+    EXPECT_EQ(ctl.metrics().processed, 1u);
+    EXPECT_EQ(ctl.state_digest(), only_valid.state_digest());
 }
 
 TEST(ServeController, RefusesStateFromADifferentScheme) {

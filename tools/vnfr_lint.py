@@ -29,6 +29,16 @@ arithmetic in this codebase:
 
   using-std     ``using namespace std;`` is banned everywhere under src/.
 
+  reliability-kernel
+                No src/ file outside src/vnf/ names
+                ``vnf::min_onsite_replicas`` or ``vnf::offsite_log_failure``
+                in code. They are the per-call references of Eq. 3 and
+                Eq. 10's per-site term; schedulers, models and the recovery
+                engine read the constants tabulated once per catalog
+                (``vnf::onsite_replicas`` over ``Catalog::replica_row``) or
+                per scheduler (``vnf::OffsiteLogTable``), which return the
+                same values bit for bit. Comments may mention them.
+
 Suppression: ``// vnfr-lint: allow(<rule>) <justification>`` on the
 finding's line or the line above; the justification is required (see
 tools/vnfr_findings.py for the shared grammar and the
@@ -62,12 +72,20 @@ RULES: dict[str, str] = {
                  "with a '}  // namespace' trailer (pure preprocessor "
                  "headers exempt)",
     "using-std": "'using namespace std;' is banned under src/",
+    "reliability-kernel": "vnf::min_onsite_replicas / vnf::offsite_log_failure "
+                          "are called only inside src/vnf/; elsewhere use "
+                          "vnf::onsite_replicas or a vnf::OffsiteLogTable",
     vf.SUPPRESSION_RULE: vf.SUPPRESSION_RULE_DOC,
 }
 
 # Files where the log/pow domain is the module's own concern: the stable
 # wrappers themselves.
 MATH_DOMAIN_EXEMPT = ("src/common/math.", "src/vnf/reliability.")
+
+# The per-call reference forms of the reliability constants, and the one
+# module allowed to call them.
+RELIABILITY_REFERENCE = re.compile(r"\b(min_onsite_replicas|offsite_log_failure)\b")
+RELIABILITY_OWNER = "src/vnf/"
 
 # std::log1p/std::expm1 are the *stable* helpers and are exempt; match only
 # the raw calls whose domain can silently produce NaN.
@@ -134,6 +152,16 @@ def lint_file(path: Path, rel: str) -> list[Finding]:
         if re.search(r"\busing\s+namespace\s+std\b", code):
             findings.append(Finding(rel, lineno, "using-std",
                                     "'using namespace std' is banned"))
+
+        # --- reliability-kernel ---------------------------------------------
+        if not rel.startswith(RELIABILITY_OWNER):
+            ref = RELIABILITY_REFERENCE.search(code)
+            if ref:
+                findings.append(Finding(
+                    rel, lineno, "reliability-kernel",
+                    f"'{ref.group(1)}' outside src/vnf/; read the tabulated "
+                    "constants (vnf::onsite_replicas with "
+                    "Catalog::replica_row, or vnf::OffsiteLogTable)"))
 
         # --- float-eq -------------------------------------------------------
         hit = FLOAT_LITERAL_CMP.search(code)
