@@ -2,13 +2,15 @@
 // as the cloudlet count grows (an online admission controller sits on the
 // request path, so decide() cost is the deployment-relevant number),
 // replication throughput of the parallel experiment engine vs thread
-// count, and the serve layer's per-byte checkpoint costs (CRC-32, snapshot
-// encode and decode) and per-request admission cost.
+// count, one fault replication of the recovery study per policy, and the
+// serve layer's per-byte checkpoint costs (CRC-32, snapshot encode and
+// decode) and per-request admission cost.
 #include <benchmark/benchmark.h>
 
 #include <string>
 
 #include "core/greedy.hpp"
+#include "core/hybrid_primal_dual.hpp"
 #include "core/instance.hpp"
 #include "core/offsite_primal_dual.hpp"
 #include "core/onsite_primal_dual.hpp"
@@ -18,6 +20,8 @@
 #include "serve/vfs.hpp"
 #include "serve/wire.hpp"
 #include "sim/experiment.hpp"
+#include "sim/recovery_engine.hpp"
+#include "sim/recovery_faults.hpp"
 #include "sim/scenarios.hpp"
 
 namespace {
@@ -106,6 +110,42 @@ BENCHMARK(BM_ParallelExperimentReplications)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+/// One fault replication of the recovery study — RecoveryReplay::run —
+/// on the paper environment at n = 800 with the hybrid's decisions and
+/// rack failures on (the paper_sweep benchmark's fault phase). The replay
+/// base and 16 fault schedules are built untimed; iterations cycle through
+/// the schedules.
+void BM_RecoveryReplication(benchmark::State& state, sim::RecoveryPolicy policy) {
+    common::Rng rng = common::stream_rng(0x9e7f'5c4d, 0xfa17);
+    const core::Instance inst = core::make_instance(sim::paper_environment(800), rng);
+    core::HybridPrimalDual scheduler(inst);
+    const std::vector<core::Decision> decisions = core::run_online(inst, scheduler).decisions;
+    sim::FaultInjectorConfig faults;
+    faults.rack_failure_per_slot = 0.005;
+    std::vector<sim::FaultSchedule> schedules;
+    for (std::uint64_t k = 0; k < 16; ++k) {
+        schedules.push_back(sim::generate_fault_schedule(
+            inst, decisions, faults, common::stream_seed(0x9e7f'5c4d, k)));
+    }
+    sim::RecoveryConfig recovery;
+    recovery.policy = policy;
+    const sim::RecoveryReplay replay(inst, decisions, recovery);
+    std::size_t next = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(replay.run(schedules[next]));
+        next = (next + 1) % schedules.size();
+    }
+}
+
+BENCHMARK_CAPTURE(BM_RecoveryReplication, none, sim::RecoveryPolicy::kNone)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_RecoveryReplication, local_respawn, sim::RecoveryPolicy::kLocalRespawn)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_RecoveryReplication, remote_migrate, sim::RecoveryPolicy::kRemoteMigrate)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_RecoveryReplication, readmit, sim::RecoveryPolicy::kReadmit)
+    ->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------- serve
 // The durable admission controller at the shape of the steady_admit

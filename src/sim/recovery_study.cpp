@@ -94,6 +94,9 @@ RecoveryStudyOutcome run_recovery_replications(
                       return generate_fault_schedule(inst, decs, config.faults, seed);
                   });
 
+    // One replay base for the study, shared read-only by every worker.
+    const RecoveryReplay replay(instance, decisions, config.recovery);
+
     // Fan the replications out; each writes only its own pre-sized slot.
     std::vector<RecoveryReport> reps(config.replications);
     {
@@ -104,8 +107,7 @@ RecoveryStudyOutcome run_recovery_replications(
                 for (std::size_t k = lo; k < hi; ++k) {
                     const FaultSchedule schedule = injector(
                         instance, decisions, common::stream_seed(config.master_seed, k));
-                    reps[k] = run_recovery_study(instance, decisions, schedule,
-                                                 config.recovery);
+                    reps[k] = replay.run(schedule);
                     progress.tick();
                 }
             });

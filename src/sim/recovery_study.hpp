@@ -71,9 +71,10 @@ struct RecoveryStudyOutcome {
 std::uint64_t recovery_metrics_checksum(const RecoveryStudyOutcome& outcome);
 
 /// Runs `config.replications` independent fault schedules against the same
-/// (instance, decisions) under the configured recovery policy. Throws (via
-/// VNFR_CHECK) on zero replications; schedule-replay preconditions are as
-/// in run_recovery_study.
+/// (instance, decisions) under the configured recovery policy, every one
+/// replayed from a single RecoveryReplay base. Throws (via VNFR_CHECK) on
+/// zero replications; the base and schedule preconditions are those of
+/// RecoveryReplay.
 RecoveryStudyOutcome run_recovery_replications(
     const core::Instance& instance, const std::vector<core::Decision>& decisions,
     const RecoveryStudyConfig& config);

@@ -9,6 +9,7 @@
 #include <set>
 #include <vector>
 
+#include "core/hybrid_primal_dual.hpp"
 #include "core/onsite_primal_dual.hpp"
 #include "helpers.hpp"
 #include "sim/experiment.hpp"
@@ -165,6 +166,41 @@ TEST(ParallelDeterminism, RecoveryReplicationsChecksumInvariant) {
             expect_stats_identical(parallel.availability, serial.availability);
             expect_stats_identical(parallel.delivered, serial.delivered);
             expect_stats_identical(parallel.time_to_recover, serial.time_to_recover);
+        }
+    }
+}
+
+TEST(ParallelDeterminism, RecoveryReplicationsShedIdenticallyOnPaperEnvironment) {
+    // The paper environment with rack failures drives the shedding path:
+    // every worker replays from the one shared base and adds sites to its
+    // own copy of the holder lists.
+    common::Rng rng(1);
+    const core::Instance inst = core::make_instance(paper_environment(800), rng);
+    core::HybridPrimalDual scheduler(inst);
+    const core::ScheduleResult result = core::run_online(inst, scheduler);
+
+    for (const RecoveryPolicy policy :
+         {RecoveryPolicy::kRemoteMigrate, RecoveryPolicy::kReadmit}) {
+        RecoveryStudyConfig cfg;
+        cfg.faults.rack_failure_per_slot = 0.005;
+        cfg.recovery.policy = policy;
+        cfg.replications = 7;  // uneven blocks for every pool size
+        cfg.master_seed = 0x5bed;
+
+        cfg.threads = 1;
+        const RecoveryStudyOutcome serial =
+            run_recovery_replications(inst, result.decisions, cfg);
+        EXPECT_GT(serial.total.shed_requests, 0u) << to_string(policy);
+        EXPECT_EQ(serial.total.capacity_violations, 0u);
+
+        for (const std::size_t threads : kThreadCounts) {
+            cfg.threads = threads;
+            const RecoveryStudyOutcome parallel =
+                run_recovery_replications(inst, result.decisions, cfg);
+            EXPECT_EQ(recovery_metrics_checksum(parallel),
+                      recovery_metrics_checksum(serial))
+                << to_string(policy) << " threads=" << threads;
+            EXPECT_EQ(parallel.total.shed_requests, serial.total.shed_requests);
         }
     }
 }

@@ -1,8 +1,11 @@
 // Edge cases of the recovery orchestrator: total outages, zero residual
-// capacity, faults landing on a request's final slot, and malformed fault
+// capacity, faults landing on a request's final slot, outages and delays
+// too long for slot arithmetic, racks past the fleet, and malformed fault
 // schedules.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <limits>
 #include <string>
 
 #include "helpers.hpp"
@@ -163,6 +166,95 @@ TEST(RecoveryEdge, FaultsAfterTheWindowAreNoOps) {
     EXPECT_EQ(r.instances_lost, 0u);
     EXPECT_EQ(r.instance_crashes, 0u);  // landed outside the window: not applied
     EXPECT_EQ(r.sla_violations, 0u);
+}
+
+TEST(RecoveryEdge, OutagesAndDelaysPastTheSlotRangeLastTheRun) {
+    // Down times, spin-up delays and backoffs of INT_MAX slots: each sum
+    // with the current slot is past the horizon, so it means "for the rest
+    // of the run" — it must neither overflow nor wrap into the past.
+    constexpr TimeSlot kForever = std::numeric_limits<TimeSlot>::max();
+    const auto inst = small_instance({0.98, 0.97, 0.96}, 1.0, 8,
+                                     {make_request(0, 0, 0.9, 0, 8, 5.0),
+                                      make_request(1, 0, 0.9, 0, 8, 5.0)});
+    const std::vector<core::Decision> decisions = {
+        admit(0, {core::Site{CloudletId{0}, 1}}),
+        admit(1, {core::Site{CloudletId{2}, 1}})};
+    const auto event = [](TimeSlot slot, FaultKind kind) {
+        FaultEvent e;
+        e.slot = slot;
+        e.kind = kind;
+        e.down_slots = kForever;
+        return e;
+    };
+    FaultSchedule schedule;
+    FaultEvent blip = event(2, FaultKind::kTransientBlip);
+    blip.cloudlet = CloudletId{1};
+    FaultEvent outage = event(2, FaultKind::kInstanceOutage);  // request 0's replica
+    FaultEvent crash = event(3, FaultKind::kCloudletCrash);
+    crash.cloudlet = CloudletId{0};
+    FaultEvent lost = event(4, FaultKind::kInstanceCrash);
+    lost.request_index = 1;
+    schedule.events = {blip, outage, crash, lost};
+
+    struct Expect {
+        RecoveryPolicy policy;
+        std::size_t recoveries;  ///< respawns + migrations + readmissions
+        std::size_t failed;
+    };
+    // Request 0 has nowhere to go at slot 3 (cloudlet 1 is unreachable for
+    // good and cloudlet 2 is full at an equal payment), fails once, and its
+    // backoff outlasts the run. Request 1 recovers at slot 4 on its freed
+    // cloudlet, but the replacement spins up past the horizon.
+    for (const Expect& x : {Expect{RecoveryPolicy::kNone, 0, 0},
+                            Expect{RecoveryPolicy::kLocalRespawn, 1, 0},
+                            Expect{RecoveryPolicy::kRemoteMigrate, 1, 1},
+                            Expect{RecoveryPolicy::kReadmit, 1, 1}}) {
+        RecoveryConfig cfg;
+        cfg.policy = x.policy;
+        cfg.respawn_delay_slots = kForever;
+        cfg.retry_backoff_slots = kForever;
+        const RecoveryReport r = run_recovery_study(inst, decisions, schedule, cfg);
+        const char* name = to_string(x.policy);
+        EXPECT_EQ(r.served_slots, 2u + 4u) << name;  // slots 0-1 and 0-3
+        EXPECT_EQ(r.disrupted_slots, 6u + 4u) << name;
+        EXPECT_EQ(r.instances_lost, 2u) << name;
+        EXPECT_EQ(r.local_respawns + r.remote_migrations + r.readmissions, x.recoveries)
+            << name;
+        EXPECT_EQ(r.failed_recoveries, x.failed) << name;
+        EXPECT_EQ(r.shed_requests, 0u) << name;
+        EXPECT_EQ(r.capacity_violations, 0u) << name;
+    }
+}
+
+TEST(RecoveryEdge, RackPastTheFleetCrashesTheCloudletsThatExist) {
+    // A rack of 2^36 ids starting at cloudlet 1 of 3 takes down cloudlets 1
+    // and 2 only, and the replay does not walk the ids that do not exist.
+    const auto inst = small_instance({0.98, 0.97, 0.96}, 10.0, 8,
+                                     {make_request(0, 0, 0.9, 0, 8, 5.0),
+                                      make_request(1, 0, 0.9, 0, 8, 5.0),
+                                      make_request(2, 0, 0.9, 0, 8, 5.0)});
+    const std::vector<core::Decision> decisions = {
+        admit(0, {core::Site{CloudletId{0}, 1}}),
+        admit(1, {core::Site{CloudletId{1}, 1}}),
+        admit(2, {core::Site{CloudletId{2}, 1}})};
+    FaultSchedule schedule;
+    FaultEvent rack;
+    rack.slot = 2;
+    rack.kind = FaultKind::kRackFailure;
+    rack.cloudlet = CloudletId{1};
+    rack.span = std::size_t{1} << 36;
+    rack.down_slots = 100;
+    schedule.events = {rack};
+
+    const auto start = std::chrono::steady_clock::now();
+    const RecoveryReport r =
+        run_recovery_study(inst, decisions, schedule, RecoveryConfig{});
+    const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
+    EXPECT_LT(elapsed.count(), 0.5);
+    EXPECT_EQ(r.rack_failures, 1u);
+    EXPECT_EQ(r.instances_lost, 2u);
+    EXPECT_EQ(r.served_slots, 8u + 2u + 2u);  // cloudlet 0's request keeps serving
+    EXPECT_EQ(r.disrupted_slots, 6u + 6u);
 }
 
 TEST(RecoveryEdge, MalformedSchedulesAreRejectedUpFront) {
