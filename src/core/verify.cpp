@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/contracts.hpp"
 #include "common/math.hpp"
-#include "vnf/reliability.hpp"
 
 namespace vnfr::core {
 
@@ -19,6 +19,22 @@ std::string describe_request(const Instance& instance, std::size_t i) {
 }
 
 }  // namespace
+
+double placement_availability(const Instance& instance, const workload::Request& request,
+                              const Placement& placement) {
+    const double vnf_rel = VNFR_CHECK_PROB(instance.catalog.reliability(request.vnf));
+    double log_all_fail = 0.0;
+    for (const Site& site : placement.sites) {
+        if (site.replicas <= 0)
+            throw std::invalid_argument("placement_availability: non-positive replicas");
+        const double site_ok = VNFR_CHECK_PROB(
+            instance.network.cloudlet(site.cloudlet).reliability *
+            common::at_least_one(vnf_rel, site.replicas));
+        log_all_fail += common::log1m(site_ok);
+    }
+    if (placement.sites.empty()) return 0.0;
+    return VNFR_CHECK_PROB(common::one_minus_exp(log_all_fail));
+}
 
 VerificationReport verify_schedule(const Instance& instance,
                                    const std::vector<Decision>& decisions,
@@ -80,17 +96,8 @@ VerificationReport verify_schedule(const Instance& instance,
             }
         }
 
-        const double availability = [&] {
-            const double vnf_rel = VNFR_CHECK_PROB(instance.catalog.reliability(r.vnf));
-            double log_fail = 0.0;
-            for (const Site& s : d.placement.sites) {
-                const double site_ok = VNFR_CHECK_PROB(
-                    instance.network.cloudlet(s.cloudlet).reliability *
-                    common::at_least_one(vnf_rel, s.replicas));
-                log_fail += common::log1m(site_ok);
-            }
-            return VNFR_CHECK_PROB(common::one_minus_exp(log_fail));
-        }();
+        // Sites were screened above: non-empty, known cloudlets, replicas >= 1.
+        const double availability = placement_availability(instance, r, d.placement);
         if (availability < r.requirement - 1e-9) {
             std::ostringstream os;
             os << describe_request(instance, i) << ": availability " << availability

@@ -1,6 +1,7 @@
 // Independent verification of a finished schedule against the paper's
 // constraints — used by tests, the CLI and downstream users to check any
-// scheduler's output without trusting its internal ledger.
+// scheduler's output without trusting its internal ledger — and the one
+// analytic availability formula every placement is judged by.
 #pragma once
 
 #include <string>
@@ -8,8 +9,23 @@
 
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
+#include "workload/request.hpp"
 
 namespace vnfr::core {
+
+/// Exact availability of `placement` for `request`:
+/// 1 - prod_sites (1 - r(c) * (1 - (1 - r(f))^replicas)).
+///
+/// Failure model (the paper's reliability semantics): in any observation,
+/// cloudlet c is up with probability r(c) and each VNF instance is
+/// independently up with probability r(f); the request is served when at
+/// least one site has its cloudlet up and >= 1 instance up. Eq. 2 (one
+/// site, N replicas) and Eq. 10 (many sites, one replica each) are its two
+/// special cases; the Markov fault schedules of sim/recovery_faults.hpp
+/// sample this model over time. Returns 0 for an empty placement; throws
+/// std::invalid_argument on a site with replicas < 1.
+double placement_availability(const Instance& instance, const workload::Request& request,
+                              const Placement& placement);
 
 /// One constraint violation found by verify_schedule.
 struct ScheduleViolation {

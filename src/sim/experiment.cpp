@@ -9,7 +9,7 @@
 #include "core/hybrid_primal_dual.hpp"
 #include "core/offsite_primal_dual.hpp"
 #include "core/onsite_primal_dual.hpp"
-#include "sim/metrics.hpp"
+#include "core/verify.hpp"
 
 namespace vnfr::sim {
 
@@ -47,6 +47,21 @@ std::unique_ptr<core::OnlineScheduler> make_scheduler(Algorithm algorithm,
 
 namespace {
 
+/// Mean core::placement_availability over the admitted decisions, summed in
+/// request order; 0 when nothing is admitted.
+double mean_admitted_availability(const core::Instance& instance,
+                                  const std::vector<core::Decision>& decisions) {
+    double sum = 0.0;
+    std::size_t admitted = 0;
+    for (std::size_t i = 0; i < decisions.size(); ++i) {
+        if (!decisions[i].admitted) continue;
+        sum += core::placement_availability(instance, instance.requests[i],
+                                            decisions[i].placement);
+        ++admitted;
+    }
+    return admitted > 0 ? sum / static_cast<double>(admitted) : 0.0;
+}
+
 /// Everything one replication contributes to the reduction. Stored per
 /// replication index and folded into the RunningStats accumulators in
 /// ascending index order, so the aggregate never depends on which thread
@@ -76,13 +91,12 @@ ReplicationOutcome run_replication(const InstanceFactory& factory,
     for (std::size_t ai = 0; ai < config.algorithms.size(); ++ai) {
         const auto scheduler = make_scheduler(config.algorithms[ai], instance);
         const core::ScheduleResult result = core::run_online(instance, *scheduler);
-        const PlacementStats stats = placement_stats(instance, result.decisions);
         ReplicationOutcome::PerAlgorithm& out = rep.algorithms[ai];
         out.revenue = result.revenue;
         out.acceptance = core::acceptance_ratio(result, instance);
         out.max_load_factor = result.max_load_factor;
         out.admitted = static_cast<double>(result.admitted);
-        out.availability = stats.mean_availability;
+        out.availability = mean_admitted_availability(instance, result.decisions);
     }
 
     if (config.compute_offline) {

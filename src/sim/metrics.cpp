@@ -5,7 +5,7 @@
 #include <stdexcept>
 
 #include "common/contracts.hpp"
-#include "sim/failure_model.hpp"
+#include "core/verify.hpp"
 
 namespace vnfr::sim {
 
@@ -57,7 +57,7 @@ PlacementStats placement_stats(const core::Instance& instance,
         }
 
         const double avail =
-            VNFR_CHECK_PROB(analytic_availability(instance, instance.requests[i], d.placement));
+            core::placement_availability(instance, instance.requests[i], d.placement);
         availability += avail;
         stats.min_slack = std::min(stats.min_slack, avail - instance.requests[i].requirement);
     }
@@ -74,17 +74,6 @@ PlacementStats placement_stats(const core::Instance& instance,
         stats.min_slack = 0.0;
     }
     return stats;
-}
-
-double total_revenue(const core::Instance& instance,
-                     const std::vector<core::Decision>& decisions) {
-    if (decisions.size() != instance.requests.size())
-        throw std::invalid_argument("total_revenue: decisions/requests size mismatch");
-    double revenue = 0.0;
-    for (std::size_t i = 0; i < decisions.size(); ++i) {
-        if (decisions[i].admitted) revenue += instance.requests[i].payment;
-    }
-    return revenue;
 }
 
 }  // namespace vnfr::sim

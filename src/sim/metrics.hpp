@@ -22,7 +22,7 @@ struct PlacementStats {
     /// site (service access latency proxy); only over admitted requests
     /// with a known source.
     double mean_access_hops{0};
-    double mean_availability{0};   ///< analytic, over admitted requests
+    double mean_availability{0};   ///< core::placement_availability, over admitted requests
     /// Smallest availability-minus-requirement margin over admitted
     /// requests (>= 0 when every reliability requirement is honoured).
     double min_slack{0};
@@ -30,10 +30,5 @@ struct PlacementStats {
 
 PlacementStats placement_stats(const core::Instance& instance,
                                const std::vector<core::Decision>& decisions);
-
-/// Revenue of the decisions against the instance (recomputed; equals
-/// ScheduleResult::revenue for consistent inputs).
-double total_revenue(const core::Instance& instance,
-                     const std::vector<core::Decision>& decisions);
 
 }  // namespace vnfr::sim

@@ -305,6 +305,10 @@ class RecoveryReplay::Engine {
     /// r(c_j)(1 - (1 - r(f_i))^{alive_j}) combined across sites by Eq. 10.
     /// Pending respawns count — they are already paid for and on the way,
     /// so they must not re-trigger recovery every slot of their spin-up.
+    /// Deliberately not core::placement_availability: it counts live
+    /// replicas only and multiplies failure probabilities directly rather
+    /// than summing their logs, so sharing that function would change the
+    /// recovery reports' bits.
     [[nodiscard]] double live_availability(const RequestState& state) const {
         const double vnf_rel = instance_.catalog.reliability(request_of(state).vnf);
         double fail = 1.0;

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/verify.hpp"
 #include "helpers.hpp"
-#include "sim/failure_model.hpp"
 
 namespace vnfr::core {
 namespace {
@@ -63,8 +63,8 @@ TEST(OnsiteGreedy, AdmittedPlacementsMeetRequirement) {
     const ScheduleResult result = run_online(inst, scheduler);
     for (std::size_t i = 0; i < result.decisions.size(); ++i) {
         if (result.decisions[i].admitted) {
-            EXPECT_GE(sim::analytic_availability(inst, inst.requests[i],
-                                                 result.decisions[i].placement),
+            EXPECT_GE(placement_availability(inst, inst.requests[i],
+                                             result.decisions[i].placement),
                       inst.requests[i].requirement - 1e-12);
         }
     }

@@ -9,8 +9,8 @@
 #include "core/greedy.hpp"
 #include "core/offsite_primal_dual.hpp"
 #include "core/onsite_primal_dual.hpp"
+#include "core/verify.hpp"
 #include "helpers.hpp"
-#include "sim/failure_model.hpp"
 #include "sim/scenarios.hpp"
 
 namespace vnfr::core {
@@ -49,8 +49,8 @@ TEST(HybridPrimalDual, AdmittedPlacementsMeetRequirement) {
     for (std::size_t i = 0; i < result.decisions.size(); ++i) {
         if (!result.decisions[i].admitted) continue;
         ++admitted;
-        EXPECT_GE(sim::analytic_availability(inst, inst.requests[i],
-                                             result.decisions[i].placement),
+        EXPECT_GE(placement_availability(inst, inst.requests[i],
+                                         result.decisions[i].placement),
                   inst.requests[i].requirement - 1e-12);
     }
     EXPECT_GT(admitted, 0u);

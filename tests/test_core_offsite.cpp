@@ -6,8 +6,8 @@
 
 #include <set>
 
+#include "core/verify.hpp"
 #include "helpers.hpp"
-#include "sim/failure_model.hpp"
 #include "vnf/reliability.hpp"
 
 namespace vnfr::core {
@@ -51,7 +51,7 @@ TEST(OffsitePrimalDual, AdmittedPlacementsMeetRequirement) {
         const Decision& d = result.decisions[i];
         if (!d.admitted) continue;
         ++admitted;
-        EXPECT_GE(sim::analytic_availability(inst, inst.requests[i], d.placement),
+        EXPECT_GE(placement_availability(inst, inst.requests[i], d.placement),
                   inst.requests[i].requirement - 1e-12);
     }
     EXPECT_GT(admitted, 0u);

@@ -4,8 +4,8 @@
 
 #include <limits>
 
+#include "core/verify.hpp"
 #include "helpers.hpp"
-#include "sim/failure_model.hpp"
 #include "vnf/reliability.hpp"
 
 namespace vnfr::core {
@@ -45,7 +45,7 @@ TEST(OnsitePrimalDual, AdmittedPlacementMeetsRequirement) {
     for (const auto& r : inst.requests) {
         const Decision d = scheduler.decide(r);
         if (d.admitted) {
-            EXPECT_GE(sim::analytic_availability(inst, r, d.placement),
+            EXPECT_GE(placement_availability(inst, r, d.placement),
                       r.requirement - 1e-12);
         }
     }

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "core/bounds.hpp"
 #include "core/greedy.hpp"
 #include "core/hybrid_primal_dual.hpp"
 #include "core/offsite_primal_dual.hpp"
 #include "core/onsite_primal_dual.hpp"
 #include "helpers.hpp"
+#include "vnf/reliability.hpp"
 
 namespace vnfr::core {
 namespace {
@@ -171,6 +175,45 @@ TEST(VerifySchedule, RejectionIsAlwaysClean) {
     EXPECT_TRUE(report.ok());
     EXPECT_EQ(report.admitted, 0u);
     EXPECT_DOUBLE_EQ(report.revenue, 0.0);
+}
+
+TEST(AnalyticAvailability, SingleSiteMatchesEquation2) {
+    const auto inst = small_instance({0.99}, 10.0, 5, {make_request(0, 0, 0.9, 0, 2, 5.0)});
+    const Placement p{RequestId{0}, {Site{CloudletId{0}, 3}}};
+    EXPECT_NEAR(placement_availability(inst, inst.requests[0], p),
+                vnf::onsite_availability(0.99, 0.95, 3), 1e-12);
+}
+
+TEST(AnalyticAvailability, MultiSiteMatchesEquation10) {
+    const auto inst = small_instance({0.98, 0.96}, 10.0, 5,
+                                     {make_request(0, 0, 0.9, 0, 2, 5.0)});
+    const Placement p{RequestId{0}, {Site{CloudletId{0}, 1}, Site{CloudletId{1}, 1}}};
+    const std::vector<double> rels{0.98, 0.96};
+    EXPECT_NEAR(placement_availability(inst, inst.requests[0], p),
+                vnf::offsite_availability(0.95, rels), 1e-12);
+}
+
+TEST(AnalyticAvailability, MixedReplicaSites) {
+    // 2 replicas at site A + 1 at site B: generalizes both schemes.
+    const auto inst = small_instance({0.98, 0.96}, 10.0, 5,
+                                     {make_request(0, 0, 0.9, 0, 2, 5.0)});
+    const Placement p{RequestId{0}, {Site{CloudletId{0}, 2}, Site{CloudletId{1}, 1}}};
+    const double site_a = 0.98 * (1.0 - 0.05 * 0.05);
+    const double site_b = 0.96 * 0.95;
+    EXPECT_NEAR(placement_availability(inst, inst.requests[0], p),
+                1.0 - (1.0 - site_a) * (1.0 - site_b), 1e-12);
+}
+
+TEST(AnalyticAvailability, EmptyPlacementIsZero) {
+    const auto inst = small_instance({0.98}, 10.0, 5, {make_request(0, 0, 0.9, 0, 2, 5.0)});
+    const Placement p{RequestId{0}, {}};
+    EXPECT_DOUBLE_EQ(placement_availability(inst, inst.requests[0], p), 0.0);
+}
+
+TEST(AnalyticAvailability, RejectsNonPositiveReplicas) {
+    const auto inst = small_instance({0.98}, 10.0, 5, {make_request(0, 0, 0.9, 0, 2, 5.0)});
+    const Placement p{RequestId{0}, {Site{CloudletId{0}, 0}}};
+    EXPECT_THROW(placement_availability(inst, inst.requests[0], p), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,58 +1,17 @@
-#include "sim/failure_model.hpp"
-
+// Monte Carlo check of the analytic availability: a Markov up/down replay
+// converges to core::placement_availability.
 #include <gtest/gtest.h>
 
+#include "core/verify.hpp"
 #include "helpers.hpp"
 #include "sim/recovery_engine.hpp"
 #include "sim/recovery_faults.hpp"
-#include "vnf/reliability.hpp"
 
 namespace vnfr::sim {
 namespace {
 
 using vnfr::testing::make_request;
 using vnfr::testing::small_instance;
-
-TEST(AnalyticAvailability, SingleSiteMatchesEquation2) {
-    const auto inst = small_instance({0.99}, 10.0, 5, {make_request(0, 0, 0.9, 0, 2, 5.0)});
-    const core::Placement p{RequestId{0}, {core::Site{CloudletId{0}, 3}}};
-    EXPECT_NEAR(analytic_availability(inst, inst.requests[0], p),
-                vnf::onsite_availability(0.99, 0.95, 3), 1e-12);
-}
-
-TEST(AnalyticAvailability, MultiSiteMatchesEquation10) {
-    const auto inst = small_instance({0.98, 0.96}, 10.0, 5,
-                                     {make_request(0, 0, 0.9, 0, 2, 5.0)});
-    const core::Placement p{RequestId{0},
-                            {core::Site{CloudletId{0}, 1}, core::Site{CloudletId{1}, 1}}};
-    const std::vector<double> rels{0.98, 0.96};
-    EXPECT_NEAR(analytic_availability(inst, inst.requests[0], p),
-                vnf::offsite_availability(0.95, rels), 1e-12);
-}
-
-TEST(AnalyticAvailability, MixedReplicaSites) {
-    // 2 replicas at site A + 1 at site B: generalizes both schemes.
-    const auto inst = small_instance({0.98, 0.96}, 10.0, 5,
-                                     {make_request(0, 0, 0.9, 0, 2, 5.0)});
-    const core::Placement p{RequestId{0},
-                            {core::Site{CloudletId{0}, 2}, core::Site{CloudletId{1}, 1}}};
-    const double site_a = 0.98 * (1.0 - 0.05 * 0.05);
-    const double site_b = 0.96 * 0.95;
-    EXPECT_NEAR(analytic_availability(inst, inst.requests[0], p),
-                1.0 - (1.0 - site_a) * (1.0 - site_b), 1e-12);
-}
-
-TEST(AnalyticAvailability, EmptyPlacementIsZero) {
-    const auto inst = small_instance({0.98}, 10.0, 5, {make_request(0, 0, 0.9, 0, 2, 5.0)});
-    const core::Placement p{RequestId{0}, {}};
-    EXPECT_DOUBLE_EQ(analytic_availability(inst, inst.requests[0], p), 0.0);
-}
-
-TEST(AnalyticAvailability, RejectsNonPositiveReplicas) {
-    const auto inst = small_instance({0.98}, 10.0, 5, {make_request(0, 0, 0.9, 0, 2, 5.0)});
-    const core::Placement p{RequestId{0}, {core::Site{CloudletId{0}, 0}}};
-    EXPECT_THROW(analytic_availability(inst, inst.requests[0], p), std::invalid_argument);
-}
 
 class MonteCarloConvergence : public ::testing::TestWithParam<int> {};
 
@@ -73,7 +32,7 @@ TEST_P(MonteCarloConvergence, MatchesAnalyticWithinTolerance) {
     admitted.admitted = true;
     admitted.placement = p;
     const std::vector<core::Decision> decisions = {admitted};
-    const double analytic = analytic_availability(inst, inst.requests[0], p);
+    const double analytic = core::placement_availability(inst, inst.requests[0], p);
     for (const double mttr : {1.0, 4.0}) {
         const FaultSchedule schedule = generate_markov_schedule(
             inst, decisions, {.cloudlet_mttr_slots = mttr, .instance_mttr_slots = mttr},

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/greedy.hpp"
 #include "core/onsite_primal_dual.hpp"
 #include "core/schedule.hpp"
 #include "helpers.hpp"
@@ -82,20 +81,11 @@ TEST(Metrics, PlacementStatsBasics) {
     EXPECT_GT(stats.mean_availability, 0.9);
 }
 
-TEST(Metrics, TotalRevenueMatchesSchedule) {
-    common::Rng rng(31);
-    const core::Instance inst = random_instance(rng, 40, 3, 10);
-    core::OnsiteGreedy scheduler(inst);
-    const core::ScheduleResult result = run_online(inst, scheduler);
-    EXPECT_NEAR(total_revenue(inst, result.decisions), result.revenue, 1e-9);
-}
-
 TEST(Metrics, SizeMismatchThrows) {
     common::Rng rng(37);
     const core::Instance inst = random_instance(rng, 10, 2, 8);
     std::vector<core::Decision> wrong(3);
     EXPECT_THROW(placement_stats(inst, wrong), std::invalid_argument);
-    EXPECT_THROW(total_revenue(inst, wrong), std::invalid_argument);
 }
 
 TEST(Metrics, AccessHopsFromRequestSources) {
