@@ -4,7 +4,7 @@
 // replication throughput of the parallel experiment engine vs thread
 // count, one fault replication of the recovery study per policy, and the
 // serve layer's per-byte checkpoint costs (CRC-32, snapshot encode and
-// decode) and per-request admission cost.
+// decode, admitted-ledger parse) and per-request admission cost.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -16,6 +16,7 @@
 #include "core/onsite_primal_dual.hpp"
 #include "net/generators.hpp"
 #include "serve/admission_controller.hpp"
+#include "serve/ledger.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/vfs.hpp"
 #include "serve/wire.hpp"
@@ -149,8 +150,8 @@ BENCHMARK_CAPTURE(BM_RecoveryReplication, readmit, sim::RecoveryPolicy::kReadmit
 
 // ---------------------------------------------------------------- serve
 // The durable admission controller at the shape of the steady_admit
-// benchmark workload: 8 cloudlets x 600 slots and a ~9.5k-record admitted
-// ledger, i.e. a ~495 KB snapshot.
+// benchmark workload: 8 cloudlets x 600 slots, i.e. a ~77 KB snapshot, and
+// a ~9.5k-record admitted ledger of ~420 KB.
 
 constexpr std::size_t kServeCloudlets = 8;
 constexpr std::size_t kServeSlots = 600;
@@ -163,6 +164,30 @@ benchmark::Counter per_byte(std::size_t bytes) {
     return benchmark::Counter(static_cast<double>(bytes),
                               benchmark::Counter::kIsIterationInvariantRate |
                                   benchmark::Counter::kInvert);
+}
+
+/// The admitted ledger of the steady_admit shape, as records.
+std::vector<serve::AdmittedRecord> make_bench_admitted() {
+    common::Rng rng = common::stream_rng(0x9e7f'5c4d, 0x1ed6);
+    std::vector<serve::AdmittedRecord> admitted;
+    for (std::size_t i = 0; i < kServeAdmitted; ++i) {
+        serve::AdmittedRecord rec;
+        rec.seq = 6 * i;
+        rec.request_id = static_cast<std::int64_t>(6 * i);
+        rec.payment = rng.uniform(1.0, 50.0);
+        rec.sites = {{rng.uniform_int(0, kServeCloudlets - 1), rng.uniform_int(1, 3)}};
+        admitted.push_back(std::move(rec));
+    }
+    return admitted;
+}
+
+/// The ledger file image of make_bench_admitted().
+std::string make_bench_ledger() {
+    std::string bytes = serve::encode_ledger_header(0);
+    for (const serve::AdmittedRecord& rec : make_bench_admitted()) {
+        bytes += serve::encode_ledger_record(rec);
+    }
+    return bytes;
 }
 
 serve::ControllerSnapshot make_bench_snapshot() {
@@ -181,15 +206,10 @@ serve::ControllerSnapshot make_bench_snapshot() {
     snap.usage.resize(kServeCloudlets * kServeSlots);
     for (double& v : snap.usage) v = rng.uniform(0.0, 60.0);
     snap.covered_watermark = kServeRequests;
-    for (std::size_t i = 0; i < kServeAdmitted; ++i) {
-        serve::AdmittedRecord rec;
-        rec.seq = 6 * i;
-        rec.request_id = static_cast<std::int64_t>(6 * i);
-        rec.payment = rng.uniform(1.0, 50.0);
-        rec.sites = {{rng.uniform_int(0, kServeCloudlets - 1), rng.uniform_int(1, 3)}};
+    for (const serve::AdmittedRecord& rec : make_bench_admitted()) {
         snap.metrics.revenue += rec.payment;
-        snap.admitted.push_back(std::move(rec));
     }
+    snap.ledger_bytes = make_bench_ledger().size();
     return snap;
 }
 
@@ -226,6 +246,18 @@ void BM_DecodeSnapshot(benchmark::State& state) {
 }
 
 BENCHMARK(BM_DecodeSnapshot)->Unit(benchmark::kMicrosecond);
+
+/// What a restart pays for the admitted history: a strict parse of the
+/// whole ledger.
+void BM_DecodeLedger(benchmark::State& state) {
+    const std::string bytes = make_bench_ledger();
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(serve::parse_ledger_bytes(bytes, "bench", kServeCloudlets));
+    }
+    state.counters["s_per_byte"] = per_byte(bytes.size());
+}
+
+BENCHMARK(BM_DecodeLedger)->Unit(benchmark::kMicrosecond);
 
 /// One admission request end to end — submit, then pump(1): decide, WAL
 /// append and fdatasync, apply, and every 64th time a checkpoint rotation

@@ -78,6 +78,10 @@ std::string AdmissionController::snapshot_path() const {
     return config_.data_dir + "/snapshot.bin";
 }
 
+std::string AdmissionController::ledger_path() const {
+    return ledger_file_path(config_.data_dir);
+}
+
 void AdmissionController::recover() {
     const std::string snap_path = snapshot_path();
     if (file_exists(*vfs_, snap_path)) {
@@ -98,7 +102,23 @@ void AdmissionController::recover() {
         scheduler_->import_state(state);
         rollback_base_ = std::move(state);
         metrics_ = snap.metrics;
-        admitted_ = std::move(snap.admitted);
+        if (snap.ledger_bytes == 0) {
+            // A version-1 image carries its admitted list inline and names
+            // no ledger: the first rotation writes the whole list to a
+            // fresh ledger file.
+            admitted_ = std::move(snap.admitted);
+        } else {
+            // Only the prefix the snapshot names is state; a tail past it
+            // is a rotation that died before its snapshot was renamed in,
+            // and its admissions replay from the WAL below. append_to
+            // truncates it before the first append.
+            LedgerContents ledger = load_ledger(*vfs_, ledger_path(), snap);
+            admitted_ = std::move(ledger.records);
+            ledger_.emplace(FramedFileWriter::append_to(*vfs_, ledger_path(),
+                                                        snap.ledger_bytes,
+                                                        config_.storage_retry));
+        }
+        ledger_records_ = ledger_.has_value() ? admitted_.size() : 0;
         covered_watermark_ = snap.covered_watermark;
         covered_sparse_.clear();
         covered_sparse_.insert(snap.covered_sparse.begin(), snap.covered_sparse.end());
@@ -208,12 +228,17 @@ void AdmissionController::replay_record(const WalRecord& rec, const std::string&
 }
 
 void AdmissionController::mark_covered(std::uint64_t seq) {
-    if (is_covered_locked(seq)) return;
-    covered_sparse_.insert(seq);
-    while (!covered_sparse_.empty() && covered_sparse_.count(covered_watermark_) != 0) {
-        covered_sparse_.erase(covered_watermark_);
+    if (seq == covered_watermark_) {
+        // In-order cover, the common case: advance the watermark without
+        // a set node, then absorb the sparse seqs it now reaches.
         ++covered_watermark_;
+        while (!covered_sparse_.empty() && *covered_sparse_.begin() == covered_watermark_) {
+            covered_sparse_.erase(covered_sparse_.begin());
+            ++covered_watermark_;
+        }
+        return;
     }
+    if (seq > covered_watermark_) covered_sparse_.insert(seq);
 }
 
 bool AdmissionController::is_covered_locked(std::uint64_t seq) const {
@@ -493,6 +518,29 @@ void AdmissionController::checkpoint_locked() {
 void AdmissionController::rotate_checkpoint_locked() {
     VNFR_CHECK(wal_->staged_records() == 0,
                "checkpoint with uncommitted staged WAL records");
+    // Rotation order keeps every crash window recoverable: (0) append the
+    // admissions since the last rotation to the ledger (one write, one
+    // fdatasync); (1) create the next WAL generation; (2) atomically
+    // replace the snapshot, which now references it and names the new
+    // ledger length; (3) drop the old generation. A crash before (2)
+    // recovers from the old snapshot + old WAL: the ledger tail no
+    // snapshot names is truncated and its admissions replay from the old
+    // WAL, and the new WAL file is stale and removed on restart. Between
+    // (2) and (3) the old WAL is the stale one.
+    if (!ledger_.has_value()) {
+        ledger_.emplace(create_ledger(*vfs_, ledger_path(), config_digest_,
+                                      config_.storage_retry));
+    }
+    for (std::size_t i = ledger_records_; i < admitted_.size(); ++i) {
+        stage_ledger_record(*ledger_, admitted_[i]);
+    }
+    try {
+        ledger_->commit();
+    } catch (...) {
+        ledger_->abandon_staged();
+        throw;
+    }
+    ledger_records_ = admitted_.size();
     // The snapshot is encoded straight from the live state; only the
     // scheduler state is copied, and that copy becomes the rollback base
     // once the rotation succeeds. The sparse covered set is O(queue).
@@ -510,13 +558,7 @@ void AdmissionController::rotate_checkpoint_locked() {
     snap.usage = state.usage;
     snap.covered_watermark = covered_watermark_;
     snap.covered_sparse = covered_sparse;
-    snap.admitted = admitted_;
-    // Rotation order keeps every crash window recoverable: (1) create the
-    // next WAL generation; (2) atomically replace the snapshot, which now
-    // references it; (3) drop the old generation. A crash between (1) and
-    // (2) recovers from the old snapshot + old WAL (the new file is
-    // stale and removed on restart); between (2) and (3) the old WAL is
-    // the stale one.
+    snap.ledger_bytes = ledger_->durable_size();
     WalWriter next =
         WalWriter::create(*vfs_, wal_file_path(config_.data_dir, wal_seq_ + 1),
                           wal_seq_ + 1, config_digest_, config_.storage_retry);
@@ -578,7 +620,9 @@ bool AdmissionController::try_recover_locked() {
         // A failed commit may have left un-synced garbage past the
         // durable WAL prefix; truncate it away so retained generations
         // end on a clean record boundary for tailers and recovery alike.
+        // A failed ledger append leaves the same kind of garbage.
         wal_->repair();
+        if (ledger_.has_value()) ledger_->repair();
         // A full rotation is the writability proof: it exercises create,
         // write, fsync, rename, and directory sync — and leaves the
         // freshly-checkpointed state as the durable baseline.
@@ -600,9 +644,11 @@ bool AdmissionController::try_recover_storage() {
 StorageStats AdmissionController::storage_stats() const {
     const common::MutexLock lock(&mu_);
     StorageStats stats = storage_stats_;
-    // The live writer's absorbed retries roll into the total at rotation;
-    // count the current generation's on the fly.
+    // The live WAL writer's absorbed retries roll into the total at
+    // rotation, so count the current generation's on the fly; the ledger
+    // writer lives as long as the controller and is counted the same way.
     stats.transient_retries += wal_->transient_retries();
+    if (ledger_.has_value()) stats.transient_retries += ledger_->transient_retries();
     return stats;
 }
 

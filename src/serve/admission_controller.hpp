@@ -1,8 +1,17 @@
 // A long-lived, crash-safe service wrapper around the online primal-dual
 // schedulers: requests stream in through a bounded admission queue, every
 // durable outcome (decision or shed) is WAL-logged before it becomes
-// observable, and the full controller state checkpoints atomically every
+// observable, and the controller state checkpoints every
 // `checkpoint_every` outcomes.
+//
+// Persistence is snapshot + ledger + WAL in `data_dir`: snapshot.bin
+// holds the fixed-size scheduler state and bookkeeping (O(cloudlets x
+// horizon), replaced atomically at each checkpoint), snapshot.ledger the
+// admitted requests (append-only: a checkpoint appends only the
+// admissions since the previous one), and wal-<gen>.log the outcomes
+// since the snapshot. The snapshot names the ledger length it vouches
+// for, so a checkpoint costs the scheduler state plus O(new admissions),
+// not the history.
 //
 // Recovery contract. decide() of both primal-dual schedulers is a
 // deterministic function of (instance, config, dual prices, ledger
@@ -63,6 +72,7 @@
 #include "core/instance.hpp"
 #include "core/offline.hpp"
 #include "core/schedule.hpp"
+#include "serve/ledger.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/wal.hpp"
 
@@ -106,7 +116,8 @@ struct StorageStats {
 };
 
 struct ServeConfig {
-    /// Directory holding snapshot.bin and wal-<gen>.log. Must exist.
+    /// Directory holding snapshot.bin, snapshot.ledger and wal-<gen>.log.
+    /// Must exist.
     std::string data_dir;
     /// Take a snapshot (and rotate the WAL) every this many WAL records.
     std::size_t checkpoint_every{64};
@@ -370,9 +381,10 @@ class AdmissionController {
     std::vector<ProcessedOutcome> pump_locked(std::size_t max_requests)
         VNFR_REQUIRES(mu_);
     void checkpoint_locked() VNFR_REQUIRES(mu_);
-    /// The raw rotation (create next gen, save a snapshot of the live
-    /// state referencing it, retire old gen), which also moves the
-    /// rollback base up to the checkpointed state. Throws VfsError on
+    /// The raw rotation (append the new admissions to the ledger, create
+    /// next gen, save a snapshot of the live state referencing both,
+    /// retire old gen), which also moves the rollback base up to the
+    /// checkpointed state. Throws VfsError on
     /// storage failure — callers decide whether that degrades the
     /// controller (checkpoint_locked) or just fails a recovery probe
     /// (try_recover_locked).
@@ -389,6 +401,7 @@ class AdmissionController {
     void require_storage_healthy_locked(const char* op) VNFR_REQUIRES(mu_);
     [[nodiscard]] bool try_recover_locked() VNFR_REQUIRES(mu_);
     [[nodiscard]] std::string snapshot_path() const;
+    [[nodiscard]] std::string ledger_path() const;
     /// Removes WAL files recovery must not see again: generations above
     /// the current one always (half-created rotation leftovers), and with
     /// retain_wals off, everything but the current generation.
@@ -425,6 +438,12 @@ class AdmissionController {
         shed_heap_ VNFR_GUARDED_BY(mu_);
     ServeMetrics metrics_ VNFR_GUARDED_BY(mu_);
     std::vector<AdmittedRecord> admitted_ VNFR_GUARDED_BY(mu_);
+    /// Appender over snapshot.ledger; empty until the first rotation
+    /// creates the file, or recovery opens the one the snapshot names.
+    std::optional<FramedFileWriter> ledger_ VNFR_GUARDED_BY(mu_);
+    /// admitted_[0, ledger_records_) is durable in the ledger; a rotation
+    /// appends the rest.
+    std::size_t ledger_records_ VNFR_GUARDED_BY(mu_) = 0;
     std::uint64_t covered_watermark_ VNFR_GUARDED_BY(mu_) = 0;
     std::set<std::uint64_t> covered_sparse_ VNFR_GUARDED_BY(mu_);
 

@@ -102,10 +102,12 @@ inline std::vector<core::Decision> assemble_decisions(
 }
 
 /// True when a cut at an op on `path` landed inside a checkpoint
-/// rotation: creating the next WAL generation (published through
-/// `wal-<g>.log.tmp`) or publishing the snapshot.
+/// rotation: appending to (or creating) the admitted ledger, creating the
+/// next WAL generation (published through `wal-<g>.log.tmp`) or
+/// publishing the snapshot.
 inline bool cut_in_rotation(const std::string& path) {
     return path.find("snapshot.bin") != std::string::npos ||
+           path.find("snapshot.ledger") != std::string::npos ||
            path.ends_with(".log.tmp");
 }
 

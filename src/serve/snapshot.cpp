@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
+#include "serve/ledger.hpp"
 #include "serve/vfs.hpp"
 
 namespace vnfr::serve {
@@ -10,6 +12,8 @@ namespace vnfr::serve {
 namespace {
 
 constexpr std::string_view kMagic = "VNFRSNP1";
+/// The last version whose payload ends in the inline admitted list.
+constexpr std::uint32_t kInlineLedgerVersion = 1;
 
 /// Upper bound on element counts decoded from length fields, so a fuzzed
 /// length cannot drive a multi-gigabyte allocation before the CRC check
@@ -37,22 +41,40 @@ SnapshotView view_of(const ControllerSnapshot& snap) {
     view.usage = snap.usage;
     view.covered_watermark = snap.covered_watermark;
     view.covered_sparse = snap.covered_sparse;
-    view.admitted = snap.admitted;
+    view.ledger_bytes = snap.ledger_bytes;
     return view;
+}
+
+/// Version 1's inline admitted list, which ends its payload.
+void decode_inline_ledger(WireReader& r, const std::string& label,
+                          ControllerSnapshot& snap) {
+    const std::uint64_t admitted_count = r.get_u64("admitted record count");
+    check_count(r, admitted_count, "admitted record");
+    if (admitted_count != snap.metrics.admitted) {
+        throw CorruptStateError(label, r.offset() - 8,
+                                "admitted record count disagrees with the admitted "
+                                "counter");
+    }
+    snap.admitted.resize(admitted_count);
+    for (AdmittedRecord& rec : snap.admitted) {
+        decode_admitted_record(r, label, snap.cloudlets, rec);
+    }
 }
 
 }  // namespace
 
 std::string encode_snapshot(const SnapshotView& view) {
+    if (view.ledger_bytes < kLedgerHeaderSize) {
+        throw std::invalid_argument("encode_snapshot: ledger length " +
+                                    std::to_string(view.ledger_bytes) +
+                                    " is shorter than a ledger header");
+    }
     // Magic, version, scheme, four shape words, four counters, two revenues.
     std::size_t size = kMagic.size() + 4 + 1 + 4 * 8 + 4 * 8 + 2 * 8;
     for (const auto& row : view.lambda) size += 8 * row.size();
     size += 8 * view.usage.size();
     size += 8 + 8 + 8 * view.covered_sparse.size();
-    size += 8;
-    for (const AdmittedRecord& rec : view.admitted) {
-        size += 8 + 8 + 8 + 4 + 16 * rec.sites.size();
-    }
+    size += 8;  // ledger length
     size += 4;  // CRC trailer
 
     WireWriter w(size);
@@ -74,22 +96,17 @@ std::string encode_snapshot(const SnapshotView& view) {
     w.put_u64(view.covered_watermark);
     w.put_u64(view.covered_sparse.size());
     for (const std::uint64_t s : view.covered_sparse) w.put_u64(s);
-    w.put_u64(view.admitted.size());
-    for (const AdmittedRecord& rec : view.admitted) {
-        w.put_u64(rec.seq);
-        w.put_i64(rec.request_id);
-        w.put_f64(rec.payment);
-        w.put_u32(static_cast<std::uint32_t>(rec.sites.size()));
-        for (const auto& [cloudlet, replicas] : rec.sites) {
-            w.put_i64(cloudlet);
-            w.put_i64(replicas);
-        }
-    }
+    w.put_u64(view.ledger_bytes);
     w.put_crc32();
     return std::move(w).take();
 }
 
 std::string encode_snapshot(const ControllerSnapshot& snap) {
+    if (!snap.admitted.empty()) {
+        throw std::invalid_argument(
+            "encode_snapshot: an inline admitted list is version 1 only; version 2 "
+            "keeps it in the ledger");
+    }
     return encode_snapshot(view_of(snap));
 }
 
@@ -104,10 +121,11 @@ ControllerSnapshot decode_snapshot(std::string_view bytes, const std::string& la
         throw CorruptStateError(label, 0, "bad magic (not a VNFR snapshot)");
     }
     const std::uint32_t version = header.get_u32("version");
-    if (version != kSnapshotVersion) {
+    if (version != kSnapshotVersion && version != kInlineLedgerVersion) {
         throw CorruptStateError(label, kMagic.size(),
                                 "unsupported snapshot version " + std::to_string(version) +
-                                    " (expected " + std::to_string(kSnapshotVersion) + ")");
+                                    " (expected " + std::to_string(kInlineLedgerVersion) +
+                                    " or " + std::to_string(kSnapshotVersion) + ")");
     }
     // CRC covers everything before the 4-byte trailer.
     const std::string_view body = bytes.substr(0, bytes.size() - 4);
@@ -190,37 +208,14 @@ ControllerSnapshot decode_snapshot(std::string_view bytes, const std::string& la
         prev = s;
         first = false;
     }
-    const std::uint64_t admitted_count = r.get_u64("admitted record count");
-    check_count(r, admitted_count, "admitted record");
-    if (admitted_count != snap.metrics.admitted) {
-        throw CorruptStateError(label, r.offset() - 8,
-                                "admitted record count disagrees with the admitted "
-                                "counter");
-    }
-    snap.admitted.resize(admitted_count);
-    for (AdmittedRecord& rec : snap.admitted) {
-        rec.seq = r.get_u64("admitted seq");
-        rec.request_id = r.get_i64("admitted request id");
-        rec.payment = r.get_f64("admitted payment");
-        if (!std::isfinite(rec.payment) || rec.payment < 0.0) {
+    if (version == kSnapshotVersion) {
+        snap.ledger_bytes = r.get_u64("ledger length");
+        if (snap.ledger_bytes < kLedgerHeaderSize) {
             throw CorruptStateError(label, r.offset() - 8,
-                                    "admitted payment is not finite and non-negative");
+                                    "ledger length shorter than a ledger header");
         }
-        const std::uint32_t site_count = r.get_u32("site count");
-        check_count(r, site_count, "site");
-        rec.sites.resize(site_count);
-        for (auto& [cloudlet, replicas] : rec.sites) {
-            cloudlet = r.get_i64("site cloudlet");
-            replicas = r.get_i64("site replicas");
-            if (cloudlet < 0 || static_cast<std::uint64_t>(cloudlet) >= snap.cloudlets) {
-                throw CorruptStateError(label, r.offset() - 16,
-                                        "site cloudlet id out of range");
-            }
-            if (replicas < 1) {
-                throw CorruptStateError(label, r.offset() - 8,
-                                        "site replica count below 1");
-            }
-        }
+    } else {
+        decode_inline_ledger(r, label, snap);
     }
     r.require_end("snapshot payload");
     return snap;

@@ -1,9 +1,16 @@
 // Durable snapshot of an AdmissionController: dual prices, ledger usage,
-// request-coverage bookkeeping, revenue counters, and the admitted-request
-// ledger. Snapshots are written atomically (write temp + fsync + rename +
-// directory fsync) and carry a whole-file CRC-32 plus magic/version
-// header, so a loader either gets exactly what was saved or a
-// CorruptStateError naming the bad byte.
+// request-coverage bookkeeping, revenue counters, and the byte length of
+// the admitted ledger's durable prefix. The admitted requests themselves
+// live in the append-only ledger file (serve/ledger.hpp), so a snapshot is
+// O(cloudlets x horizon) however long the history grows. Snapshots are
+// written atomically (write temp + fsync + rename + directory fsync) and
+// carry a whole-file CRC-32 plus magic/version header, so a loader either
+// gets exactly what was saved or a CorruptStateError naming the bad byte.
+//
+// Versions. The encoder writes version 2. The decoder also reads version
+// 1, whose payload ends in the inline admitted list (u64 count, then per
+// record u64 seq | i64 request id | f64 payment | u32 site count | sites)
+// where version 2 has one u64 ledger length.
 #pragma once
 
 #include <cstdint>
@@ -15,7 +22,7 @@
 
 namespace vnfr::serve {
 
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 /// One admitted request as recorded durably: its position in the request
 /// stream, identity, collected payment, and placement sites.
@@ -55,13 +62,20 @@ struct ControllerSnapshot {
     /// (ascending) sparse seqs above it.
     std::uint64_t covered_watermark{0};
     std::vector<std::uint64_t> covered_sparse;
+    /// Byte length of the admitted ledger prefix (header included) this
+    /// snapshot vouches for; metrics.admitted records live in it. 0 only
+    /// in a decoded version-1 image, which names no ledger.
+    std::uint64_t ledger_bytes{0};
+    /// Version-1 images only: the inline admitted list. Empty in version
+    /// 2, which keeps it in the ledger; the encoder refuses a non-empty
+    /// one.
     std::vector<AdmittedRecord> admitted;
 };
 
-/// Borrowed view of everything a snapshot persists, field for field as in
-/// ControllerSnapshot. The encoder writes straight from it, so a
-/// controller checkpoints its live state without first copying the
-/// admitted ledger. The viewed state must outlive the encode call.
+/// Borrowed view of everything a version-2 snapshot persists, field for
+/// field as in ControllerSnapshot. The encoder writes straight from it, so
+/// a controller checkpoints its live state without copying it first. The
+/// viewed state must outlive the encode call.
 struct SnapshotView {
     std::uint8_t scheme{0};
     std::uint64_t config_digest{0};
@@ -73,17 +87,20 @@ struct SnapshotView {
     std::span<const double> usage;
     std::uint64_t covered_watermark{0};
     std::span<const std::uint64_t> covered_sparse;
-    std::span<const AdmittedRecord> admitted;
+    std::uint64_t ledger_bytes{0};
 };
 
-/// Serializes `view` to the on-disk byte layout (header + payload + CRC)
-/// in one pass into a buffer sized up front.
+/// Serializes `view` to the version-2 byte layout (header + payload +
+/// CRC) in one pass into a buffer sized up front. Throws
+/// std::invalid_argument when ledger_bytes is shorter than a ledger
+/// header: a version-2 snapshot always names a ledger.
 [[nodiscard]] std::string encode_snapshot(const SnapshotView& view);
 
-/// encode_snapshot over a view of `snap`.
+/// encode_snapshot over a view of `snap`. Throws std::invalid_argument
+/// when `snap.admitted` is not empty: only version 1 carried it inline.
 [[nodiscard]] std::string encode_snapshot(const ControllerSnapshot& snap);
 
-/// Parses and fully validates an encoded snapshot. Throws
+/// Parses and fully validates an encoded snapshot of either version. Throws
 /// CorruptStateError (with `label` and the offending offset) on any
 /// truncation, bad magic, unsupported version, CRC mismatch, or
 /// structurally impossible field.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstring>
+#include <stdexcept>
 #include <utility>
 
 namespace vnfr::serve {
@@ -11,9 +13,6 @@ namespace {
 
 constexpr std::string_view kMagic = "VNFRWAL1";
 constexpr std::uint64_t kHeaderSize = kWalHeaderSize;
-/// No legal record comes close to this; a larger length prefix is either
-/// a torn tail (if it runs past EOF) or corruption.
-constexpr std::uint32_t kMaxRecordBytes = 1U << 20;
 
 /// Payload bytes of `record`: kind, seq and the seven request fields, then
 /// for a decision the outcome bytes, site count and sites.
@@ -23,10 +22,8 @@ std::size_t payload_size(const WalRecord& record) {
     return size;
 }
 
-/// Appends `record` framed as u32 length | payload | u32 CRC(payload).
-void put_framed_record(WireWriter& w, const WalRecord& record) {
-    w.put_u32(static_cast<std::uint32_t>(payload_size(record)));
-    const std::size_t payload_start = w.size();
+/// Appends the payload bytes of `record` (payload_size(record) of them).
+void put_payload(WireWriter& w, const WalRecord& record) {
     w.put_u8(static_cast<std::uint8_t>(record.kind));
     w.put_u64(record.seq);
     w.put_i64(record.request.id.value);
@@ -45,7 +42,21 @@ void put_framed_record(WireWriter& w, const WalRecord& record) {
             w.put_i64(site.replicas);
         }
     }
+}
+
+/// Appends `record` framed as u32 length | payload | u32 CRC(payload).
+void put_framed_record(WireWriter& w, const WalRecord& record) {
+    w.put_u32(static_cast<std::uint32_t>(payload_size(record)));
+    const std::size_t payload_start = w.size();
+    put_payload(w, record);
     w.put_crc32(payload_start);
+}
+
+/// Reads the little-endian u32 at `at`; the caller has checked the bounds.
+std::uint32_t load_u32(std::string_view bytes, std::uint64_t at) {
+    std::uint32_t v = 0;
+    std::memcpy(&v, bytes.data() + at, sizeof v);
+    return wire_detail::to_le(v);  // a byte swap is its own inverse
 }
 
 WalRecord decode_payload(std::string_view payload, const std::string& label,
@@ -84,7 +95,7 @@ WalRecord decode_payload(std::string_view payload, const std::string& label,
         }
         rec.reject_reason = static_cast<core::RejectReason>(reason);
         const std::uint32_t site_count = r.get_u32("site count");
-        if (site_count > kMaxRecordBytes / 16) {
+        if (site_count > kMaxFramePayload / 16) {
             throw CorruptStateError(label, r.offset() - 4, "site count out of range");
         }
         rec.sites.resize(site_count);
@@ -151,7 +162,7 @@ std::vector<WalRecord> decode_wal_record_stream(std::string_view bytes,
         }
         WireReader frame(bytes.substr(pos), label, record_start);
         const std::uint32_t len = frame.get_u32("record length");
-        if (len > kMaxRecordBytes) {
+        if (len > kMaxFramePayload) {
             throw CorruptStateError(label, record_start,
                                     "record length " + std::to_string(len) +
                                         " exceeds the sanity bound");
@@ -208,7 +219,24 @@ WalContents parse_wal_bytes(std::string_view bytes, const std::string& path,
         throw CorruptStateError(path, kHeaderSize - 4, "WAL header CRC mismatch");
     }
 
-    std::uint64_t pos = kHeaderSize;
+    const FrameScan scan = scan_frames(
+        bytes, kHeaderSize, path, mode,
+        [&](std::uint64_t record_offset, std::string_view payload) {
+            WalRecord rec = decode_payload(payload, path, record_offset + 4);
+            rec.file_offset = record_offset;
+            out.records.push_back(std::move(rec));
+        });
+    out.bytes_discarded = scan.bytes_discarded;
+    out.records_discarded = scan.records_discarded;
+    out.valid_size = scan.valid_size;
+    return out;
+}
+
+FrameScan scan_frames(std::string_view bytes, std::uint64_t start,
+                      const std::string& label, WalReadMode mode,
+                      const std::function<void(std::uint64_t, std::string_view)>& on_payload) {
+    FrameScan scan;
+    std::uint64_t pos = start;
     while (pos < bytes.size()) {
         const std::uint64_t record_start = pos;
         const std::uint64_t remaining = bytes.size() - pos;
@@ -217,88 +245,73 @@ WalContents parse_wal_bytes(std::string_view bytes, const std::string& path,
         // in recover mode that is the torn tail of a crashed append.
         const auto torn = [&](const std::string& what) -> bool {
             if (mode == WalReadMode::kRecover) {
-                out.bytes_discarded = bytes.size() - record_start;
+                scan.bytes_discarded = bytes.size() - record_start;
                 // A crash tears at most the final append: one fragment.
-                out.records_discarded = 1;
+                scan.records_discarded = 1;
                 return true;
             }
-            throw CorruptStateError(path, record_start, what);
+            throw CorruptStateError(label, record_start, what);
         };
         if (remaining < 4) {
             if (torn("truncated record length prefix")) break;
         }
-        WireReader frame(std::string_view(bytes).substr(pos), path, pos);
-        const std::uint32_t len = frame.get_u32("record length");
-        if (len > kMaxRecordBytes) {
+        const std::uint32_t len = load_u32(bytes, pos);
+        if (len > kMaxFramePayload) {
             // Implausible length: if it also runs past EOF it is a torn
             // tail; a plausible in-file extent with a garbage length
             // cannot happen (lengths are CRC-checked via the payload).
             if (4ULL + len + 4ULL > remaining) {
                 if (torn("record length runs past end of file")) break;
             }
-            throw CorruptStateError(path, record_start,
+            throw CorruptStateError(label, record_start,
                                     "record length " + std::to_string(len) +
                                         " exceeds the sanity bound");
         }
         if (4ULL + len + 4ULL > remaining) {
             if (torn("record body runs past end of file")) break;
         }
-        const std::string_view payload = std::string_view(bytes).substr(pos + 4, len);
+        const std::string_view payload = bytes.substr(pos + 4, len);
         const std::uint64_t crc_offset = pos + 4 + len;
-        WireReader crc_reader(std::string_view(bytes).substr(crc_offset), path, crc_offset);
-        const std::uint32_t stored_crc = crc_reader.get_u32("record CRC");
-        if (stored_crc != crc32(payload)) {
+        if (load_u32(bytes, crc_offset) != crc32(payload)) {
             // CRC failure on the final record is a torn overwrite; before
             // the tail it is corruption in every mode.
             const bool is_last = crc_offset + 4 == bytes.size();
             if (is_last) {
                 if (torn("final record CRC mismatch (torn tail)")) break;
             }
-            throw CorruptStateError(path, crc_offset, "record CRC mismatch");
+            throw CorruptStateError(label, crc_offset, "record CRC mismatch");
         }
-        WalRecord rec = decode_payload(payload, path, pos + 4);
-        rec.file_offset = record_start;
-        out.records.push_back(std::move(rec));
+        on_payload(record_start, payload);
         pos = crc_offset + 4;
     }
-    out.valid_size = bytes.size() - out.bytes_discarded;
-    return out;
+    scan.valid_size = bytes.size() - scan.bytes_discarded;
+    return scan;
 }
 
-WalWriter WalWriter::create(Vfs& vfs, std::string path, std::uint64_t wal_seq,
-                            std::uint64_t config_digest,
-                            const StorageRetryPolicy& retry) {
-    const std::string header = encode_header(wal_seq, config_digest);
+FramedFileWriter FramedFileWriter::create(Vfs& vfs, std::string path,
+                                          std::string_view header,
+                                          const StorageRetryPolicy& retry) {
     std::uint64_t retries = 0;
     with_storage_retries(
         vfs, retry, [&] { atomic_write_file(vfs, path, header); }, &retries);
     VfsFdGuard guard(vfs, vfs.open_append(path));
-    WalWriter writer(vfs, retry, std::move(path), guard.release(), kHeaderSize);
+    FramedFileWriter writer(vfs, retry, std::move(path), guard.release(), header.size());
     writer.transient_retries_ = retries;
     return writer;
 }
 
-WalWriter WalWriter::create(std::string path, std::uint64_t wal_seq,
-                            std::uint64_t config_digest) {
-    return create(posix_vfs(), std::move(path), wal_seq, config_digest);
-}
-
-WalWriter WalWriter::append_to(Vfs& vfs, std::string path,
-                               std::uint64_t valid_size,
-                               const StorageRetryPolicy& retry) {
+FramedFileWriter FramedFileWriter::append_to(Vfs& vfs, std::string path,
+                                             std::uint64_t valid_size,
+                                             const StorageRetryPolicy& retry) {
     VfsFdGuard guard(vfs, vfs.open_append(path));
-    // Drop any torn tail before new appends so the file stays a clean
+    // Drop any tail before new appends so the file stays a clean
     // sequence of intact records (O_APPEND then lands writes at the new
     // end of file).
     vfs.ftruncate(guard.get(), path, valid_size);
-    return WalWriter(vfs, retry, std::move(path), guard.release(), valid_size);
+    return FramedFileWriter(vfs, retry, std::move(path), guard.release(), valid_size);
 }
 
-WalWriter WalWriter::append_to(std::string path, std::uint64_t valid_size) {
-    return append_to(posix_vfs(), std::move(path), valid_size);
-}
-
-WalWriter::WalWriter(WalWriter&& other) noexcept
+FramedFileWriter::FramedFileWriter(FramedFileWriter&& other) noexcept
     : vfs_(other.vfs_),
       retry_(other.retry_),
       path_(std::move(other.path_)),
@@ -313,7 +326,7 @@ WalWriter::WalWriter(WalWriter&& other) noexcept
     other.staged_records_ = 0;
 }
 
-WalWriter& WalWriter::operator=(WalWriter&& other) noexcept {
+FramedFileWriter& FramedFileWriter::operator=(FramedFileWriter&& other) noexcept {
     if (this != &other) {
         close();
         vfs_ = other.vfs_;
@@ -332,43 +345,24 @@ WalWriter& WalWriter::operator=(WalWriter&& other) noexcept {
     return *this;
 }
 
-WalWriter::~WalWriter() { close(); }
+FramedFileWriter::~FramedFileWriter() { close(); }
 
-void WalWriter::close() {
+void FramedFileWriter::close() {
     if (fd_ >= 0) {
         vfs_->close(fd_);
         fd_ = -1;
     }
 }
 
-std::uint64_t WalWriter::append(const WalRecord& record) {
-    if (fd_ < 0) throw std::logic_error("WalWriter::append on a closed writer");
-    if (staged_records_ != 0) {
-        throw std::logic_error("WalWriter::append with records staged — commit() first");
+void FramedFileWriter::require_open(const char* op) const {
+    if (fd_ < 0) {
+        throw std::logic_error(std::string("FramedFileWriter::") + op + " on a closed writer");
     }
-    const std::uint64_t at = stage(record);
-    try {
-        commit();
-    } catch (...) {
-        abandon_staged();
-        throw;
-    }
-    return at;
 }
 
-std::uint64_t WalWriter::stage(const WalRecord& record) {
-    if (fd_ < 0) throw std::logic_error("WalWriter::stage on a closed writer");
-    const std::uint64_t at = size_;
-    const std::size_t before = staged_.size();
-    put_framed_record(staged_, record);
-    size_ += staged_.size() - before;
-    ++staged_records_;
-    return at;
-}
-
-void WalWriter::commit() {
+void FramedFileWriter::commit() {
     if (staged_records_ == 0) return;
-    if (fd_ < 0) throw std::logic_error("WalWriter::commit on a closed writer");
+    require_open("commit");
     std::uint64_t backoff = retry_.initial_backoff_micros;
     for (int attempt = 1;; ++attempt) {
         try {
@@ -399,7 +393,7 @@ void WalWriter::commit() {
     staged_records_ = 0;
 }
 
-void WalWriter::abandon_staged() {
+void FramedFileWriter::abandon_staged() {
     size_ -= staged_.size();
     staged_.clear();
     staged_records_ = 0;
@@ -407,16 +401,59 @@ void WalWriter::abandon_staged() {
     dirty_ = true;
 }
 
-void WalWriter::repair() {
-    if (fd_ < 0) throw std::logic_error("WalWriter::repair on a closed writer");
+void FramedFileWriter::repair() {
+    require_open("repair");
     if (staged_records_ != 0) {
-        throw std::logic_error("WalWriter::repair with records staged — commit() first");
+        throw std::logic_error(
+            "FramedFileWriter::repair with records staged — commit() first");
     }
     if (!dirty_) return;
     vfs_->ftruncate(fd_, path_, synced_size_);
     vfs_->fdatasync(fd_, path_);
     size_ = synced_size_;
     dirty_ = false;
+}
+
+WalWriter WalWriter::create(Vfs& vfs, std::string path, std::uint64_t wal_seq,
+                            std::uint64_t config_digest,
+                            const StorageRetryPolicy& retry) {
+    return WalWriter(FramedFileWriter::create(
+        vfs, std::move(path), encode_header(wal_seq, config_digest), retry));
+}
+
+WalWriter WalWriter::create(std::string path, std::uint64_t wal_seq,
+                            std::uint64_t config_digest) {
+    return create(posix_vfs(), std::move(path), wal_seq, config_digest);
+}
+
+WalWriter WalWriter::append_to(Vfs& vfs, std::string path,
+                               std::uint64_t valid_size,
+                               const StorageRetryPolicy& retry) {
+    return WalWriter(FramedFileWriter::append_to(vfs, std::move(path), valid_size, retry));
+}
+
+WalWriter WalWriter::append_to(std::string path, std::uint64_t valid_size) {
+    return append_to(posix_vfs(), std::move(path), valid_size);
+}
+
+std::uint64_t WalWriter::append(const WalRecord& record) {
+    require_open("append");
+    if (staged_records() != 0) {
+        throw std::logic_error("WalWriter::append with records staged — commit() first");
+    }
+    const std::uint64_t at = stage(record);
+    try {
+        commit();
+    } catch (...) {
+        abandon_staged();
+        throw;
+    }
+    return at;
+}
+
+std::uint64_t WalWriter::stage(const WalRecord& record) {
+    return stage_frame(payload_size(record),
+                       [&](WireWriter& w) { put_payload(w, record); });
 }
 
 }  // namespace vnfr::serve

@@ -11,6 +11,11 @@
 // crash state. Records are appended with write + fdatasync; a crash can
 // only tear the final record, which recovery-mode reads detect and drop.
 //
+// The framing, the frame walker (scan_frames) and the appender
+// (FramedFileWriter) are shared with the admitted ledger
+// (serve/ledger.hpp), which is the other append-only file of a data
+// directory.
+//
 // Each record carries the full request plus its outcome. Recovery
 // re-executes decision records against the restored scheduler (decide()
 // is deterministic) and cross-checks the logged outcome, so replayed
@@ -18,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -107,16 +113,40 @@ struct WalContents {
                                           const std::string& label,
                                           WalReadMode mode);
 
-/// Appender over one WAL generation. All writes go through a Vfs;
-/// append() fdatasyncs per record (the durability contract recovery
-/// relies on), while stage()/commit() batch several records into one
-/// write + one fdatasync (group commit). Staged records live only in
-/// memory until commit() — a crash between stage and commit loses the
-/// whole staged suffix, which recovery treats exactly like records that
-/// were never appended (the request is simply not yet durable and gets
-/// resubmitted). A crash *during* the commit write can leave a prefix of
-/// the group on disk: whole records followed by at most one torn record
-/// at EOF, the same shape WalReadMode::kRecover already handles.
+/// Frames are u32 payload length | payload | u32 CRC-32(payload). No
+/// legal record comes close to this payload bound; a larger length
+/// prefix is either a torn tail (if it runs past EOF) or corruption.
+inline constexpr std::uint32_t kMaxFramePayload = 1U << 20;
+
+/// Where a walk over framed records stopped (see scan_frames).
+struct FrameScan {
+    /// Bytes torn off the end in kRecover mode (0 when the run was clean).
+    std::uint64_t bytes_discarded{0};
+    /// Record fragments dropped with the torn tail (0 or 1).
+    std::uint64_t records_discarded{0};
+    /// End of the last intact frame.
+    std::uint64_t valid_size{0};
+};
+
+/// Walks the framed records of `bytes` from offset `start` in file order,
+/// calling `on_payload(record_offset, payload)` for each intact one; what
+/// a payload means is the caller's business. `mode` decides whether a
+/// torn final frame is dropped (kRecover) or throws (kStrict); anything
+/// wrong before the tail throws CorruptStateError naming `label` in both.
+FrameScan scan_frames(std::string_view bytes, std::uint64_t start,
+                      const std::string& label, WalReadMode mode,
+                      const std::function<void(std::uint64_t, std::string_view)>& on_payload);
+
+/// Append-only file of framed records behind a header that is published
+/// atomically. The WAL and the admitted ledger are both one of these.
+/// All writes go through a Vfs; stage_frame() buffers records in memory
+/// and commit() writes them with one write + one fdatasync (group
+/// commit). Staged records live only in memory until commit() — a crash
+/// between stage and commit loses the whole staged suffix, which recovery
+/// treats exactly like records that were never appended. A crash *during*
+/// the commit write can leave a prefix of the group on disk: whole
+/// records followed by at most one torn record at EOF, the shape
+/// WalReadMode::kRecover handles.
 ///
 /// Transient write/sync errors (VfsError with transient() true) are
 /// retried per the StorageRetryPolicy, rewinding the file to the last
@@ -125,45 +155,44 @@ struct WalContents {
 /// persistent (ENOSPC), the error propagates with the file left dirty:
 /// the on-disk tail past durable_size() is garbage until repair() — or
 /// the next successful commit, which rewinds first — cleans it up.
-class WalWriter {
+class FramedFileWriter {
   public:
-    /// Creates `path` with a fresh header (atomically: the header is
-    /// written to a temp file and renamed in) through `vfs`. Fails if
+    /// Creates `path` holding just `header` (atomically: written to a
+    /// temp file, fsynced, renamed in, directory synced), so the file
+    /// either exists with its whole header or not at all. Fails if
     /// nothing can be written durably.
-    static WalWriter create(Vfs& vfs, std::string path, std::uint64_t wal_seq,
-                            std::uint64_t config_digest,
-                            const StorageRetryPolicy& retry = {});
+    static FramedFileWriter create(Vfs& vfs, std::string path, std::string_view header,
+                                   const StorageRetryPolicy& retry = {});
 
-    /// create() through the process-wide PosixVfs.
-    static WalWriter create(std::string path, std::uint64_t wal_seq,
-                            std::uint64_t config_digest);
+    /// Opens an existing file for appending after recovery, truncating it
+    /// to `valid_size` first (dropping any tail past the intact prefix).
+    static FramedFileWriter append_to(Vfs& vfs, std::string path,
+                                      std::uint64_t valid_size,
+                                      const StorageRetryPolicy& retry = {});
 
-    /// Opens an existing WAL for appending after recovery through `vfs`,
-    /// truncating it to `valid_size` first (dropping any torn tail
-    /// read_wal reported).
-    static WalWriter append_to(Vfs& vfs, std::string path,
-                               std::uint64_t valid_size,
-                               const StorageRetryPolicy& retry = {});
+    FramedFileWriter(FramedFileWriter&&) noexcept;
+    FramedFileWriter& operator=(FramedFileWriter&&) noexcept;
+    FramedFileWriter(const FramedFileWriter&) = delete;
+    FramedFileWriter& operator=(const FramedFileWriter&) = delete;
+    ~FramedFileWriter();
 
-    /// append_to() through the process-wide PosixVfs.
-    static WalWriter append_to(std::string path, std::uint64_t valid_size);
-
-    WalWriter(WalWriter&&) noexcept;
-    WalWriter& operator=(WalWriter&&) noexcept;
-    WalWriter(const WalWriter&) = delete;
-    WalWriter& operator=(const WalWriter&) = delete;
-    ~WalWriter();
-
-    /// Appends one framed record and fdatasyncs. Returns the record's
-    /// file offset. Equivalent to stage() + commit(); requires no records
-    /// currently staged (mixing the two modes inside one group would blur
-    /// which records the fdatasync covered).
-    std::uint64_t append(const WalRecord& record);
-
-    /// Buffers one framed record in memory for the next commit(). No
-    /// syscalls; the record is NOT durable (nor even externalized) until
-    /// commit() returns. Returns the offset the record will occupy.
-    std::uint64_t stage(const WalRecord& record);
+    /// Buffers one frame for the next commit(): `put_payload(WireWriter&)`
+    /// writes exactly `payload_size` bytes. No syscalls; the record is
+    /// NOT durable (nor even externalized) until commit() returns.
+    /// Returns the offset the record will occupy.
+    template <typename PutPayload>
+    std::uint64_t stage_frame(std::size_t payload_size, PutPayload&& put_payload) {
+        require_open("stage");
+        const std::uint64_t at = size_;
+        const std::size_t before = staged_.size();
+        staged_.put_u32(static_cast<std::uint32_t>(payload_size));
+        const std::size_t payload_start = staged_.size();
+        put_payload(staged_);
+        staged_.put_crc32(payload_start);
+        size_ += staged_.size() - before;
+        ++staged_records_;
+        return at;
+    }
 
     /// Writes every staged record in one contiguous append and fdatasyncs
     /// once — the group-commit amortization point. No-op when nothing is
@@ -171,9 +200,8 @@ class WalWriter {
     void commit();
 
     /// Drops every staged-but-uncommitted record (after a failed commit
-    /// whose group the caller will not retry: the controller rolls its
-    /// in-memory state back and re-sheds the group instead). Marks the
-    /// file dirty — a failed commit may have written part of the group.
+    /// whose group the caller will not retry). Marks the file dirty — a
+    /// failed commit may have written part of the group.
     void abandon_staged();
 
     /// Records staged since the last commit().
@@ -204,12 +232,16 @@ class WalWriter {
     /// Closes the fd early (destructor also does). Safe to call twice.
     void close();
 
-  private:
-    WalWriter(Vfs& vfs, const StorageRetryPolicy& retry, std::string path,
-              int fd, std::uint64_t size)
+  protected:
+    FramedFileWriter(Vfs& vfs, const StorageRetryPolicy& retry, std::string path,
+                     int fd, std::uint64_t size)
         : vfs_(&vfs), retry_(retry), path_(std::move(path)), fd_(fd),
           size_(size), synced_size_(size) {}
 
+    /// Throws std::logic_error naming `op` on a closed writer.
+    void require_open(const char* op) const;
+
+  private:
     Vfs* vfs_;
     StorageRetryPolicy retry_;
     std::string path_;
@@ -223,6 +255,46 @@ class WalWriter {
     std::uint64_t transient_retries_{0};
     WireWriter staged_;  ///< framed bytes awaiting commit()
     std::size_t staged_records_{0};
+};
+
+/// Appender over one WAL generation: a FramedFileWriter whose frames are
+/// WalRecords. append() fdatasyncs per record (the durability contract
+/// recovery relies on), while stage()/commit() batch several records into
+/// one write + one fdatasync (group commit).
+class WalWriter : public FramedFileWriter {
+  public:
+    /// Creates `path` with a fresh header through `vfs`, published
+    /// atomically (see FramedFileWriter::create).
+    static WalWriter create(Vfs& vfs, std::string path, std::uint64_t wal_seq,
+                            std::uint64_t config_digest,
+                            const StorageRetryPolicy& retry = {});
+
+    /// create() through the process-wide PosixVfs.
+    static WalWriter create(std::string path, std::uint64_t wal_seq,
+                            std::uint64_t config_digest);
+
+    /// Opens an existing WAL for appending after recovery through `vfs`,
+    /// truncating it to `valid_size` first (dropping any torn tail
+    /// read_wal reported).
+    static WalWriter append_to(Vfs& vfs, std::string path,
+                               std::uint64_t valid_size,
+                               const StorageRetryPolicy& retry = {});
+
+    /// append_to() through the process-wide PosixVfs.
+    static WalWriter append_to(std::string path, std::uint64_t valid_size);
+
+    /// Appends one framed record and fdatasyncs. Returns the record's
+    /// file offset. Equivalent to stage() + commit(); requires no records
+    /// currently staged (mixing the two modes inside one group would blur
+    /// which records the fdatasync covered).
+    std::uint64_t append(const WalRecord& record);
+
+    /// Buffers one framed record in memory for the next commit(). Returns
+    /// the offset the record will occupy.
+    std::uint64_t stage(const WalRecord& record);
+
+  private:
+    explicit WalWriter(FramedFileWriter&& file) : FramedFileWriter(std::move(file)) {}
 };
 
 /// Serializes one record to its framed byte form (exposed for tests that

@@ -2,6 +2,7 @@
 
 #include <optional>
 
+#include "serve/ledger.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/vfs.hpp"
 #include "serve/wal.hpp"
@@ -25,6 +26,18 @@ ScrubReport scrub_data_dir(Vfs& vfs, const std::string& dir) {
         } catch (const CorruptStateError& err) {
             report.findings.push_back(
                 ScrubFinding{snap_path, err.what(), err.offset()});
+        }
+    }
+    // A version-1 snapshot names no ledger (ledger_bytes 0); a ledger file
+    // beside it, or beside no snapshot, is a leftover the next rotation
+    // replaces.
+    if (snap.has_value() && snap->ledger_bytes != 0) {
+        try {
+            const LedgerContents ledger = load_ledger(vfs, ledger_file_path(dir), *snap);
+            report.ledger_records_verified = ledger.records.size();
+            report.ledger_tail_bytes = ledger.tail_bytes;
+        } catch (const CorruptStateError& err) {
+            report.findings.push_back(ScrubFinding{err.file(), err.what(), err.offset()});
         }
     }
 

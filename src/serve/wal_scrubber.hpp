@@ -8,6 +8,11 @@
 //
 // Invariants checked, per scrub:
 //   - the snapshot (when present) decodes with a valid CRC;
+//   - the admitted ledger a (version-2) snapshot names exists, carries
+//     the snapshot's config digest, parses strictly up to the named
+//     length, and holds one record per admitted request. Bytes past that
+//     length are a legal torn tail (a rotation that died before its
+//     snapshot rename), reported but not a finding;
 //   - every wal-<gen>.log parses cleanly: valid header CRC, every record
 //     CRC intact. Only the NEWEST generation may carry a torn tail (a
 //     crash interrupts at most the live file's final append); any torn or
@@ -42,6 +47,10 @@ struct ScrubReport {
     bool snapshot_ok{false};  ///< false when absent or corrupt
     std::uint64_t generations_scanned{0};
     std::uint64_t records_verified{0};
+    /// Admitted records verified in the ledger prefix the snapshot names.
+    std::uint64_t ledger_records_verified{0};
+    /// Ledger bytes past the named prefix (legal, not a finding).
+    std::uint64_t ledger_tail_bytes{0};
     /// Torn tail tolerated on the newest generation (a legal crash
     /// artifact, not a finding).
     std::uint64_t torn_tail_bytes{0};

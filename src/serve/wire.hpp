@@ -152,6 +152,15 @@ class WireReader {
     /// Throws unless the buffer was consumed exactly.
     void require_end(const char* what) const;
 
+    /// Re-points the reader at `data`, reported from `base_offset`, and
+    /// keeps its label: one reader decodes a run of record payloads
+    /// without copying the label for each.
+    void reset(std::string_view data, std::uint64_t base_offset) {
+        data_ = data;
+        base_ = base_offset;
+        pos_ = 0;
+    }
+
     /// File-absolute offset of the next unread byte.
     [[nodiscard]] std::uint64_t offset() const { return base_ + pos_; }
     [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }

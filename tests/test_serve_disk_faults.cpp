@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <set>
 #include <string>
 
 #include "helpers.hpp"
@@ -127,11 +128,22 @@ TEST(ServeDiskFaults, ExhaustiveCutsCoverEveryMutatingOp) {
     // sync, truncate, create, rename, unlink, and dirsync of the run —
     // including both checkpoint-rotation stages and mid-group-commit
     // appends.
+    std::set<std::string> ledger_ops[std::size(kCutTrialKinds)];
     for (std::size_t i = 0; i < result.cut_trials.size(); ++i) {
         const CutTrial& trial = result.cut_trials[i];
         EXPECT_EQ(trial.cut_at_op, static_cast<std::uint64_t>(i / kinds + 1));
         EXPECT_EQ(trial.kind, kCutTrialKinds[i % kinds]);
         EXPECT_TRUE(trial.ok()) << describe(trial);
+        if (trial.cut_path.find("snapshot.ledger") != std::string::npos) {
+            ledger_ops[i % kinds].insert(trial.cut_op);
+        }
+    }
+    // Each rotation's ledger steps are cut under both kinds: creating the
+    // ledger, appending the new admissions, and their fdatasync.
+    for (const std::set<std::string>& ops : ledger_ops) {
+        for (const char* op : {"create", "write", "fdatasync"}) {
+            EXPECT_TRUE(ops.contains(op)) << "no cut at a ledger " << op;
+        }
     }
     EXPECT_EQ(result.failed_cut_trials, 0u);
     EXPECT_TRUE(result.ok());

@@ -4,11 +4,15 @@
 // mis-parse. Run under ASan/UBSan in CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <random>
 #include <string>
 
+#include "serve/ledger.hpp"
 #include "serve/snapshot.hpp"
+#include "serve/vfs.hpp"
 #include "serve/wal.hpp"
 #include "serve/wire.hpp"
 
@@ -27,11 +31,23 @@ ControllerSnapshot sample_snapshot() {
     snap.usage = {1.0, 0.0, 2.0, 0.0, 3.0, 1.0};
     snap.covered_watermark = 6;
     snap.covered_sparse = {8, 11};
-    snap.admitted = {
+    snap.ledger_bytes = kLedgerHeaderSize + 52 + 68;  // the two records below
+    return snap;
+}
+
+/// The admitted records sample_snapshot() counts, as its ledger holds them.
+std::vector<AdmittedRecord> sample_admitted() {
+    return {
         {1, 101, 10.0, {{0, 2}}},
         {3, 103, 7.5, {{1, 1}, {0, 3}}},
     };
-    return snap;
+}
+
+/// The ledger image sample_snapshot() names: header plus sample_admitted().
+std::string ledger_image(const std::vector<AdmittedRecord>& records) {
+    std::string bytes = encode_ledger_header(sample_snapshot().config_digest);
+    for (const AdmittedRecord& rec : records) bytes += encode_ledger_record(rec);
+    return bytes;
 }
 
 workload::Request sample_request(std::int64_t id) {
@@ -83,8 +99,8 @@ TEST(SnapshotFuzz, RoundTripIsExact) {
     EXPECT_EQ(back.lambda, snap.lambda);
     EXPECT_EQ(back.usage, snap.usage);
     EXPECT_EQ(back.covered_sparse, snap.covered_sparse);
-    ASSERT_EQ(back.admitted.size(), snap.admitted.size());
-    EXPECT_EQ(back.admitted[1].sites, snap.admitted[1].sites);
+    EXPECT_EQ(back.ledger_bytes, snap.ledger_bytes);
+    EXPECT_TRUE(back.admitted.empty());  // version 2 keeps them in the ledger
 }
 
 TEST(SnapshotFuzz, EveryTruncationLengthIsRejected) {
@@ -159,9 +175,10 @@ TEST(SnapshotFuzz, SemanticLiesAreRejectedEvenWithValidCrc) {
     EXPECT_THROW(decode_snapshot(encode_snapshot(snap), "sparse below watermark"),
                  CorruptStateError);
 
-    snap = sample_snapshot();
-    snap.admitted[0].sites[0].first = 7;  // cloudlet out of range
-    EXPECT_THROW(decode_snapshot(encode_snapshot(snap), "bad site"),
+    // The admitted records moved to the ledger; its decoder checks them.
+    std::vector<AdmittedRecord> admitted = sample_admitted();
+    admitted[0].sites[0].first = 7;  // cloudlet out of range
+    EXPECT_THROW((void)parse_ledger_bytes(ledger_image(admitted), "bad site", 2),
                  CorruptStateError);
 }
 
@@ -172,6 +189,153 @@ TEST(SnapshotFuzz, SaveLoadRoundTripsThroughDisk) {
     const ControllerSnapshot back = load_snapshot(path);
     EXPECT_EQ(encode_snapshot(back), encode_snapshot(snap));
     std::remove(path.c_str());
+}
+
+TEST(SnapshotFuzz, EncoderRefusesAnInlineLedgerOrAMissingOne) {
+    ControllerSnapshot snap = sample_snapshot();
+    snap.admitted = sample_admitted();  // version 1 only
+    EXPECT_THROW((void)encode_snapshot(snap), std::invalid_argument);
+    snap = sample_snapshot();
+    snap.ledger_bytes = kLedgerHeaderSize - 1;  // names no ledger
+    EXPECT_THROW((void)encode_snapshot(snap), std::invalid_argument);
+}
+
+// --- Ledger fuzzing ---------------------------------------------------
+
+TEST(LedgerFuzz, RoundTripIsExact) {
+    const std::string bytes = ledger_image(sample_admitted());
+    ASSERT_EQ(bytes.size(), sample_snapshot().ledger_bytes);
+    const LedgerContents back = parse_ledger_bytes(bytes, "roundtrip", 2);
+    EXPECT_EQ(back.config_digest, sample_snapshot().config_digest);
+    ASSERT_EQ(back.records.size(), 2u);
+    EXPECT_EQ(back.records[1].seq, 3u);
+    EXPECT_EQ(back.records[1].payment, 7.5);
+    EXPECT_EQ(back.records[1].sites, sample_admitted()[1].sites);
+}
+
+TEST(LedgerFuzz, SemanticLiesAreRejectedEvenWithValidCrc) {
+    // Each record is CRC-framed correctly, so only field validation can
+    // catch these; the offset lands inside the lying record.
+    const std::uint64_t second = kLedgerHeaderSize + 52;
+    const auto expect_rejected_in_second = [&](const AdmittedRecord& lie,
+                                               const char* what) {
+        std::vector<AdmittedRecord> admitted = sample_admitted();
+        admitted[1] = lie;
+        try {
+            (void)parse_ledger_bytes(ledger_image(admitted), what, 2);
+            FAIL() << what << " parsed as valid";
+        } catch (const CorruptStateError& e) {
+            EXPECT_EQ(e.file(), what);
+            EXPECT_GT(e.offset(), second) << what;
+        }
+    };
+    AdmittedRecord lie = sample_admitted()[1];
+    lie.sites[0].first = 7;
+    expect_rejected_in_second(lie, "cloudlet out of range");
+    lie = sample_admitted()[1];
+    lie.sites[1].first = -1;
+    expect_rejected_in_second(lie, "negative cloudlet");
+    lie = sample_admitted()[1];
+    lie.payment = -2.0;
+    expect_rejected_in_second(lie, "negative payment");
+    lie = sample_admitted()[1];
+    lie.payment = std::numeric_limits<double>::quiet_NaN();
+    expect_rejected_in_second(lie, "NaN payment");
+    lie = sample_admitted()[1];
+    lie.sites[0].second = 0;
+    expect_rejected_in_second(lie, "zero replicas");
+}
+
+TEST(LedgerFuzz, EveryTruncationIsRejectedOrEndsOnARecord) {
+    const std::string bytes = ledger_image(sample_admitted());
+    const std::vector<std::size_t> boundaries = {kLedgerHeaderSize, kLedgerHeaderSize + 52,
+                                                 bytes.size()};
+    for (std::size_t len = 0; len < bytes.size(); ++len) {
+        const std::string_view prefix = std::string_view(bytes).substr(0, len);
+        const auto at = std::find(boundaries.begin(), boundaries.end(), len);
+        if (at == boundaries.end()) {
+            // The parse is strict: a prefix ending mid-record is corrupt.
+            EXPECT_THROW((void)parse_ledger_bytes(prefix, "truncated", 2), CorruptStateError)
+                << "prefix of " << len << " bytes parsed as valid";
+        } else {
+            EXPECT_EQ(parse_ledger_bytes(prefix, "boundary", 2).records.size(),
+                      static_cast<std::size_t>(at - boundaries.begin()));
+        }
+    }
+}
+
+TEST(LedgerFuzz, EverySingleByteFlipIsRejected) {
+    const std::string bytes = ledger_image(sample_admitted());
+    for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
+        std::string mutated = bytes;
+        mutated[pos] = static_cast<char>(mutated[pos] ^ 0x40);
+        EXPECT_THROW((void)parse_ledger_bytes(mutated, "flipped", 2), CorruptStateError)
+            << "flip at byte " << pos << " parsed as valid";
+    }
+}
+
+TEST(LedgerFuzz, RandomGarbageIsRejected) {
+    std::mt19937_64 rng(20261018);
+    std::uniform_int_distribution<int> byte(0, 255);
+    std::uniform_int_distribution<std::size_t> length(0, 512);
+    const std::string header = encode_ledger_header(1);
+    for (int trial = 0; trial < 200; ++trial) {
+        std::string junk(length(rng), '\0');
+        for (char& c : junk) c = static_cast<char>(byte(rng));
+        EXPECT_THROW((void)parse_ledger_bytes(junk, "garbage", 2), CorruptStateError);
+        // Behind a valid header, junk records die on framing or CRC.
+        if (!junk.empty()) {
+            EXPECT_THROW((void)parse_ledger_bytes(header + junk, "garbage", 2),
+                         CorruptStateError);
+        }
+    }
+}
+
+TEST(LedgerFuzz, LoadReadsOnlyTheNamedPrefixAndChecksItAgainstTheSnapshot) {
+    FaultyVfs vfs;
+    const std::string path = "/disk/snapshot.ledger";
+    const ControllerSnapshot snap = sample_snapshot();
+    const auto write = [&](const std::string& bytes) {
+        const int fd = vfs.create_truncate(path);
+        vfs.write_all(fd, path, bytes);
+        vfs.close(fd);
+    };
+    const auto expect_corrupt_at = [&](std::uint64_t offset, const char* what) {
+        try {
+            (void)load_ledger(vfs, path, snap);
+            FAIL() << what << " loaded";
+        } catch (const CorruptStateError& e) {
+            EXPECT_EQ(e.file(), path) << what;
+            EXPECT_EQ(e.offset(), offset) << what;
+        }
+    };
+    expect_corrupt_at(0, "missing ledger");
+
+    const std::string image = ledger_image(sample_admitted());
+    write(image + "torn tail past the named length");
+    const LedgerContents loaded = load_ledger(vfs, path, snap);
+    EXPECT_EQ(loaded.records.size(), 2u);
+    EXPECT_EQ(loaded.tail_bytes, 31u);
+
+    write(image.substr(0, image.size() - 1));
+    expect_corrupt_at(image.size() - 1, "short ledger");
+
+    // A prefix holding one record fewer than the snapshot counts.
+    write(ledger_image({sample_admitted()[0]}) + std::string(68, 'x'));
+    expect_corrupt_at(snap.ledger_bytes - 68, "garbage inside the named prefix");
+    ControllerSnapshot fewer = snap;
+    fewer.ledger_bytes = kLedgerHeaderSize + 52;
+    try {
+        (void)load_ledger(vfs, path, fewer);
+        FAIL() << "a prefix short of the admitted counter loaded";
+    } catch (const CorruptStateError& e) {
+        EXPECT_EQ(e.offset(), fewer.ledger_bytes);
+        EXPECT_NE(std::string(e.what()).find("counts 2 admitted"), std::string::npos);
+    }
+    std::string other = image;
+    other.replace(0, kLedgerHeaderSize, encode_ledger_header(snap.config_digest + 1));
+    write(other);
+    expect_corrupt_at(kLedgerHeaderSize - 12, "foreign config digest");
 }
 
 // --- WAL fuzzing ------------------------------------------------------

@@ -354,10 +354,11 @@ TEST(RecoveryStats, SurfacesTornTailBytes) {
 
 TEST(CheckpointCrash, BothRotationStagesAreRecoverable) {
     // Cut a short run at every mutating op, under both crash kinds, and
-    // revive the cuts that landed inside a checkpoint rotation: stage 1
-    // (creating the next WAL generation, before the snapshot names it)
-    // and stage 2 (publishing the snapshot, before the old generation
-    // retires). Each must finish the trace at the uncut digest.
+    // revive the cuts that landed inside a checkpoint rotation: stage 0
+    // (appending the admitted ledger), stage 1 (creating the next WAL
+    // generation, before the snapshot names it) and stage 2 (publishing
+    // the snapshot, before the old generation retires). Each must finish
+    // the trace at the uncut digest.
     const core::Instance instance = replication_instance(40);
     const std::vector<workload::Request>& requests = instance.requests;
     constexpr std::size_t kDrainEvery = 5;
@@ -378,6 +379,7 @@ TEST(CheckpointCrash, BothRotationStagesAreRecoverable) {
     for (const CutKind kind : {CutKind::kProcessCrash, CutKind::kPowerCutTornTail}) {
         std::size_t wal_creates = 0;
         std::size_t snapshot_ops = 0;
+        std::size_t ledger_ops = 0;
         for (std::uint64_t op = 1; op <= ops; ++op) {
             DiskFaultPlan plan;
             plan.cut_at_op = op;
@@ -396,8 +398,13 @@ TEST(CheckpointCrash, BothRotationStagesAreRecoverable) {
             // Rotations only: the constructor creates the first WAL
             // generation before any request is submitted.
             if (progress.submitted == 0 || !chaos::cut_in_rotation(path)) continue;
-            ++(path.find("snapshot.bin") != std::string::npos ? snapshot_ops
-                                                              : wal_creates);
+            if (path.find("snapshot.bin") != std::string::npos) {
+                ++snapshot_ops;
+            } else if (path.find("snapshot.ledger") != std::string::npos) {
+                ++ledger_ops;
+            } else {
+                ++wal_creates;
+            }
             AdmissionController revived(instance, core::Scheme::kOnsite, vcfg);
             chaos::rebuild_queue(revived, requests, progress.submitted);
             chaos::DriveProgress rest;
@@ -408,6 +415,7 @@ TEST(CheckpointCrash, BothRotationStagesAreRecoverable) {
         }
         EXPECT_GT(wal_creates, 0u) << cut_kind_name(kind);
         EXPECT_GT(snapshot_ops, 0u) << cut_kind_name(kind);
+        EXPECT_GT(ledger_ops, 0u) << cut_kind_name(kind);
     }
 }
 
