@@ -491,6 +491,57 @@ TEST(WalFuzz, OversizedLengthPrefixIsRejected) {
     std::remove(path.c_str());
 }
 
+TEST(WalFuzz, RecordStreamReportsOffsetsFromItsBase) {
+    // A shipped run of records starts mid-file: every record offset and
+    // every error offset is its position in the source file, base_offset
+    // plus its position in the run.
+    constexpr std::uint64_t kBase = 1000;
+    const std::string label = "shipped generation 3";
+    std::vector<std::string> frames;
+    for (std::size_t i = 0; i < 3; ++i) {
+        WalRecord rec;
+        rec.kind = i == 1 ? WalRecordKind::kShed : WalRecordKind::kDecision;
+        rec.seq = 40 + i;
+        rec.request = sample_request(static_cast<std::int64_t>(i));
+        if (i == 2) {
+            rec.admitted = true;
+            rec.sites.push_back(core::Site{CloudletId{1}, 2});
+        }
+        frames.push_back(encode_wal_record(rec));
+    }
+    const std::string whole = frames[0] + frames[1] + frames[2];
+    const std::vector<WalRecord> back = decode_wal_record_stream(whole, label, kBase);
+    ASSERT_EQ(back.size(), 3u);
+    EXPECT_EQ(back[0].file_offset, kBase);
+    EXPECT_EQ(back[1].file_offset, kBase + frames[0].size());
+    EXPECT_EQ(back[2].file_offset, kBase + frames[0].size() + frames[1].size());
+    EXPECT_EQ(back[2].seq, 42u);
+
+    const auto expect_corrupt_at = [&](const std::string& bytes, std::uint64_t offset,
+                                       const char* what) {
+        try {
+            (void)decode_wal_record_stream(bytes, label, kBase);
+            FAIL() << what << " decoded";
+        } catch (const CorruptStateError& e) {
+            EXPECT_EQ(e.file(), label) << what;
+            EXPECT_EQ(e.offset(), offset) << what;
+        }
+    };
+    const auto flip_last = [](std::string bytes) {
+        bytes.back() = static_cast<char>(bytes.back() ^ 0x01);
+        return bytes;
+    };
+    expect_corrupt_at(frames[0] + frames[1].substr(0, 2), kBase + frames[0].size(),
+                      "truncated length prefix");
+    expect_corrupt_at(frames[0] + frames[1].substr(0, 10), kBase + frames[0].size(),
+                      "body past the end");
+    expect_corrupt_at(flip_last(frames[0]) + frames[1], kBase + frames[0].size() - 4,
+                      "CRC mismatch mid-stream");
+    expect_corrupt_at(frames[0] + flip_last(frames[1]),
+                      kBase + frames[0].size() + frames[1].size() - 4,
+                      "CRC mismatch on the last record");
+}
+
 TEST(WalFuzz, RandomAppendedGarbageNeverCrashes) {
     std::mt19937_64 rng(987654321);
     std::uniform_int_distribution<int> byte(0, 255);
