@@ -152,36 +152,12 @@ std::vector<WalRecord> decode_wal_record_stream(std::string_view bytes,
                                                 const std::string& label,
                                                 std::uint64_t base_offset) {
     std::vector<WalRecord> records;
-    std::uint64_t pos = 0;
-    while (pos < bytes.size()) {
-        const std::uint64_t record_start = base_offset + pos;
-        const std::uint64_t remaining = bytes.size() - pos;
-        if (remaining < 4) {
-            throw CorruptStateError(label, record_start,
-                                    "truncated record length prefix");
-        }
-        WireReader frame(bytes.substr(pos), label, record_start);
-        const std::uint32_t len = frame.get_u32("record length");
-        if (len > kMaxFramePayload) {
-            throw CorruptStateError(label, record_start,
-                                    "record length " + std::to_string(len) +
-                                        " exceeds the sanity bound");
-        }
-        if (4ULL + len + 4ULL > remaining) {
-            throw CorruptStateError(label, record_start,
-                                    "record body runs past end of buffer");
-        }
-        const std::string_view payload = bytes.substr(pos + 4, len);
-        const std::uint64_t crc_offset = record_start + 4 + len;
-        WireReader crc_reader(bytes.substr(pos + 4 + len, 4), label, crc_offset);
-        if (crc_reader.get_u32("record CRC") != crc32(payload)) {
-            throw CorruptStateError(label, crc_offset, "record CRC mismatch");
-        }
-        WalRecord rec = decode_payload(payload, label, record_start + 4);
-        rec.file_offset = record_start;
-        records.push_back(std::move(rec));
-        pos += 4ULL + len + 4ULL;
-    }
+    (void)scan_frames(bytes, 0, base_offset, label, WalReadMode::kStrict,
+                      [&](std::uint64_t record_offset, std::string_view payload) {
+                          WalRecord rec = decode_payload(payload, label, record_offset + 4);
+                          rec.file_offset = record_offset;
+                          records.push_back(std::move(rec));
+                      });
     return records;
 }
 
@@ -220,7 +196,7 @@ WalContents parse_wal_bytes(std::string_view bytes, const std::string& path,
     }
 
     const FrameScan scan = scan_frames(
-        bytes, kHeaderSize, path, mode,
+        bytes, kHeaderSize, 0, path, mode,
         [&](std::uint64_t record_offset, std::string_view payload) {
             WalRecord rec = decode_payload(payload, path, record_offset + 4);
             rec.file_offset = record_offset;
@@ -233,7 +209,7 @@ WalContents parse_wal_bytes(std::string_view bytes, const std::string& path,
 }
 
 FrameScan scan_frames(std::string_view bytes, std::uint64_t start,
-                      const std::string& label, WalReadMode mode,
+                      std::uint64_t base_offset, const std::string& label, WalReadMode mode,
                       const std::function<void(std::uint64_t, std::string_view)>& on_payload) {
     FrameScan scan;
     std::uint64_t pos = start;
@@ -243,17 +219,18 @@ FrameScan scan_frames(std::string_view bytes, std::uint64_t start,
         // A record that cannot even state its length, or whose stated
         // extent runs past EOF, by definition touches the end of file:
         // in recover mode that is the torn tail of a crashed append.
-        const auto torn = [&](const std::string& what) -> bool {
+        // Strict mode reports the anomaly at `at` instead.
+        const auto torn = [&](const std::string& what, std::uint64_t at) -> bool {
             if (mode == WalReadMode::kRecover) {
                 scan.bytes_discarded = bytes.size() - record_start;
                 // A crash tears at most the final append: one fragment.
                 scan.records_discarded = 1;
                 return true;
             }
-            throw CorruptStateError(label, record_start, what);
+            throw CorruptStateError(label, base_offset + at, what);
         };
         if (remaining < 4) {
-            if (torn("truncated record length prefix")) break;
+            if (torn("truncated record length prefix", record_start)) break;
         }
         const std::uint32_t len = load_u32(bytes, pos);
         if (len > kMaxFramePayload) {
@@ -261,27 +238,26 @@ FrameScan scan_frames(std::string_view bytes, std::uint64_t start,
             // tail; a plausible in-file extent with a garbage length
             // cannot happen (lengths are CRC-checked via the payload).
             if (4ULL + len + 4ULL > remaining) {
-                if (torn("record length runs past end of file")) break;
+                if (torn("record length runs past end of file", record_start)) break;
             }
-            throw CorruptStateError(label, record_start,
+            throw CorruptStateError(label, base_offset + record_start,
                                     "record length " + std::to_string(len) +
                                         " exceeds the sanity bound");
         }
         if (4ULL + len + 4ULL > remaining) {
-            if (torn("record body runs past end of file")) break;
+            if (torn("record body runs past end of file", record_start)) break;
         }
         const std::string_view payload = bytes.substr(pos + 4, len);
         const std::uint64_t crc_offset = pos + 4 + len;
         if (load_u32(bytes, crc_offset) != crc32(payload)) {
             // CRC failure on the final record is a torn overwrite; before
             // the tail it is corruption in every mode.
-            const bool is_last = crc_offset + 4 == bytes.size();
-            if (is_last) {
-                if (torn("final record CRC mismatch (torn tail)")) break;
+            if (crc_offset + 4 == bytes.size()) {
+                if (torn("record CRC mismatch", crc_offset)) break;
             }
-            throw CorruptStateError(label, crc_offset, "record CRC mismatch");
+            throw CorruptStateError(label, base_offset + crc_offset, "record CRC mismatch");
         }
-        on_payload(record_start, payload);
+        on_payload(base_offset + record_start, payload);
         pos = crc_offset + 4;
     }
     scan.valid_size = bytes.size() - scan.bytes_discarded;

@@ -130,10 +130,13 @@ struct FrameScan {
 
 /// Walks the framed records of `bytes` from offset `start` in file order,
 /// calling `on_payload(record_offset, payload)` for each intact one; what
-/// a payload means is the caller's business. `mode` decides whether a
-/// torn final frame is dropped (kRecover) or throws (kStrict); anything
-/// wrong before the tail throws CorruptStateError naming `label` in both.
-FrameScan scan_frames(std::string_view bytes, std::uint64_t start,
+/// a payload means is the caller's business. `bytes` sits at
+/// `base_offset` in its file (0 for a whole file, nonzero for a shipped
+/// run), and every record and error offset is a file offset. `mode`
+/// decides whether a torn final frame is dropped (kRecover) or throws
+/// (kStrict); anything wrong before the tail throws CorruptStateError
+/// naming `label` in both. FrameScan's sizes count from `bytes`' start.
+FrameScan scan_frames(std::string_view bytes, std::uint64_t start, std::uint64_t base_offset,
                       const std::string& label, WalReadMode mode,
                       const std::function<void(std::uint64_t, std::string_view)>& on_payload);
 
