@@ -54,7 +54,7 @@ AdmissionController::AdmissionController(const core::Instance& instance,
         throw std::invalid_argument("AdmissionController: data_dir '" +
                                     config_.data_dir + "' is not a directory");
     }
-    if (config_.checkpoint_every == 0) {
+    if (config_.checkpoint_every == std::size_t{0}) {
         throw std::invalid_argument("AdmissionController: checkpoint_every must be >= 1");
     }
     if (config_.queue_capacity == 0) {
@@ -104,21 +104,23 @@ void AdmissionController::recover() {
         metrics_ = snap.metrics;
         if (snap.ledger_bytes == 0) {
             // A version-1 image carries its admitted list inline and names
-            // no ledger: the first rotation writes the whole list to a
-            // fresh ledger file.
+            // no ledger: the list is the pending tail, which the first
+            // rotation writes to a fresh ledger file.
             admitted_ = std::move(snap.admitted);
         } else {
-            // Only the prefix the snapshot names is state; a tail past it
-            // is a rotation that died before its snapshot was renamed in,
-            // and its admissions replay from the WAL below. append_to
-            // truncates it before the first append.
-            LedgerContents ledger = load_ledger(*vfs_, ledger_path(), snap);
-            admitted_ = std::move(ledger.records);
+            // Only the prefix the snapshot names is state, and a restart
+            // reads none of its records: it checks the header and the
+            // length, and the prefix's readers (state_digest,
+            // admitted_records, the scrubber) parse the records. A tail
+            // past the prefix is a rotation that died before its snapshot
+            // was renamed in; its admissions replay from the WAL below,
+            // and append_to truncates it before the first append.
+            check_ledger_header(*vfs_, ledger_path(), ledger_prefix_of(snap));
             ledger_.emplace(FramedFileWriter::append_to(*vfs_, ledger_path(),
                                                         snap.ledger_bytes,
                                                         config_.storage_retry));
+            ledger_records_ = snap.metrics.admitted;
         }
-        ledger_records_ = ledger_.has_value() ? admitted_.size() : 0;
         covered_watermark_ = snap.covered_watermark;
         covered_sparse_.clear();
         covered_sparse_.insert(snap.covered_sparse.begin(), snap.covered_sparse.end());
@@ -126,6 +128,11 @@ void AdmissionController::recover() {
     } else {
         rollback_base_ = scheduler_->export_state();
     }
+    // S of the default trigger: the snapshot just loaded, or the size the
+    // first one will have.
+    const std::vector<std::uint64_t> covered_sparse(covered_sparse_.begin(),
+                                                    covered_sparse_.end());
+    snapshot_bytes_ = encoded_snapshot_size(snapshot_view_locked(rollback_base_, covered_sparse));
     // Without a snapshot the controller starts from generation 0 with
     // default state; a crash before the first checkpoint leaves exactly
     // wal-0.log to replay.
@@ -336,7 +343,7 @@ bool AdmissionController::apply_replicated(const WalRecord& rec) {
         enter_degraded_locked("replicated WAL append", err);
     }
     replay_record(rec, wal_->path());
-    if (wal_records_ >= config_.checkpoint_every) checkpoint_locked();
+    if (rotation_due_locked()) checkpoint_locked();
     return true;
 }
 
@@ -467,7 +474,7 @@ std::vector<ProcessedOutcome> AdmissionController::pump_locked(
         }
         prune_shed_heap();
         max_requests -= take;
-        if (wal_records_ >= config_.checkpoint_every) checkpoint_locked();
+        if (rotation_due_locked()) checkpoint_locked();
     }
     return outcomes;
 }
@@ -531,33 +538,26 @@ void AdmissionController::rotate_checkpoint_locked() {
         ledger_.emplace(create_ledger(*vfs_, ledger_path(), config_digest_,
                                       config_.storage_retry));
     }
-    for (std::size_t i = ledger_records_; i < admitted_.size(); ++i) {
-        stage_ledger_record(*ledger_, admitted_[i]);
-    }
+    for (const AdmittedRecord& rec : admitted_) stage_ledger_record(*ledger_, rec);
     try {
         ledger_->commit();
     } catch (...) {
         ledger_->abandon_staged();
         throw;
     }
-    ledger_records_ = admitted_.size();
+    // The pending admissions are durable in the ledger now; the live
+    // controller reads them from there, whether or not the rest of the
+    // rotation succeeds.
+    ledger_records_ += admitted_.size();
+    admitted_.clear();
     // The snapshot is encoded straight from the live state; only the
     // scheduler state is copied, and that copy becomes the rollback base
     // once the rotation succeeds. The sparse covered set is O(queue).
     core::SchedulerState state = scheduler_->export_state();
     const std::vector<std::uint64_t> covered_sparse(covered_sparse_.begin(),
                                                     covered_sparse_.end());
-    SnapshotView snap;
-    snap.scheme = static_cast<std::uint8_t>(scheme_);
-    snap.config_digest = config_digest_;
-    snap.cloudlets = instance_.network.cloudlet_count();
-    snap.horizon = static_cast<std::uint64_t>(instance_.horizon);
+    SnapshotView snap = snapshot_view_locked(state, covered_sparse);
     snap.wal_seq = wal_seq_ + 1;
-    snap.metrics = metrics_;
-    snap.lambda = state.lambda;
-    snap.usage = state.usage;
-    snap.covered_watermark = covered_watermark_;
-    snap.covered_sparse = covered_sparse;
     snap.ledger_bytes = ledger_->durable_size();
     WalWriter next =
         WalWriter::create(*vfs_, wal_file_path(config_.data_dir, wal_seq_ + 1),
@@ -579,8 +579,31 @@ void AdmissionController::rotate_checkpoint_locked() {
     wal_.emplace(std::move(next));
     ++wal_seq_;
     wal_records_ = 0;
+    snapshot_bytes_ = encoded_snapshot_size(snap);
     rollback_base_ = std::move(state);
     decided_since_base_.clear();
+}
+
+SnapshotView AdmissionController::snapshot_view_locked(
+    const core::SchedulerState& state, std::span<const std::uint64_t> covered_sparse) const {
+    SnapshotView view;
+    view.scheme = static_cast<std::uint8_t>(scheme_);
+    view.config_digest = config_digest_;
+    view.cloudlets = instance_.network.cloudlet_count();
+    view.horizon = static_cast<std::uint64_t>(instance_.horizon);
+    view.metrics = metrics_;
+    view.lambda = state.lambda;
+    view.usage = state.usage;
+    view.covered_watermark = covered_watermark_;
+    view.covered_sparse = covered_sparse;
+    return view;
+}
+
+bool AdmissionController::rotation_due_locked() const {
+    if (config_.checkpoint_every.has_value()) return wal_records_ >= *config_.checkpoint_every;
+    const std::uint64_t wal_bytes = wal_->durable_size() - kWalHeaderSize;
+    return static_cast<double>(wal_bytes) >=
+           kCheckpointWalRatio * static_cast<double>(snapshot_bytes_);
 }
 
 void AdmissionController::rollback_scheduler_locked() {
@@ -652,6 +675,24 @@ StorageStats AdmissionController::storage_stats() const {
     return stats;
 }
 
+std::vector<AdmittedRecord> AdmissionController::admitted_records() const {
+    const common::MutexLock lock(&mu_);
+    std::vector<AdmittedRecord> records;
+    records.reserve(static_cast<std::size_t>(ledger_records_) + admitted_.size());
+    for_each_admitted_locked([&](AdmittedRecord& rec) { records.push_back(std::move(rec)); });
+    return records;
+}
+
+void AdmissionController::for_each_admitted_locked(
+    const std::function<void(AdmittedRecord&)>& on_record) const {
+    if (ledger_.has_value()) {
+        const LedgerPrefix prefix{ledger_->durable_size(), ledger_records_, config_digest_,
+                                  instance_.network.cloudlet_count()};
+        (void)read_ledger_prefix(*vfs_, ledger_path(), prefix, on_record);
+    }
+    for (AdmittedRecord rec : admitted_) on_record(rec);
+}
+
 std::uint64_t AdmissionController::state_digest() const {
     const common::MutexLock lock(&mu_);
     common::Fnv1a digest;
@@ -666,8 +707,8 @@ std::uint64_t AdmissionController::state_digest() const {
     digest.mix(covered_watermark_);
     digest.mix(static_cast<std::uint64_t>(covered_sparse_.size()));
     for (const std::uint64_t seq : covered_sparse_) digest.mix(seq);
-    digest.mix(static_cast<std::uint64_t>(admitted_.size()));
-    for (const AdmittedRecord& rec : admitted_) {
+    digest.mix(static_cast<std::uint64_t>(ledger_records_ + admitted_.size()));
+    for_each_admitted_locked([&](const AdmittedRecord& rec) {
         digest.mix(rec.seq);
         digest.mix(static_cast<std::uint64_t>(rec.request_id));
         digest.mix(rec.payment);
@@ -676,7 +717,7 @@ std::uint64_t AdmissionController::state_digest() const {
             digest.mix(static_cast<std::uint64_t>(cloudlet));
             digest.mix(static_cast<std::uint64_t>(replicas));
         }
-    }
+    });
     const core::SchedulerState state = scheduler_->export_state();
     for (const auto& row : state.lambda) {
         for (const double v : row) digest.mix(v);

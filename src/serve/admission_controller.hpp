@@ -1,8 +1,9 @@
 // A long-lived, crash-safe service wrapper around the online primal-dual
 // schedulers: requests stream in through a bounded admission queue, every
 // durable outcome (decision or shed) is WAL-logged before it becomes
-// observable, and the controller state checkpoints every
-// `checkpoint_every` outcomes.
+// observable, and the controller state checkpoints once the WAL since
+// the last snapshot reaches kCheckpointWalRatio times the snapshot's
+// bytes (or every `checkpoint_every` outcomes, when that is set).
 //
 // Persistence is snapshot + ledger + WAL in `data_dir`: snapshot.bin
 // holds the fixed-size scheduler state and bookkeeping (O(cloudlets x
@@ -13,14 +14,22 @@
 // for, so a checkpoint costs the scheduler state plus O(new admissions),
 // not the history.
 //
+// Bounded state. In memory the controller keeps the scheduler state, the
+// queue and the admissions since the last checkpoint, never the history:
+// state_digest() and admitted_records() read the durable ledger prefix
+// back from storage (strictly, so a damaged ledger throws
+// CorruptStateError there) and then the in-memory tail.
+//
 // Recovery contract. decide() of both primal-dual schedulers is a
 // deterministic function of (instance, config, dual prices, ledger
 // usage), so the controller persists exactly that state plus its own
-// bookkeeping. Restart = load snapshot, then *re-execute* each WAL'd
-// decision against the restored scheduler and cross-check the logged
-// outcome (a mismatch means the files lie about the state and recovery
-// refuses to continue). The result is bit-identical controller state:
-// same duals, same usage, same revenue bits, same admitted set.
+// bookkeeping. Restart = load snapshot, check the ledger's header and
+// length (no ledger record is read), then *re-execute* each WAL'd
+// decision — at most one trigger's worth — against the restored
+// scheduler and cross-check the logged outcome (a mismatch means the
+// files lie about the state and recovery refuses to continue). The
+// result is bit-identical controller state: same duals, same usage,
+// same revenue bits, same admitted set.
 //
 // Idempotency. Every request carries a stream sequence number. A seq
 // whose outcome is already durable ("covered") is skipped on
@@ -59,11 +68,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <queue>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -119,8 +130,12 @@ struct ServeConfig {
     /// Directory holding snapshot.bin, snapshot.ledger and wal-<gen>.log.
     /// Must exist.
     std::string data_dir;
-    /// Take a snapshot (and rotate the WAL) every this many WAL records.
-    std::size_t checkpoint_every{64};
+    /// Unset (the default): take a snapshot and rotate the WAL when the
+    /// WAL bytes since the snapshot reach kCheckpointWalRatio times the
+    /// snapshot's bytes, so replay after a crash is bounded by the
+    /// snapshot's size and a rotation's cost is spread over that many
+    /// WAL bytes. Set: rotate every this many WAL records instead (>= 1).
+    std::optional<std::size_t> checkpoint_every;
     /// Bounded admission queue size; submits beyond it shed the
     /// lowest-payment request.
     std::size_t queue_capacity{256};
@@ -154,6 +169,13 @@ struct ServeConfig {
     /// then happens only via explicit try_recover_storage() calls.
     std::size_t degraded_probe_every{16};
 };
+
+/// α of the default checkpoint trigger: a controller rotates once the
+/// WAL bytes since its snapshot reach this multiple of the snapshot's
+/// encoded bytes (the snapshot it last wrote or loaded; before the first,
+/// the size the first will have). Replay after a restart then reads at
+/// most about α snapshots' worth of WAL.
+inline constexpr double kCheckpointWalRatio = 1.6;
 
 /// Which side of a replicated pair this controller currently is.
 enum class ControllerRole : std::uint8_t {
@@ -274,11 +296,11 @@ class AdmissionController {
         const common::MutexLock lock(&mu_);
         return queue_.size();
     }
-    [[nodiscard]] std::vector<AdmittedRecord> admitted_records() const
-        VNFR_EXCLUDES(mu_) {
-        const common::MutexLock lock(&mu_);
-        return admitted_;
-    }
+    /// Every admitted request in stream order: the durable ledger prefix,
+    /// read and parsed strictly from storage, then the admissions since
+    /// the last rotation. Throws CorruptStateError (ledger path and
+    /// offset) when the prefix is damaged.
+    [[nodiscard]] std::vector<AdmittedRecord> admitted_records() const VNFR_EXCLUDES(mu_);
     /// Smallest stream seq whose outcome is not yet durable; after a
     /// crash, resubmit from here.
     [[nodiscard]] std::uint64_t resume_cursor() const VNFR_EXCLUDES(mu_) {
@@ -308,7 +330,9 @@ class AdmissionController {
     /// FNV-1a digest over the complete logical state: scheme, counters,
     /// revenue bits, dual-price bits, usage bits, coverage, and the
     /// admitted ledger. Two controllers with equal digests decide every
-    /// future request identically.
+    /// future request identically. Streams the durable ledger prefix from
+    /// storage as admitted_records() does, with the same CorruptStateError
+    /// on a damaged prefix.
     [[nodiscard]] std::uint64_t state_digest() const VNFR_EXCLUDES(mu_);
 
     /// Shape digest binding persisted files to this instance + scheme.
@@ -381,6 +405,18 @@ class AdmissionController {
     std::vector<ProcessedOutcome> pump_locked(std::size_t max_requests)
         VNFR_REQUIRES(mu_);
     void checkpoint_locked() VNFR_REQUIRES(mu_);
+    /// The one checkpoint trigger of pump and apply_replicated:
+    /// checkpoint_every records when set, else kCheckpointWalRatio x
+    /// snapshot_bytes_ WAL bytes.
+    [[nodiscard]] bool rotation_due_locked() const VNFR_REQUIRES(mu_);
+    /// The live state as a snapshot (wal_seq and ledger_bytes left 0).
+    [[nodiscard]] SnapshotView snapshot_view_locked(
+        const core::SchedulerState& state,
+        std::span<const std::uint64_t> covered_sparse) const VNFR_REQUIRES(mu_);
+    /// Hands every admitted record to `on_record` in stream order: the
+    /// durable ledger prefix from storage, then admitted_.
+    void for_each_admitted_locked(const std::function<void(AdmittedRecord&)>& on_record) const
+        VNFR_REQUIRES(mu_);
     /// The raw rotation (append the new admissions to the ledger, create
     /// next gen, save a snapshot of the live state referencing both,
     /// retire old gen), which also moves the rollback base up to the
@@ -425,7 +461,7 @@ class AdmissionController {
     /// Rollback point for a failed group commit: the scheduler state as of
     /// the last successful rotation (or as recovery loaded it), and every
     /// request applied as a decision since then, in stream order. At most
-    /// about checkpoint_every + group_commit requests, since each
+    /// one trigger's worth of records plus group_commit, since each
     /// rotation resets both. decide() is deterministic, so re-deciding
     /// the list from the base reproduces the live state bit for bit.
     core::SchedulerState rollback_base_ VNFR_GUARDED_BY(mu_);
@@ -437,13 +473,19 @@ class AdmissionController {
     std::priority_queue<ShedCandidate, std::vector<ShedCandidate>, ShedVictimOrder>
         shed_heap_ VNFR_GUARDED_BY(mu_);
     ServeMetrics metrics_ VNFR_GUARDED_BY(mu_);
+    /// Admissions since the last rotation (for a version-1 snapshot, its
+    /// inline list too); a rotation appends them to the ledger and clears
+    /// them, so this is never longer than one trigger's worth.
     std::vector<AdmittedRecord> admitted_ VNFR_GUARDED_BY(mu_);
     /// Appender over snapshot.ledger; empty until the first rotation
     /// creates the file, or recovery opens the one the snapshot names.
     std::optional<FramedFileWriter> ledger_ VNFR_GUARDED_BY(mu_);
-    /// admitted_[0, ledger_records_) is durable in the ledger; a rotation
-    /// appends the rest.
-    std::size_t ledger_records_ VNFR_GUARDED_BY(mu_) = 0;
+    /// Records in the ledger's durable prefix, which ends at
+    /// ledger_->durable_size(); they precede admitted_ in stream order.
+    std::uint64_t ledger_records_ VNFR_GUARDED_BY(mu_) = 0;
+    /// Encoded bytes of the snapshot last written or loaded (before the
+    /// first, of the one it will write): the default trigger's S.
+    std::uint64_t snapshot_bytes_ VNFR_GUARDED_BY(mu_) = 0;
     std::uint64_t covered_watermark_ VNFR_GUARDED_BY(mu_) = 0;
     std::set<std::uint64_t> covered_sparse_ VNFR_GUARDED_BY(mu_);
 

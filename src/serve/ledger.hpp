@@ -18,9 +18,13 @@
 // prefix is state. Bytes past it are the appends of a rotation that died
 // before its snapshot was renamed in: recovery truncates them before the
 // first append, and the admissions they held are replayed from the WAL.
+// A restart checks only the header and the length (check_ledger_header);
+// the records are parsed by whoever reads them (read_ledger_prefix: the
+// controller's digest and admitted list, and the scrubber).
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -63,6 +67,37 @@ void decode_admitted_record(WireReader& r, const std::string& label, std::uint64
 /// Buffers `record` for the ledger's next commit().
 void stage_ledger_record(FramedFileWriter& ledger, const AdmittedRecord& record);
 
+/// A durable ledger prefix: what a version-2 snapshot, or a live
+/// controller's last rotation, vouches for.
+struct LedgerPrefix {
+    std::uint64_t bytes{0};          ///< length, header included
+    std::uint64_t records{0};        ///< admitted records it holds
+    std::uint64_t config_digest{0};  ///< the digest its header carries
+    std::uint64_t cloudlets{0};      ///< every site cloudlet id is below this
+};
+
+/// The prefix a version-2 snapshot names: snap.ledger_bytes bytes holding
+/// one record per admitted request.
+[[nodiscard]] LedgerPrefix ledger_prefix_of(const ControllerSnapshot& snap);
+
+/// The O(1) check a restart makes: the ledger at `path` exists, is at
+/// least prefix.bytes long and carries an intact header with
+/// prefix.config_digest. Reads the header only; the records are checked
+/// by whoever reads them (read_ledger_prefix). Throws CorruptStateError
+/// naming the file and offset otherwise.
+void check_ledger_header(Vfs& vfs, const std::string& path, const LedgerPrefix& prefix);
+
+/// Streams `prefix` from the ledger at `path`: the checks of
+/// check_ledger_header, then every record of the prefix parsed strictly
+/// and handed to `on_record` in file order (the record may be moved
+/// from), then the record count checked against prefix.records. Any torn,
+/// corrupt or missing byte throws CorruptStateError naming the file and
+/// offset, after the records before it were handed over. Returns the
+/// file's bytes past the prefix: appends no snapshot names yet, a legal
+/// crash leftover.
+std::uint64_t read_ledger_prefix(Vfs& vfs, const std::string& path, const LedgerPrefix& prefix,
+                                 const std::function<void(AdmittedRecord&)>& on_record);
+
 struct LedgerContents {
     std::uint64_t config_digest{0};
     std::vector<AdmittedRecord> records;
@@ -78,12 +113,8 @@ struct LedgerContents {
                                                 const std::string& label,
                                                 std::uint64_t cloudlets);
 
-/// Loads the ledger prefix that `snap` (a v2 snapshot) vouches for from
-/// `path`: exactly snap.ledger_bytes bytes, parsed strictly, with the
-/// snapshot's config digest and one record per admitted request. Throws
-/// CorruptStateError naming the file and offset when the ledger is
-/// missing, shorter than the named length, or disagrees with the
-/// snapshot.
+/// read_ledger_prefix of the prefix `snap` (a v2 snapshot) names,
+/// collected into a list.
 [[nodiscard]] LedgerContents load_ledger(Vfs& vfs, const std::string& path,
                                          const ControllerSnapshot& snap);
 

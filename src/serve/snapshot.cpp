@@ -63,12 +63,7 @@ void decode_inline_ledger(WireReader& r, const std::string& label,
 
 }  // namespace
 
-std::string encode_snapshot(const SnapshotView& view) {
-    if (view.ledger_bytes < kLedgerHeaderSize) {
-        throw std::invalid_argument("encode_snapshot: ledger length " +
-                                    std::to_string(view.ledger_bytes) +
-                                    " is shorter than a ledger header");
-    }
+std::size_t encoded_snapshot_size(const SnapshotView& view) {
     // Magic, version, scheme, four shape words, four counters, two revenues.
     std::size_t size = kMagic.size() + 4 + 1 + 4 * 8 + 4 * 8 + 2 * 8;
     for (const auto& row : view.lambda) size += 8 * row.size();
@@ -76,8 +71,16 @@ std::string encode_snapshot(const SnapshotView& view) {
     size += 8 + 8 + 8 * view.covered_sparse.size();
     size += 8;  // ledger length
     size += 4;  // CRC trailer
+    return size;
+}
 
-    WireWriter w(size);
+std::string encode_snapshot(const SnapshotView& view) {
+    if (view.ledger_bytes < kLedgerHeaderSize) {
+        throw std::invalid_argument("encode_snapshot: ledger length " +
+                                    std::to_string(view.ledger_bytes) +
+                                    " is shorter than a ledger header");
+    }
+    WireWriter w(encoded_snapshot_size(view));
     w.put_bytes(kMagic);
     w.put_u32(kSnapshotVersion);
     w.put_u8(view.scheme);

@@ -90,6 +90,10 @@ struct SnapshotView {
     std::uint64_t ledger_bytes{0};
 };
 
+/// Bytes encode_snapshot(view) produces: a function of the shape and the
+/// sparse covered count only.
+[[nodiscard]] std::size_t encoded_snapshot_size(const SnapshotView& view);
+
 /// Serializes `view` to the version-2 byte layout (header + payload +
 /// CRC) in one pass into a buffer sized up front. Throws
 /// std::invalid_argument when ledger_bytes is shorter than a ledger

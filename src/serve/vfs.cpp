@@ -14,11 +14,21 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <limits>
 #include <thread>
 
 #include "common/rng.hpp"
 
 namespace vnfr::serve {
+
+FileRange Vfs::read_range(const std::string& path, std::uint64_t offset,
+                          std::uint64_t length) {
+    FileRange out;
+    std::string whole = read_file(path);
+    out.file_size = whole.size();
+    if (offset < whole.size()) out.bytes = whole.substr(offset, length);
+    return out;
+}
 
 namespace {
 
@@ -68,6 +78,32 @@ class PosixVfs final : public Vfs {
             if (n == 0) break;
             out.append(buf, static_cast<std::size_t>(n));
         }
+        return out;
+    }
+
+    [[nodiscard]] FileRange read_range(const std::string& path, std::uint64_t offset,
+                                       std::uint64_t length) override {
+        const int raw = open_retry(path, O_RDONLY | O_CLOEXEC, 0);
+        if (raw < 0) throw_vfs_errno(path, "open");
+        VfsFdGuard fd(*this, raw);
+        struct stat st{};
+        if (::fstat(fd.get(), &st) != 0) throw_vfs_errno(path, "fstat");
+        FileRange out;
+        out.file_size = static_cast<std::uint64_t>(st.st_size);
+        if (offset >= out.file_size) return out;
+        out.bytes.resize(static_cast<std::size_t>(std::min(length, out.file_size - offset)));
+        std::size_t done = 0;
+        while (done < out.bytes.size()) {
+            const ssize_t n = ::pread(fd.get(), out.bytes.data() + done, out.bytes.size() - done,
+                                      static_cast<off_t>(offset + done));
+            if (n < 0) {
+                if (errno == EINTR) continue;
+                throw_vfs_errno(path, "read");
+            }
+            if (n == 0) break;  // the file shrank under us
+            done += static_cast<std::size_t>(n);
+        }
+        out.bytes.resize(done);
         return out;
     }
 
@@ -322,10 +358,25 @@ bool FaultyVfs::dir_exists(const std::string&) {
 
 std::string FaultyVfs::read_file(const std::string& path) {
     common::MutexLock lock(&vfs_mu_);
+    return read_locked(path, 0, std::numeric_limits<std::uint64_t>::max(), nullptr);
+}
+
+FileRange FaultyVfs::read_range(const std::string& path, std::uint64_t offset,
+                                std::uint64_t length) {
+    common::MutexLock lock(&vfs_mu_);
+    FileRange out;
+    out.bytes = read_locked(path, offset, length, &out.file_size);
+    return out;
+}
+
+std::string FaultyVfs::read_locked(const std::string& path, std::uint64_t offset,
+                                   std::uint64_t length, std::uint64_t* file_size) {
     ++stats_.reads;
     maybe_fail_locked(VfsOp::kRead, path, "read");
     const std::shared_ptr<Inode> inode = require_inode_locked(path, "open");
-    std::string out = inode->data;
+    if (file_size != nullptr) *file_size = inode->data.size();
+    std::string out = offset < inode->data.size() ? inode->data.substr(offset, length)
+                                                  : std::string();
     if (!out.empty() && draw_locked(kCatReadFlip, plan_.read_flip_rate)) {
         // One flipped bit in the returned copy only: latent corruption
         // surfacing on read. The stored image is untouched.

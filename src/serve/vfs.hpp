@@ -120,6 +120,12 @@ struct StorageRetryPolicy {
     std::uint64_t max_backoff_micros{5000};
 };
 
+/// What Vfs::read_range returns: the bytes read and the file's size.
+struct FileRange {
+    std::string bytes;
+    std::uint64_t file_size{0};
+};
+
 /// Abstract storage interface. Paths are plain strings (the serve layer
 /// only ever uses flat data directories); fds are opaque ints scoped to
 /// the Vfs instance that issued them. All methods throw VfsError on
@@ -137,6 +143,14 @@ class Vfs {
     /// Reads the whole file. A missing file throws VfsError with code
     /// ENOENT (transient() false).
     [[nodiscard]] virtual std::string read_file(const std::string& path) = 0;
+
+    /// Reads at most `length` bytes of `path` from byte `offset` (fewer
+    /// where the file ends first) together with the file's size, so a
+    /// caller that needs a header or a prefix pays only for those bytes.
+    /// A missing file throws as read_file does. The default reads the
+    /// whole file; backends that can seek override it.
+    [[nodiscard]] virtual FileRange read_range(const std::string& path, std::uint64_t offset,
+                                               std::uint64_t length);
 
     /// Names (not paths) of the entries directly under `dir`, sorted.
     /// Non-throwing: an unreadable or missing directory yields empty.
@@ -249,7 +263,7 @@ auto with_storage_retries(Vfs& vfs, const StorageRetryPolicy& policy, Fn&& fn,
 enum class VfsOp : std::uint8_t {
     kCreate,    ///< create_truncate
     kOpen,      ///< open_append
-    kRead,      ///< read_file
+    kRead,      ///< read_file / read_range
     kWrite,     ///< write_all
     kSync,      ///< fsync / fdatasync
     kTruncate,  ///< ftruncate
@@ -324,6 +338,8 @@ class FaultyVfs : public Vfs {
     [[nodiscard]] bool file_exists(const std::string& path) override;
     [[nodiscard]] bool dir_exists(const std::string& path) override;
     [[nodiscard]] std::string read_file(const std::string& path) override;
+    [[nodiscard]] FileRange read_range(const std::string& path, std::uint64_t offset,
+                                       std::uint64_t length) override;
     [[nodiscard]] std::vector<std::string> list_dir(const std::string& dir) override;
     [[nodiscard]] int create_truncate(const std::string& path) override;
     [[nodiscard]] int open_append(const std::string& path) override;
@@ -398,6 +414,12 @@ class FaultyVfs : public Vfs {
     [[nodiscard]] bool draw_locked(std::uint64_t category, double rate)
         VNFR_REQUIRES(vfs_mu_);
     void apply_cut_locked(CutKind kind) VNFR_REQUIRES(vfs_mu_);
+    /// One read: counts it, applies read faults and returns `length`
+    /// bytes of `path` from `offset`, perhaps with one bit flipped per
+    /// the plan. Sets `file_size` when given.
+    [[nodiscard]] std::string read_locked(const std::string& path, std::uint64_t offset,
+                                          std::uint64_t length, std::uint64_t* file_size)
+        VNFR_REQUIRES(vfs_mu_);
     [[nodiscard]] std::shared_ptr<Inode> require_inode_locked(
         const std::string& path, const char* op_name) VNFR_REQUIRES(vfs_mu_);
     [[nodiscard]] OpenFile& require_live_fd_locked(int fd, const std::string& path,

@@ -5,6 +5,7 @@
 // the coverage watermark against a plain-set reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
@@ -17,6 +18,7 @@
 #include "serve/ledger.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/vfs.hpp"
+#include "serve/wal.hpp"
 #include "serve/wal_scrubber.hpp"
 
 namespace vnfr::serve {
@@ -285,6 +287,202 @@ TEST(ServeLedger, ScrubberChecksTheNamedPrefixAndToleratesATail) {
     const AdmissionController restarted(inst, core::Scheme::kOnsite, ledger_config(disk));
     EXPECT_EQ(restarted.state_digest(), digest);
     EXPECT_EQ(disk.read_file(ledger).size(), snap.ledger_bytes);
+}
+
+/// A default-config (byte-triggered) controller over `disk` that keeps
+/// every WAL generation, so the closed ones can be measured afterwards.
+ServeConfig default_cadence_config(Vfs& disk) {
+    ServeConfig cfg;
+    cfg.data_dir = kDir;
+    cfg.vfs = &disk;
+    cfg.queue_capacity = 1024;  // nothing sheds: covered seqs stay dense
+    cfg.retain_wals = true;
+    return cfg;
+}
+
+/// Submits and pumps `requests[from, to)` one at a time.
+void admit_one_by_one(AdmissionController& controller,
+                      const std::vector<workload::Request>& requests, std::size_t from,
+                      std::size_t to) {
+    for (std::size_t i = from; i < to; ++i) {
+        controller.submit(i, requests[i]);
+        ASSERT_EQ(controller.pump(1).size(), 1u);
+    }
+}
+
+/// α·S of `inst` under `scheme`: every snapshot of a run with no sparse
+/// covered seqs has the size of a fresh controller's first snapshot.
+double trigger_bytes(const core::Instance& inst, core::Scheme scheme) {
+    FaultyVfs scratch;
+    AdmissionController fresh(inst, scheme, default_cadence_config(scratch));
+    fresh.checkpoint();
+    return kCheckpointWalRatio *
+           static_cast<double>(scratch.read_file(at("snapshot.bin")).size());
+}
+
+TEST(RotationTrigger, DefaultConfigRotatesAtTheRecordThatReachesTheRatio) {
+    const core::Instance inst = ledger_instance(240);
+    for (const core::Scheme scheme : {core::Scheme::kOnsite, core::Scheme::kOffsite}) {
+        SCOPED_TRACE(scheme == core::Scheme::kOnsite ? "on-site" : "off-site");
+        FaultyVfs disk;
+        AdmissionController controller(inst, scheme, default_cadence_config(disk));
+        admit_one_by_one(controller, inst.requests, 0, inst.requests.size());
+        const std::uint64_t live = controller.wal_generation();
+        ASSERT_GE(live, 4u);
+        const double reach = trigger_bytes(inst, scheme);
+        for (std::uint64_t g = 0; g < live; ++g) {
+            const WalContents wal =
+                read_wal(disk, wal_file_path(kDir, g), WalReadMode::kStrict);
+            ASSERT_FALSE(wal.records.empty());
+            // The generation closed at its last record: the bytes before it
+            // fell short of α·S, and that record reached it.
+            EXPECT_LT(static_cast<double>(wal.records.back().file_offset - kWalHeaderSize),
+                      reach)
+                << "generation " << g;
+            EXPECT_GE(static_cast<double>(wal.valid_size - kWalHeaderSize), reach)
+                << "generation " << g;
+        }
+        EXPECT_LT(static_cast<double>(controller.wal_position().durable_bytes - kWalHeaderSize),
+                  reach);
+    }
+}
+
+/// Forwards to a FaultyVfs and counts what a reader takes from the
+/// ledger's records (bytes past its header) and from WAL files.
+class ReadCountingVfs final : public Vfs {
+  public:
+    explicit ReadCountingVfs(FaultyVfs& inner) : inner_(inner) {}
+
+    std::uint64_t ledger_record_bytes{0};
+    std::uint64_t wal_bytes{0};
+
+    bool file_exists(const std::string& path) override { return inner_.file_exists(path); }
+    bool dir_exists(const std::string& path) override { return inner_.dir_exists(path); }
+    std::string read_file(const std::string& path) override {
+        std::string bytes = inner_.read_file(path);
+        count(path, 0, bytes.size());
+        return bytes;
+    }
+    FileRange read_range(const std::string& path, std::uint64_t offset,
+                         std::uint64_t length) override {
+        FileRange range = inner_.read_range(path, offset, length);
+        count(path, offset, range.bytes.size());
+        return range;
+    }
+    std::vector<std::string> list_dir(const std::string& dir) override {
+        return inner_.list_dir(dir);
+    }
+    int create_truncate(const std::string& path) override {
+        return inner_.create_truncate(path);
+    }
+    int open_append(const std::string& path) override { return inner_.open_append(path); }
+    void write_all(int fd, const std::string& path, std::string_view bytes) override {
+        inner_.write_all(fd, path, bytes);
+    }
+    void fsync(int fd, const std::string& path) override { inner_.fsync(fd, path); }
+    void fdatasync(int fd, const std::string& path) override { inner_.fdatasync(fd, path); }
+    void ftruncate(int fd, const std::string& path, std::uint64_t size) override {
+        inner_.ftruncate(fd, path, size);
+    }
+    void close(int fd) noexcept override { inner_.close(fd); }
+    void rename(const std::string& from, const std::string& to) override {
+        inner_.rename(from, to);
+    }
+    void unlink(const std::string& path) override { inner_.unlink(path); }
+    void fsync_parent_dir(const std::string& path) override { inner_.fsync_parent_dir(path); }
+    void sleep_for_micros(std::uint64_t micros) override { inner_.sleep_for_micros(micros); }
+
+  private:
+    void count(const std::string& path, std::uint64_t offset, std::uint64_t size) {
+        if (path == at("snapshot.ledger")) {
+            const std::uint64_t end = offset + size;
+            if (end > kLedgerHeaderSize) {
+                ledger_record_bytes += end - std::max(offset, kLedgerHeaderSize);
+            }
+        } else if (path.ends_with(".log")) {
+            wal_bytes += size;
+        }
+    }
+
+    FaultyVfs& inner_;
+};
+
+TEST(ServeBoundedState, RestartReadsNoLedgerRecordsAndAtMostOneTriggerOfWal) {
+    constexpr std::size_t kShort = 200;
+    const core::Instance inst = ledger_instance(10 * kShort);
+    const double reach = trigger_bytes(inst, core::Scheme::kOnsite);
+    for (const std::size_t requests : {kShort, 10 * kShort}) {
+        SCOPED_TRACE(requests);
+        FaultyVfs disk;
+        ReadCountingVfs counting(disk);
+        ServeConfig cfg = default_cadence_config(counting);
+        cfg.retain_wals = false;
+        std::uint64_t digest = 0;
+        {
+            AdmissionController controller(inst, core::Scheme::kOnsite, cfg);
+            for (std::size_t i = 0; i < requests; ++i) {
+                admit_one_by_one(controller, inst.requests, i, i + 1);
+                // The admissions no snapshot names yet are the in-memory
+                // tail; it never outgrows the WAL since the snapshot, and
+                // that never reaches α·S after a pump.
+                std::uint64_t named = 0;
+                if (disk.file_exists(at("snapshot.bin"))) {
+                    named = load_snapshot(disk, at("snapshot.bin")).metrics.admitted;
+                }
+                ASSERT_LE(controller.metrics().admitted - named, controller.wal_records());
+                ASSERT_LT(static_cast<double>(controller.wal_position().durable_bytes -
+                                              kWalHeaderSize),
+                          reach);
+            }
+            ASSERT_GT(controller.wal_generation(), 2u);
+            digest = controller.state_digest();
+        }
+        counting.ledger_record_bytes = 0;
+        counting.wal_bytes = 0;
+        const AdmissionController restarted(inst, core::Scheme::kOnsite, cfg);
+        EXPECT_EQ(counting.ledger_record_bytes, 0u);
+        EXPECT_GT(restarted.recovery_stats().wal_records_replayed, 0u);
+        EXPECT_LT(static_cast<double>(counting.wal_bytes),
+                  static_cast<double>(kWalHeaderSize) + reach);
+        EXPECT_EQ(restarted.state_digest(), digest);
+        EXPECT_GT(counting.ledger_record_bytes, 0u);  // the digest streams the ledger
+    }
+}
+
+TEST(ServeBoundedState, CorruptLedgerPrefixFailsTheDigestAndTheAdmittedList) {
+    const core::Instance inst = ledger_instance(120);
+    FaultyVfs disk;
+    ServeConfig cfg = default_cadence_config(disk);
+    AdmissionController live(inst, core::Scheme::kOnsite, cfg);
+    admit_one_by_one(live, inst.requests, 0, inst.requests.size());
+    live.checkpoint();
+    const std::vector<AdmittedRecord> admitted = live.admitted_records();
+    ASSERT_FALSE(admitted.empty());
+    // A flipped seq byte of the first record fails that record's CRC.
+    const std::string ledger = at("snapshot.ledger");
+    const std::uint64_t crc_at = kLedgerHeaderSize + encode_ledger_record(admitted[0]).size() - 4;
+    disk.corrupt_durable_byte(ledger, kLedgerHeaderSize + 5, 0x10);
+
+    const auto expect_corrupt = [&](const auto& read, const char* what) {
+        try {
+            (void)read();
+            FAIL() << what << " read a corrupt ledger";
+        } catch (const CorruptStateError& e) {
+            EXPECT_EQ(e.file(), ledger) << what;
+            EXPECT_EQ(e.offset(), crc_at) << what;
+        }
+    };
+    expect_corrupt([&] { return live.state_digest(); }, "live state_digest");
+    expect_corrupt([&] { return live.admitted_records(); }, "live admitted_records");
+    // A restart checks only the header and the length, so it comes up;
+    // the first reader of the prefix fails.
+    const AdmissionController restarted(inst, core::Scheme::kOnsite, cfg);
+    expect_corrupt([&] { return restarted.state_digest(); }, "restarted state_digest");
+    expect_corrupt([&] { return restarted.admitted_records(); }, "restarted admitted_records");
+    const ScrubReport report = scrub_data_dir(disk, kDir);
+    ASSERT_FALSE(report.clean());
+    EXPECT_EQ(report.findings.front().file, ledger);
+    EXPECT_EQ(report.findings.front().offset, crc_at);
 }
 
 TEST(ServeLedger, CoverageWatermarkMatchesASetReference) {

@@ -66,7 +66,7 @@ struct Options {
     // --serve: stream the workload through the crash-safe admission
     // controller, persisting state under this directory.
     std::string serve_dir;
-    std::size_t checkpoint_every{64};
+    std::optional<std::size_t> checkpoint_every;
     std::size_t queue_capacity{256};
     std::size_t group_commit{1};
 };
@@ -103,7 +103,8 @@ Execution:
                             runtime: none | local-respawn | remote-migrate |
                             readmit; reports delivered availability, time to
                             recover and shed revenue
-  --fault-replications K    Monte-Carlo fault schedules per seed      [3]
+  --fault-replications K    Monte-Carlo fault schedules per seed (>= 1)
+                                                                 [3]
 
 Serve mode (crash-safe admission controller):
   --serve DIR               stream requests through the durable admission
@@ -114,11 +115,13 @@ Serve mode (crash-safe admission controller):
                             single primal-dual algorithm (default
                             onsite-primal-dual). A run killed mid-stream
                             (kill -9) resumes the same way.
-  --checkpoint-every N      WAL records between snapshots            [64]
-  --queue-capacity N        admission queue bound; overflow sheds the
-                            lowest-payment request                   [256]
+  --checkpoint-every N      snapshot every N WAL records (>= 1); without
+                            it, snapshot when the WAL since the last
+                            snapshot reaches )" << serve::kCheckpointWalRatio << R"(x the snapshot's bytes
+  --queue-capacity N        admission queue bound (>= 1); overflow sheds
+                            the lowest-payment request               [256]
   --group-commit N          WAL records per fdatasync in pump (group
-                            commit; 1 = per-record durability)     [1]
+                            commit, >= 1; 1 = per-record durability) [1]
 
 Output:
   --csv                     machine-readable CSV instead of a table
@@ -222,14 +225,14 @@ Options parse_args(int argc, char** argv) {
             else throw std::invalid_argument("unknown recovery policy '" + name +
                                              "' (see --help)");
         } else if (flag == "--fault-replications")
-            opt.fault_replications = parse_count(need_value(i, flag), flag);
+            opt.fault_replications = parse_count(need_value(i, flag), flag, 1);
         else if (flag == "--serve") opt.serve_dir = need_value(i, flag);
         else if (flag == "--checkpoint-every")
-            opt.checkpoint_every = parse_count(need_value(i, flag), flag);
+            opt.checkpoint_every = parse_count(need_value(i, flag), flag, 1);
         else if (flag == "--queue-capacity")
-            opt.queue_capacity = parse_count(need_value(i, flag), flag);
+            opt.queue_capacity = parse_count(need_value(i, flag), flag, 1);
         else if (flag == "--group-commit")
-            opt.group_commit = parse_count(need_value(i, flag), flag);
+            opt.group_commit = parse_count(need_value(i, flag), flag, 1);
         else if (flag == "--csv") opt.csv = true;
         else if (flag == "--write-trace") opt.write_trace = need_value(i, flag);
         else if (flag == "--read-trace") opt.read_trace = need_value(i, flag);
