@@ -247,8 +247,8 @@ void BM_DecodeSnapshot(benchmark::State& state) {
 
 BENCHMARK(BM_DecodeSnapshot)->Unit(benchmark::kMicrosecond);
 
-/// What a restart pays for the admitted history: a strict parse of the
-/// whole ledger.
+/// What a state digest, an admitted list or a scrub pays for the admitted
+/// history (a restart no longer does): a strict parse of the whole ledger.
 void BM_DecodeLedger(benchmark::State& state) {
     const std::string bytes = make_bench_ledger();
     for (auto _ : state) {
@@ -260,8 +260,9 @@ void BM_DecodeLedger(benchmark::State& state) {
 BENCHMARK(BM_DecodeLedger)->Unit(benchmark::kMicrosecond);
 
 /// One admission request end to end — submit, then pump(1): decide, WAL
-/// append and fdatasync, apply, and every 64th time a checkpoint rotation
-/// — over the in-memory FaultyVfs at the default ServeConfig. The first
+/// append and fdatasync, apply, and now and then a checkpoint rotation (the
+/// default byte trigger) — over the in-memory FaultyVfs at the default
+/// ServeConfig. The first
 /// 50k requests of a 60k-request stream are decided untimed, so the timed
 /// requests run against an admitted ledger of ~9.5k records and up
 /// (`ledger_records` is its size when timing starts).
