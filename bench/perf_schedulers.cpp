@@ -2,7 +2,8 @@
 // as the cloudlet count grows (an online admission controller sits on the
 // request path, so decide() cost is the deployment-relevant number),
 // replication throughput of the parallel experiment engine vs thread
-// count, one fault replication of the recovery study per policy, and the
+// count, one fault replication of the recovery study per policy, one
+// paper-scale on-site LP relaxation (presolve and simplex), and the
 // serve layer's per-byte checkpoint costs (CRC-32, snapshot encode and
 // decode, admitted-ledger parse) and per-request admission cost.
 #include <benchmark/benchmark.h>
@@ -12,9 +13,12 @@
 #include "core/greedy.hpp"
 #include "core/hybrid_primal_dual.hpp"
 #include "core/instance.hpp"
+#include "core/offline.hpp"
 #include "core/offsite_primal_dual.hpp"
 #include "core/onsite_primal_dual.hpp"
 #include "net/generators.hpp"
+#include "opt/presolve.hpp"
+#include "opt/simplex.hpp"
 #include "serve/admission_controller.hpp"
 #include "serve/ledger.hpp"
 #include "serve/snapshot.hpp"
@@ -147,6 +151,31 @@ BENCHMARK_CAPTURE(BM_RecoveryReplication, remote_migrate, sim::RecoveryPolicy::k
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_RecoveryReplication, readmit, sim::RecoveryPolicy::kReadmit)
     ->Unit(benchmark::kMicrosecond);
+
+/// One paper-scale on-site LP relaxation through presolve and solve_lp:
+/// the paper environment at n = 400, the instance of PaperScaleLp seed 1
+/// (592 rows and 3,037 columns after presolve, the shape of each LP of
+/// the paper_sweep benchmark's bound phase). The model is built untimed;
+/// `pivots` is the simplex's exact pivot count per solve.
+void BM_OnsiteLpBound(benchmark::State& state) {
+    common::Rng rng(1);
+    const core::Instance inst = core::make_instance(sim::paper_environment(400), rng);
+    const core::OfflineModel model = core::build_onsite_model(inst);
+    std::size_t pivots = 0;
+    for (auto _ : state) {
+        const opt::PresolveResult pre = opt::presolve(model.lp);
+        const opt::LpSolution sol = opt::solve_lp(pre.reduced);
+        if (sol.status != opt::SolveStatus::kOptimal) {
+            state.SkipWithError("the on-site LP did not solve to optimality");
+            break;
+        }
+        pivots = sol.iterations;
+        benchmark::DoNotOptimize(sol.objective);
+    }
+    state.counters["pivots"] = static_cast<double>(pivots);
+}
+
+BENCHMARK(BM_OnsiteLpBound)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------- serve
 // The durable admission controller at the shape of the steady_admit

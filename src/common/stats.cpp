@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 namespace vnfr::common {
 
@@ -65,96 +66,6 @@ double percentile(std::span<const double> values, double q) {
     const auto hi = std::min(lo + 1, sorted.size() - 1);
     const double frac = rank - static_cast<double>(lo);
     return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-}
-
-Interval bootstrap_mean_ci(std::span<const double> values, double confidence,
-                           std::size_t resamples, Rng& rng) {
-    if (values.empty()) throw std::invalid_argument("bootstrap_mean_ci: empty input");
-    if (!(confidence > 0.0) || !(confidence < 1.0))
-        throw std::invalid_argument("bootstrap_mean_ci: confidence outside (0,1)");
-    if (resamples == 0) throw std::invalid_argument("bootstrap_mean_ci: zero resamples");
-
-    const auto n = static_cast<std::int64_t>(values.size());
-    std::vector<double> means;
-    means.reserve(resamples);
-    for (std::size_t r = 0; r < resamples; ++r) {
-        double sum = 0.0;
-        for (std::int64_t i = 0; i < n; ++i) {
-            sum += values[static_cast<std::size_t>(rng.uniform_int(0, n - 1))];
-        }
-        means.push_back(sum / static_cast<double>(n));
-    }
-    const double alpha = (1.0 - confidence) / 2.0;
-    return Interval{percentile(means, alpha * 100.0), percentile(means, (1.0 - alpha) * 100.0)};
-}
-
-double mann_whitney_p(std::span<const double> a, std::span<const double> b) {
-    if (a.empty() || b.empty()) throw std::invalid_argument("mann_whitney_p: empty sample");
-    const std::size_t na = a.size();
-    const std::size_t nb = b.size();
-
-    struct Tagged {
-        double value;
-        bool from_a;
-    };
-    std::vector<Tagged> pooled;
-    pooled.reserve(na + nb);
-    for (const double v : a) pooled.push_back({v, true});
-    for (const double v : b) pooled.push_back({v, false});
-    std::sort(pooled.begin(), pooled.end(),
-              [](const Tagged& x, const Tagged& y) { return x.value < y.value; });
-
-    // Midranks with tie groups; accumulate the tie correction term.
-    double rank_sum_a = 0.0;
-    double tie_term = 0.0;
-    std::size_t i = 0;
-    while (i < pooled.size()) {
-        std::size_t j = i;
-        while (j + 1 < pooled.size() && pooled[j + 1].value == pooled[i].value) ++j;
-        const double tied = static_cast<double>(j - i + 1);
-        const double midrank = (static_cast<double>(i + 1) + static_cast<double>(j + 1)) / 2.0;
-        for (std::size_t k = i; k <= j; ++k) {
-            if (pooled[k].from_a) rank_sum_a += midrank;
-        }
-        tie_term += tied * tied * tied - tied;
-        i = j + 1;
-    }
-
-    const double u = rank_sum_a - static_cast<double>(na) * (static_cast<double>(na) + 1.0) / 2.0;
-    const double n = static_cast<double>(na + nb);
-    const double mu = static_cast<double>(na) * static_cast<double>(nb) / 2.0;
-    const double variance = static_cast<double>(na) * static_cast<double>(nb) / 12.0 *
-                            (n + 1.0 - tie_term / (n * (n - 1.0)));
-    if (variance <= 0.0) return 1.0;  // all values tied: no evidence of difference
-    // Continuity correction toward the mean.
-    const double diff = u - mu;
-    const double z = (diff - (diff > 0 ? 0.5 : diff < 0 ? -0.5 : 0.0)) / std::sqrt(variance);
-    // Two-sided p via the normal survival function.
-    return std::erfc(std::fabs(z) / std::sqrt(2.0));
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins) : lo_(lo) {
-    if (bins == 0) throw std::invalid_argument("Histogram: zero bins");
-    if (hi <= lo) throw std::invalid_argument("Histogram: hi <= lo");
-    width_ = (hi - lo) / static_cast<double>(bins);
-    counts_.assign(bins, 0);
-}
-
-void Histogram::add(double x) {
-    auto bin = static_cast<std::ptrdiff_t>((x - lo_) / width_);
-    bin = std::clamp<std::ptrdiff_t>(bin, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-    ++counts_[static_cast<std::size_t>(bin)];
-    ++total_;
-}
-
-std::size_t Histogram::bin_count(std::size_t bin) const { return counts_.at(bin); }
-
-double Histogram::bin_lower(std::size_t bin) const {
-    return lo_ + width_ * static_cast<double>(bin);
-}
-
-double Histogram::bin_upper(std::size_t bin) const {
-    return lo_ + width_ * static_cast<double>(bin + 1);
 }
 
 }  // namespace vnfr::common

@@ -3,9 +3,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
-
-#include "common/rng.hpp"
 
 namespace vnfr::common {
 
@@ -42,50 +39,5 @@ class RunningStats {
 /// Linear-interpolation percentile of `values` (copied and sorted), with
 /// `q` in [0, 100]. Throws std::invalid_argument on empty input or bad q.
 double percentile(std::span<const double> values, double q);
-
-/// A two-sided interval estimate.
-struct Interval {
-    double lo{0};
-    double hi{0};
-
-    [[nodiscard]] bool contains(double x) const { return x >= lo && x <= hi; }
-    [[nodiscard]] double width() const { return hi - lo; }
-};
-
-/// Percentile-bootstrap confidence interval for the mean of `values`
-/// (`confidence` in (0,1), e.g. 0.95). Makes no normality assumption —
-/// appropriate for the skewed revenue distributions the experiments
-/// produce. Deterministic given `rng`. Throws std::invalid_argument on
-/// empty input, bad confidence, or zero resamples.
-Interval bootstrap_mean_ci(std::span<const double> values, double confidence,
-                           std::size_t resamples, Rng& rng);
-
-/// Two-sided Mann-Whitney U test (normal approximation with tie
-/// correction and continuity correction): the p-value for the hypothesis
-/// that samples `a` and `b` come from the same distribution. Suitable for
-/// "is algorithm A's revenue distribution different from B's?" questions
-/// at bench sample sizes (>= ~8 per side for the approximation to hold).
-/// Throws std::invalid_argument when either sample is empty.
-double mann_whitney_p(std::span<const double> a, std::span<const double> b);
-
-/// Histogram with equal-width bins over [lo, hi]; values outside clamp to
-/// the edge bins, which is what utilization plots want.
-class Histogram {
-  public:
-    Histogram(double lo, double hi, std::size_t bins);
-
-    void add(double x);
-    [[nodiscard]] std::size_t bin_count(std::size_t bin) const;
-    [[nodiscard]] std::size_t bins() const { return counts_.size(); }
-    [[nodiscard]] std::size_t total() const { return total_; }
-    [[nodiscard]] double bin_lower(std::size_t bin) const;
-    [[nodiscard]] double bin_upper(std::size_t bin) const;
-
-  private:
-    double lo_;
-    double width_;
-    std::vector<std::size_t> counts_;
-    std::size_t total_{0};
-};
 
 }  // namespace vnfr::common

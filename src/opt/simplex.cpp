@@ -29,8 +29,30 @@ struct StandardForm {
     std::vector<double> row_sign;   ///< +1/-1 applied during normalization
     std::size_t original_rows{0};
     std::vector<double> lower;      ///< per user variable (the shift)
+    /// M again in compressed sparse rows, for the pivot row rho^T M: row
+    /// i's entries are [row_start[i], row_start[i + 1]) of row_col /
+    /// row_value, columns ascending. Built once the columns are final.
+    std::vector<std::size_t> row_start;
+    std::vector<std::size_t> row_col;
+    std::vector<double> row_value;
 
     [[nodiscard]] std::size_t column_count() const { return col_start.size() - 1; }
+
+    /// Fills the row-major copy from the columns.
+    void build_rows() {
+        row_start.assign(rows + 1, 0);
+        for (const std::size_t i : row_index) ++row_start[i + 1];
+        for (std::size_t i = 0; i < rows; ++i) row_start[i + 1] += row_start[i];
+        row_col.resize(row_index.size());
+        row_value.resize(row_index.size());
+        std::vector<std::size_t> fill(row_start.begin(), row_start.end() - 1);
+        for (std::size_t j = 0; j < column_count(); ++j) {
+            for (std::size_t p = col_start[j]; p < col_start[j + 1]; ++p) {
+                row_col[fill[row_index[p]]] = j;
+                row_value[fill[row_index[p]]++] = value[p];
+            }
+        }
+    }
 
     /// Appends a one-entry column (slack, surplus or artificial) at `row`.
     void add_unit_column(std::size_t row, double coeff, bool is_artificial) {
@@ -122,7 +144,8 @@ enum class VarStatus : char { kBasic, kAtLower, kAtUpper };
 /// Bounded-variable revised simplex over a product-form inverse: B^-1 is
 /// kept as a file of eta matrices E_k ... E_1, each the elementary matrix
 /// of one pivot, so FTRAN, BTRAN and a basis change cost the etas'
-/// nonzeros rather than m^2.
+/// nonzeros rather than m^2. The reduced costs d of the current phase are
+/// kept too and updated from the pivot row, so pricing is one pass over d.
 class RevisedSimplex {
   public:
     RevisedSimplex(StandardForm sf, const SimplexOptions& opt)
@@ -140,7 +163,13 @@ class RevisedSimplex {
     /// One pricing + ratio test + move; `improvement` receives the
     /// objective decrease of a move.
     StepResult step(const std::vector<double>& cost, bool blands, double& improvement);
+    /// The entering column by Dantzig's rule (largest gain, lowest index
+    /// on a tie) or Bland's (first improving column) over d_;
+    /// column_count() when no column improves.
+    [[nodiscard]] std::size_t price(bool blands) const;
     void drive_out_artificials();
+    /// Writes column j's status and keeps its pricing direction in step.
+    void set_status(std::size_t j, VarStatus status);
 
     /// v := B^-1 v, applying the etas oldest first.
     void ftran(std::vector<double>& v) const;
@@ -152,7 +181,11 @@ class RevisedSimplex {
     void add_eta(std::size_t r, const std::vector<double>& w);
     /// y^T := c_B^T B^-1, from scratch.
     void compute_duals(const std::vector<double>& cost);
-    [[nodiscard]] double reduced_cost(std::size_t j, const std::vector<double>& cost) const;
+    /// d_j := c_j - y^T a_j for every nonbasic column (0 on basic ones).
+    void compute_reduced_costs(const std::vector<double>& cost);
+    /// alpha_ := rho^T M, one entry per column, walking only the rows
+    /// where rho != 0; each column's terms add in ascending row order.
+    void pivot_row(const std::vector<double>& rho);
     [[nodiscard]] double objective_of(const std::vector<double>& cost) const;
     [[nodiscard]] double nonbasic_value(std::size_t j) const {
         return status_[j] == VarStatus::kAtUpper ? sf_.ub[j] : 0.0;
@@ -166,6 +199,11 @@ class RevisedSimplex {
     std::vector<VarStatus> status_;   ///< per column
     std::vector<double> xb_;          ///< basic variable values
     std::vector<double> y_;           ///< duals of the current phase's cost
+    std::vector<double> d_;           ///< reduced costs of the current phase's cost
+    bool d_exact_{false};             ///< no pivot has updated d_ since it was recomputed
+    /// Per column: -1 at lower, +1 at upper, 0 when basic, not allowed to
+    /// enter or fixed; a column improves when direction * d_j > 0.
+    std::vector<double> direction_;
     std::vector<char> allowed_;       ///< columns allowed to enter
     // Eta file: eta k pivots on eta_row_[k] with element eta_pivot_[k];
     // its other nonzeros are [eta_start_[k], eta_start_[k + 1]).
@@ -179,6 +217,7 @@ class RevisedSimplex {
     // Scratch buffers reused across iterations.
     std::vector<double> w_scratch_;
     std::vector<double> rho_scratch_;
+    std::vector<double> alpha_;  ///< the pivot row rho^T M
 };
 
 void RevisedSimplex::ftran(std::vector<double>& v) const {
@@ -241,10 +280,24 @@ void RevisedSimplex::install_initial_basis() {
         basis_[k] = sf_.column_count() - 1;
     }
 
+    sf_.build_rows();
+
+    allowed_.assign(sf_.column_count(), 1);
     status_.assign(sf_.column_count(), VarStatus::kAtLower);
+    direction_.assign(sf_.column_count(), 0.0);
     for (const std::size_t j : basis_) status_[j] = VarStatus::kBasic;
+    for (std::size_t j = 0; j < sf_.column_count(); ++j) set_status(j, status_[j]);
     // The basis is the identity: an empty eta file.
     xb_ = sf_.b;  // all structural nonbasics start at lower (0)
+}
+
+void RevisedSimplex::set_status(std::size_t j, VarStatus status) {
+    status_[j] = status;
+    if (status == VarStatus::kBasic || !allowed_[j] || sf_.ub[j] <= opt_.tolerance) {
+        direction_[j] = 0.0;  // fixed at 0 when ub <= tolerance: can't move
+    } else {
+        direction_[j] = status == VarStatus::kAtLower ? -1.0 : 1.0;
+    }
 }
 
 void RevisedSimplex::reinvert() {
@@ -307,12 +360,28 @@ void RevisedSimplex::compute_duals(const std::vector<double>& cost) {
     btran(y_);
 }
 
-double RevisedSimplex::reduced_cost(std::size_t j, const std::vector<double>& cost) const {
-    double d = cost[j];
-    for (std::size_t p = sf_.col_start[j]; p < sf_.col_start[j + 1]; ++p) {
-        d -= y_[sf_.row_index[p]] * sf_.value[p];
+void RevisedSimplex::compute_reduced_costs(const std::vector<double>& cost) {
+    d_.assign(sf_.column_count(), 0.0);
+    for (std::size_t j = 0; j < sf_.column_count(); ++j) {
+        if (status_[j] == VarStatus::kBasic) continue;
+        double d = cost[j];
+        for (std::size_t p = sf_.col_start[j]; p < sf_.col_start[j + 1]; ++p) {
+            d -= y_[sf_.row_index[p]] * sf_.value[p];
+        }
+        d_[j] = d;
     }
-    return d;
+    d_exact_ = true;
+}
+
+void RevisedSimplex::pivot_row(const std::vector<double>& rho) {
+    alpha_.assign(sf_.column_count(), 0.0);
+    for (std::size_t i = 0; i < m_; ++i) {
+        const double r = rho[i];
+        if (r == 0.0) continue;  // vnfr-lint: allow(float-eq) exact-zero skip only avoids a no-op row
+        for (std::size_t p = sf_.row_start[i]; p < sf_.row_start[i + 1]; ++p) {
+            alpha_[sf_.row_col[p]] += r * sf_.row_value[p];
+        }
+    }
 }
 
 double RevisedSimplex::objective_of(const std::vector<double>& cost) const {
@@ -332,20 +401,17 @@ void RevisedSimplex::drive_out_artificials() {
         rho.assign(m_, 0.0);
         rho[i] = 1.0;
         btran(rho);
+        pivot_row(rho);
         for (std::size_t j = 0; j < sf_.column_count(); ++j) {
             if (status_[j] == VarStatus::kBasic || sf_.artificial[j]) continue;
-            double wi = 0.0;
-            for (std::size_t p = sf_.col_start[j]; p < sf_.col_start[j + 1]; ++p) {
-                wi += rho[sf_.row_index[p]] * sf_.value[p];
-            }
-            if (std::fabs(wi) <= 1e-7) continue;
+            if (std::fabs(alpha_[j]) <= 1e-7) continue;
             // Zero-level swap: the artificial sits at ~0, so replacing it
             // with column j at its current bound value keeps x fixed.
             const double keep = nonbasic_value(j);
             load_column(j, w_scratch_);
             add_eta(i, w_scratch_);
-            status_[basis_[i]] = VarStatus::kAtLower;
-            status_[j] = VarStatus::kBasic;
+            set_status(basis_[i], VarStatus::kAtLower);
+            set_status(j, VarStatus::kBasic);
             basis_[i] = j;
             xb_[i] = keep;
             ++pivots_since_refactor_;
@@ -354,31 +420,33 @@ void RevisedSimplex::drive_out_artificials() {
     }
 }
 
-RevisedSimplex::StepResult RevisedSimplex::step(const std::vector<double>& cost, bool blands,
-                                                double& improvement) {
-    // Pricing. A nonbasic-at-lower column improves when d_j < 0 (increase);
-    // a nonbasic-at-upper column improves when d_j > 0 (decrease).
+std::size_t RevisedSimplex::price(bool blands) const {
+    // A nonbasic-at-lower column improves when d_j < 0 (increase); a
+    // nonbasic-at-upper column improves when d_j > 0 (decrease).
     std::size_t entering = sf_.column_count();
-    double entering_d = 0.0;
     double best = opt_.tolerance;
     for (std::size_t j = 0; j < sf_.column_count(); ++j) {
-        if (status_[j] == VarStatus::kBasic || !allowed_[j]) continue;
-        if (sf_.ub[j] <= opt_.tolerance) continue;  // fixed at 0: can't move
-        const double d = reduced_cost(j, cost);
-        const double gain = status_[j] == VarStatus::kAtLower ? -d : d;
-        if (blands) {
-            if (gain > opt_.tolerance) {
-                entering = j;
-                entering_d = d;
-                break;
-            }
-        } else if (gain > best) {
+        const double gain = direction_[j] * d_[j];
+        if (gain > best) {
+            if (blands) return j;
             best = gain;
             entering = j;
-            entering_d = d;
         }
     }
+    return entering;
+}
+
+RevisedSimplex::StepResult RevisedSimplex::step(const std::vector<double>& cost, bool blands,
+                                                double& improvement) {
+    // Pricing over the maintained d_. Optimality is declared only from d_
+    // recomputed from y, so drift in the updates cannot fake an optimum.
+    std::size_t entering = price(blands);
+    if (entering == sf_.column_count() && !d_exact_) {
+        compute_reduced_costs(cost);
+        entering = price(blands);
+    }
     if (entering == sf_.column_count()) return StepResult::kOptimal;
+    const double entering_d = d_[entering];
 
     // sigma = +1: entering increases from lower; -1: decreases from upper.
     const double sigma = status_[entering] == VarStatus::kAtLower ? 1.0 : -1.0;
@@ -435,27 +503,32 @@ RevisedSimplex::StepResult RevisedSimplex::step(const std::vector<double>& cost,
 
     if (leaving == m_) {
         // Bound flip: the entering variable runs to its opposite bound.
-        status_[entering] = status_[entering] == VarStatus::kAtLower
-                                ? VarStatus::kAtUpper
-                                : VarStatus::kAtLower;
+        // The basis is unchanged, and so are y and d.
+        set_status(entering, status_[entering] == VarStatus::kAtLower ? VarStatus::kAtUpper
+                                                                      : VarStatus::kAtLower);
         return StepResult::kMoved;
     }
 
     // Duals of the new basis: y += (d_q / w_r) rho_r, rho_r = e_r^T B^-1
-    // taken on the old basis.
+    // taken on the old basis; the reduced costs follow from the pivot row,
+    // d_j -= (d_q / w_r) rho_r^T a_j, and the entering column's is 0.
     std::vector<double>& rho = rho_scratch_;
     rho.assign(m_, 0.0);
     rho[leaving] = 1.0;
     btran(rho);
     const double f = entering_d / w[leaving];
     for (std::size_t i = 0; i < m_; ++i) y_[i] += f * rho[i];
+    pivot_row(rho);
+    for (std::size_t j = 0; j < sf_.column_count(); ++j) d_[j] -= f * alpha_[j];
+    d_[entering] = 0.0;
+    d_exact_ = false;
 
     // Entering becomes basic at its new value.
     const double entering_value =
         status_[entering] == VarStatus::kAtLower ? t_max : sf_.ub[entering] - t_max;
     add_eta(leaving, w);
-    status_[basis_[leaving]] = leaving_status;
-    status_[entering] = VarStatus::kBasic;
+    set_status(basis_[leaving], leaving_status);
+    set_status(entering, VarStatus::kBasic);
     basis_[leaving] = entering;
     xb_[leaving] = entering_value;
     ++pivots_since_refactor_;
@@ -464,11 +537,13 @@ RevisedSimplex::StepResult RevisedSimplex::step(const std::vector<double>& cost,
 
 SolveStatus RevisedSimplex::iterate(const std::vector<double>& cost) {
     compute_duals(cost);
+    compute_reduced_costs(cost);
     std::size_t degenerate_run = 0;
     while (iterations_ < opt_.max_iterations) {
         if (pivots_since_refactor_ >= opt_.refactor_interval) {
             reinvert();
             compute_duals(cost);
+            compute_reduced_costs(cost);
         }
         double improvement = 0.0;
         const StepResult res = step(cost, degenerate_run > opt_.degenerate_limit, improvement);
@@ -492,7 +567,6 @@ LpSolution RevisedSimplex::run(const LinearProgram& lp) {
             any_artificial = true;
         }
     }
-    allowed_.assign(sf_.column_count(), 1);
 
     if (any_artificial) {
         if (iterate(phase1_cost) == SolveStatus::kUnbounded)
@@ -505,7 +579,9 @@ LpSolution RevisedSimplex::run(const LinearProgram& lp) {
             return out;
         }
         for (std::size_t j = 0; j < sf_.column_count(); ++j) {
-            if (sf_.artificial[j]) allowed_[j] = 0;
+            if (!sf_.artificial[j]) continue;
+            allowed_[j] = 0;
+            set_status(j, status_[j]);
         }
         drive_out_artificials();
     }

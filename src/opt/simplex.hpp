@@ -7,11 +7,17 @@
 // rows are all <= with rhs >= 0 starts from the slack basis and skips
 // phase 1. B^-1 is a file of eta matrices, one per pivot, so FTRAN, BTRAN
 // and a basis change cost the etas' nonzeros instead of m^2; the duals are
-// updated per basis change with one BTRAN. Every `refactor_interval`
-// pivots the basis is reinverted (unit columns free, the others sparsest
-// first on their largest unclaimed entry), which bounds both the eta file's
-// length and numerical drift. Anti-cycling by switching to Bland's rule
-// after a run of degenerate pivots.
+// updated per basis change with one BTRAN of rho_r = e_r^T B^-1. The
+// reduced costs d are kept as a vector and updated from the pivot row,
+// d_j -= (d_q / w_r) rho_r^T a_j, read off a row-major copy of the matrix
+// over the rows where rho_r != 0, so pricing is one pass over d instead of
+// one over every column of A. Every `refactor_interval` pivots the basis
+// is reinverted (unit columns free, the others sparsest first on their
+// largest unclaimed entry), which bounds both the eta file's length and
+// numerical drift; d is recomputed from y there, at the start of each
+// phase, and whenever the kept d finds no entering column, so optimality
+// is declared only from recomputed values. Anti-cycling by switching to
+// Bland's rule after a run of degenerate pivots.
 //
 // Scale target: a few thousand rows / ~10^4 columns — the offline LP
 // relaxations of the paper's ILPs at the evaluation sizes (Section VI).

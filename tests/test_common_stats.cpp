@@ -97,109 +97,6 @@ TEST(RunningStats, Ci95ShrinksWithSamples) {
     EXPECT_GT(small.ci95_halfwidth(), large.ci95_halfwidth());
 }
 
-TEST(BootstrapCi, ContainsTrueMeanMostOfTheTime) {
-    Rng data_rng(5);
-    Rng boot_rng(6);
-    int covered = 0;
-    const int trials = 60;
-    for (int trial = 0; trial < trials; ++trial) {
-        std::vector<double> sample;
-        for (int i = 0; i < 40; ++i) sample.push_back(data_rng.normal(10.0, 2.0));
-        const Interval ci = bootstrap_mean_ci(sample, 0.95, 400, boot_rng);
-        if (ci.contains(10.0)) ++covered;
-        EXPECT_LT(ci.lo, ci.hi);
-    }
-    // Nominal coverage 95%; allow generous slack for bootstrap + MC noise.
-    EXPECT_GE(covered, trials * 80 / 100);
-}
-
-TEST(BootstrapCi, ShrinksWithSampleSize) {
-    Rng data_rng(7);
-    Rng boot_rng(8);
-    std::vector<double> small;
-    std::vector<double> large;
-    for (int i = 0; i < 10; ++i) small.push_back(data_rng.normal(0, 1));
-    for (int i = 0; i < 1000; ++i) large.push_back(data_rng.normal(0, 1));
-    const Interval small_ci = bootstrap_mean_ci(small, 0.95, 500, boot_rng);
-    const Interval large_ci = bootstrap_mean_ci(large, 0.95, 500, boot_rng);
-    EXPECT_GT(small_ci.width(), large_ci.width());
-}
-
-TEST(BootstrapCi, DeterministicGivenRng) {
-    const std::vector<double> sample{1, 2, 3, 4, 5, 6, 7, 8};
-    Rng a(9);
-    Rng b(9);
-    const Interval ia = bootstrap_mean_ci(sample, 0.9, 200, a);
-    const Interval ib = bootstrap_mean_ci(sample, 0.9, 200, b);
-    EXPECT_DOUBLE_EQ(ia.lo, ib.lo);
-    EXPECT_DOUBLE_EQ(ia.hi, ib.hi);
-}
-
-TEST(BootstrapCi, Validation) {
-    Rng rng(1);
-    const std::vector<double> empty;
-    const std::vector<double> one{1.0};
-    EXPECT_THROW(bootstrap_mean_ci(empty, 0.95, 100, rng), std::invalid_argument);
-    EXPECT_THROW(bootstrap_mean_ci(one, 0.0, 100, rng), std::invalid_argument);
-    EXPECT_THROW(bootstrap_mean_ci(one, 1.0, 100, rng), std::invalid_argument);
-    EXPECT_THROW(bootstrap_mean_ci(one, 0.95, 0, rng), std::invalid_argument);
-}
-
-TEST(MannWhitney, SameDistributionGivesLargeP) {
-    Rng rng(11);
-    std::vector<double> a;
-    std::vector<double> b;
-    for (int i = 0; i < 30; ++i) {
-        a.push_back(rng.normal(5, 1));
-        b.push_back(rng.normal(5, 1));
-    }
-    EXPECT_GT(mann_whitney_p(a, b), 0.01);
-}
-
-TEST(MannWhitney, ShiftedDistributionsGiveSmallP) {
-    Rng rng(13);
-    std::vector<double> a;
-    std::vector<double> b;
-    for (int i = 0; i < 30; ++i) {
-        a.push_back(rng.normal(5, 1));
-        b.push_back(rng.normal(8, 1));
-    }
-    EXPECT_LT(mann_whitney_p(a, b), 1e-4);
-}
-
-TEST(MannWhitney, SymmetricInArguments) {
-    Rng rng(17);
-    std::vector<double> a;
-    std::vector<double> b;
-    for (int i = 0; i < 20; ++i) {
-        a.push_back(rng.uniform(0, 1));
-        b.push_back(rng.uniform(0.3, 1.3));
-    }
-    EXPECT_NEAR(mann_whitney_p(a, b), mann_whitney_p(b, a), 1e-12);
-}
-
-TEST(MannWhitney, AllTiedIsInconclusive) {
-    const std::vector<double> a(10, 3.0);
-    const std::vector<double> b(12, 3.0);
-    EXPECT_DOUBLE_EQ(mann_whitney_p(a, b), 1.0);
-}
-
-TEST(MannWhitney, HandlesTiesGracefully) {
-    // Discrete data with heavy ties; p must stay in [0, 1].
-    const std::vector<double> a{1, 1, 2, 2, 3, 3, 3, 4};
-    const std::vector<double> b{2, 2, 3, 3, 4, 4, 4, 5};
-    const double p = mann_whitney_p(a, b);
-    EXPECT_GE(p, 0.0);
-    EXPECT_LE(p, 1.0);
-}
-
-TEST(MannWhitney, RejectsEmptySamples) {
-    const std::vector<double> empty;
-    const std::vector<double> one{1.0};
-    EXPECT_THROW(mann_whitney_p(empty, one), std::invalid_argument);
-    EXPECT_THROW(mann_whitney_p(one, empty), std::invalid_argument);
-}
-
 TEST(Percentile, Median) {
     const std::vector<double> v{3, 1, 2};
     EXPECT_DOUBLE_EQ(percentile(v, 50), 2.0);
@@ -229,39 +126,6 @@ TEST(Percentile, RejectsBadInput) {
     const std::vector<double> v{1.0};
     EXPECT_THROW(percentile(v, -1), std::invalid_argument);
     EXPECT_THROW(percentile(v, 101), std::invalid_argument);
-}
-
-TEST(Histogram, BinsValues) {
-    Histogram h(0.0, 10.0, 5);
-    h.add(0.5);   // bin 0
-    h.add(3.0);   // bin 1
-    h.add(9.9);   // bin 4
-    EXPECT_EQ(h.bin_count(0), 1u);
-    EXPECT_EQ(h.bin_count(1), 1u);
-    EXPECT_EQ(h.bin_count(4), 1u);
-    EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, ClampsOutliers) {
-    Histogram h(0.0, 1.0, 2);
-    h.add(-5.0);
-    h.add(42.0);
-    EXPECT_EQ(h.bin_count(0), 1u);
-    EXPECT_EQ(h.bin_count(1), 1u);
-}
-
-TEST(Histogram, BinEdges) {
-    Histogram h(2.0, 6.0, 4);
-    EXPECT_DOUBLE_EQ(h.bin_lower(0), 2.0);
-    EXPECT_DOUBLE_EQ(h.bin_upper(0), 3.0);
-    EXPECT_DOUBLE_EQ(h.bin_lower(3), 5.0);
-    EXPECT_DOUBLE_EQ(h.bin_upper(3), 6.0);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-    EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-    EXPECT_THROW(Histogram(1.0, 1.0, 3), std::invalid_argument);
-    EXPECT_THROW(Histogram(2.0, 1.0, 3), std::invalid_argument);
 }
 
 }  // namespace

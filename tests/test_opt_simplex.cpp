@@ -440,5 +440,193 @@ TEST_P(SimplexReinversion, EveryPivotMatchesDefaultInterval) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimplexReinversion, ::testing::Range(0, 40));
 
+// The reduced costs are kept across pivots and updated from the pivot row;
+// they are recomputed at every reinversion and before optimality is
+// declared. These tests solve each program with a reinversion before every
+// pivot (d recomputed each time), at the default interval, and with an
+// interval no solve reaches (d maintained from the phase's start to its
+// end), under Dantzig's rule and under Bland's from the first degenerate
+// pivot on. None of these programs needs 100 pivots; the cap turns a
+// pricing that cycles into a failed status instead of a long run.
+std::vector<SimplexOptions> pricing_variants() {
+    std::vector<SimplexOptions> variants;
+    for (const std::size_t interval : {std::size_t{1}, SimplexOptions{}.refactor_interval,
+                                       std::size_t{1000000}}) {
+        for (const std::size_t degenerate_limit : {SimplexOptions{}.degenerate_limit,
+                                                   std::size_t{0}}) {
+            SimplexOptions options;
+            options.max_iterations = 10000;
+            options.refactor_interval = interval;
+            options.degenerate_limit = degenerate_limit;
+            variants.push_back(options);
+        }
+    }
+    return variants;
+}
+
+/// Checks that an optimal `sol` proves itself: each row's dual has the
+/// sign of its relation, each column's reduced cost c_j - a_j'y has the
+/// sign its bound allows (<= 0 at a lower bound, >= 0 at an upper bound,
+/// 0 strictly between), and the dual objective b'y + sum_j max over
+/// [l_j, u_j] of (c_j - a_j'y) x_j equals c'x.
+void expect_optimality_certificate(const LinearProgram& lp, const LpSolution& sol) {
+    constexpr double kTol = 1e-6;
+    ASSERT_EQ(sol.duals.size(), lp.row_count());
+    ASSERT_EQ(sol.x.size(), lp.variable_count());
+    std::vector<double> reduced(lp.variable_count());
+    for (std::size_t j = 0; j < lp.variable_count(); ++j) {
+        reduced[j] = lp.objective_coefficient(j);
+    }
+    double dual_objective = 0.0;
+    for (std::size_t k = 0; k < lp.row_count(); ++k) {
+        const Row& row = lp.row(k);
+        if (row.relation == Relation::kLe) {
+            EXPECT_GE(sol.duals[k], -kTol) << "row " << k;
+        } else if (row.relation == Relation::kGe) {
+            EXPECT_LE(sol.duals[k], kTol) << "row " << k;
+        }
+        dual_objective += sol.duals[k] * row.rhs;
+        for (const auto& [var, coeff] : row.terms) reduced[var] -= sol.duals[k] * coeff;
+    }
+    for (std::size_t j = 0; j < lp.variable_count(); ++j) {
+        const double lo = lp.lower_bound(j);
+        const double up = lp.upper_bound(j);
+        const double x = sol.x[j];
+        const bool at_lower = x <= lo + kTol;
+        const bool at_upper = up != kInfinity && x >= up - kTol;
+        if (!at_upper) {
+            EXPECT_LE(reduced[j], kTol) << "column " << j << " can rise";
+        }
+        if (!at_lower) {
+            EXPECT_GE(reduced[j], -kTol) << "column " << j << " can fall";
+        }
+        if (reduced[j] > 0.0) {
+            dual_objective += reduced[j] * (up == kInfinity ? x : up);
+        } else {
+            dual_objective += reduced[j] * lo;
+        }
+    }
+    EXPECT_NEAR(dual_objective, sol.objective, kTol * (1.0 + std::fabs(sol.objective)))
+        << "strong duality";
+}
+
+/// Solves `lp` with every pricing variant; all must agree with the first
+/// on the status and, when optimal, on the objective within 1e-9
+/// relative, and come with a certificate.
+void expect_variants_agree(const LinearProgram& lp) {
+    const std::vector<SimplexOptions> variants = pricing_variants();
+    const LpSolution reference = solve_lp(lp, variants.front());
+    for (const SimplexOptions& options : variants) {
+        SCOPED_TRACE(::testing::Message() << "refactor_interval " << options.refactor_interval
+                                          << ", degenerate_limit " << options.degenerate_limit);
+        const LpSolution sol = solve_lp(lp, options);
+        ASSERT_EQ(sol.status, reference.status);
+        if (sol.status != SolveStatus::kOptimal) continue;
+        EXPECT_NEAR(sol.objective, reference.objective,
+                    1e-9 * (1.0 + std::fabs(reference.objective)));
+        EXPECT_LE(lp.max_violation(sol.x), 1e-6);
+        expect_optimality_certificate(lp, sol);
+    }
+}
+
+// Property: on random programs that mix <=, >= and = rows, finite and
+// infinite upper bounds and shifted lower bounds, every pricing variant
+// reaches the same status and optimum, with a certificate. Each program is
+// built around a point x0 that satisfies it, half of whose coordinates sit
+// on their lower bound, and a third of the inequality rows are tight at x0,
+// so the programs are feasible and many pivots are degenerate; one in six
+// programs gets an = row that x0 misses, which may make it infeasible.
+class SimplexPricing : public ::testing::TestWithParam<int> {};
+
+TEST_P(SimplexPricing, MaintainedReducedCostsMatchRecomputed) {
+    common::Rng rng(static_cast<std::uint64_t>(GetParam()) * 15485863 + 11);
+    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(3, 30));
+    const std::size_t m = static_cast<std::size_t>(rng.uniform_int(2, 20));
+    LinearProgram lp;
+    std::vector<double> x0(n);
+    double x0_sum = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+        const double ub = rng.bernoulli(0.4) ? kInfinity : rng.uniform(0.5, 5.0);
+        const std::size_t v = lp.add_variable(rng.uniform(-2.0, 5.0), ub);
+        if (rng.bernoulli(0.25)) lp.set_bounds(v, std::min(ub, rng.uniform(0.0, 1.0)), ub);
+        const double lo = lp.lower_bound(v);
+        x0[j] = rng.bernoulli(0.5) ? lo : rng.uniform(lo, std::min(ub, lo + 3.0));
+        x0_sum += x0[j];
+    }
+    const bool perturb = rng.bernoulli(1.0 / 6.0);
+    for (std::size_t i = 0; i < m; ++i) {
+        std::vector<std::pair<std::size_t, double>> terms;
+        double at_x0 = 0.0;
+        for (std::size_t j = 0; j < n; ++j) {
+            if (!rng.bernoulli(0.35)) continue;
+            terms.emplace_back(j, rng.uniform(-1.0, 3.0));
+            at_x0 += terms.back().second * x0[j];
+        }
+        const double u = rng.uniform(0.0, 1.0);
+        const Relation rel = u < 0.6 ? Relation::kLe : u < 0.8 ? Relation::kGe : Relation::kEq;
+        const double slack = rng.bernoulli(1.0 / 3.0) ? 0.0 : rng.uniform(0.0, 5.0);
+        double rhs = rel == Relation::kLe   ? at_x0 + slack
+                     : rel == Relation::kGe ? at_x0 - slack
+                                            : at_x0;
+        if (perturb && i == 0) {
+            rhs = rng.uniform(-2.0, 2.0);
+            lp.add_row(std::move(terms), Relation::kEq, rhs);
+            continue;
+        }
+        lp.add_row(std::move(terms), rel, rhs);
+    }
+    std::vector<std::pair<std::size_t, double>> box;
+    for (std::size_t j = 0; j < n; ++j) box.emplace_back(j, 1.0);
+    lp.add_row(std::move(box), Relation::kLe, std::max(60.0, x0_sum + 1.0));
+    expect_variants_agree(lp);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SimplexPricing, ::testing::Range(0, 60));
+
+// Beale's example, which cycles under Dantzig's rule with the textbook
+// tie-break: its first pivot is degenerate (both rows have rhs 0), so with
+// degenerate_limit 0 the rest of the solve prices by Bland's rule.
+TEST(SimplexPricingCases, BlandsRuleOnBealesCyclingExample) {
+    LinearProgram lp;
+    const std::size_t x4 = lp.add_variable(0.75);
+    const std::size_t x5 = lp.add_variable(-20.0);
+    const std::size_t x6 = lp.add_variable(0.5);
+    const std::size_t x7 = lp.add_variable(-6.0);
+    lp.add_row({{x4, 0.25}, {x5, -8.0}, {x6, -1.0}, {x7, 9.0}}, Relation::kLe, 0.0);
+    lp.add_row({{x4, 0.5}, {x5, -12.0}, {x6, -0.5}, {x7, 3.0}}, Relation::kLe, 0.0);
+    lp.add_row({{x6, 1.0}}, Relation::kLe, 1.0);
+    for (const SimplexOptions& options : pricing_variants()) {
+        const LpSolution sol = solve_lp(lp, options);
+        ASSERT_EQ(sol.status, SolveStatus::kOptimal);
+        EXPECT_NEAR(sol.objective, 1.25, 1e-9);
+        expect_optimality_certificate(lp, sol);
+    }
+}
+
+// Rows 0 and 1 are = rows with rhs 0 and negate each other, so phase 1
+// starts optimal with both artificials basic at 0 and no column priced in.
+// drive_out_artificials swaps x0 in for row 0's artificial; row 1 is then
+// redundant, so its artificial stays basic, barred from entering and at 0
+// through phase 2.
+TEST(SimplexPricingCases, DrivesOutAZeroLevelArtificial) {
+    LinearProgram lp;
+    const std::size_t x0 = lp.add_variable(1.0);
+    const std::size_t x1 = lp.add_variable(1.0);
+    const std::size_t x2 = lp.add_variable(3.0, 1.0);
+    lp.add_row({{x0, 1.0}, {x1, -1.0}}, Relation::kEq, 0.0);
+    lp.add_row({{x0, -1.0}, {x1, 1.0}}, Relation::kEq, 0.0);
+    lp.add_row({{x0, 1.0}, {x1, 1.0}, {x2, 1.0}}, Relation::kLe, 4.0);
+    for (const SimplexOptions& options : pricing_variants()) {
+        const LpSolution sol = solve_lp(lp, options);
+        ASSERT_EQ(sol.status, SolveStatus::kOptimal);
+        EXPECT_NEAR(sol.objective, 6.0, 1e-9);
+        EXPECT_NEAR(sol.x[x0], 1.5, 1e-9);
+        EXPECT_NEAR(sol.x[x1], 1.5, 1e-9);
+        EXPECT_NEAR(sol.x[x2], 1.0, 1e-9);
+        EXPECT_LE(lp.max_violation(sol.x), 1e-9);
+        expect_optimality_certificate(lp, sol);
+    }
+}
+
 }  // namespace
 }  // namespace vnfr::opt
