@@ -34,7 +34,7 @@
 
 #include "bench_common.hpp"
 #include "report/json.hpp"
-#include "serve/replication/failover_chaos.hpp"
+#include "serve/faults/failover_chaos.hpp"
 
 using namespace vnfr;
 

@@ -38,7 +38,7 @@
 
 #include "bench_common.hpp"
 #include "report/json.hpp"
-#include "serve/disk_fault_study.hpp"
+#include "serve/faults/disk_fault_study.hpp"
 
 using namespace vnfr;
 

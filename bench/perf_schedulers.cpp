@@ -20,9 +20,9 @@
 #include "opt/presolve.hpp"
 #include "opt/simplex.hpp"
 #include "serve/admission_controller.hpp"
+#include "serve/faults/faulty_vfs.hpp"
 #include "serve/ledger.hpp"
 #include "serve/snapshot.hpp"
-#include "serve/vfs.hpp"
 #include "serve/wire.hpp"
 #include "sim/experiment.hpp"
 #include "sim/recovery_engine.hpp"

@@ -1,77 +1,9 @@
 #include "net/shortest_path.hpp"
 
-#include <algorithm>
 #include <queue>
-#include <set>
 #include <stdexcept>
 
 namespace vnfr::net {
-
-namespace {
-
-struct HeapEntry {
-    double dist;
-    NodeId node;
-    friend bool operator>(const HeapEntry& a, const HeapEntry& b) { return a.dist > b.dist; }
-};
-
-/// Dijkstra that can mask out nodes and edges (needed by Yen's spur search).
-ShortestPathTree dijkstra_masked(const Graph& g, NodeId source,
-                                 const std::vector<bool>* banned_nodes,
-                                 const std::set<std::pair<std::int64_t, std::int64_t>>* banned_edges) {
-    if (!g.has_node(source)) throw std::invalid_argument("dijkstra: unknown source");
-    const std::size_t n = g.node_count();
-    ShortestPathTree tree;
-    tree.source = source;
-    tree.distance.assign(n, kUnreachable);
-    tree.parent.assign(n, NodeId{});
-    std::vector<bool> done(n, false);
-
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> heap;
-    tree.distance[source.index()] = 0.0;
-    heap.push({0.0, source});
-    while (!heap.empty()) {
-        const auto [dist, u] = heap.top();
-        heap.pop();
-        if (done[u.index()]) continue;
-        done[u.index()] = true;
-        for (const Adjacency& adj : g.neighbors(u)) {
-            const NodeId v = adj.neighbor;
-            if (banned_nodes && (*banned_nodes)[v.index()]) continue;
-            if (banned_edges) {
-                const auto key = std::minmax(u.value, v.value);
-                if (banned_edges->contains({key.first, key.second})) continue;
-            }
-            const double cand = dist + adj.weight;
-            if (cand < tree.distance[v.index()]) {
-                tree.distance[v.index()] = cand;
-                tree.parent[v.index()] = u;
-                heap.push({cand, v});
-            }
-        }
-    }
-    return tree;
-}
-
-}  // namespace
-
-std::vector<NodeId> ShortestPathTree::path_to(NodeId target) const {
-    if (!target.valid() || target.index() >= distance.size() ||
-        distance[target.index()] == kUnreachable) {
-        return {};
-    }
-    std::vector<NodeId> path;
-    for (NodeId v = target; v.valid(); v = parent[v.index()]) {
-        path.push_back(v);
-        if (v == source) break;
-    }
-    std::reverse(path.begin(), path.end());
-    return path;
-}
-
-ShortestPathTree dijkstra(const Graph& g, NodeId source) {
-    return dijkstra_masked(g, source, nullptr, nullptr);
-}
 
 std::vector<int> bfs_hops(const Graph& g, NodeId source) {
     if (!g.has_node(source)) throw std::invalid_argument("bfs_hops: unknown source");
@@ -92,15 +24,6 @@ std::vector<int> bfs_hops(const Graph& g, NodeId source) {
     return hops;
 }
 
-std::vector<std::vector<double>> all_pairs_distances(const Graph& g) {
-    std::vector<std::vector<double>> out;
-    out.reserve(g.node_count());
-    for (std::size_t v = 0; v < g.node_count(); ++v) {
-        out.push_back(dijkstra(g, NodeId{static_cast<std::int64_t>(v)}).distance);
-    }
-    return out;
-}
-
 std::vector<std::vector<int>> all_pairs_hops(const Graph& g) {
     std::vector<std::vector<int>> out;
     out.reserve(g.node_count());
@@ -108,66 +31,6 @@ std::vector<std::vector<int>> all_pairs_hops(const Graph& g) {
         out.push_back(bfs_hops(g, NodeId{static_cast<std::int64_t>(v)}));
     }
     return out;
-}
-
-std::vector<WeightedPath> k_shortest_paths(const Graph& g, NodeId source, NodeId target,
-                                           std::size_t k) {
-    if (!g.has_node(source) || !g.has_node(target))
-        throw std::invalid_argument("k_shortest_paths: unknown endpoint");
-    std::vector<WeightedPath> result;
-    if (k == 0) return result;
-
-    const auto first_tree = dijkstra(g, source);
-    auto first_nodes = first_tree.path_to(target);
-    if (first_nodes.empty()) return result;
-    result.push_back({std::move(first_nodes), first_tree.distance[target.index()]});
-
-    // Candidate set ordered by weight, deduplicated by node sequence.
-    auto cmp = [](const WeightedPath& a, const WeightedPath& b) {
-        if (a.weight != b.weight) return a.weight < b.weight;
-        return a.nodes < b.nodes;
-    };
-    std::set<WeightedPath, decltype(cmp)> candidates(cmp);
-
-    while (result.size() < k) {
-        const WeightedPath& prev = result.back();
-        for (std::size_t i = 0; i + 1 < prev.nodes.size(); ++i) {
-            const NodeId spur = prev.nodes[i];
-            const std::vector<NodeId> root(prev.nodes.begin(),
-                                           prev.nodes.begin() + static_cast<std::ptrdiff_t>(i) + 1);
-
-            std::set<std::pair<std::int64_t, std::int64_t>> banned_edges;
-            for (const WeightedPath& p : result) {
-                if (p.nodes.size() > i &&
-                    std::equal(root.begin(), root.end(), p.nodes.begin())) {
-                    if (p.nodes.size() > i + 1) {
-                        const auto key = std::minmax(p.nodes[i].value, p.nodes[i + 1].value);
-                        banned_edges.insert({key.first, key.second});
-                    }
-                }
-            }
-            std::vector<bool> banned_nodes(g.node_count(), false);
-            for (std::size_t j = 0; j < i; ++j) banned_nodes[prev.nodes[j].index()] = true;
-
-            const auto spur_tree = dijkstra_masked(g, spur, &banned_nodes, &banned_edges);
-            auto spur_path = spur_tree.path_to(target);
-            if (spur_path.empty()) continue;
-
-            WeightedPath total;
-            total.nodes = root;
-            total.nodes.insert(total.nodes.end(), spur_path.begin() + 1, spur_path.end());
-            double w = spur_tree.distance[target.index()];
-            for (std::size_t j = 0; j + 1 < root.size(); ++j) {
-                w += *g.edge_weight(root[j], root[j + 1]);
-            }
-            total.weight = w;
-            candidates.insert(std::move(total));
-        }
-        if (candidates.empty()) break;
-        result.push_back(*candidates.begin());
-        candidates.erase(candidates.begin());
-    }
-    return result;
 }
 
 }  // namespace vnfr::net

@@ -1,10 +1,9 @@
-// Shortest-path algorithms over net::Graph.
+// Hop-count shortest paths over net::Graph.
 //
-// Off-site placements pay an inter-cloudlet traffic cost proportional to
-// path length; benches and examples report it via these routines.
+// MecNetwork caches the all-pairs hop matrix; the placement statistics
+// (sim::placement_stats) read inter-site and access hop counts from it.
 #pragma once
 
-#include <limits>
 #include <vector>
 
 #include "common/types.hpp"
@@ -12,43 +11,10 @@
 
 namespace vnfr::net {
 
-/// Sentinel distance for unreachable nodes.
-inline constexpr double kUnreachable = std::numeric_limits<double>::infinity();
-
-/// Result of a single-source shortest path run. `parent[v]` is the
-/// predecessor of v on a shortest path from the source (invalid id for the
-/// source itself and unreachable nodes).
-struct ShortestPathTree {
-    NodeId source;
-    std::vector<double> distance;
-    std::vector<NodeId> parent;
-
-    /// Reconstructs the node sequence source..target; empty if unreachable.
-    [[nodiscard]] std::vector<NodeId> path_to(NodeId target) const;
-};
-
-/// Dijkstra with a binary heap; O((V+E) log V).
-ShortestPathTree dijkstra(const Graph& g, NodeId source);
-
 /// Unweighted hop distances by BFS (each edge counts 1 regardless of weight).
 std::vector<int> bfs_hops(const Graph& g, NodeId source);
 
-/// All-pairs weighted distances; row-major |V| x |V| matrix built from |V|
-/// Dijkstra runs. Fine for the topology sizes in this system (<= a few 100).
-std::vector<std::vector<double>> all_pairs_distances(const Graph& g);
-
 /// All-pairs hop counts (-1 when unreachable).
 std::vector<std::vector<int>> all_pairs_hops(const Graph& g);
-
-/// A loopless path with its total weight.
-struct WeightedPath {
-    std::vector<NodeId> nodes;
-    double weight{0};
-};
-
-/// Yen's algorithm: up to k loopless shortest paths from source to target in
-/// non-decreasing weight order. Returns fewer if the graph has fewer.
-std::vector<WeightedPath> k_shortest_paths(const Graph& g, NodeId source, NodeId target,
-                                           std::size_t k);
 
 }  // namespace vnfr::net

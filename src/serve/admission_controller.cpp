@@ -84,7 +84,7 @@ std::string AdmissionController::ledger_path() const {
 
 void AdmissionController::recover() {
     const std::string snap_path = snapshot_path();
-    if (file_exists(*vfs_, snap_path)) {
+    if (vfs_->file_exists(snap_path)) {
         recovery_stats_.recovered_snapshot = true;
         ControllerSnapshot snap = load_snapshot(*vfs_, snap_path);
         if (snap.config_digest != config_digest_) {
@@ -137,7 +137,7 @@ void AdmissionController::recover() {
     // default state; a crash before the first checkpoint leaves exactly
     // wal-0.log to replay.
     const std::string path = wal_file_path(config_.data_dir, wal_seq_);
-    if (file_exists(*vfs_, path)) {
+    if (vfs_->file_exists(path)) {
         WalContents contents = read_wal(*vfs_, path, WalReadMode::kRecover);
         if (contents.wal_seq != wal_seq_) {
             throw CorruptStateError(path, 0,

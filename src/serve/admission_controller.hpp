@@ -61,10 +61,7 @@
 // thread. WAL appends and the checkpoint rotation happen while the lock
 // is held, so the durable-before-observable ordering is preserved under
 // concurrency. Decisions run one at a time in stream order: each one
-// reads the dual prices the previous admission raised. scheduler()
-// returns a reference into guarded state — it is safe only while no
-// other thread is mutating the controller (use it from quiesced
-// test/report code, not concurrently with pump()).
+// reads the dual prices the previous admission raised.
 #pragma once
 
 #include <cstdint>
@@ -157,8 +154,8 @@ struct ServeConfig {
     bool standby{false};
     /// Storage backend every snapshot/WAL byte routes through; null
     /// selects the process-wide PosixVfs. The caller keeps it alive for
-    /// the controller's lifetime (fault-injection harnesses pass a
-    /// FaultyVfs here).
+    /// the controller's lifetime (the fault tests pass the in-memory
+    /// disk of src/serve/faults/ here).
     Vfs* vfs{nullptr};
     /// Bounded-retry policy for transient storage errors on the WAL
     /// commit and snapshot paths.
@@ -317,13 +314,6 @@ class AdmissionController {
     [[nodiscard]] std::uint64_t wal_generation() const VNFR_EXCLUDES(mu_) {
         const common::MutexLock lock(&mu_);
         return wal_seq_;
-    }
-    /// See the thread-safety note in the file comment: the returned
-    /// reference is into guarded state and must not be used concurrently
-    /// with mutating calls.
-    [[nodiscard]] const core::OnlineScheduler& scheduler() const VNFR_EXCLUDES(mu_) {
-        const common::MutexLock lock(&mu_);
-        return *scheduler_;
     }
     [[nodiscard]] core::Scheme scheme() const { return scheme_; }
 

@@ -1,4 +1,4 @@
-#include "serve/disk_fault_study.hpp"
+#include "serve/faults/disk_fault_study.hpp"
 
 #include <cerrno>
 #include <algorithm>
@@ -8,7 +8,7 @@
 #include "core/verify.hpp"
 #include "serve/admission_controller.hpp"
 #include "serve/wal.hpp"
-#include "serve/wal_scrubber.hpp"
+#include "serve/faults/wal_scrubber.hpp"
 
 namespace vnfr::serve {
 

@@ -1,4 +1,4 @@
-#include "serve/replication/failover_chaos.hpp"
+#include "serve/faults/failover_chaos.hpp"
 
 #include <algorithm>
 #include <cerrno>

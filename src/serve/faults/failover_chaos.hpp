@@ -22,10 +22,10 @@
 
 #include "core/instance.hpp"
 #include "core/offline.hpp"
-#include "serve/chaos_support.hpp"
+#include "serve/faults/chaos_support.hpp"
+#include "serve/faults/faulty_vfs.hpp"
 #include "serve/replication/ship_transport.hpp"
 #include "serve/snapshot.hpp"
-#include "serve/vfs.hpp"
 
 namespace vnfr::serve::replication {
 

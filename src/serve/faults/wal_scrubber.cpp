@@ -1,4 +1,4 @@
-#include "serve/wal_scrubber.hpp"
+#include "serve/faults/wal_scrubber.hpp"
 
 #include <optional>
 
@@ -18,7 +18,7 @@ ScrubReport scrub_data_dir(Vfs& vfs, const std::string& dir) {
     // cross-file checks below.
     const std::string snap_path = dir + "/snapshot.bin";
     std::optional<ControllerSnapshot> snap;
-    if (file_exists(vfs, snap_path)) {
+    if (vfs.file_exists(snap_path)) {
         report.snapshot_present = true;
         try {
             snap = load_snapshot(vfs, snap_path);

@@ -79,7 +79,7 @@ std::uint64_t scan_records(std::string_view bytes, const std::string& label,
 FileRange open_prefix(Vfs& vfs, const std::string& path, const LedgerPrefix& prefix,
                       std::uint64_t length) {
     const std::string named = std::to_string(prefix.bytes);
-    if (!file_exists(vfs, path)) {
+    if (!vfs.file_exists(path)) {
         throw CorruptStateError(path, 0,
                                 "admitted ledger missing; the snapshot names " + named +
                                     " bytes of it");

@@ -10,9 +10,6 @@
 
 namespace vnfr::serve::replication {
 
-FailoverCoordinator::FailoverCoordinator(std::string primary_data_dir)
-    : FailoverCoordinator(std::move(primary_data_dir), posix_vfs()) {}
-
 FailoverCoordinator::FailoverCoordinator(std::string primary_data_dir, Vfs& vfs)
     : primary_dir_(std::move(primary_data_dir)), vfs_(&vfs) {}
 

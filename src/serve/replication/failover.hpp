@@ -50,8 +50,8 @@ class FailoverCoordinator {
     /// files must be quiescent (the primary process is gone — a primary
     /// that merely degraded into read-only mode counts as gone, since it
     /// refuses admissions and will never append again). `vfs` is the
-    /// storage the primary's files live on; defaults to the real disk.
-    explicit FailoverCoordinator(std::string primary_data_dir);
+    /// storage the primary's files live on (`posix_vfs()` for the real
+    /// disk).
     FailoverCoordinator(std::string primary_data_dir, Vfs& vfs);
 
     /// Catches `standby` up from the primary's durable WAL tail and

@@ -41,7 +41,7 @@ std::size_t WalShipper::pump() {
     // closed by a rotate frame so the standby advances in lockstep.
     while (cursor_gen_ < pos.generation) {
         const std::string path = wal_file_path(data_dir_, cursor_gen_);
-        if (!file_exists(primary_->vfs(), path)) {
+        if (!primary_->vfs().file_exists(path)) {
             throw ReplicationGapError(cursor_gen_,
                                       "retained generation missing before the "
                                       "standby acknowledged it");
@@ -64,7 +64,7 @@ std::size_t WalShipper::pump() {
     // already fdatasync'd and stable even while the primary appends.
     if (cursor_off_ < pos.durable_bytes) {
         const std::string path = wal_file_path(data_dir_, cursor_gen_);
-        if (!file_exists(primary_->vfs(), path)) {
+        if (!primary_->vfs().file_exists(path)) {
             throw ReplicationGapError(cursor_gen_, "live generation missing");
         }
         const std::string bytes = read_file(primary_->vfs(), path);

@@ -233,16 +233,8 @@ void save_snapshot(Vfs& vfs, const std::string& path, const SnapshotView& view,
         transient_retries);
 }
 
-void save_snapshot(const std::string& path, const ControllerSnapshot& snap) {
-    save_snapshot(posix_vfs(), path, view_of(snap), StorageRetryPolicy{});
-}
-
 ControllerSnapshot load_snapshot(Vfs& vfs, const std::string& path) {
     return decode_snapshot(read_file(vfs, path), path);
-}
-
-ControllerSnapshot load_snapshot(const std::string& path) {
-    return load_snapshot(posix_vfs(), path);
 }
 
 }  // namespace vnfr::serve

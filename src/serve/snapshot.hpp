@@ -122,13 +122,7 @@ void save_snapshot(Vfs& vfs, const std::string& path, const SnapshotView& view,
                    const StorageRetryPolicy& retry,
                    std::uint64_t* transient_retries = nullptr);
 
-/// save_snapshot through the process-wide PosixVfs.
-void save_snapshot(const std::string& path, const ControllerSnapshot& snap);
-
 /// Loads and validates the snapshot at `path` through `vfs`.
 [[nodiscard]] ControllerSnapshot load_snapshot(Vfs& vfs, const std::string& path);
-
-/// load_snapshot through the process-wide PosixVfs.
-[[nodiscard]] ControllerSnapshot load_snapshot(const std::string& path);
 
 }  // namespace vnfr::serve

@@ -165,10 +165,6 @@ WalContents read_wal(Vfs& vfs, const std::string& path, WalReadMode mode) {
     return parse_wal_bytes(read_file(vfs, path), path, mode);
 }
 
-WalContents read_wal(const std::string& path, WalReadMode mode) {
-    return read_wal(posix_vfs(), path, mode);
-}
-
 WalContents parse_wal_bytes(std::string_view bytes, const std::string& path,
                             WalReadMode mode) {
     // The header is created atomically (temp + rename), so a short or
@@ -397,19 +393,10 @@ WalWriter WalWriter::create(Vfs& vfs, std::string path, std::uint64_t wal_seq,
         vfs, std::move(path), encode_header(wal_seq, config_digest), retry));
 }
 
-WalWriter WalWriter::create(std::string path, std::uint64_t wal_seq,
-                            std::uint64_t config_digest) {
-    return create(posix_vfs(), std::move(path), wal_seq, config_digest);
-}
-
 WalWriter WalWriter::append_to(Vfs& vfs, std::string path,
                                std::uint64_t valid_size,
                                const StorageRetryPolicy& retry) {
     return WalWriter(FramedFileWriter::append_to(vfs, std::move(path), valid_size, retry));
-}
-
-WalWriter WalWriter::append_to(std::string path, std::uint64_t valid_size) {
-    return append_to(posix_vfs(), std::move(path), valid_size);
 }
 
 std::uint64_t WalWriter::append(const WalRecord& record) {

@@ -102,9 +102,6 @@ struct WalContents {
 [[nodiscard]] WalContents read_wal(Vfs& vfs, const std::string& path,
                                    WalReadMode mode);
 
-/// read_wal through the process-wide PosixVfs.
-[[nodiscard]] WalContents read_wal(const std::string& path, WalReadMode mode);
-
 /// Parses an in-memory WAL image (header + framed records). `label`
 /// names the source in errors. read_wal == read_file + parse_wal_bytes;
 /// replication tailers use this directly on a durable-prefix slice of a
@@ -272,19 +269,12 @@ class WalWriter : public FramedFileWriter {
                             std::uint64_t config_digest,
                             const StorageRetryPolicy& retry = {});
 
-    /// create() through the process-wide PosixVfs.
-    static WalWriter create(std::string path, std::uint64_t wal_seq,
-                            std::uint64_t config_digest);
-
     /// Opens an existing WAL for appending after recovery through `vfs`,
     /// truncating it to `valid_size` first (dropping any torn tail
     /// read_wal reported).
     static WalWriter append_to(Vfs& vfs, std::string path,
                                std::uint64_t valid_size,
                                const StorageRetryPolicy& retry = {});
-
-    /// append_to() through the process-wide PosixVfs.
-    static WalWriter append_to(std::string path, std::uint64_t valid_size);
 
     /// Appends one framed record and fdatasyncs. Returns the record's
     /// file offset. Equivalent to stage() + commit(); requires no records

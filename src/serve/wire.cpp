@@ -149,10 +149,6 @@ std::string read_file(Vfs& vfs, const std::string& path) {
     }
 }
 
-std::string read_file(const std::string& path) {
-    return read_file(posix_vfs(), path);
-}
-
 void atomic_write_file(Vfs& vfs, const std::string& path, std::string_view bytes) {
     const std::string tmp = path + ".tmp";
     {
@@ -160,9 +156,7 @@ void atomic_write_file(Vfs& vfs, const std::string& path, std::string_view bytes
         try {
             vfs.write_all(fd.get(), tmp, bytes);
             vfs.fsync(fd.get(), tmp);
-        } catch (const CrashInjected&) {
-            throw;  // the simulated process is gone; no cleanup runs
-        } catch (...) {
+        } catch (const VfsError&) {
             fd.close();
             try {
                 vfs.unlink(tmp);
@@ -174,9 +168,7 @@ void atomic_write_file(Vfs& vfs, const std::string& path, std::string_view bytes
     }
     try {
         vfs.rename(tmp, path);
-    } catch (const CrashInjected&) {
-        throw;
-    } catch (...) {
+    } catch (const VfsError&) {
         try {
             vfs.unlink(tmp);
         } catch (const VfsError&) {
@@ -185,18 +177,6 @@ void atomic_write_file(Vfs& vfs, const std::string& path, std::string_view bytes
         throw;
     }
     vfs.fsync_parent_dir(path);
-}
-
-void atomic_write_file(const std::string& path, std::string_view bytes) {
-    atomic_write_file(posix_vfs(), path, bytes);
-}
-
-bool file_exists(Vfs& vfs, const std::string& path) {
-    return vfs.file_exists(path);
-}
-
-bool file_exists(const std::string& path) {
-    return posix_vfs().file_exists(path);
 }
 
 }  // namespace vnfr::serve

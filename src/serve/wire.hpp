@@ -180,24 +180,14 @@ class Vfs;
 /// errors and CorruptStateError (offset 0) if the file does not exist.
 [[nodiscard]] std::string read_file(Vfs& vfs, const std::string& path);
 
-/// read_file through the process-wide PosixVfs.
-[[nodiscard]] std::string read_file(const std::string& path);
-
 /// Crash-consistent whole-file replace through `vfs`: writes `bytes` to
 /// `path + ".tmp"`, fsyncs it, renames over `path`, then fsyncs the
 /// parent directory. After a crash anywhere in the sequence, `path`
-/// holds either the old or the new content in full, never a mix. On
-/// failure the temporary file is cleaned up (best effort) and no fd
-/// leaks; failures throw VfsError.
+/// holds either the old or the new content in full, never a mix. On a
+/// VfsError the temporary file is removed (best effort) and the error
+/// rethrown; no fd leaks on any path. Any other exception propagates
+/// with no cleanup and may leave `path + ".tmp"` behind, which the next
+/// write of `path` truncates and overwrites.
 void atomic_write_file(Vfs& vfs, const std::string& path, std::string_view bytes);
-
-/// atomic_write_file through the process-wide PosixVfs.
-void atomic_write_file(const std::string& path, std::string_view bytes);
-
-/// True when `path` exists in `vfs` (any file type).
-[[nodiscard]] bool file_exists(Vfs& vfs, const std::string& path);
-
-/// file_exists through the process-wide PosixVfs.
-[[nodiscard]] bool file_exists(const std::string& path);
 
 }  // namespace vnfr::serve

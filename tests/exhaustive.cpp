@@ -1,4 +1,4 @@
-#include "core/exhaustive.hpp"
+#include "exhaustive.hpp"
 
 #include <optional>
 #include <span>

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/bounds.hpp"
-#include "core/exhaustive.hpp"
+#include "exhaustive.hpp"
 #include "core/offline.hpp"
 #include "core/offsite_primal_dual.hpp"
 #include "core/onsite_primal_dual.hpp"

@@ -7,7 +7,7 @@
 #include <ostream>
 #include <vector>
 
-#include "core/exhaustive.hpp"
+#include "exhaustive.hpp"
 #include "core/greedy.hpp"
 #include "helpers.hpp"
 #include "opt/presolve.hpp"

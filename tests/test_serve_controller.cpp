@@ -16,7 +16,7 @@
 #include "core/onsite_primal_dual.hpp"
 #include "helpers.hpp"
 #include "serve/admission_controller.hpp"
-#include "serve/vfs.hpp"
+#include "serve/faults/faulty_vfs.hpp"
 
 namespace vnfr::serve {
 namespace {

@@ -10,7 +10,7 @@
 #include <string>
 
 #include "helpers.hpp"
-#include "serve/disk_fault_study.hpp"
+#include "serve/faults/disk_fault_study.hpp"
 
 namespace vnfr::serve {
 namespace {

@@ -15,10 +15,10 @@
 #include <string_view>
 #include <vector>
 
+#include "serve/faults/faulty_vfs.hpp"
 #include "serve/ledger.hpp"
 #include "serve/replication/ship_transport.hpp"
 #include "serve/snapshot.hpp"
-#include "serve/vfs.hpp"
 #include "serve/wal.hpp"
 
 namespace vnfr::serve {

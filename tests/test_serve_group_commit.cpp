@@ -16,8 +16,8 @@
 
 #include "helpers.hpp"
 #include "serve/admission_controller.hpp"
-#include "serve/disk_fault_study.hpp"
-#include "serve/vfs.hpp"
+#include "serve/faults/disk_fault_study.hpp"
+#include "serve/faults/faulty_vfs.hpp"
 #include "serve/wal.hpp"
 
 namespace vnfr::serve {
@@ -47,15 +47,15 @@ WalRecord decision_record(std::uint64_t seq, double payment) {
 TEST(ServeGroupCommitWal, StagedRecordsStayInvisibleUntilCommit) {
     const std::string dir = fresh_dir("gc_stage");
     const std::string path = dir + "/wal-0.log";
-    WalWriter writer = WalWriter::create(path, 0, 42);
+    WalWriter writer = WalWriter::create(posix_vfs(), path, 0, 42);
     writer.stage(decision_record(0, 3.0));
     writer.stage(decision_record(1, 4.0));
     EXPECT_EQ(writer.staged_records(), 2u);
     // Nothing externalized yet: the file on disk is still just a header.
-    EXPECT_TRUE(read_wal(path, WalReadMode::kStrict).records.empty());
+    EXPECT_TRUE(read_wal(posix_vfs(), path, WalReadMode::kStrict).records.empty());
     writer.commit();
     EXPECT_EQ(writer.staged_records(), 0u);
-    const WalContents contents = read_wal(path, WalReadMode::kStrict);
+    const WalContents contents = read_wal(posix_vfs(), path, WalReadMode::kStrict);
     ASSERT_EQ(contents.records.size(), 2u);
     EXPECT_EQ(contents.records[0].seq, 0u);
     EXPECT_EQ(contents.records[1].seq, 1u);
@@ -63,25 +63,26 @@ TEST(ServeGroupCommitWal, StagedRecordsStayInvisibleUntilCommit) {
 
 TEST(ServeGroupCommitWal, AppendWhileStagedThrowsAndCommitIsIdempotent) {
     const std::string dir = fresh_dir("gc_mix");
-    WalWriter writer = WalWriter::create(dir + "/wal-0.log", 0, 42);
+    WalWriter writer = WalWriter::create(posix_vfs(), dir + "/wal-0.log", 0, 42);
     writer.commit();  // no-op on an empty stage
     writer.stage(decision_record(0, 1.0));
     EXPECT_THROW(writer.append(decision_record(1, 2.0)), std::logic_error);
     writer.commit();
     writer.commit();  // still a no-op
     const std::uint64_t at = writer.append(decision_record(1, 2.0));
-    EXPECT_EQ(at, read_wal(writer.path(), WalReadMode::kStrict).records[1].file_offset);
+    EXPECT_EQ(at,
+              read_wal(posix_vfs(), writer.path(), WalReadMode::kStrict).records[1].file_offset);
 }
 
 TEST(ServeGroupCommitWal, StageReportsTheOffsetsCommitWillUse) {
     const std::string dir = fresh_dir("gc_offsets");
     const std::string path = dir + "/wal-0.log";
-    WalWriter writer = WalWriter::create(path, 0, 42);
+    WalWriter writer = WalWriter::create(posix_vfs(), path, 0, 42);
     const std::uint64_t first = writer.stage(decision_record(0, 1.0));
     const std::uint64_t second = writer.stage(decision_record(1, 2.0));
     EXPECT_LT(first, second);
     writer.commit();
-    const WalContents contents = read_wal(path, WalReadMode::kStrict);
+    const WalContents contents = read_wal(posix_vfs(), path, WalReadMode::kStrict);
     ASSERT_EQ(contents.records.size(), 2u);
     EXPECT_EQ(contents.records[0].file_offset, first);
     EXPECT_EQ(contents.records[1].file_offset, second);
@@ -93,7 +94,7 @@ TEST(ServeGroupCommitWal, TornGroupWriteRecoversTheIntactPrefix) {
     const std::string dir = fresh_dir("gc_torn");
     const std::string path = dir + "/wal-0.log";
     {
-        WalWriter writer = WalWriter::create(path, 0, 42);
+        WalWriter writer = WalWriter::create(posix_vfs(), path, 0, 42);
         writer.stage(decision_record(0, 1.0));
         writer.stage(decision_record(1, 2.0));
         writer.stage(decision_record(2, 3.0));
@@ -101,14 +102,14 @@ TEST(ServeGroupCommitWal, TornGroupWriteRecoversTheIntactPrefix) {
     }
     const std::uint64_t full = std::filesystem::file_size(path);
     std::filesystem::resize_file(path, full - 7);  // tear into record 2
-    const WalContents contents = read_wal(path, WalReadMode::kRecover);
+    const WalContents contents = read_wal(posix_vfs(), path, WalReadMode::kRecover);
     ASSERT_EQ(contents.records.size(), 2u);
     EXPECT_GT(contents.bytes_discarded, 0u);
     EXPECT_EQ(contents.valid_size + contents.bytes_discarded, full - 7);
     // And the writer can resume on the clean prefix.
-    WalWriter resumed = WalWriter::append_to(path, contents.valid_size);
+    WalWriter resumed = WalWriter::append_to(posix_vfs(), path, contents.valid_size);
     resumed.append(decision_record(2, 3.0));
-    EXPECT_EQ(read_wal(path, WalReadMode::kStrict).records.size(), 3u);
+    EXPECT_EQ(read_wal(posix_vfs(), path, WalReadMode::kStrict).records.size(), 3u);
 }
 
 core::Instance matrix_instance(std::size_t n) {

@@ -14,12 +14,12 @@
 #include "common/rng.hpp"
 #include "helpers.hpp"
 #include "serve/admission_controller.hpp"
-#include "serve/chaos_support.hpp"
+#include "serve/faults/chaos_support.hpp"
+#include "serve/faults/faulty_vfs.hpp"
+#include "serve/faults/wal_scrubber.hpp"
 #include "serve/ledger.hpp"
 #include "serve/snapshot.hpp"
-#include "serve/vfs.hpp"
 #include "serve/wal.hpp"
-#include "serve/wal_scrubber.hpp"
 
 namespace vnfr::serve {
 namespace {

@@ -10,9 +10,9 @@
 #include <random>
 #include <string>
 
+#include "serve/faults/faulty_vfs.hpp"
 #include "serve/ledger.hpp"
 #include "serve/snapshot.hpp"
-#include "serve/vfs.hpp"
 #include "serve/wal.hpp"
 #include "serve/wire.hpp"
 
@@ -69,7 +69,7 @@ std::string temp_path(const std::string& name) {
 /// Writes a WAL with `records` decision/shed records and returns its bytes.
 std::string build_wal_bytes(const std::string& path, std::size_t records) {
     std::remove(path.c_str());
-    WalWriter w = WalWriter::create(path, 7, 0xABCDEF01ULL);
+    WalWriter w = WalWriter::create(posix_vfs(), path, 7, 0xABCDEF01ULL);
     for (std::size_t i = 0; i < records; ++i) {
         WalRecord rec;
         rec.kind = (i % 3 == 2) ? WalRecordKind::kShed : WalRecordKind::kDecision;
@@ -84,7 +84,7 @@ std::string build_wal_bytes(const std::string& path, std::size_t records) {
         w.append(rec);
     }
     w.close();
-    return read_file(path);
+    return read_file(posix_vfs(), path);
 }
 
 // --- Snapshot fuzzing -------------------------------------------------
@@ -185,8 +185,8 @@ TEST(SnapshotFuzz, SemanticLiesAreRejectedEvenWithValidCrc) {
 TEST(SnapshotFuzz, SaveLoadRoundTripsThroughDisk) {
     const std::string path = temp_path("snapfuzz_roundtrip.bin");
     const ControllerSnapshot snap = sample_snapshot();
-    save_snapshot(path, snap);
-    const ControllerSnapshot back = load_snapshot(path);
+    atomic_write_file(posix_vfs(), path, encode_snapshot(snap));
+    const ControllerSnapshot back = load_snapshot(posix_vfs(), path);
     EXPECT_EQ(encode_snapshot(back), encode_snapshot(snap));
     std::remove(path.c_str());
 }
@@ -344,7 +344,7 @@ TEST(WalFuzz, CleanFileReadsBackInBothModes) {
     const std::string path = temp_path("walfuzz_clean.log");
     build_wal_bytes(path, 5);
     for (WalReadMode mode : {WalReadMode::kStrict, WalReadMode::kRecover}) {
-        const WalContents c = read_wal(path, mode);
+        const WalContents c = read_wal(posix_vfs(), path, mode);
         EXPECT_EQ(c.wal_seq, 7u);
         EXPECT_EQ(c.config_digest, 0xABCDEF01ULL);
         ASSERT_EQ(c.records.size(), 5u);
@@ -360,9 +360,9 @@ TEST(WalFuzz, ZeroLengthWalIsAlwaysCorruption) {
     // The header is created atomically, so an empty WAL can only mean
     // tampering — both modes must refuse it.
     const std::string path = temp_path("walfuzz_empty.log");
-    atomic_write_file(path, "");
-    EXPECT_THROW((void)read_wal(path, WalReadMode::kStrict), CorruptStateError);
-    EXPECT_THROW((void)read_wal(path, WalReadMode::kRecover), CorruptStateError);
+    atomic_write_file(posix_vfs(), path, "");
+    EXPECT_THROW((void)read_wal(posix_vfs(), path, WalReadMode::kStrict), CorruptStateError);
+    EXPECT_THROW((void)read_wal(posix_vfs(), path, WalReadMode::kRecover), CorruptStateError);
     std::remove(path.c_str());
 }
 
@@ -370,10 +370,10 @@ TEST(WalFuzz, HeaderTruncationsAreCorruptionInBothModes) {
     const std::string path = temp_path("walfuzz_hdr.log");
     const std::string bytes = build_wal_bytes(path, 2);
     for (std::size_t len = 0; len < 32; ++len) {
-        atomic_write_file(path, std::string_view(bytes).substr(0, len));
-        EXPECT_THROW((void)read_wal(path, WalReadMode::kStrict), CorruptStateError)
+        atomic_write_file(posix_vfs(), path, std::string_view(bytes).substr(0, len));
+        EXPECT_THROW((void)read_wal(posix_vfs(), path, WalReadMode::kStrict), CorruptStateError)
             << "header prefix " << len;
-        EXPECT_THROW((void)read_wal(path, WalReadMode::kRecover), CorruptStateError)
+        EXPECT_THROW((void)read_wal(posix_vfs(), path, WalReadMode::kRecover), CorruptStateError)
             << "header prefix " << len;
     }
     std::remove(path.c_str());
@@ -382,7 +382,7 @@ TEST(WalFuzz, HeaderTruncationsAreCorruptionInBothModes) {
 TEST(WalFuzz, EveryBodyTruncationRecoversAsTornTail) {
     const std::string path = temp_path("walfuzz_torn.log");
     const std::string bytes = build_wal_bytes(path, 4);
-    const WalContents whole = read_wal(path, WalReadMode::kStrict);
+    const WalContents whole = read_wal(posix_vfs(), path, WalReadMode::kStrict);
     ASSERT_EQ(whole.records.size(), 4u);
     // Offsets of each record's start, plus end-of-file.
     std::vector<std::uint64_t> starts;
@@ -390,19 +390,19 @@ TEST(WalFuzz, EveryBodyTruncationRecoversAsTornTail) {
     starts.push_back(bytes.size());
 
     for (std::size_t len = 32; len < bytes.size(); ++len) {
-        atomic_write_file(path, std::string_view(bytes).substr(0, len));
+        atomic_write_file(posix_vfs(), path, std::string_view(bytes).substr(0, len));
         // Strict mode refuses any truncation mid-record.
         std::size_t intact = 0;
         while (intact + 1 < starts.size() && starts[intact + 1] <= len) ++intact;
         const bool on_boundary = (starts[intact] == len);
         if (!on_boundary) {
-            EXPECT_THROW((void)read_wal(path, WalReadMode::kStrict),
+            EXPECT_THROW((void)read_wal(posix_vfs(), path, WalReadMode::kStrict),
                          CorruptStateError)
                 << "strict accepted truncation at " << len;
         }
         // Recover mode drops exactly the torn tail and keeps every
         // record whose frame fully fits.
-        const WalContents c = read_wal(path, WalReadMode::kRecover);
+        const WalContents c = read_wal(posix_vfs(), path, WalReadMode::kRecover);
         EXPECT_EQ(c.records.size(), intact) << "truncation at " << len;
         EXPECT_EQ(c.valid_size, starts[intact]) << "truncation at " << len;
         EXPECT_EQ(c.bytes_discarded, len - starts[intact]);
@@ -414,9 +414,9 @@ TEST(WalFuzz, FlippedCrcByteOnFinalRecordIsTornNotFatal) {
     const std::string path = temp_path("walfuzz_crc_tail.log");
     std::string bytes = build_wal_bytes(path, 3);
     bytes.back() = static_cast<char>(bytes.back() ^ 0x01);
-    atomic_write_file(path, bytes);
-    EXPECT_THROW((void)read_wal(path, WalReadMode::kStrict), CorruptStateError);
-    const WalContents c = read_wal(path, WalReadMode::kRecover);
+    atomic_write_file(posix_vfs(), path, bytes);
+    EXPECT_THROW((void)read_wal(posix_vfs(), path, WalReadMode::kStrict), CorruptStateError);
+    const WalContents c = read_wal(posix_vfs(), path, WalReadMode::kRecover);
     EXPECT_EQ(c.records.size(), 2u);  // final record dropped as torn
     EXPECT_GT(c.bytes_discarded, 0u);
     std::remove(path.c_str());
@@ -425,15 +425,15 @@ TEST(WalFuzz, FlippedCrcByteOnFinalRecordIsTornNotFatal) {
 TEST(WalFuzz, FlippedByteInInteriorRecordIsFatalInBothModes) {
     const std::string path = temp_path("walfuzz_crc_mid.log");
     std::string bytes = build_wal_bytes(path, 3);
-    const WalContents whole = read_wal(path, WalReadMode::kStrict);
+    const WalContents whole = read_wal(posix_vfs(), path, WalReadMode::kStrict);
     // Corrupt a payload byte of the FIRST record: damage before the tail
     // is real corruption, not a crash artifact.
     const std::size_t pos = static_cast<std::size_t>(whole.records[0].file_offset) + 6;
     bytes[pos] = static_cast<char>(bytes[pos] ^ 0x80);
-    atomic_write_file(path, bytes);
+    atomic_write_file(posix_vfs(), path, bytes);
     for (WalReadMode mode : {WalReadMode::kStrict, WalReadMode::kRecover}) {
         try {
-            (void)read_wal(path, mode);
+            (void)read_wal(posix_vfs(), path, mode);
             FAIL() << "expected CorruptStateError";
         } catch (const CorruptStateError& e) {
             EXPECT_EQ(e.file(), path);
@@ -452,9 +452,9 @@ TEST(WalFuzz, MixedVersionHeaderIsRejected) {
     WireWriter crc;
     crc.put_u32(crc32(std::string_view(bytes).substr(0, 28)));
     bytes.replace(28, 4, crc.bytes());
-    atomic_write_file(path, bytes);
+    atomic_write_file(posix_vfs(), path, bytes);
     try {
-        (void)read_wal(path, WalReadMode::kRecover);
+        (void)read_wal(posix_vfs(), path, WalReadMode::kRecover);
         FAIL() << "expected CorruptStateError";
     } catch (const CorruptStateError& e) {
         EXPECT_EQ(e.offset(), 8u);
@@ -467,9 +467,9 @@ TEST(WalFuzz, BadMagicIsRejectedAtOffsetZero) {
     const std::string path = temp_path("walfuzz_magic.log");
     std::string bytes = build_wal_bytes(path, 1);
     bytes[0] = 'X';
-    atomic_write_file(path, bytes);
+    atomic_write_file(posix_vfs(), path, bytes);
     try {
-        (void)read_wal(path, WalReadMode::kRecover);
+        (void)read_wal(posix_vfs(), path, WalReadMode::kRecover);
         FAIL() << "expected CorruptStateError";
     } catch (const CorruptStateError& e) {
         EXPECT_EQ(e.offset(), 0u);
@@ -486,8 +486,8 @@ TEST(WalFuzz, OversizedLengthPrefixIsRejected) {
     w.put_u32(0x7FFFFFFFU);
     bytes += w.bytes();
     bytes += std::string(64, 'q');
-    atomic_write_file(path, bytes);
-    EXPECT_THROW((void)read_wal(path, WalReadMode::kStrict), CorruptStateError);
+    atomic_write_file(posix_vfs(), path, bytes);
+    EXPECT_THROW((void)read_wal(posix_vfs(), path, WalReadMode::kStrict), CorruptStateError);
     std::remove(path.c_str());
 }
 
@@ -551,11 +551,11 @@ TEST(WalFuzz, RandomAppendedGarbageNeverCrashes) {
     for (int trial = 0; trial < 100; ++trial) {
         std::string junk(length(rng), '\0');
         for (char& c : junk) c = static_cast<char>(byte(rng));
-        atomic_write_file(path, clean + junk);
+        atomic_write_file(posix_vfs(), path, clean + junk);
         // Recover mode must either parse the clean prefix (dropping the
         // junk as a torn tail) or reject with a typed error — never UB.
         try {
-            const WalContents c = read_wal(path, WalReadMode::kRecover);
+            const WalContents c = read_wal(posix_vfs(), path, WalReadMode::kRecover);
             EXPECT_GE(c.records.size(), 2u);
             EXPECT_LE(c.valid_size, clean.size() + junk.size());
         } catch (const CorruptStateError&) {
@@ -569,14 +569,14 @@ TEST(WalFuzz, AppendToTruncatesTornTailAndContinues) {
     const std::string path = temp_path("walfuzz_appendto.log");
     const std::string bytes = build_wal_bytes(path, 3);
     // Tear the last record in half.
-    const WalContents whole = read_wal(path, WalReadMode::kStrict);
+    const WalContents whole = read_wal(posix_vfs(), path, WalReadMode::kStrict);
     const std::uint64_t keep =
         whole.records[2].file_offset + 5;  // mid final record
-    atomic_write_file(path, std::string_view(bytes).substr(0, keep));
+    atomic_write_file(posix_vfs(), path, std::string_view(bytes).substr(0, keep));
 
-    const WalContents torn = read_wal(path, WalReadMode::kRecover);
+    const WalContents torn = read_wal(posix_vfs(), path, WalReadMode::kRecover);
     ASSERT_EQ(torn.records.size(), 2u);
-    WalWriter w = WalWriter::append_to(path, torn.valid_size);
+    WalWriter w = WalWriter::append_to(posix_vfs(), path, torn.valid_size);
     WalRecord rec;
     rec.kind = WalRecordKind::kShed;
     rec.seq = 42;
@@ -584,7 +584,7 @@ TEST(WalFuzz, AppendToTruncatesTornTailAndContinues) {
     w.append(rec);
     w.close();
 
-    const WalContents healed = read_wal(path, WalReadMode::kStrict);
+    const WalContents healed = read_wal(posix_vfs(), path, WalReadMode::kStrict);
     ASSERT_EQ(healed.records.size(), 3u);
     EXPECT_EQ(healed.records[2].seq, 42u);
     std::remove(path.c_str());

@@ -11,9 +11,9 @@
 
 #include "helpers.hpp"
 #include "serve/admission_controller.hpp"
-#include "serve/chaos_support.hpp"
+#include "serve/faults/chaos_support.hpp"
 #include "serve/replication/failover.hpp"
-#include "serve/replication/failover_chaos.hpp"
+#include "serve/faults/failover_chaos.hpp"
 #include "serve/replication/ship_transport.hpp"
 #include "serve/replication/standby.hpp"
 #include "serve/replication/wal_shipper.hpp"
@@ -191,7 +191,7 @@ TEST(StandbyReplication, MirrorsPrimaryDigestOverCleanLink) {
     EXPECT_GT(standby.stats().rotates_applied, 0u);  // rotation was crossed
     EXPECT_GT(shipper.stats().generations_released, 0u);  // retention bounded
     // Released generations are really gone from the primary's directory.
-    EXPECT_FALSE(file_exists(pdir + "/wal-0.log"));
+    EXPECT_FALSE(posix_vfs().file_exists(pdir + "/wal-0.log"));
 }
 
 TEST(StandbyReplication, ConvergesOverFaultyLink) {
@@ -265,13 +265,13 @@ TEST(StandbyReplication, ReleasedGenerationIsTypedGapNotSilentSkip) {
     // Rotate at least once before the shipper ever runs...
     drive_replicated(primary, instance.requests, 5, nullptr, nullptr);
     ASSERT_GT(primary.wal_position().generation, 0u);
-    ASSERT_TRUE(file_exists(pdir + "/wal-0.log"));
+    ASSERT_TRUE(posix_vfs().file_exists(pdir + "/wal-0.log"));
     // ...then lose a retained generation the tailer still needs.
     ::unlink((pdir + "/wal-0.log").c_str());
     EXPECT_THROW((void)shipper.pump(), ReplicationGapError);
 
     // Promotion over the same hole must fail loudly too.
-    FailoverCoordinator coordinator(pdir);
+    FailoverCoordinator coordinator(pdir, posix_vfs());
     EXPECT_THROW((void)coordinator.promote(standby), ReplicationGapError);
 }
 
@@ -313,7 +313,7 @@ TEST(StandbyReplication, PromotionClosesStandbyLagFromDisk) {
     const std::uint64_t primary_digest = primary.state_digest();
 
     // "Kill" the primary (stop using it) and promote from its disk tail.
-    FailoverCoordinator coordinator(pdir);
+    FailoverCoordinator coordinator(pdir, posix_vfs());
     const PromotionReport report = coordinator.promote(standby);
     EXPECT_GT(report.disk_records_applied, 0u);  // lag really was closed
     EXPECT_EQ(applied_before + report.disk_records_applied,
@@ -338,7 +338,7 @@ TEST(RecoveryStats, SurfacesTornTailBytes) {
     }
     // Tear a few bytes off the WAL tail, as a mid-append crash would.
     const std::string wal = dir + "/wal-0.log";
-    ASSERT_TRUE(file_exists(wal));
+    ASSERT_TRUE(posix_vfs().file_exists(wal));
     const std::uint64_t size = std::filesystem::file_size(wal);
     ASSERT_EQ(::truncate(wal.c_str(), static_cast<off_t>(size - 5)), 0);
 

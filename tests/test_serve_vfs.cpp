@@ -8,13 +8,15 @@
 #include <cerrno>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "helpers.hpp"
 #include "serve/admission_controller.hpp"
-#include "serve/vfs.hpp"
+#include "serve/faults/faulty_vfs.hpp"
+#include "serve/faults/wal_scrubber.hpp"
 #include "serve/wal.hpp"
-#include "serve/wal_scrubber.hpp"
+#include "serve/wire.hpp"
 
 namespace vnfr::serve {
 namespace {
@@ -185,6 +187,32 @@ TEST(ServeVfs, RenameFailureMidAtomicWriteLeavesNoTempAndNoTarget) {
     EXPECT_FALSE(vfs.file_exists(at("wal-0.log")));
     // The temp file was unlinked on the failure path.
     EXPECT_TRUE(vfs.list_dir(kDir).empty());
+}
+
+// A simulated process death is not a VfsError, so atomic_write_file runs
+// no cleanup for it, as a real crash runs none: the temp file stays in
+// the page cache for the next write of the path to truncate.
+TEST(ServeVfs, CrashMidAtomicWriteLeavesTempAndUnlinksNothing) {
+    // The publish's mutating ops: create, write, fsync, rename, dirsync.
+    const std::pair<std::uint64_t, std::string> cuts[] = {{3, "fsync"}, {4, "rename"}};
+    for (const auto& [cut_at, op] : cuts) {
+        SCOPED_TRACE(op);
+        DiskFaultPlan plan;
+        plan.cut_at_op = cut_at;
+        plan.cut_kind = CutKind::kProcessCrash;
+        FaultyVfs vfs(plan);
+        try {
+            atomic_write_file(vfs, at("snapshot.bin"), "payload");
+            FAIL() << "expected CrashInjected";
+        } catch (const CrashInjected& crash) {
+            EXPECT_EQ(crash.op_index(), cut_at);
+            EXPECT_EQ(crash.op(), op);
+            EXPECT_EQ(crash.path(), at("snapshot.bin.tmp"));
+        }
+        EXPECT_TRUE(vfs.file_exists(at("snapshot.bin.tmp")));
+        EXPECT_FALSE(vfs.file_exists(at("snapshot.bin")));
+        EXPECT_EQ(vfs.stats().unlinks, 0u);
+    }
 }
 
 TEST(ServeVfs, TransientRenameFailureIsRetriedToSuccess) {

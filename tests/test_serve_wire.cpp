@@ -10,6 +10,7 @@
 #include <string_view>
 
 #include "common/rng.hpp"
+#include "serve/vfs.hpp"
 
 namespace vnfr::serve {
 namespace {
@@ -151,17 +152,18 @@ TEST(Wire, BaseOffsetShiftsReportedPositions) {
 TEST(WireFiles, AtomicWriteThenReadRoundTrips) {
     const std::string path = ::testing::TempDir() + "wire_roundtrip.bin";
     const std::string payload("\x00\x01\xFFzzz", 6);
-    atomic_write_file(path, payload);
-    EXPECT_EQ(read_file(path), payload);
+    Vfs& disk = posix_vfs();
+    atomic_write_file(disk, path, payload);
+    EXPECT_EQ(read_file(disk, path), payload);
     // Replacement is atomic: rewriting leaves only the new content.
-    atomic_write_file(path, "second");
-    EXPECT_EQ(read_file(path), "second");
-    EXPECT_FALSE(file_exists(path + ".tmp"));
+    atomic_write_file(disk, path, "second");
+    EXPECT_EQ(read_file(disk, path), "second");
+    EXPECT_FALSE(disk.file_exists(path + ".tmp"));
     std::remove(path.c_str());
 }
 
 TEST(WireFiles, MissingFileThrowsCorruptStateError) {
-    EXPECT_THROW(read_file(::testing::TempDir() + "does_not_exist.bin"),
+    EXPECT_THROW(read_file(posix_vfs(), ::testing::TempDir() + "does_not_exist.bin"),
                  CorruptStateError);
 }
 

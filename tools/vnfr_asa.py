@@ -676,9 +676,11 @@ RE_EXPECT = re.compile(r"//\s*expect:\s*([\w\-, ]+)")
 
 
 def expected_findings(fixture_root: Path) -> dict[tuple[str, int], set[str]]:
-    """Parses ``// expect: rule[, rule]`` markers from fixture sources."""
+    """Parses ``// expect: rule[, rule]`` markers from fixture sources
+    (under src/, and tools/ where a fixture tree has one)."""
     expects: dict[tuple[str, int], set[str]] = {}
-    for path in sorted((fixture_root / "src").rglob("*")):
+    paths = [p for sub in ("src", "tools") for p in sorted((fixture_root / sub).rglob("*"))]
+    for path in paths:
         if path.suffix not in (".hpp", ".cpp"):
             continue
         rel = path.relative_to(fixture_root).as_posix()

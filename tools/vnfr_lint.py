@@ -39,6 +39,14 @@ arithmetic in this codebase:
                 per scheduler (``vnf::OffsiteLogTable``), which return the
                 same values bit for bit. Comments may mention them.
 
+  faults-boundary
+                No file under src/ outside src/serve/faults/, and no
+                tools/*.cpp, includes a ``serve/faults/`` header. The fault
+                harness (FaultyVfs, the disk-fault and failover studies,
+                the scrubber) is built as vnfr_serve_faults for tests and
+                benches only; production libraries and the CLI must not
+                reach it.
+
 Suppression: ``// vnfr-lint: allow(<rule>) <justification>`` on the
 finding's line or the line above; the justification is required (see
 tools/vnfr_findings.py for the shared grammar and the
@@ -75,6 +83,8 @@ RULES: dict[str, str] = {
     "reliability-kernel": "vnf::min_onsite_replicas / vnf::offsite_log_failure "
                           "are called only inside src/vnf/; elsewhere use "
                           "vnf::onsite_replicas or a vnf::OffsiteLogTable",
+    "faults-boundary": "only src/serve/faults/ itself may include a "
+                       "serve/faults/ header under src/ and tools/",
     vf.SUPPRESSION_RULE: vf.SUPPRESSION_RULE_DOC,
 }
 
@@ -86,6 +96,10 @@ MATH_DOMAIN_EXEMPT = ("src/common/math.", "src/vnf/reliability.")
 # module allowed to call them.
 RELIABILITY_REFERENCE = re.compile(r"\b(min_onsite_replicas|offsite_log_failure)\b")
 RELIABILITY_OWNER = "src/vnf/"
+
+# The test-only fault harness, and the one directory allowed to include it.
+FAULTS_INCLUDE = re.compile(r'^\s*#\s*include\s*[<"](serve/faults/[^>"]+)[>"]')
+FAULTS_OWNER = "src/serve/faults/"
 
 # std::log1p/std::expm1 are the *stable* helpers and are exempt; match only
 # the raw calls whose domain can silently produce NaN.
@@ -118,6 +132,22 @@ def is_pure_preprocessor(code_lines: list[str]) -> bool:
     return saw_directive
 
 
+def faults_boundary(raw_lines: list[str], rel: str) -> list[Finding]:
+    """Findings for every serve/faults/ include in a file outside it."""
+    if rel.startswith(FAULTS_OWNER):
+        return []
+    findings = []
+    for idx, raw in enumerate(raw_lines):
+        m = FAULTS_INCLUDE.match(raw)
+        if m:
+            findings.append(Finding(
+                rel, idx + 1, "faults-boundary",
+                f"includes '{m.group(1)}', part of the test-only fault "
+                "harness (vnfr_serve_faults); production code must not "
+                "depend on it"))
+    return findings
+
+
 def lint_file(path: Path, rel: str) -> list[Finding]:
     findings: list[Finding] = []
     text = path.read_text(encoding="utf-8")
@@ -136,6 +166,8 @@ def lint_file(path: Path, rel: str) -> list[Finding]:
             findings.append(Finding(
                 rel, 1, "namespace",
                 "closing brace lacks '}  // namespace' comment"))
+
+    findings.extend(faults_boundary(raw_lines, rel))
 
     # Identifiers declared double in this file, for the identifier-vs-
     # identifier comparison heuristic.
@@ -196,7 +228,8 @@ def lint_file(path: Path, rel: str) -> list[Finding]:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="vnfr_lint.py",
-        description="repo-specific invariant lint over src/")
+        description="repo-specific invariant lint over src/ (and the "
+                    "faults boundary over tools/*.cpp)")
     parser.add_argument("root", nargs="?", default=None,
                         help="repo root (default: the checkout this tool is in)")
     parser.add_argument("--json", action="store_true",
@@ -216,6 +249,10 @@ def main(argv: list[str]) -> int:
             continue
         rel = path.relative_to(root).as_posix()
         findings.extend(lint_file(path, rel))
+    # tools/*.cpp carry only the faults-boundary rule.
+    for path in sorted((root / "tools").glob("*.cpp")):
+        findings.extend(faults_boundary(path.read_text(encoding="utf-8").splitlines(),
+                                        path.relative_to(root).as_posix()))
     return vf.emit(findings, tool="vnfr_lint", rules=RULES,
                    json_mode=args.json)
 
