@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
             cfg.kill_points = kills_per_cell;
             cfg.checkpoint_every = 16;
             cfg.queue_capacity = 8;
-            cfg.group_commit = 4;
+            cfg.batch = 4;
             cfg.ship_every = lag;
             cfg.transport_faults = true;
 

@@ -1,15 +1,15 @@
 // Disk-fault ablation: crash and storage-failure resilience of the serve
-// layer's admission controller under both backup schemes, across
-// group-commit configurations, on a fully simulated faulty disk
-// (FaultyVfs).
+// layer's admission controller under both backup schemes, across pump
+// batch sizes (one pump is one WAL commit group), on a fully simulated
+// faulty disk (FaultyVfs).
 //
-// For each (scheme, group_commit) cell, one paper-environment trace is
+// For each (scheme, pump batch) cell, one paper-environment trace is
 // served uninterrupted as the baseline, then re-served under three fault
 // families: cuts at scripted mutating-op indices, each under both crash
 // kinds — a process crash (page cache survives) and a power cut (un-synced
 // bytes drop, torn tails possible) — exhaustive over every such op in
 // full mode, including both checkpoint-rotation stages and
-// mid-group-commit appends; seeded transient EIO/short-write bursts the
+// mid-batch appends; seeded transient EIO/short-write bursts the
 // retry layer must absorb invisibly; and persistent ENOSPC that must
 // degrade the controller into loud read-only mode and recover once space
 // frees. Emits BENCH_disk_faults.json and exits nonzero when any gate
@@ -25,8 +25,8 @@
 //   * every surviving directory passes a read-only WAL scrub, the
 //     scrubber demonstrably detects a single flipped durable bit, and
 //     reopening the baseline's own checkpoint reproduces its digest;
-//   * all group sizes of a scheme agree on the baseline digest — group
-//     commit must not change decisions.
+//   * all batch sizes of a scheme agree on the baseline digest — how many
+//     records share a commit must not change decisions.
 //
 // Usage: ablation_disk_faults [output.json]
 //   VNFR_BENCH_QUICK=1  sampled cut points and a smaller trace for CI
@@ -48,12 +48,12 @@ const char* scheme_name(core::Scheme scheme) {
     return scheme == core::Scheme::kOnsite ? "onsite" : "offsite";
 }
 
-/// The per-record-fdatasync controller, a small group, and a large one.
-constexpr std::size_t kGroupCommits[] = {1, 4, 32};
+/// Per-record fdatasync, a small commit group, and a large one.
+constexpr std::size_t kBatches[] = {1, 4, 32};
 
 struct CellResult {
     core::Scheme scheme{core::Scheme::kOnsite};
-    std::size_t group_commit{1};
+    std::size_t batch{1};
     serve::DiskFaultStudyResult study;
     double seconds{0};
 };
@@ -95,11 +95,11 @@ int main(int argc, char** argv) {
     for (const core::Scheme scheme :
          {core::Scheme::kOnsite, core::Scheme::kOffsite}) {
         const std::size_t first_cell = results.size();
-        for (const std::size_t group_commit : kGroupCommits) {
+        for (const std::size_t batch : kBatches) {
             serve::DiskFaultStudyConfig cfg;
             cfg.scheme = scheme;
-            // Same fault streams for every group-commit cell of a scheme:
-            // the sweep varies the commit batching, not the faults.
+            // Same fault streams for every batch cell of a scheme: the
+            // sweep varies the commit batching, not the faults.
             cfg.master_seed =
                 common::stream_seed(master, 1 + static_cast<std::uint64_t>(scheme));
             cfg.exhaustive_power_cuts = !quick;
@@ -108,11 +108,11 @@ int main(int argc, char** argv) {
             cfg.degraded_trials = quick ? 2 : 6;
             cfg.checkpoint_every = 16;
             cfg.queue_capacity = 8;
-            cfg.group_commit = group_commit;
+            cfg.batch = batch;
 
             CellResult r;
             r.scheme = scheme;
-            r.group_commit = group_commit;
+            r.batch = batch;
             const auto start = std::chrono::steady_clock::now();
             r.study = serve::run_disk_fault_study(instance, cfg);
             r.seconds = std::chrono::duration<double>(
@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
             degraded_trials += r.study.degraded_trials.size();
             degraded_failed += r.study.failed_degraded_trials;
 
-            std::cout << scheme_name(scheme) << " [g" << group_commit
+            std::cout << scheme_name(scheme) << " [b" << batch
                       << "]: baseline revenue " << r.study.baseline_metrics.revenue
                       << " (admitted " << r.study.baseline_metrics.admitted
                       << ", shed " << r.study.baseline_metrics.shed << "), digest "
@@ -165,16 +165,15 @@ int main(int argc, char** argv) {
                       << (r.study.baseline_reload_ok ? "yes" : "NO") << ", "
                       << report::format_double(r.seconds, 2) << "s\n";
             if (!r.study.ok()) {
-                std::cout << "  GATE FAILED for " << scheme_name(scheme) << " [g"
-                          << group_commit << "]\n";
+                std::cout << "  GATE FAILED for " << scheme_name(scheme) << " [b"
+                          << batch << "]\n";
                 all_ok = false;
             }
             if (results.size() > first_cell &&
                 r.study.baseline_digest != results[first_cell].study.baseline_digest) {
-                std::cout << "  GATE FAILED: " << scheme_name(scheme) << " [g"
-                          << group_commit
-                          << "] baseline digest differs from the g"
-                          << results[first_cell].group_commit << " cell\n";
+                std::cout << "  GATE FAILED: " << scheme_name(scheme) << " [b"
+                          << batch << "] baseline digest differs from the b"
+                          << results[first_cell].batch << " cell\n";
                 all_ok = false;
             }
             results.push_back(std::move(r));
@@ -197,7 +196,7 @@ int main(int argc, char** argv) {
     for (const CellResult& r : results) {
         report::JsonValue row = report::JsonValue::object();
         row.set("scheme", scheme_name(r.scheme));
-        row.set("group_commit", static_cast<std::uint64_t>(r.group_commit));
+        row.set("batch", static_cast<std::uint64_t>(r.batch));
         row.set("baseline_digest", report::hex_u64(r.study.baseline_digest));
         row.set("baseline_revenue", r.study.baseline_metrics.revenue);
         row.set("baseline_admitted", r.study.baseline_metrics.admitted);

@@ -1,18 +1,19 @@
 // Serve-layer throughput bench: admissions/sec of the crash-safe
-// admission controller across WAL group-commit sizes.
+// admission controller across pump batch sizes.
 //
-// One sweep over a paper-environment trace: a single thread drives the
-// bare controller at group_commit {1, 4, 32}. group 1 is the original
-// per-record write+fdatasync controller; larger groups amortize ONE
-// fdatasync over the batch. This isolates the durability cost. Each
-// configuration times only its submit and drain loop; constructing the
-// controller (creating the generation-0 WAL) is outside the timed span.
+// One sweep over a paper-environment trace: a single thread submits the
+// whole trace to the bare controller, then drains it with pump(batch)
+// for batch {1, 4, 32}. One pump is one WAL commit group, so batch 1 is
+// a per-record write+fdatasync and larger batches amortize ONE fdatasync
+// over the batch. This isolates the durability cost. Each configuration
+// times only its submit and pump loop; constructing the controller
+// (creating the generation-0 WAL) is outside the timed span.
 //
 // Emits BENCH_serve_throughput.json and exits nonzero when a gate fails:
 //
-//   * amortization gate: admissions/sec at group 32 must be >= 5x the
-//     per-record-fdatasync baseline (group 1);
-//   * equivalence gate: every group size ends at the SAME state digest
+//   * amortization gate: admissions/sec at batch 32 must be >= 5x the
+//     per-record-fdatasync baseline (batch 1);
+//   * equivalence gate: every batch size ends at the SAME state digest
 //     (batching must not change decisions).
 //
 // tools/check_bench_regression.py compares the emitted numbers against
@@ -49,31 +50,31 @@ double seconds_since(const std::chrono::steady_clock::time_point& start) {
         .count();
 }
 
-struct GroupRun {
-    std::size_t group{1};
+struct BatchRun {
+    std::size_t batch{1};
     double seconds{0};
     double admissions_per_sec{0};
     std::uint64_t digest{0};
 };
 
-/// Single-threaded bare-controller drive: submit everything, then drain.
-/// With a queue bound of n nothing sheds, so every request is decided and
-/// WAL-logged — the measured rate is the durable-admission rate.
-GroupRun run_group(const core::Instance& instance, std::size_t group,
+/// Single-threaded bare-controller drive: submit everything, then pump
+/// `batch` at a time until the queue is empty. With a queue bound of n
+/// nothing sheds, so every request is decided and WAL-logged — the
+/// measured rate is the durable-admission rate.
+BatchRun run_batch(const core::Instance& instance, std::size_t batch,
                    const std::string& dir) {
     serve::ServeConfig cfg;
     cfg.data_dir = dir;
     cfg.checkpoint_every = 1024;
     cfg.queue_capacity = instance.requests.size();
-    cfg.group_commit = group;
     serve::AdmissionController controller(instance, core::Scheme::kOnsite, cfg);
     const auto start = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < instance.requests.size(); ++i) {
         controller.submit(i, instance.requests[i]);
     }
-    controller.drain();
-    GroupRun r;
-    r.group = group;
+    while (controller.queue_size() > 0) (void)controller.pump(batch);
+    BatchRun r;
+    r.batch = batch;
     r.seconds = seconds_since(start);
     r.admissions_per_sec =
         static_cast<double>(instance.requests.size()) / r.seconds;
@@ -90,7 +91,7 @@ int main(int argc, char** argv) {
     const std::size_t requests = bench::quick_mode() ? 1500 : 8000;
     const std::uint64_t master = bench::scenario_seed("serve_throughput", requests);
 
-    std::cout << "== Serve throughput: group commit ==\n";
+    std::cout << "== Serve throughput: pump batch (one WAL commit group) ==\n";
     bench::print_thread_note();
 
     common::Rng rng = common::stream_rng(master, 0);
@@ -103,27 +104,27 @@ int main(int argc, char** argv) {
     const std::string work_root = "serve_throughput_state";
     ::mkdir(work_root.c_str(), 0755);
 
-    // --- group sweep: the durability amortization curve -------------------
-    std::vector<GroupRun> group_runs;
-    for (const std::size_t group : {std::size_t{1}, std::size_t{4}, std::size_t{32}}) {
-        GroupRun r = run_group(instance, group,
-                               fresh_dir(work_root, "group_" + std::to_string(group)));
-        std::cout << "group " << group << ": "
+    // --- batch sweep: the durability amortization curve -------------------
+    std::vector<BatchRun> batch_runs;
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{4}, std::size_t{32}}) {
+        BatchRun r = run_batch(instance, batch,
+                               fresh_dir(work_root, "batch_" + std::to_string(batch)));
+        std::cout << "pump batch " << batch << ": "
                   << report::format_double(r.admissions_per_sec, 0)
                   << " admissions/s (" << report::format_double(r.seconds, 3)
                   << "s), digest " << report::hex_u64(r.digest) << "\n";
-        group_runs.push_back(r);
+        batch_runs.push_back(r);
     }
-    const double per_record_rate = group_runs.front().admissions_per_sec;
-    const double group32_rate = group_runs.back().admissions_per_sec;
+    const double per_record_rate = batch_runs.front().admissions_per_sec;
+    const double group32_rate = batch_runs.back().admissions_per_sec;
     const double speedup = group32_rate / per_record_rate;
     std::cout << "group-commit speedup (32 vs per-record fdatasync): "
               << report::format_double(speedup, 1) << "x\n\n";
 
     // --- gates ------------------------------------------------------------
     bool digests_match = true;
-    for (const GroupRun& r : group_runs) {
-        digests_match = digests_match && r.digest == group_runs.front().digest;
+    for (const BatchRun& r : batch_runs) {
+        digests_match = digests_match && r.digest == batch_runs.front().digest;
     }
     const double kSpeedupGate = 5.0;
     const bool speedup_ok = speedup >= kSpeedupGate;
@@ -135,9 +136,9 @@ int main(int argc, char** argv) {
     doc.set("requests", static_cast<std::uint64_t>(requests));
     doc.set("master_seed", report::hex_u64(master));
     report::JsonValue groups = report::JsonValue::array();
-    for (const GroupRun& r : group_runs) {
+    for (const BatchRun& r : batch_runs) {
         report::JsonValue row = report::JsonValue::object();
-        row.set("group_commit", static_cast<std::uint64_t>(r.group));
+        row.set("batch", static_cast<std::uint64_t>(r.batch));
         row.set("seconds", r.seconds);
         row.set("admissions_per_sec", r.admissions_per_sec);
         row.set("digest", report::hex_u64(r.digest));

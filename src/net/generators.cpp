@@ -1,37 +1,12 @@
 #include "net/generators.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
-#include <vector>
-
-#include "net/algorithms.hpp"
 
 namespace vnfr::net {
-
-namespace {
-
-/// Connect components by linking each component's first node to the
-/// previous component's first node (arbitrary but deterministic).
-void connect_components(Graph& g, double default_weight) {
-    auto comps = connected_components(g);
-    if (comps.count <= 1) return;
-    std::vector<NodeId> representative(static_cast<std::size_t>(comps.count), NodeId{});
-    for (std::size_t v = 0; v < g.node_count(); ++v) {
-        auto& rep = representative[static_cast<std::size_t>(comps.label[v])];
-        if (!rep.valid()) rep = NodeId{static_cast<std::int64_t>(v)};
-    }
-    for (std::size_t c = 1; c < representative.size(); ++c) {
-        g.add_edge(representative[c - 1], representative[c], default_weight);
-    }
-}
-
-}  // namespace
 
 Graph erdos_renyi(std::size_t n, double p, common::Rng& rng, bool force_connected) {
     if (p < 0.0 || p > 1.0) throw std::invalid_argument("erdos_renyi: p outside [0,1]");
     Graph g(n);
-    std::vector<std::pair<NodeId, NodeId>> tree_edges;
     if (force_connected && n > 1) {
         // Random spanning tree: attach node i to a uniformly random earlier node.
         for (std::size_t i = 1; i < n; ++i) {
@@ -51,103 +26,12 @@ Graph erdos_renyi(std::size_t n, double p, common::Rng& rng, bool force_connecte
     return g;
 }
 
-Graph barabasi_albert(std::size_t n, std::size_t m, common::Rng& rng) {
-    if (m == 0) throw std::invalid_argument("barabasi_albert: m == 0");
-    if (n <= m) throw std::invalid_argument("barabasi_albert: n must exceed m");
-    Graph g(n);
-    // Seed: clique on the first m+1 nodes.
-    for (std::size_t i = 0; i <= m; ++i) {
-        for (std::size_t j = i + 1; j <= m; ++j) {
-            g.add_edge(NodeId{static_cast<std::int64_t>(i)},
-                       NodeId{static_cast<std::int64_t>(j)});
-        }
-    }
-    // Degree-proportional sampling via a repeated-endpoint list.
-    std::vector<std::int64_t> endpoint_pool;
-    for (const Edge& e : g.edges()) {
-        endpoint_pool.push_back(e.a.value);
-        endpoint_pool.push_back(e.b.value);
-    }
-    for (std::size_t v = m + 1; v < n; ++v) {
-        std::vector<std::int64_t> chosen;
-        while (chosen.size() < m) {
-            const auto pick = endpoint_pool[static_cast<std::size_t>(
-                rng.uniform_int(0, static_cast<std::int64_t>(endpoint_pool.size()) - 1))];
-            if (std::find(chosen.begin(), chosen.end(), pick) == chosen.end()) {
-                chosen.push_back(pick);
-            }
-        }
-        for (const std::int64_t target : chosen) {
-            g.add_edge(NodeId{static_cast<std::int64_t>(v)}, NodeId{target});
-            endpoint_pool.push_back(static_cast<std::int64_t>(v));
-            endpoint_pool.push_back(target);
-        }
-    }
-    return g;
-}
-
-Graph waxman(std::size_t n, double alpha, double beta, common::Rng& rng,
-             bool force_connected) {
-    if (alpha <= 0.0 || alpha > 1.0) throw std::invalid_argument("waxman: alpha outside (0,1]");
-    if (beta <= 0.0 || beta > 1.0) throw std::invalid_argument("waxman: beta outside (0,1]");
-    Graph g;
-    for (std::size_t i = 0; i < n; ++i) {
-        g.add_node({}, rng.uniform01(), rng.uniform01());
-    }
-    double max_dist = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = i + 1; j < n; ++j) {
-            max_dist = std::max(max_dist, g.euclidean(NodeId{static_cast<std::int64_t>(i)},
-                                                      NodeId{static_cast<std::int64_t>(j)}));
-        }
-    }
-    if (max_dist <= 0.0) max_dist = 1.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = i + 1; j < n; ++j) {
-            const NodeId a{static_cast<std::int64_t>(i)};
-            const NodeId b{static_cast<std::int64_t>(j)};
-            const double d = g.euclidean(a, b);
-            if (rng.bernoulli(alpha * std::exp(-d / (beta * max_dist)))) {
-                g.add_edge(a, b, std::max(d, 1e-9));
-            }
-        }
-    }
-    if (force_connected) connect_components(g, max_dist);
-    return g;
-}
-
 Graph ring(std::size_t n) {
     if (n < 3) throw std::invalid_argument("ring: need at least 3 nodes");
     Graph g(n);
     for (std::size_t i = 0; i < n; ++i) {
         g.add_edge(NodeId{static_cast<std::int64_t>(i)},
                    NodeId{static_cast<std::int64_t>((i + 1) % n)});
-    }
-    return g;
-}
-
-Graph grid(std::size_t rows, std::size_t cols) {
-    if (rows == 0 || cols == 0) throw std::invalid_argument("grid: zero dimension");
-    Graph g(rows * cols);
-    const auto id = [cols](std::size_t r, std::size_t c) {
-        return NodeId{static_cast<std::int64_t>(r * cols + c)};
-    };
-    for (std::size_t r = 0; r < rows; ++r) {
-        for (std::size_t c = 0; c < cols; ++c) {
-            if (c + 1 < cols) g.add_edge(id(r, c), id(r, c + 1));
-            if (r + 1 < rows) g.add_edge(id(r, c), id(r + 1, c));
-        }
-    }
-    return g;
-}
-
-Graph complete(std::size_t n) {
-    Graph g(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = i + 1; j < n; ++j) {
-            g.add_edge(NodeId{static_cast<std::int64_t>(i)},
-                       NodeId{static_cast<std::int64_t>(j)});
-        }
     }
     return g;
 }

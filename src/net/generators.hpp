@@ -1,8 +1,8 @@
-// Random topology generators.
+// Synthetic topology generators.
 //
 // The paper samples real Internet Topology Zoo graphs; the generators here
-// produce synthetic AP networks of controllable size/shape for sweeps and
-// property tests. All generators are deterministic given the Rng.
+// produce synthetic AP networks for the scheduler micro-benchmarks and the
+// small test instances. Random ones are deterministic given the Rng.
 #pragma once
 
 #include <cstddef>
@@ -16,26 +16,7 @@ namespace vnfr::net {
 /// is laid down first so the result is always connected.
 Graph erdos_renyi(std::size_t n, double p, common::Rng& rng, bool force_connected = true);
 
-/// Barabasi-Albert preferential attachment: starts from a small clique and
-/// attaches each new node to `m` existing nodes with probability
-/// proportional to degree. Produces scale-free ISP-like graphs.
-Graph barabasi_albert(std::size_t n, std::size_t m, common::Rng& rng);
-
-/// Waxman random geometric graph on the unit square: nodes get uniform
-/// coordinates; edge (u,v) exists with probability
-/// alpha * exp(-d(u,v) / (beta * L)), L = max pairwise distance. Edge weight
-/// is the Euclidean distance. If `force_connected`, a Euclidean MST-like
-/// chain is added to connect components.
-Graph waxman(std::size_t n, double alpha, double beta, common::Rng& rng,
-             bool force_connected = true);
-
 /// Ring of n nodes (n >= 3), unit weights.
 Graph ring(std::size_t n);
-
-/// rows x cols grid with unit weights.
-Graph grid(std::size_t rows, std::size_t cols);
-
-/// Complete graph on n nodes with unit weights.
-Graph complete(std::size_t n);
 
 }  // namespace vnfr::net

@@ -26,8 +26,8 @@ struct Edge {
 };
 
 /// Undirected simple graph with positive edge weights. Nodes carry optional
-/// names and 2D coordinates (used by Waxman generation and by the embedded
-/// real topologies for distance-proportional weights).
+/// names and 2D coordinates (the embedded real topologies use them for
+/// distance-proportional weights).
 class Graph {
   public:
     Graph() = default;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -59,9 +60,6 @@ AdmissionController::AdmissionController(const core::Instance& instance,
     }
     if (config_.queue_capacity == 0) {
         throw std::invalid_argument("AdmissionController: queue_capacity must be >= 1");
-    }
-    if (config_.group_commit == 0) {
-        throw std::invalid_argument("AdmissionController: group_commit must be >= 1");
     }
     config_digest_ = instance_config_digest(instance_, scheme_);
     // No other thread can see a partially-constructed controller, but the
@@ -262,16 +260,6 @@ void AdmissionController::append_wal(const WalRecord& rec) {
     ++wal_records_;
 }
 
-void AdmissionController::stage_wal(const WalRecord& rec) {
-    wal_->stage(rec);
-    ++wal_records_;
-    if (wal_->staged_records() >= config_.group_commit) {
-        wal_->commit();
-    }
-}
-
-void AdmissionController::commit_wal() { wal_->commit(); }
-
 void AdmissionController::apply_decision(std::uint64_t seq,
                                          const workload::Request& request,
                                          const core::Decision& decision) {
@@ -416,66 +404,48 @@ std::vector<ProcessedOutcome> AdmissionController::pump(std::size_t max_requests
 std::vector<ProcessedOutcome> AdmissionController::pump_locked(
     std::size_t max_requests) {
     std::vector<ProcessedOutcome> outcomes;
-    while (max_requests > 0 && !queue_.empty()) {
-        const std::size_t take =
-            std::min({max_requests, queue_.size(), config_.group_commit});
-        std::vector<std::uint64_t> seqs;
-        std::vector<workload::Request> batch;
-        seqs.reserve(take);
-        batch.reserve(take);
-        {
-            auto it = queue_.begin();
-            for (std::size_t i = 0; i < take; ++i, ++it) {
-                seqs.push_back(it->first);
-                batch.push_back(it->second);
-            }
-        }
-        const std::uint64_t pre_wal_records = wal_records_;
-        // Sequential by construction: each decide reads the dual prices
-        // the previous admission raised.
-        std::vector<core::Decision> decisions;
-        decisions.reserve(take);
-        for (const workload::Request& request : batch) {
-            decisions.push_back(scheduler_->decide(request));
-        }
-        try {
-            // Durable first: stage the whole group, fdatasync once.
-            for (std::size_t i = 0; i < take; ++i) {
-                WalRecord rec;
-                rec.kind = WalRecordKind::kDecision;
-                rec.seq = seqs[i];
-                rec.request = batch[i];
-                rec.admitted = decisions[i].admitted;
-                rec.reject_reason = decisions[i].reject_reason;
-                if (decisions[i].admitted) rec.sites = decisions[i].placement.sites;
-                stage_wal(rec);
-            }
-            commit_wal();
-        } catch (const VfsError& err) {
-            // The group's fdatasync never returned, so none of its
-            // outcomes may become observable. Un-decide the chunk
-            // (requests stay queued for after recovery), drop the staged
-            // bytes, and degrade: partial un-synced writes past the
-            // durable prefix are rewound before the next commit — and if
-            // they survive a crash instead, recovery replays them as
-            // durable-but-unacked outcomes, which resubmission skips.
-            wal_->abandon_staged();
-            wal_records_ = pre_wal_records;
-            rollback_scheduler_locked();
-            enter_degraded_locked("WAL group commit", err);
-        }
-        // Only now — with the group durable — do the outcomes become
-        // observable, in stream order.
-        queue_.erase(queue_.begin(), std::next(queue_.begin(),
-                                               static_cast<std::ptrdiff_t>(take)));
-        for (std::size_t i = 0; i < take; ++i) {
-            apply_decision(seqs[i], batch[i], decisions[i]);
-            outcomes.push_back(ProcessedOutcome{seqs[i], batch[i], decisions[i]});
-        }
-        prune_shed_heap();
-        max_requests -= take;
-        if (rotation_due_locked()) checkpoint_locked();
+    const std::size_t take = std::min(max_requests, queue_.size());
+    if (take == 0) return outcomes;
+    outcomes.reserve(take);
+    // Sequential by construction: each decide reads the dual prices the
+    // previous admission raised.
+    const auto batch_end = std::next(queue_.begin(), static_cast<std::ptrdiff_t>(take));
+    for (auto it = queue_.begin(); it != batch_end; ++it) {
+        outcomes.push_back(ProcessedOutcome{it->first, it->second,
+                                            scheduler_->decide(it->second)});
     }
+    try {
+        // Durable first: stage the whole batch, one write, one fdatasync.
+        for (const ProcessedOutcome& o : outcomes) {
+            WalRecord rec;
+            rec.kind = WalRecordKind::kDecision;
+            rec.seq = o.seq;
+            rec.request = o.request;
+            rec.admitted = o.decision.admitted;
+            rec.reject_reason = o.decision.reject_reason;
+            if (o.decision.admitted) rec.sites = o.decision.placement.sites;
+            wal_->stage(rec);
+        }
+        wal_->commit();
+    } catch (const VfsError& err) {
+        // The batch's fdatasync never returned, so none of its outcomes
+        // may become observable. Un-decide the batch (requests stay
+        // queued for after recovery), drop the staged bytes, and degrade:
+        // partial un-synced writes past the durable prefix are rewound
+        // before the next commit — and if they survive a crash instead,
+        // recovery replays them as durable-but-unacked outcomes, which
+        // resubmission skips.
+        wal_->abandon_staged();
+        rollback_scheduler_locked();
+        enter_degraded_locked("WAL group commit", err);
+    }
+    wal_records_ += take;
+    // Only now — with the batch durable — do the outcomes become
+    // observable, in stream order.
+    queue_.erase(queue_.begin(), batch_end);
+    for (const ProcessedOutcome& o : outcomes) apply_decision(o.seq, o.request, o.decision);
+    prune_shed_heap();
+    if (rotation_due_locked()) checkpoint_locked();
     return outcomes;
 }
 
@@ -494,15 +464,7 @@ void AdmissionController::prune_shed_heap() {
 }
 
 std::vector<ProcessedOutcome> AdmissionController::drain() {
-    const common::MutexLock lock(&mu_);
-    require_primary("drain");
-    require_storage_healthy_locked("drain");
-    std::vector<ProcessedOutcome> outcomes;
-    while (!queue_.empty()) {
-        std::vector<ProcessedOutcome> batch = pump_locked(queue_.size());
-        outcomes.insert(outcomes.end(), batch.begin(), batch.end());
-    }
-    return outcomes;
+    return pump(std::numeric_limits<std::size_t>::max());
 }
 
 void AdmissionController::checkpoint() {
@@ -627,8 +589,7 @@ void AdmissionController::enter_degraded_locked(const char* what,
 void AdmissionController::require_storage_healthy_locked(const char* op) {
     if (health_ == StorageHealth::kHealthy) return;
     ++storage_stats_.degraded_refusals;
-    if (config_.degraded_probe_every > 0 &&
-        storage_stats_.degraded_refusals % config_.degraded_probe_every == 0 &&
+    if (storage_stats_.degraded_refusals % kDegradedProbeEvery == 0 &&
         try_recover_locked()) {
         return;
     }

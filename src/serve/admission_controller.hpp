@@ -43,17 +43,20 @@
 // keeping the older request. Victim selection is O(log n) via a
 // min-payment heap over the queued requests (lazily pruned), not a scan.
 //
-// Group commit. With group_commit > 1, pump() stages up to that many
-// decision records in memory and externalizes them with ONE write and
-// ONE fdatasync per group, amortizing the dominant durability cost.
-// Outcomes are applied (counters, admitted ledger, coverage — i.e. made
-// observable) only after their group's fdatasync returned, so the
-// durable-before-observable ordering is preserved; what group commit
-// adds is a crash window in which decided-but-uncommitted records
-// vanish wholesale (they were never externalized) and are simply
-// resubmitted after recovery. See DESIGN.md 6d for the window-by-window
-// argument. Submit-path shed records never batch: submit() reports the
-// shed synchronously, so its record is fdatasync'd before return.
+// Group commit. One pump(n) is one WAL commit group: it decides up to n
+// queued requests in FIFO order, stages all of their records, and writes
+// them with ONE write and ONE fdatasync, amortizing the dominant
+// durability cost over the batch; drain() is the same path with an
+// unbounded batch. Outcomes are applied (counters, admitted ledger,
+// coverage — i.e. made observable) only after that fdatasync returned,
+// so the durable-before-observable ordering is preserved; the crash
+// window a batch opens is the same in kind as a single record's: the
+// decided-but-uncommitted records vanish wholesale (they were never
+// externalized) and are simply resubmitted after recovery. How many
+// decisions share a sync is the caller's choice of n, never a setting.
+// See DESIGN.md 6d for the window-by-window argument. Submit-path shed
+// records never batch: submit() reports the shed synchronously, so its
+// record is fdatasync'd before return.
 //
 // Thread safety. All mutable state is guarded by one internal
 // common::Mutex (annotated for Clang thread-safety analysis): submit,
@@ -99,8 +102,8 @@ class StorageDegradedError : public std::runtime_error {
 
 /// Storage health of a controller. Degraded means a persistent storage
 /// error interrupted WAL/snapshot durability: no new outcome can be
-/// logged, so none is accepted. Recovery (automatic probes per
-/// ServeConfig::degraded_probe_every, or try_recover_storage()) repairs
+/// logged, so none is accepted. Recovery (an automatic probe on every
+/// kDegradedProbeEvery-th refusal, or try_recover_storage()) repairs
 /// the WAL tail and proves writability with a full checkpoint rotation
 /// before the controller admits again. The replication layer treats a
 /// degraded primary as dead — its durable WAL prefix is intact, so
@@ -131,17 +134,14 @@ struct ServeConfig {
     /// WAL bytes since the snapshot reach kCheckpointWalRatio times the
     /// snapshot's bytes, so replay after a crash is bounded by the
     /// snapshot's size and a rotation's cost is spread over that many
-    /// WAL bytes. Set: rotate every this many WAL records instead (>= 1).
+    /// WAL bytes. Set: rotate once the generation holds at least this
+    /// many WAL records instead (>= 1). Either trigger is checked after
+    /// each pump (and each replicated record), so a pump batch is never
+    /// split across generations.
     std::optional<std::size_t> checkpoint_every;
     /// Bounded admission queue size; submits beyond it shed the
     /// lowest-payment request.
     std::size_t queue_capacity{256};
-    /// Decision records per fdatasync in pump(): 1 reproduces the
-    /// per-record durability of the original controller; larger values
-    /// amortize one write + one fdatasync over up to this many records.
-    /// Never changes decisions or recovered state — only which crash
-    /// windows can lose (and therefore re-decide) a trailing group.
-    std::size_t group_commit{1};
     /// Keep rotated-out WAL generations on disk instead of unlinking them
     /// at checkpoint. A replication shipper tails those files and releases
     /// them via release_wals_below() once the standby has acknowledged
@@ -160,11 +160,6 @@ struct ServeConfig {
     /// Bounded-retry policy for transient storage errors on the WAL
     /// commit and snapshot paths.
     StorageRetryPolicy storage_retry{};
-    /// While degraded, every this-many-th refused operation probes
-    /// storage recovery (WAL tail repair + a full checkpoint rotation as
-    /// the writability proof). 0 disables automatic probes — recovery
-    /// then happens only via explicit try_recover_storage() calls.
-    std::size_t degraded_probe_every{16};
 };
 
 /// α of the default checkpoint trigger: a controller rotates once the
@@ -173,6 +168,11 @@ struct ServeConfig {
 /// the size the first will have). Replay after a restart then reads at
 /// most about α snapshots' worth of WAL.
 inline constexpr double kCheckpointWalRatio = 1.6;
+
+/// While degraded, every this-many-th refused operation probes storage
+/// recovery (WAL tail repair + a full checkpoint rotation as the
+/// writability proof); try_recover_storage() probes on demand.
+inline constexpr std::size_t kDegradedProbeEvery = 16;
 
 /// Which side of a replicated pair this controller currently is.
 enum class ControllerRole : std::uint8_t {
@@ -237,12 +237,13 @@ class AdmissionController {
     SubmitResult submit(std::uint64_t seq, const workload::Request& request)
         VNFR_EXCLUDES(mu_);
 
-    /// Decides queued requests in FIFO order, up to `max_requests`, WAL-
-    /// logging each outcome and checkpointing on cadence. Returns the
+    /// Decides up to `max_requests` queued requests in FIFO order as one
+    /// WAL commit group (one write + one fdatasync for the batch), applies
+    /// the outcomes, then checks the checkpoint trigger once. Returns the
     /// decided batch.
     std::vector<ProcessedOutcome> pump(std::size_t max_requests) VNFR_EXCLUDES(mu_);
 
-    /// pump() until the queue is empty.
+    /// pump() with an unbounded batch: the whole queue as one group.
     std::vector<ProcessedOutcome> drain() VNFR_EXCLUDES(mu_);
 
     /// Takes a snapshot now and rotates to a fresh WAL generation.
@@ -384,8 +385,6 @@ class AdmissionController {
     void mark_covered(std::uint64_t seq) VNFR_REQUIRES(mu_);
     [[nodiscard]] bool is_covered_locked(std::uint64_t seq) const VNFR_REQUIRES(mu_);
     void append_wal(const WalRecord& rec) VNFR_REQUIRES(mu_);
-    void stage_wal(const WalRecord& rec) VNFR_REQUIRES(mu_);
-    void commit_wal() VNFR_REQUIRES(mu_);
     void apply_decision(std::uint64_t seq, const workload::Request& request,
                         const core::Decision& decision) VNFR_REQUIRES(mu_);
     void shed(const QueueItem& victim) VNFR_REQUIRES(mu_);
@@ -416,7 +415,7 @@ class AdmissionController {
     /// (try_recover_locked).
     void rotate_checkpoint_locked() VNFR_REQUIRES(mu_);
     /// Returns the scheduler to the state of the last applied decision,
-    /// dropping whatever an un-committed chunk decided since: imports
+    /// dropping whatever an un-committed pump decided since: imports
     /// rollback_base_ and re-decides decided_since_base_ in order.
     void rollback_scheduler_locked() VNFR_REQUIRES(mu_);
     /// Enters degraded read-only mode and throws StorageDegradedError.
@@ -451,8 +450,8 @@ class AdmissionController {
     /// Rollback point for a failed group commit: the scheduler state as of
     /// the last successful rotation (or as recovery loaded it), and every
     /// request applied as a decision since then, in stream order. At most
-    /// one trigger's worth of records plus group_commit, since each
-    /// rotation resets both. decide() is deterministic, so re-deciding
+    /// one trigger's worth of records plus one pump batch, since the
+    /// trigger is checked after every pump and each rotation resets both. decide() is deterministic, so re-deciding
     /// the list from the base reproduces the live state bit for bit.
     core::SchedulerState rollback_base_ VNFR_GUARDED_BY(mu_);
     std::vector<workload::Request> decided_since_base_ VNFR_GUARDED_BY(mu_);

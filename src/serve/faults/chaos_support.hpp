@@ -23,24 +23,32 @@ struct DriveProgress {
     bool in_drain{false};      ///< the crash interrupted a drain
 };
 
+/// Empties the queue the way every harness drains: pump(batch) until the
+/// queue is empty, so each pump is one WAL commit group of at most
+/// `batch` records and the rotation trigger is checked after each.
+inline void drain_in_batches(AdmissionController& controller, std::size_t batch) {
+    while (controller.queue_size() > 0) (void)controller.pump(batch);
+}
+
 /// Drives `requests[start..N)` into the controller with the studies'
-/// deterministic pattern: drain after every `drain_every`-th submit
-/// (position-based, so interrupted and resumed runs fire the same
-/// drains), plus a final drain. When `refire_drain` is set, an
-/// interrupted drain is completed first — before any new submissions —
-/// which restores the exact decision order of the uninterrupted run.
-/// `tick` (when set) runs after every submit/drain step; the failover
-/// study uses it to pump replication at a configurable cadence.
+/// deterministic pattern: drain (in pumps of `batch`) after every
+/// `drain_every`-th submit (position-based, so interrupted and resumed
+/// runs fire the same drains), plus a final drain. When `refire_drain`
+/// is set, an interrupted drain is completed first — before any new
+/// submissions — which restores the exact decision order of the
+/// uninterrupted run. `tick` (when set) runs after every submit/drain
+/// step; the failover study uses it to pump replication at a
+/// configurable cadence.
 template <typename Tick>
 void drive_with_tick(AdmissionController& controller,
                      const std::vector<workload::Request>& requests,
                      std::size_t start, bool refire_drain,
-                     std::size_t drain_every, DriveProgress& progress,
-                     Tick&& tick) {
+                     std::size_t drain_every, std::size_t batch,
+                     DriveProgress& progress, Tick&& tick) {
     progress.submitted = start;
     if (refire_drain) {
         progress.in_drain = true;
-        controller.drain();
+        drain_in_batches(controller, batch);
         progress.in_drain = false;
         tick();
     }
@@ -52,13 +60,13 @@ void drive_with_tick(AdmissionController& controller,
         tick();
         if ((i + 1) % drain_every == 0) {
             progress.in_drain = true;
-            controller.drain();
+            drain_in_batches(controller, batch);
             progress.in_drain = false;
             tick();
         }
     }
     progress.in_drain = true;
-    controller.drain();
+    drain_in_batches(controller, batch);
     progress.in_drain = false;
     tick();
 }
@@ -66,8 +74,8 @@ void drive_with_tick(AdmissionController& controller,
 inline void drive(AdmissionController& controller,
                   const std::vector<workload::Request>& requests,
                   std::size_t start, bool refire_drain, std::size_t drain_every,
-                  DriveProgress& progress) {
-    drive_with_tick(controller, requests, start, refire_drain, drain_every,
+                  std::size_t batch, DriveProgress& progress) {
+    drive_with_tick(controller, requests, start, refire_drain, drain_every, batch,
                     progress, [] {});
 }
 

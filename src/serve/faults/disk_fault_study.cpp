@@ -75,6 +75,9 @@ DiskFaultStudyResult run_disk_fault_study(const core::Instance& instance,
     if (requests.empty()) {
         throw std::invalid_argument("disk fault study: instance has no requests");
     }
+    if (config.batch == 0) {
+        throw std::invalid_argument("disk fault study: batch must be >= 1");
+    }
 
     // Same overload-inducing drain cadence as the failover study: more
     // submissions than queue slots between drains, so faults land in
@@ -90,7 +93,6 @@ DiskFaultStudyResult run_disk_fault_study(const core::Instance& instance,
     serve.data_dir = kDataDir;
     serve.checkpoint_every = config.checkpoint_every;
     serve.queue_capacity = config.queue_capacity;
-    serve.group_commit = config.group_commit;
     // Retain rotated generations: the scrubber then audits the full WAL
     // history of every trial, not just the live file.
     serve.retain_wals = true;
@@ -112,7 +114,7 @@ DiskFaultStudyResult run_disk_fault_study(const core::Instance& instance,
         {
             AdmissionController controller(instance, config.scheme, cfg);
             DriveProgress progress;
-            drive(controller, requests, 0, false, drain_every, progress);
+            drive(controller, requests, 0, false, drain_every, config.batch, progress);
             baseline = chaos::capture_baseline(controller);
             result.baseline_capacity_ok =
                 core::verify_schedule(instance,
@@ -165,7 +167,7 @@ DiskFaultStudyResult run_disk_fault_study(const core::Instance& instance,
                 // The cut can fire inside the constructor (WAL creation
                 // is mutating) — the victim scope covers both.
                 AdmissionController victim(instance, config.scheme, cfg);
-                drive(victim, requests, 0, false, drain_every, progress);
+                drive(victim, requests, 0, false, drain_every, config.batch, progress);
             } catch (const CrashInjected& crash) {
                 outcome.cut_fired = true;
                 outcome.cut_op = crash.op();
@@ -184,7 +186,7 @@ DiskFaultStudyResult run_disk_fault_study(const core::Instance& instance,
                 rebuild_queue(revived, requests, progress.submitted);
                 DriveProgress rest;
                 drive(revived, requests, progress.submitted, progress.in_drain,
-                      drain_every, rest);
+                      drain_every, config.batch, rest);
                 outcome.verdict = judge(instance, revived, kDataDir, baseline);
             }
 
@@ -218,7 +220,7 @@ DiskFaultStudyResult run_disk_fault_study(const core::Instance& instance,
         try {
             AdmissionController controller(instance, config.scheme, cfg);
             DriveProgress progress;
-            drive(controller, requests, 0, false, drain_every, progress);
+            drive(controller, requests, 0, false, drain_every, config.batch, progress);
             outcome.stayed_healthy =
                 controller.storage_health() == StorageHealth::kHealthy;
             outcome.retries_absorbed =
@@ -249,7 +251,6 @@ DiskFaultStudyResult run_disk_fault_study(const core::Instance& instance,
         FaultyVfs disk;
         ServeConfig cfg = serve;
         cfg.vfs = &disk;
-        cfg.degraded_probe_every = 8;
 
         // Let the controller get off the ground (the constructor issues
         // one write), then ENOSPC every write from a seeded index on.
@@ -263,7 +264,7 @@ DiskFaultStudyResult run_disk_fault_study(const core::Instance& instance,
         DriveProgress progress;
         bool threw = false;
         try {
-            drive(controller, requests, 0, false, drain_every, progress);
+            drive(controller, requests, 0, false, drain_every, config.batch, progress);
         } catch (const StorageDegradedError&) {
             threw = true;
         }
@@ -284,7 +285,8 @@ DiskFaultStudyResult run_disk_fault_study(const core::Instance& instance,
                 outcome.recovered = controller.try_recover_storage();
             } else {
                 // pump(0) decides nothing but walks the degraded-probe
-                // path: every probe_every-th refusal retries recovery.
+                // path: every kDegradedProbeEvery-th refusal retries
+                // recovery.
                 for (int i = 0;
                      i < 64 &&
                      controller.storage_health() == StorageHealth::kDegraded;
@@ -306,7 +308,7 @@ DiskFaultStudyResult run_disk_fault_study(const core::Instance& instance,
                 // trace resumes exactly where the drive stopped.
                 DriveProgress rest;
                 drive(controller, requests, progress.submitted,
-                      progress.in_drain, drain_every, rest);
+                      progress.in_drain, drain_every, config.batch, rest);
 
                 outcome.verdict = judge(instance, controller, kDataDir, baseline);
             }

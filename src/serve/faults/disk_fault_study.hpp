@@ -15,7 +15,7 @@
 //                       double-admits. Exhaustive mode cuts at EVERY
 //                       mutating op of the baseline run — every WAL
 //                       record's write and fdatasync, both
-//                       checkpoint-rotation stages, mid-group-commit
+//                       checkpoint-rotation stages, mid-batch
 //                       writes — under both kinds.
 //   transient trials    seeded bursts of EIO write/sync failures and
 //                       short writes; the retry layer must absorb every
@@ -66,9 +66,9 @@ struct DiskFaultStudyConfig {
     /// kept small so rotations land inside the cut window often.
     std::size_t checkpoint_every{8};
     std::size_t queue_capacity{8};
-    /// WAL records per fdatasync in pump (group commit), so cuts land
-    /// mid-group.
-    std::size_t group_commit{4};
+    /// Requests per pump, i.e. WAL records per commit group (>= 1), so
+    /// cuts land mid-group.
+    std::size_t batch{4};
     /// Base retry budget per unit of injected burst length: a transient
     /// trial with burst length B runs with B * retry_max_attempts
     /// attempts, so the budget always dominates the fault bursts it is

@@ -74,6 +74,9 @@ FailoverChaosResult run_failover_chaos_study(const core::Instance& instance,
     if (requests.empty()) {
         throw std::invalid_argument("failover chaos: instance has no requests");
     }
+    if (config.batch == 0) {
+        throw std::invalid_argument("failover chaos: batch must be >= 1");
+    }
     const std::size_t ship_every = std::max<std::size_t>(1, config.ship_every);
 
     // Same cadence formula as the disk-fault study: overflow the queue
@@ -88,7 +91,6 @@ FailoverChaosResult run_failover_chaos_study(const core::Instance& instance,
     primary_serve.data_dir = kPrimaryDir;
     primary_serve.checkpoint_every = config.checkpoint_every;
     primary_serve.queue_capacity = config.queue_capacity;
-    primary_serve.group_commit = config.group_commit;
     primary_serve.retain_wals = true;  // the shipper tails rotated gens
 
     ServeConfig standby_serve = primary_serve;
@@ -112,7 +114,7 @@ FailoverChaosResult run_failover_chaos_study(const core::Instance& instance,
         AdmissionController controller(instance, config.scheme, cfg);
         construction_ops = disk.op_count();
         DriveProgress progress;
-        drive(controller, requests, 0, false, drain_every, progress);
+        drive(controller, requests, 0, false, drain_every, config.batch, progress);
         baseline_ops = disk.op_count();
         baseline = chaos::capture_baseline(controller);
         result.baseline_capacity_ok =
@@ -139,7 +141,7 @@ FailoverChaosResult run_failover_chaos_study(const core::Instance& instance,
         WalShipper shipper(primary, kPrimaryDir, transport);
         DriveProgress progress;
         std::size_t steps = 0;
-        drive_with_tick(primary, requests, 0, false, drain_every, progress, [&] {
+        drive_with_tick(primary, requests, 0, false, drain_every, config.batch, progress, [&] {
             if (++steps % ship_every == 0) {
                 shipper.pump();
                 standby.poll();
@@ -174,7 +176,7 @@ FailoverChaosResult run_failover_chaos_study(const core::Instance& instance,
         rebuild_queue(promoted, requests, progress.submitted);
         DriveProgress rest;
         drive(promoted, requests, progress.submitted, progress.in_drain,
-              drain_every, rest);
+              drain_every, config.batch, rest);
         outcome.verdict = judge(instance, promoted, kStandbyDir, baseline);
     };
 
@@ -209,7 +211,7 @@ FailoverChaosResult run_failover_chaos_study(const core::Instance& instance,
             WalShipper shipper(victim, kPrimaryDir, transport);
             std::size_t steps = 0;
             try {
-                drive_with_tick(victim, requests, 0, false, drain_every, progress,
+                drive_with_tick(victim, requests, 0, false, drain_every, config.batch, progress,
                                 [&] {
                                     if (++steps % ship_every == 0) {
                                         shipper.pump();
@@ -271,7 +273,7 @@ FailoverChaosResult run_failover_chaos_study(const core::Instance& instance,
         // than spin.
         const std::int64_t writes_floor = static_cast<std::int64_t>(
             result.baseline_outcomes /
-            (2 * std::max<std::size_t>(1, config.group_commit)));
+            (2 * config.batch));
         const std::uint64_t fail_from = static_cast<std::uint64_t>(
             rng.uniform_int(2, std::max<std::int64_t>(3, writes_floor)));
         primary_disk.script_fault(VfsOp::kWrite, fail_from, -1, ENOSPC, false);
@@ -279,7 +281,7 @@ FailoverChaosResult run_failover_chaos_study(const core::Instance& instance,
         DriveProgress progress;
         std::size_t steps = 0;
         try {
-            drive_with_tick(primary, requests, 0, false, drain_every, progress,
+            drive_with_tick(primary, requests, 0, false, drain_every, config.batch, progress,
                             [&] {
                                 if (++steps % ship_every == 0) {
                                     shipper.pump();

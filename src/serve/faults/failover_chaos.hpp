@@ -1,7 +1,7 @@
 // Failover chaos harness: run a request trace once on a plain controller
 // (the baseline), then repeatedly run a primary + shipped standby pair,
 // each on its own simulated disk (FaultyVfs), cut the primary's process
-// at a randomized mutating storage op — mid-group-commit, mid-ship,
+// at a randomized mutating storage op — mid-batch commit, mid-ship,
 // mid-checkpoint-rotation, mid-release, during standby lag — with the
 // crash kind cycling by trial (process crash, power cut with a torn
 // tail, clean power cut) and a faulty replication link on odd trials.
@@ -41,8 +41,9 @@ struct FailoverChaosConfig {
     /// Admission queue bound; the drive pattern overflows it on purpose
     /// so shedding is exercised across failovers.
     std::size_t queue_capacity{8};
-    /// WAL records per fdatasync in pump (group commit).
-    std::size_t group_commit{4};
+    /// Requests per pump, i.e. WAL records per commit group (>= 1), on
+    /// the primary and on the promoted standby alike.
+    std::size_t batch{4};
     /// Replication beat cadence: the shipper pumps and the standby polls
     /// once every `ship_every` drive steps. 1 is a hot standby; larger
     /// values open a lag window the promotion must close from disk.

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "common/rng.hpp"
 #include "net/algorithms.hpp"
 
@@ -19,28 +17,6 @@ TEST_P(GeneratorSeedTest, ErdosRenyiForcedConnected) {
     const Graph g = erdos_renyi(30, 0.05, rng_, true);
     EXPECT_EQ(g.node_count(), 30u);
     EXPECT_TRUE(is_connected(g));
-}
-
-TEST_P(GeneratorSeedTest, BarabasiAlbertConnectedAndSized) {
-    const Graph g = barabasi_albert(40, 2, rng_);
-    EXPECT_EQ(g.node_count(), 40u);
-    EXPECT_TRUE(is_connected(g));
-    // Seed clique C(3,2)=3 edges + 2 per subsequent node.
-    EXPECT_EQ(g.edge_count(), 3u + 2u * 37u);
-}
-
-TEST_P(GeneratorSeedTest, WaxmanForcedConnected) {
-    const Graph g = waxman(25, 0.8, 0.5, rng_, true);
-    EXPECT_EQ(g.node_count(), 25u);
-    EXPECT_TRUE(is_connected(g));
-}
-
-TEST_P(GeneratorSeedTest, WaxmanWeightsArePositiveDistances) {
-    const Graph g = waxman(15, 0.9, 0.9, rng_, true);
-    for (const Edge& e : g.edges()) {
-        EXPECT_GT(e.weight, 0.0);
-        EXPECT_LE(e.weight, std::sqrt(2.0) + 1e-9);  // unit square diagonal
-    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GeneratorSeedTest, ::testing::Range(1, 9));
@@ -75,30 +51,6 @@ TEST(Generators, ErdosRenyiRejectsBadProbability) {
     EXPECT_THROW(erdos_renyi(5, 1.1, rng), std::invalid_argument);
 }
 
-TEST(Generators, BarabasiAlbertRejectsBadParameters) {
-    common::Rng rng(1);
-    EXPECT_THROW(barabasi_albert(5, 0, rng), std::invalid_argument);
-    EXPECT_THROW(barabasi_albert(3, 3, rng), std::invalid_argument);
-}
-
-TEST(Generators, BarabasiAlbertHubsEmerge) {
-    common::Rng rng(2);
-    const Graph g = barabasi_albert(200, 2, rng);
-    std::size_t max_degree = 0;
-    for (std::size_t v = 0; v < g.node_count(); ++v) {
-        max_degree = std::max(max_degree, g.degree(NodeId{static_cast<std::int64_t>(v)}));
-    }
-    // Preferential attachment produces hubs far above the mean degree (~4).
-    EXPECT_GT(max_degree, 10u);
-}
-
-TEST(Generators, WaxmanRejectsBadParameters) {
-    common::Rng rng(1);
-    EXPECT_THROW(waxman(5, 0.0, 0.5, rng), std::invalid_argument);
-    EXPECT_THROW(waxman(5, 0.5, 0.0, rng), std::invalid_argument);
-    EXPECT_THROW(waxman(5, 1.5, 0.5, rng), std::invalid_argument);
-}
-
 TEST(Generators, RingStructure) {
     const Graph g = ring(6);
     EXPECT_EQ(g.node_count(), 6u);
@@ -108,23 +60,6 @@ TEST(Generators, RingStructure) {
         EXPECT_EQ(g.degree(NodeId{static_cast<std::int64_t>(v)}), 2u);
     }
     EXPECT_THROW(ring(2), std::invalid_argument);
-}
-
-TEST(Generators, GridStructure) {
-    const Graph g = grid(3, 4);
-    EXPECT_EQ(g.node_count(), 12u);
-    // Horizontal: 3 rows x 3 = 9; vertical: 2 x 4 = 8.
-    EXPECT_EQ(g.edge_count(), 17u);
-    EXPECT_TRUE(is_connected(g));
-    EXPECT_THROW(grid(0, 4), std::invalid_argument);
-}
-
-TEST(Generators, CompleteStructure) {
-    const Graph g = complete(7);
-    EXPECT_EQ(g.edge_count(), 21u);
-    for (std::size_t v = 0; v < 7; ++v) {
-        EXPECT_EQ(g.degree(NodeId{static_cast<std::int64_t>(v)}), 6u);
-    }
 }
 
 }  // namespace

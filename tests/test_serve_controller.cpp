@@ -268,23 +268,21 @@ TEST(ServeController, SubmitRejectsAnInvalidRequestBeforeQueueing) {
 }
 
 TEST(ServeController, RejectedSubmitLeavesAGroupCommitBatchUntouched) {
-    // With group_commit = 2, an invalid request queued behind a valid one
+    // In a pump(2) batch, an invalid request queued behind a valid one
     // used to fail every pump after the valid one was decided in it.
     const core::Instance inst = controller_instance(0);
     const workload::Request valid = make_request(0, 0, 0.9, 0, 1, 5.0);
-    ServeConfig only_valid_cfg = config_for(fresh_dir("serve_group_only_valid"));
-    only_valid_cfg.group_commit = 2;
-    AdmissionController only_valid(inst, core::Scheme::kOnsite, only_valid_cfg);
+    AdmissionController only_valid(inst, core::Scheme::kOnsite,
+                                   config_for(fresh_dir("serve_group_only_valid")));
     only_valid.submit(0, valid);
-    only_valid.drain();
+    only_valid.pump(2);
 
-    ServeConfig cfg = config_for(fresh_dir("serve_group_rejected"));
-    cfg.group_commit = 2;
-    AdmissionController ctl(inst, core::Scheme::kOnsite, cfg);
+    AdmissionController ctl(inst, core::Scheme::kOnsite,
+                            config_for(fresh_dir("serve_group_rejected")));
     EXPECT_EQ(ctl.submit(0, valid), SubmitResult::kQueued);
     EXPECT_THROW(ctl.submit(1, make_request(1, 0, 1.5, 0, 1, 5.0)), std::invalid_argument);
     EXPECT_EQ(ctl.queue_size(), 1u);
-    EXPECT_NO_THROW(ctl.drain());
+    EXPECT_NO_THROW(ctl.pump(2));
     EXPECT_EQ(ctl.metrics().processed, 1u);
     EXPECT_EQ(ctl.state_digest(), only_valid.state_digest());
 }
@@ -395,8 +393,7 @@ TEST(ServeController, SubmitPumpAndCheckpointThreadsRaceCleanly) {
     common::Rng rng(0x50AC);
     const core::Instance inst = random_instance(rng, 600, 4, 24);
     constexpr std::size_t kQueueCapacity = 16;
-    ServeConfig cfg = config_for(fresh_dir("serve_soak"), 16, kQueueCapacity);
-    cfg.group_commit = 8;
+    const ServeConfig cfg = config_for(fresh_dir("serve_soak"), 16, kQueueCapacity);
     const std::size_t offered = inst.requests.size();
     std::uint64_t digest_before = 0;
     {

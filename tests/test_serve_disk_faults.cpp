@@ -49,7 +49,7 @@ DiskFaultStudyConfig study_config(core::Scheme scheme) {
     cfg.degraded_trials = 2;
     cfg.checkpoint_every = 8;
     cfg.queue_capacity = 4;
-    cfg.group_commit = 4;
+    cfg.batch = 4;
     return cfg;
 }
 
@@ -187,7 +187,7 @@ TEST(ServeDiskFaults, RejectsAnEmptyTrace) {
                  std::invalid_argument);
 }
 
-// Randomized kills: the cut-only slice of the study at group commit 1,
+// Randomized kills: the cut-only slice of the study at pump batch 1,
 // where a sampled op index lands after, inside, or before a single WAL
 // record's append. Every process crash (page cache kept) and every power
 // cut (un-synced tail dropped or torn) must revive to the undisturbed
@@ -198,7 +198,7 @@ DiskFaultStudyConfig kill_config(core::Scheme scheme) {
     cfg.power_cut_points = 6;
     cfg.transient_trials = 0;
     cfg.degraded_trials = 0;
-    cfg.group_commit = 1;
+    cfg.batch = 1;
     return cfg;
 }
 

@@ -127,14 +127,57 @@ core::Instance matrix_instance(std::size_t n) {
     return small_instance({0.98, 0.97, 0.99}, 10.0, 10, std::move(reqs));
 }
 
+// One pump is one commit group: whatever its batch, it reaches the WAL
+// with one write and one fdatasync, and drain() is the same path with an
+// unbounded batch.
+ServeConfig counting_config(FaultyVfs& vfs) {
+    ServeConfig cfg;
+    cfg.data_dir = "/disk";
+    cfg.vfs = &vfs;
+    cfg.checkpoint_every = 1000;  // no rotation inside the counted span
+    return cfg;
+}
+
+TEST(ServeGroupCommitWal, APumpIsOneWriteAndOneFdatasync) {
+    const core::Instance inst = matrix_instance(8);
+    for (const std::size_t k : {std::size_t{1}, std::size_t{5}}) {
+        SCOPED_TRACE("pump(" + std::to_string(k) + ")");
+        FaultyVfs vfs;
+        AdmissionController controller(inst, core::Scheme::kOnsite, counting_config(vfs));
+        for (std::size_t i = 0; i < inst.requests.size(); ++i) {
+            ASSERT_EQ(controller.submit(i, inst.requests[i]), SubmitResult::kQueued);
+        }
+        const FaultyVfsStats before = vfs.stats();
+        EXPECT_EQ(controller.pump(k).size(), k);
+        EXPECT_EQ(vfs.stats().writes - before.writes, 1u);
+        EXPECT_EQ(vfs.stats().syncs - before.syncs, 1u);
+        EXPECT_EQ(controller.wal_records(), k);
+    }
+}
+
+TEST(ServeGroupCommitWal, ADrainIsOneWriteAndOneFdatasync) {
+    const core::Instance inst = matrix_instance(5);
+    FaultyVfs vfs;
+    AdmissionController controller(inst, core::Scheme::kOnsite, counting_config(vfs));
+    for (std::size_t i = 0; i < inst.requests.size(); ++i) {
+        ASSERT_EQ(controller.submit(i, inst.requests[i]), SubmitResult::kQueued);
+    }
+    const FaultyVfsStats before = vfs.stats();
+    EXPECT_EQ(controller.drain().size(), 5u);
+    EXPECT_EQ(vfs.stats().writes - before.writes, 1u);
+    EXPECT_EQ(vfs.stats().syncs - before.syncs, 1u);
+    EXPECT_EQ(controller.wal_records(), 5u);
+    EXPECT_EQ(controller.queue_size(), 0u);
+}
+
 std::string describe(const CutTrial& trial) {
     return std::string(cut_kind_name(trial.kind)) + " at op " +
            std::to_string(trial.cut_at_op) + " (" + trial.cut_op + " " +
            trial.cut_path + ")";
 }
 
-/// The study at one group size with no trials: just the baseline.
-DiskFaultStudyConfig matrix_config(core::Scheme scheme, std::size_t group_commit) {
+/// The study at one pump batch with no trials: just the baseline.
+DiskFaultStudyConfig matrix_config(core::Scheme scheme, std::size_t batch) {
     DiskFaultStudyConfig cfg;
     cfg.scheme = scheme;
     cfg.master_seed = 0xBA7C4ull;
@@ -143,12 +186,12 @@ DiskFaultStudyConfig matrix_config(core::Scheme scheme, std::size_t group_commit
     cfg.degraded_trials = 0;
     cfg.checkpoint_every = 8;
     cfg.queue_capacity = 4;
-    cfg.group_commit = group_commit;
+    cfg.batch = batch;
     return cfg;
 }
 
-void expect_matrix_ok(core::Scheme scheme, std::size_t group_commit) {
-    DiskFaultStudyConfig cfg = matrix_config(scheme, group_commit);
+void expect_matrix_ok(core::Scheme scheme, std::size_t batch) {
+    DiskFaultStudyConfig cfg = matrix_config(scheme, batch);
     cfg.exhaustive_power_cuts = true;  // every op: boundary + mid-batch
     const DiskFaultStudyResult result =
         run_disk_fault_study(matrix_instance(40), cfg);
@@ -190,7 +233,7 @@ TEST(ServeGroupCommitChaos, CrashMatrixBatch4Offsite) {
 }
 
 TEST(ServeGroupCommitChaos, GroupSizeNeverChangesTheFinalState) {
-    // Group commit only changes durability batching; the decided stream
+    // The pump batch only changes durability batching; the decided stream
     // (and therefore the digest, revenue, and admitted set) is invariant.
     for (const core::Scheme scheme :
          {core::Scheme::kOnsite, core::Scheme::kOffsite}) {
@@ -247,15 +290,15 @@ enum class FailAt {
     kFirstOnPromotedStandby,  ///< first pump after apply_replicated + promotion
 };
 
-/// Four commits of `group` records per WAL generation.
+/// Four commits of `group` records per WAL generation. The tests stay
+/// below kDegradedProbeEvery refusals, so storage recovers only when a
+/// test calls try_recover_storage().
 ServeConfig rollback_config(FaultyVfs& vfs, std::size_t group, std::size_t requests) {
     ServeConfig cfg;
     cfg.data_dir = "/disk";
     cfg.vfs = &vfs;
-    cfg.group_commit = group;
     cfg.checkpoint_every = 4 * group;
     cfg.queue_capacity = requests;  // never shed
-    cfg.degraded_probe_every = 0;   // recover only when the test says so
     return cfg;
 }
 
@@ -378,7 +421,7 @@ void check_rollback_everywhere(FailAt at) {
     for (const core::Scheme scheme : {core::Scheme::kOnsite, core::Scheme::kOffsite}) {
         for (const std::size_t group : {std::size_t{1}, std::size_t{4}, std::size_t{32}}) {
             SCOPED_TRACE(std::string(scheme == core::Scheme::kOnsite ? "onsite" : "offsite") +
-                         ", group_commit " + std::to_string(group));
+                         ", batch " + std::to_string(group));
             check_rollback(at, scheme, group);
         }
     }

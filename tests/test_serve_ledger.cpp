@@ -29,6 +29,7 @@ using vnfr::testing::small_instance;
 
 constexpr const char* kDir = "/ledgerdisk";
 constexpr std::size_t kDrainEvery = 6;
+constexpr std::size_t kBatch = 1;  // one WAL commit per decision
 
 std::string at(const std::string& name) { return std::string(kDir) + "/" + name; }
 
@@ -70,7 +71,7 @@ void put_file(FaultyVfs& disk, const std::string& path, std::string_view bytes) 
 std::uint64_t run_and_checkpoint(const core::Instance& inst, FaultyVfs& disk) {
     AdmissionController controller(inst, core::Scheme::kOnsite, ledger_config(disk));
     chaos::DriveProgress progress;
-    chaos::drive(controller, inst.requests, 0, false, kDrainEvery, progress);
+    chaos::drive(controller, inst.requests, 0, false, kDrainEvery, kBatch, progress);
     controller.checkpoint();
     return controller.state_digest();
 }
@@ -124,7 +125,7 @@ TEST(RotationLedger, CutBetweenLedgerSyncAndSnapshotRenameTruncatesTheTail) {
         FaultyVfs disk;
         AdmissionController baseline(inst, core::Scheme::kOnsite, ledger_config(disk));
         chaos::DriveProgress progress;
-        chaos::drive(baseline, inst.requests, 0, false, kDrainEvery, progress);
+        chaos::drive(baseline, inst.requests, 0, false, kDrainEvery, kBatch, progress);
         baseline_digest = baseline.state_digest();
         ops = disk.op_count();
     }
@@ -143,7 +144,7 @@ TEST(RotationLedger, CutBetweenLedgerSyncAndSnapshotRenameTruncatesTheTail) {
             std::string cut_path;
             try {
                 AdmissionController victim(inst, core::Scheme::kOnsite, cfg);
-                chaos::drive(victim, inst.requests, 0, false, kDrainEvery, progress);
+                chaos::drive(victim, inst.requests, 0, false, kDrainEvery, kBatch, progress);
             } catch (const CrashInjected& crash) {
                 cut_op = crash.op();
                 cut_path = crash.path();
@@ -166,7 +167,7 @@ TEST(RotationLedger, CutBetweenLedgerSyncAndSnapshotRenameTruncatesTheTail) {
             chaos::rebuild_queue(revived, inst.requests, progress.submitted);
             chaos::DriveProgress rest;
             chaos::drive(revived, inst.requests, progress.submitted, progress.in_drain,
-                         kDrainEvery, rest);
+                         kDrainEvery, kBatch, rest);
             EXPECT_EQ(revived.state_digest(), baseline_digest) << "cut at op " << op;
             EXPECT_TRUE(scrub_data_dir(disk, kDir).clean()) << "cut at op " << op;
         }

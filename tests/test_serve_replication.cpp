@@ -362,6 +362,7 @@ TEST(CheckpointCrash, BothRotationStagesAreRecoverable) {
     const core::Instance instance = replication_instance(40);
     const std::vector<workload::Request>& requests = instance.requests;
     constexpr std::size_t kDrainEvery = 5;
+    constexpr std::size_t kBatch = 1;  // one WAL commit per decision
     ServeConfig cfg = standby_config("/disk");
     cfg.retain_wals = true;
     std::uint64_t baseline_digest = 0;
@@ -372,7 +373,7 @@ TEST(CheckpointCrash, BothRotationStagesAreRecoverable) {
         bcfg.vfs = &disk;
         AdmissionController baseline(instance, core::Scheme::kOnsite, bcfg);
         chaos::DriveProgress progress;
-        chaos::drive(baseline, requests, 0, false, kDrainEvery, progress);
+        chaos::drive(baseline, requests, 0, false, kDrainEvery, kBatch, progress);
         baseline_digest = baseline.state_digest();
         ops = disk.op_count();
     }
@@ -391,7 +392,7 @@ TEST(CheckpointCrash, BothRotationStagesAreRecoverable) {
             std::string path;
             try {
                 AdmissionController victim(instance, core::Scheme::kOnsite, vcfg);
-                chaos::drive(victim, requests, 0, false, kDrainEvery, progress);
+                chaos::drive(victim, requests, 0, false, kDrainEvery, kBatch, progress);
             } catch (const CrashInjected& crash) {
                 path = crash.path();
             }
@@ -409,7 +410,7 @@ TEST(CheckpointCrash, BothRotationStagesAreRecoverable) {
             chaos::rebuild_queue(revived, requests, progress.submitted);
             chaos::DriveProgress rest;
             chaos::drive(revived, requests, progress.submitted, progress.in_drain,
-                         kDrainEvery, rest);
+                         kDrainEvery, kBatch, rest);
             EXPECT_EQ(revived.state_digest(), baseline_digest)
                 << cut_kind_name(kind) << " at op " << op << " (" << path << ")";
         }
@@ -503,7 +504,7 @@ TEST(FailoverChaos, GatePassesOnBothSchemesWithLag) {
             cfg.kill_points = 6;
             cfg.checkpoint_every = 8;
             cfg.queue_capacity = 4;
-            cfg.group_commit = 2;
+            cfg.batch = 2;
             cfg.ship_every = lag;
             const FailoverChaosResult result =
                 run_failover_chaos_study(instance, cfg);
@@ -547,7 +548,7 @@ TEST(FailoverChaos, DegradedPrimaryIsFailedOverLikeADeadOne) {
     cfg.degraded_primary_trials = 4;
     cfg.checkpoint_every = 8;
     cfg.queue_capacity = 4;
-    cfg.group_commit = 2;
+    cfg.batch = 2;
     cfg.ship_every = 2;
     const FailoverChaosResult result = run_failover_chaos_study(instance, cfg);
     EXPECT_TRUE(result.ok()) << "failed " << result.failed_trials << "/"

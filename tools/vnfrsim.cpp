@@ -68,7 +68,6 @@ struct Options {
     std::string serve_dir;
     std::optional<std::size_t> checkpoint_every;
     std::size_t queue_capacity{256};
-    std::size_t group_commit{1};
 };
 
 [[noreturn]] void usage(int exit_code) {
@@ -115,13 +114,14 @@ Serve mode (crash-safe admission controller):
                             single primal-dual algorithm (default
                             onsite-primal-dual). A run killed mid-stream
                             (kill -9) resumes the same way.
-  --checkpoint-every N      snapshot every N WAL records (>= 1); without
-                            it, snapshot when the WAL since the last
-                            snapshot reaches )" << serve::kCheckpointWalRatio << R"(x the snapshot's bytes
+  --checkpoint-every N      snapshot once the WAL holds N records (>= 1),
+                            checked after each pump; without it, snapshot
+                            when the WAL since the last snapshot reaches
+                            )" << serve::kCheckpointWalRatio << R"(x the snapshot's bytes
   --queue-capacity N        admission queue bound (>= 1); overflow sheds
-                            the lowest-payment request               [256]
-  --group-commit N          WAL records per fdatasync in pump (group
-                            commit, >= 1; 1 = per-record durability) [1]
+                            the lowest-payment request. The queue is
+                            pumped every N submits, one WAL write and
+                            one fdatasync per pump                  [256]
 
 Output:
   --csv                     machine-readable CSV instead of a table
@@ -231,8 +231,6 @@ Options parse_args(int argc, char** argv) {
             opt.checkpoint_every = parse_count(need_value(i, flag), flag, 1);
         else if (flag == "--queue-capacity")
             opt.queue_capacity = parse_count(need_value(i, flag), flag, 1);
-        else if (flag == "--group-commit")
-            opt.group_commit = parse_count(need_value(i, flag), flag, 1);
         else if (flag == "--csv") opt.csv = true;
         else if (flag == "--write-trace") opt.write_trace = need_value(i, flag);
         else if (flag == "--read-trace") opt.read_trace = need_value(i, flag);
@@ -343,7 +341,6 @@ int run_serve(const Options& opt) {
     cfg.data_dir = opt.serve_dir;
     cfg.checkpoint_every = opt.checkpoint_every;
     cfg.queue_capacity = opt.queue_capacity;
-    cfg.group_commit = opt.group_commit;
     serve::AdmissionController controller(instance, scheme, cfg);
     if (controller.resume_cursor() > 0 || controller.metrics().processed > 0) {
         const serve::RecoveryStats rec = controller.recovery_stats();
