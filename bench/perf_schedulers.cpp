@@ -37,7 +37,7 @@ core::Instance make_bench_instance(std::size_t cloudlets, std::size_t requests) 
     // Counter-based stream seeding: the instance is a pure function of
     // (master, cloudlets) — identical across runs and thread settings.
     common::Rng rng = common::stream_rng(0x9e7f'5c4d, cloudlets);
-    net::Graph g = net::erdos_renyi(cloudlets + 5, 0.3, rng, true);
+    net::Graph g = net::erdos_renyi(cloudlets + 5, 0.3, rng);
     core::Instance inst{edge::MecNetwork(std::move(g)), vnf::Catalog::paper_default(rng), 60,
                         {}};
     edge::CloudletAttachment attach;

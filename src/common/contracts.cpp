@@ -1,55 +1,13 @@
 #include "common/contracts.hpp"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-#include <iostream>
-
-#include "common/logging.hpp"
-
-namespace vnfr::common {
-
-namespace {
-
-ContractMode mode_from_environment() {
-    const char* env = std::getenv("VNFR_CONTRACT_MODE");
-    if (env == nullptr) return ContractMode::kThrow;
-    if (std::strcmp(env, "abort") == 0) return ContractMode::kAbort;
-    if (std::strcmp(env, "log") == 0) return ContractMode::kLog;
-    return ContractMode::kThrow;
-}
-
-std::atomic<ContractMode>& mode_storage() {
-    static std::atomic<ContractMode> mode{mode_from_environment()};
-    return mode;
-}
-
-}  // namespace
-
-void set_contract_mode(ContractMode mode) {
-    mode_storage().store(mode, std::memory_order_relaxed);
-}
-
-ContractMode contract_mode() { return mode_storage().load(std::memory_order_relaxed); }
-
-namespace detail {
+namespace vnfr::common::detail {
 
 void contract_fail(const char* macro, const char* expr, const char* file, int line,
                    const std::string& detail) {
     std::ostringstream os;
     os << macro << " failed: " << expr << " at " << file << ":" << line;
     if (!detail.empty()) os << " — " << detail;
-    const std::string message = os.str();
-    switch (contract_mode()) {
-        case ContractMode::kAbort:
-            std::cerr << message << std::endl;
-            std::abort();
-        case ContractMode::kThrow:
-            throw ContractViolation(message);
-        case ContractMode::kLog:
-            log_error(message);
-            return;
-    }
+    throw ContractViolation(os.str());
 }
 
 double check_prob(double p, const char* expr, const char* file, int line) {
@@ -68,6 +26,4 @@ double check_finite(double value, const char* expr, const char* file, int line) 
     return value;
 }
 
-}  // namespace detail
-
-}  // namespace vnfr::common
+}  // namespace vnfr::common::detail

@@ -15,10 +15,8 @@
 //                              rounding slack); evaluates to p.
 //   VNFR_CHECK_FINITE(x)       x must be finite; evaluates to x.
 //
-// What happens on failure is configurable per process via
-// set_contract_mode() or the VNFR_CONTRACT_MODE environment variable
-// (abort | throw | log). The default is kThrow, which surfaces as a
-// ContractViolation that tests can assert on and the CLI reports cleanly.
+// A failed check always throws ContractViolation, which tests can assert
+// on and the CLI reports cleanly.
 #pragma once
 
 #include <cmath>
@@ -28,31 +26,16 @@
 
 namespace vnfr::common {
 
-/// How a failed contract is reported.
-enum class ContractMode {
-    kAbort,  ///< print to stderr and std::abort() — best under a debugger
-    kThrow,  ///< throw ContractViolation (default)
-    kLog,    ///< log_error and keep running — for best-effort batch sweeps
-};
-
-/// Exception raised by failed contracts under ContractMode::kThrow.
+/// Exception raised by every failed contract.
 class ContractViolation : public std::logic_error {
   public:
     explicit ContractViolation(const std::string& what) : std::logic_error(what) {}
 };
 
-/// Override the failure behaviour; wins over the environment variable.
-void set_contract_mode(ContractMode mode);
-
-/// Current mode: an explicit set_contract_mode() value, else
-/// VNFR_CONTRACT_MODE from the environment, else kThrow.
-ContractMode contract_mode();
-
 namespace detail {
 
-/// Reports one violation according to contract_mode(). Returns only in
-/// ContractMode::kLog.
-void contract_fail(const char* macro, const char* expr, const char* file, int line,
+/// Throws ContractViolation describing one violation.
+[[noreturn]] void contract_fail(const char* macro, const char* expr, const char* file, int line,
                    const std::string& detail);
 
 inline std::string contract_message() { return {}; }

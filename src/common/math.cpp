@@ -31,17 +31,6 @@ double at_least_one(double p, int k) {
     return -std::expm1(static_cast<double>(k) * std::log1p(-p));
 }
 
-double at_least_one_of(std::span<const double> probabilities) {
-    double log_all_fail = 0.0;
-    for (const double p : probabilities) {
-        if (p < 0.0 || p > 1.0)
-            throw std::domain_error("at_least_one_of: probability outside [0, 1]");
-        if (p >= 1.0) return 1.0;
-        log_all_fail += std::log1p(-p);
-    }
-    return -std::expm1(log_all_fail);
-}
-
 double require_open_unit(double p, const char* name) {
     if (!(p > 0.0) || !(p < 1.0)) {
         throw std::invalid_argument(std::string(name) + " must lie strictly in (0, 1), got " +

@@ -5,8 +5,6 @@
 // here works in log space via log1p/expm1.
 #pragma once
 
-#include <span>
-
 namespace vnfr::common {
 
 /// Relative-tolerance floating point comparison with an absolute floor for
@@ -23,10 +21,6 @@ double one_minus_exp(double s);
 /// Probability that at least one of `k` independent components with success
 /// probability `p` each survives: 1 - (1-p)^k, computed stably.
 double at_least_one(double p, int k);
-
-/// Probability that at least one pairing survives given per-option success
-/// probabilities: 1 - prod(1 - p_i), computed stably in log space.
-double at_least_one_of(std::span<const double> probabilities);
 
 /// Validate that `p` is a probability strictly inside (0, 1); returns p or
 /// throws std::invalid_argument with `name` in the message.

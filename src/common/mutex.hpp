@@ -30,7 +30,6 @@
 //   while (!ready_) cv_.wait(mutex_);
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -86,18 +85,6 @@ class CondVar {
         std::unique_lock<std::mutex> native(mu.m_, std::adopt_lock);
         cv_.wait(native);
         native.release();  // ownership stays with the caller's MutexLock
-    }
-
-    /// wait() with a timeout. Returns false iff the wait timed out (the
-    /// mutex is re-held either way). Same spurious-wakeup contract as
-    /// wait(): re-check the guarded predicate in a loop.
-    template <class Rep, class Period>
-    bool wait_for(Mutex& mu, const std::chrono::duration<Rep, Period>& timeout)
-        VNFR_REQUIRES(mu) {
-        std::unique_lock<std::mutex> native(mu.m_, std::adopt_lock);
-        const std::cv_status status = cv_.wait_for(native, timeout);
-        native.release();  // ownership stays with the caller's MutexLock
-        return status == std::cv_status::no_timeout;
     }
 
     void notify_one() noexcept { cv_.notify_one(); }

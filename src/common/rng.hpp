@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 namespace vnfr::common {
@@ -51,17 +50,6 @@ class Rng {
 
     /// Normal variate via Marsaglia polar method.
     double normal(double mean, double stddev);
-
-    /// Fisher-Yates shuffle of `items`.
-    template <typename T>
-    void shuffle(std::span<T> items) {
-        for (std::size_t i = items.size(); i > 1; --i) {
-            const auto j =
-                static_cast<std::size_t>(uniform_int(0, static_cast<std::int64_t>(i) - 1));
-            using std::swap;
-            swap(items[i - 1], items[j]);
-        }
-    }
 
     /// Sample k distinct indices from [0, n) in selection order.
     std::vector<std::size_t> sample_without_replacement(std::size_t n, std::size_t k);

@@ -38,23 +38,6 @@ double RunningStats::ci95_halfwidth() const {
     return 1.96 * stddev() / std::sqrt(static_cast<double>(n_));
 }
 
-void RunningStats::merge(const RunningStats& other) {
-    if (other.n_ == 0) return;
-    if (n_ == 0) {
-        *this = other;
-        return;
-    }
-    const double delta = other.mean_ - mean_;
-    const auto total = n_ + other.n_;
-    m2_ += other.m2_ + delta * delta * static_cast<double>(n_) *
-                           static_cast<double>(other.n_) / static_cast<double>(total);
-    mean_ += delta * static_cast<double>(other.n_) / static_cast<double>(total);
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-    sum_ += other.sum_;
-    n_ = total;
-}
-
 double percentile(std::span<const double> values, double q) {
     if (values.empty()) throw std::invalid_argument("percentile: empty input");
     if (q < 0.0 || q > 100.0) throw std::invalid_argument("percentile: q outside [0,100]");

@@ -24,9 +24,6 @@ class RunningStats {
     /// approximation (1.96 * s / sqrt(n)); 0 for fewer than two samples.
     [[nodiscard]] double ci95_halfwidth() const;
 
-    /// Merge another accumulator into this one (parallel Welford).
-    void merge(const RunningStats& other);
-
   private:
     std::size_t n_{0};
     double mean_{0};

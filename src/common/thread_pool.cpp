@@ -133,7 +133,7 @@ void ThreadPool::parallel_for_blocked(std::size_t begin, std::size_t end,
 
     {
         const MutexLock lock(&mutex_);
-        VNFR_CHECK(job_ == nullptr, "ThreadPool::parallel_for is not reentrant");
+        VNFR_CHECK(job_ == nullptr, "ThreadPool::parallel_for_blocked is not reentrant");
         job_ = job;
         ++job_epoch_;
     }
@@ -164,16 +164,6 @@ void ThreadPool::parallel_for_blocked(std::size_t begin, std::size_t end,
         }
         std::rethrow_exception(first->second);
     }
-}
-
-void ThreadPool::parallel_for(std::size_t begin, std::size_t end, const IndexFn& body) {
-    if (begin >= end) return;
-    const std::size_t n = end - begin;
-    const std::size_t target_blocks = 4 * thread_count_;
-    const std::size_t grain = std::max<std::size_t>(1, n / target_blocks);
-    parallel_for_blocked(begin, end, grain, [&body](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) body(i);
-    });
 }
 
 }  // namespace vnfr::common

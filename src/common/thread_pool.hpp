@@ -1,4 +1,4 @@
-// A small fixed-size thread pool with a blocked-range parallel_for.
+// A small fixed-size thread pool with a blocked-range parallel for.
 //
 // Design constraints, in order:
 //   1. Determinism of *results* must never depend on the pool: callers
@@ -14,8 +14,8 @@
 //      shared atomic block cursor is contention-free in practice.
 //
 // `thread_count` counts the calling thread: the pool spawns N-1 workers
-// and the caller participates in every parallel_for, so thread_count == 1
-// means strictly serial inline execution with zero spawned threads.
+// and the caller runs blocks of every call, so thread_count == 1 means
+// strictly serial inline execution with zero spawned threads.
 #pragma once
 
 #include <cstddef>
@@ -34,10 +34,8 @@ class ThreadPool {
   public:
     /// Body of a blocked range: processes indices [begin, end).
     using BlockFn = std::function<void(std::size_t, std::size_t)>;
-    /// Body of a single index.
-    using IndexFn = std::function<void(std::size_t)>;
 
-    /// `thread_count` = total threads that execute parallel_for bodies,
+    /// `thread_count` = total threads that execute block bodies,
     /// including the caller; 0 picks default_thread_count().
     explicit ThreadPool(std::size_t thread_count = 0);
     ~ThreadPool();
@@ -52,13 +50,9 @@ class ThreadPool {
     /// the call returns after every block finished. If any block threw, the
     /// exception of the lowest-indexed failing block is rethrown here.
     /// Throws std::invalid_argument for grain == 0. Not reentrant: a
-    /// parallel_for body must not submit to the same pool.
+    /// block body must not submit to the same pool.
     void parallel_for_blocked(std::size_t begin, std::size_t end, std::size_t grain,
                               const BlockFn& body);
-
-    /// Per-index convenience over parallel_for_blocked with an automatic
-    /// grain (~4 blocks per thread, minimum 1 index).
-    void parallel_for(std::size_t begin, std::size_t end, const IndexFn& body);
 
     /// VNFR_THREADS from the environment when it parses as a positive
     /// integer (clamped to [1, 4 * hardware]), else hardware concurrency,

@@ -48,11 +48,6 @@ const Cloudlet& MecNetwork::cloudlet(CloudletId id) const {
     return cloudlets_[id.index()];
 }
 
-CloudletId MecNetwork::cloudlet_at(NodeId node) const {
-    if (!graph_.has_node(node)) throw std::invalid_argument("MecNetwork: unknown AP node");
-    return cloudlet_by_node_[node.index()];
-}
-
 std::vector<double> MecNetwork::capacities() const {
     std::vector<double> out;
     out.reserve(cloudlets_.size());

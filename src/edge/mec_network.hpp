@@ -41,9 +41,6 @@ class MecNetwork {
 
     [[nodiscard]] const Cloudlet& cloudlet(CloudletId id) const;
 
-    /// Cloudlet hosted at `node`, or an invalid id if none.
-    [[nodiscard]] CloudletId cloudlet_at(NodeId node) const;
-
     /// Capacities indexed by cloudlet id, ready for a ResourceLedger.
     [[nodiscard]] std::vector<double> capacities() const;
 

@@ -4,17 +4,14 @@
 
 namespace vnfr::net {
 
-Graph erdos_renyi(std::size_t n, double p, common::Rng& rng, bool force_connected) {
+Graph erdos_renyi(std::size_t n, double p, common::Rng& rng) {
     if (p < 0.0 || p > 1.0) throw std::invalid_argument("erdos_renyi: p outside [0,1]");
     Graph g(n);
-    if (force_connected && n > 1) {
-        // Random spanning tree: attach node i to a uniformly random earlier node.
-        for (std::size_t i = 1; i < n; ++i) {
-            const auto j = static_cast<std::size_t>(
-                rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
-            g.add_edge(NodeId{static_cast<std::int64_t>(i)},
-                       NodeId{static_cast<std::int64_t>(j)});
-        }
+    // Random spanning tree: attach node i to a uniformly random earlier node.
+    for (std::size_t i = 1; i < n; ++i) {
+        const auto j = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
+        g.add_edge(NodeId{static_cast<std::int64_t>(i)}, NodeId{static_cast<std::int64_t>(j)});
     }
     for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t j = i + 1; j < n; ++j) {

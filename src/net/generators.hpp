@@ -12,11 +12,11 @@
 
 namespace vnfr::net {
 
-/// G(n, p) Erdos-Renyi graph. If `force_connected`, a random spanning tree
-/// is laid down first so the result is always connected.
-Graph erdos_renyi(std::size_t n, double p, common::Rng& rng, bool force_connected = true);
+/// Connected G(n, p) Erdos-Renyi graph: a random spanning tree is laid
+/// down first, then every other pair is linked with probability p.
+Graph erdos_renyi(std::size_t n, double p, common::Rng& rng);
 
-/// Ring of n nodes (n >= 3), unit weights.
+/// Ring of n nodes (n >= 3).
 Graph ring(std::size_t n);
 
 }  // namespace vnfr::net

@@ -1,86 +1,39 @@
 #include "net/graph.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace vnfr::net {
 
-Graph::Graph(std::size_t count) { nodes_.resize(count); }
+Graph::Graph(std::size_t count) : adjacency_(count) {}
 
-NodeId Graph::add_node(std::string name, double x, double y) {
-    nodes_.push_back(Node{std::move(name), x, y, {}});
-    return NodeId{static_cast<std::int64_t>(nodes_.size()) - 1};
-}
-
-std::size_t Graph::add_edge(NodeId a, NodeId b, double weight) {
+void Graph::add_edge(NodeId a, NodeId b) {
     check_node(a, "add_edge endpoint a");
     check_node(b, "add_edge endpoint b");
     if (a == b) throw std::invalid_argument("Graph::add_edge: self-loop");
-    if (weight <= 0.0) throw std::invalid_argument("Graph::add_edge: non-positive weight");
     if (has_edge(a, b)) throw std::invalid_argument("Graph::add_edge: duplicate edge");
-    const std::size_t id = edges_.size();
-    edges_.push_back(Edge{a, b, weight});
-    nodes_[a.index()].adj.push_back(Adjacency{b, weight, id});
-    nodes_[b.index()].adj.push_back(Adjacency{a, weight, id});
-    return id;
+    adjacency_[a.index()].push_back(b);
+    adjacency_[b.index()].push_back(a);
+    ++edge_count_;
 }
 
 bool Graph::has_node(NodeId v) const {
-    return v.valid() && v.index() < nodes_.size();
+    return v.valid() && v.index() < adjacency_.size();
 }
 
 bool Graph::has_edge(NodeId a, NodeId b) const {
     if (!has_node(a) || !has_node(b)) return false;
     // Scan the smaller adjacency list.
-    const Node& na = nodes_[a.index()];
-    const Node& nb = nodes_[b.index()];
-    const Node& shorter = na.adj.size() <= nb.adj.size() ? na : nb;
-    const NodeId target = na.adj.size() <= nb.adj.size() ? b : a;
-    for (const Adjacency& adj : shorter.adj) {
-        if (adj.neighbor == target) return true;
-    }
-    return false;
+    const std::vector<NodeId>& na = adjacency_[a.index()];
+    const std::vector<NodeId>& nb = adjacency_[b.index()];
+    return na.size() <= nb.size() ? std::find(na.begin(), na.end(), b) != na.end()
+                                  : std::find(nb.begin(), nb.end(), a) != nb.end();
 }
 
-std::optional<double> Graph::edge_weight(NodeId a, NodeId b) const {
-    if (!has_node(a) || !has_node(b)) return std::nullopt;
-    for (const Adjacency& adj : nodes_[a.index()].adj) {
-        if (adj.neighbor == b) return adj.weight;
-    }
-    return std::nullopt;
-}
-
-std::span<const Adjacency> Graph::neighbors(NodeId v) const {
+std::span<const NodeId> Graph::neighbors(NodeId v) const {
     check_node(v, "neighbors");
-    return nodes_[v.index()].adj;
-}
-
-const std::string& Graph::node_name(NodeId v) const {
-    check_node(v, "node_name");
-    return nodes_[v.index()].name;
-}
-
-double Graph::node_x(NodeId v) const {
-    check_node(v, "node_x");
-    return nodes_[v.index()].x;
-}
-
-double Graph::node_y(NodeId v) const {
-    check_node(v, "node_y");
-    return nodes_[v.index()].y;
-}
-
-std::size_t Graph::degree(NodeId v) const {
-    check_node(v, "degree");
-    return nodes_[v.index()].adj.size();
-}
-
-double Graph::euclidean(NodeId a, NodeId b) const {
-    check_node(a, "euclidean endpoint a");
-    check_node(b, "euclidean endpoint b");
-    const double dx = node_x(a) - node_x(b);
-    const double dy = node_y(a) - node_y(b);
-    return std::sqrt(dx * dx + dy * dy);
+    return adjacency_[v.index()];
 }
 
 void Graph::check_node(NodeId v, const char* what) const {

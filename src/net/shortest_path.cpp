@@ -14,10 +14,10 @@ std::vector<int> bfs_hops(const Graph& g, NodeId source) {
     while (!q.empty()) {
         const NodeId u = q.front();
         q.pop();
-        for (const Adjacency& adj : g.neighbors(u)) {
-            if (hops[adj.neighbor.index()] == -1) {
-                hops[adj.neighbor.index()] = hops[u.index()] + 1;
-                q.push(adj.neighbor);
+        for (const NodeId v : g.neighbors(u)) {
+            if (hops[v.index()] == -1) {
+                hops[v.index()] = hops[u.index()] + 1;
+                q.push(v);
             }
         }
     }

@@ -11,7 +11,7 @@
 
 namespace vnfr::net {
 
-/// Unweighted hop distances by BFS (each edge counts 1 regardless of weight).
+/// Hop distances from `source` by BFS (-1 when unreachable).
 std::vector<int> bfs_hops(const Graph& g, NodeId source);
 
 /// All-pairs hop counts (-1 when unreachable).

@@ -1,6 +1,5 @@
 #include "net/topology_zoo.hpp"
 
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -8,48 +7,22 @@ namespace vnfr::net {
 
 namespace {
 
-struct NodeSpec {
-    const char* name;
-    double x;  ///< longitude (degrees)
-    double y;  ///< latitude (degrees)
-};
-
 struct TopologySpec {
-    const char* name;
-    std::vector<NodeSpec> nodes;
+    std::size_t nodes;
     std::vector<std::pair<int, int>> links;
 };
 
 Graph build(const TopologySpec& spec) {
-    Graph g;
-    for (const NodeSpec& n : spec.nodes) g.add_node(n.name, n.x, n.y);
-    for (const auto& [a, b] : spec.links) {
-        const NodeId na{a};
-        const NodeId nb{b};
-        // Degree-space Euclidean distance is a fine proxy for link length at
-        // backbone scale; floor keeps weights strictly positive.
-        const double w = std::max(g.euclidean(na, nb), 0.1);
-        g.add_edge(na, nb, w);
-    }
+    Graph g(spec.nodes);
+    for (const auto& [a, b] : spec.links) g.add_edge(NodeId{a}, NodeId{b});
     return g;
 }
 
 TopologySpec abilene_spec() {
+    // 0 Seattle, 1 Sunnyvale, 2 Denver, 3 LosAngeles, 4 Houston, 5 KansasCity,
+    // 6 Indianapolis, 7 Atlanta, 8 Chicago, 9 WashingtonDC, 10 NewYork
     return TopologySpec{
-        "abilene",
-        {
-            {"Seattle", -122.33, 47.61},
-            {"Sunnyvale", -122.04, 37.37},
-            {"Denver", -104.99, 39.74},
-            {"LosAngeles", -118.24, 34.05},
-            {"Houston", -95.37, 29.76},
-            {"KansasCity", -94.58, 39.10},
-            {"Indianapolis", -86.16, 39.77},
-            {"Atlanta", -84.39, 33.75},
-            {"Chicago", -87.63, 41.88},
-            {"WashingtonDC", -77.04, 38.91},
-            {"NewYork", -74.01, 40.71},
-        },
+        11,
         {
             {0, 1}, {0, 2}, {1, 2}, {1, 3}, {3, 4}, {2, 5}, {4, 5}, {4, 7},
             {5, 6}, {6, 8}, {6, 7}, {7, 9}, {8, 10}, {9, 10},
@@ -58,24 +31,11 @@ TopologySpec abilene_spec() {
 }
 
 TopologySpec nsfnet_spec() {
+    // 0 Seattle, 1 PaloAlto, 2 SanDiego, 3 SaltLake, 4 Boulder, 5 Houston,
+    // 6 Lincoln, 7 Champaign, 8 Pittsburgh, 9 Atlanta, 10 AnnArbor, 11 Ithaca,
+    // 12 Princeton, 13 CollegePark
     return TopologySpec{
-        "nsfnet",
-        {
-            {"Seattle", -122.33, 47.61},    // 0
-            {"PaloAlto", -122.14, 37.44},   // 1
-            {"SanDiego", -117.16, 32.72},   // 2
-            {"SaltLake", -111.89, 40.76},   // 3
-            {"Boulder", -105.27, 40.02},    // 4
-            {"Houston", -95.37, 29.76},     // 5
-            {"Lincoln", -96.70, 40.81},     // 6
-            {"Champaign", -88.24, 40.12},   // 7
-            {"Pittsburgh", -79.99, 40.44},  // 8
-            {"Atlanta", -84.39, 33.75},     // 9
-            {"AnnArbor", -83.74, 42.28},    // 10
-            {"Ithaca", -76.50, 42.44},      // 11
-            {"Princeton", -74.66, 40.35},   // 12
-            {"CollegePark", -76.94, 38.99}, // 13
-        },
+        14,
         {
             {0, 1}, {0, 2}, {0, 7}, {1, 2}, {1, 3}, {2, 5}, {3, 4}, {3, 10},
             {4, 5}, {4, 6}, {5, 9}, {5, 12}, {6, 7}, {7, 8}, {8, 9}, {8, 11},
@@ -85,33 +45,12 @@ TopologySpec nsfnet_spec() {
 }
 
 TopologySpec geant_spec() {
+    // 0 Vienna, 1 Brussels, 2 Zurich, 3 Prague, 4 Frankfurt, 5 Copenhagen,
+    // 6 Madrid, 7 Tallinn, 8 Paris, 9 Athens, 10 Zagreb, 11 Budapest,
+    // 12 Dublin, 13 Tel-Aviv, 14 Milan, 15 Luxembourg, 16 Amsterdam, 17 Oslo,
+    // 18 Poznan, 19 Lisbon, 20 Stockholm, 21 Ljubljana, 22 London
     return TopologySpec{
-        "geant",
-        {
-            {"Vienna", 16.37, 48.21},      // 0  AT
-            {"Brussels", 4.35, 50.85},     // 1  BE
-            {"Zurich", 8.54, 47.37},       // 2  CH
-            {"Prague", 14.44, 50.08},      // 3  CZ
-            {"Frankfurt", 8.68, 50.11},    // 4  DE
-            {"Copenhagen", 12.57, 55.69},  // 5  DK
-            {"Madrid", -3.70, 40.42},      // 6  ES
-            {"Tallinn", 24.75, 59.44},     // 7  EE
-            {"Paris", 2.35, 48.86},        // 8  FR
-            {"Athens", 23.73, 37.98},      // 9  GR
-            {"Zagreb", 15.98, 45.81},      // 10 HR
-            {"Budapest", 19.04, 47.50},    // 11 HU
-            {"Dublin", -6.26, 53.35},      // 12 IE
-            {"Tel-Aviv", 34.78, 32.09},    // 13 IL
-            {"Milan", 9.19, 45.46},        // 14 IT
-            {"Luxembourg", 6.13, 49.61},   // 15 LU
-            {"Amsterdam", 4.90, 52.37},    // 16 NL
-            {"Oslo", 10.75, 59.91},        // 17 NO
-            {"Poznan", 16.93, 52.41},      // 18 PL
-            {"Lisbon", -9.14, 38.72},      // 19 PT
-            {"Stockholm", 18.07, 59.33},   // 20 SE
-            {"Ljubljana", 14.51, 46.05},   // 21 SI
-            {"London", -0.13, 51.51},      // 22 UK
-        },
+        23,
         {
             {0, 3},  {0, 11}, {0, 14}, {0, 21}, {0, 4},  {1, 4},  {1, 8},
             {1, 16}, {2, 4},  {2, 14}, {2, 8},  {3, 4},  {3, 18}, {4, 5},
@@ -124,35 +63,13 @@ TopologySpec geant_spec() {
 }
 
 TopologySpec att_spec() {
+    // 0 Seattle, 1 Portland, 2 SanFrancisco, 3 LosAngeles, 4 SanDiego,
+    // 5 Phoenix, 6 SaltLake, 7 Denver, 8 Albuquerque, 9 Dallas, 10 Houston,
+    // 11 NewOrleans, 12 KansasCity, 13 StLouis, 14 Chicago, 15 Minneapolis,
+    // 16 Detroit, 17 Indianapolis, 18 Nashville, 19 Atlanta, 20 Miami,
+    // 21 Charlotte, 22 WashingtonDC, 23 Philadelphia, 24 NewYork
     return TopologySpec{
-        "att",
-        {
-            {"Seattle", -122.33, 47.61},      // 0
-            {"Portland", -122.68, 45.52},     // 1
-            {"SanFrancisco", -122.42, 37.77}, // 2
-            {"LosAngeles", -118.24, 34.05},   // 3
-            {"SanDiego", -117.16, 32.72},     // 4
-            {"Phoenix", -112.07, 33.45},      // 5
-            {"SaltLake", -111.89, 40.76},     // 6
-            {"Denver", -104.99, 39.74},       // 7
-            {"Albuquerque", -106.65, 35.08},  // 8
-            {"Dallas", -96.80, 32.78},        // 9
-            {"Houston", -95.37, 29.76},       // 10
-            {"NewOrleans", -90.07, 29.95},    // 11
-            {"KansasCity", -94.58, 39.10},    // 12
-            {"StLouis", -90.20, 38.63},       // 13
-            {"Chicago", -87.63, 41.88},       // 14
-            {"Minneapolis", -93.27, 44.98},   // 15
-            {"Detroit", -83.05, 42.33},       // 16
-            {"Indianapolis", -86.16, 39.77},  // 17
-            {"Nashville", -86.78, 36.16},     // 18
-            {"Atlanta", -84.39, 33.75},       // 19
-            {"Miami", -80.19, 25.76},         // 20
-            {"Charlotte", -80.84, 35.23},     // 21
-            {"WashingtonDC", -77.04, 38.91},  // 22
-            {"Philadelphia", -75.17, 39.95},  // 23
-            {"NewYork", -74.01, 40.71},       // 24
-        },
+        25,
         {
             {0, 1},  {0, 6},  {0, 14}, {1, 2},  {2, 3},  {2, 6},  {3, 4},
             {3, 5},  {3, 9},  {4, 5},  {5, 8},  {6, 7},  {7, 8},  {7, 12},
@@ -165,44 +82,15 @@ TopologySpec att_spec() {
 }
 
 TopologySpec internet2_spec() {
+    // 0 Seattle, 1 Portland, 2 Sunnyvale, 3 LosAngeles, 4 SaltLake,
+    // 5 LasVegas, 6 Phoenix, 7 Denver, 8 Albuquerque, 9 ElPaso, 10 KansasCity,
+    // 11 Dallas, 12 Houston, 13 Minneapolis, 14 Chicago, 15 StLouis,
+    // 16 Memphis, 17 BatonRouge, 18 Indianapolis, 19 Louisville, 20 Nashville,
+    // 21 Atlanta, 22 Jacksonville, 23 Miami, 24 Cleveland, 25 Pittsburgh,
+    // 26 Buffalo, 27 Boston, 28 NewYork, 29 Philadelphia, 30 WashingtonDC,
+    // 31 Raleigh, 32 Charlotte, 33 Tulsa
     return TopologySpec{
-        "internet2",
-        {
-            {"Seattle", -122.33, 47.61},      // 0
-            {"Portland", -122.68, 45.52},     // 1
-            {"Sunnyvale", -122.04, 37.37},    // 2
-            {"LosAngeles", -118.24, 34.05},   // 3
-            {"SaltLake", -111.89, 40.76},     // 4
-            {"LasVegas", -115.14, 36.17},     // 5
-            {"Phoenix", -112.07, 33.45},      // 6
-            {"Denver", -104.99, 39.74},       // 7
-            {"Albuquerque", -106.65, 35.08},  // 8
-            {"ElPaso", -106.49, 31.76},       // 9
-            {"KansasCity", -94.58, 39.10},    // 10
-            {"Dallas", -96.80, 32.78},        // 11
-            {"Houston", -95.37, 29.76},       // 12
-            {"Minneapolis", -93.27, 44.98},   // 13
-            {"Chicago", -87.63, 41.88},       // 14
-            {"StLouis", -90.20, 38.63},       // 15
-            {"Memphis", -90.05, 35.15},       // 16
-            {"BatonRouge", -91.19, 30.45},    // 17
-            {"Indianapolis", -86.16, 39.77},  // 18
-            {"Louisville", -85.76, 38.25},    // 19
-            {"Nashville", -86.78, 36.16},     // 20
-            {"Atlanta", -84.39, 33.75},       // 21
-            {"Jacksonville", -81.66, 30.33},  // 22
-            {"Miami", -80.19, 25.76},         // 23
-            {"Cleveland", -81.69, 41.50},     // 24
-            {"Pittsburgh", -79.99, 40.44},    // 25
-            {"Buffalo", -78.88, 42.89},       // 26
-            {"Boston", -71.06, 42.36},        // 27
-            {"NewYork", -74.01, 40.71},       // 28
-            {"Philadelphia", -75.17, 39.95},  // 29
-            {"WashingtonDC", -77.04, 38.91},  // 30
-            {"Raleigh", -78.64, 35.78},       // 31
-            {"Charlotte", -80.84, 35.23},     // 32
-            {"Tulsa", -95.99, 36.15},         // 33
-        },
+        34,
         {
             {0, 1},  {0, 4},  {0, 13}, {1, 2},  {2, 3},  {2, 4},  {3, 5},
             {3, 6},  {4, 7},  {5, 4},  {6, 8},  {7, 8},  {7, 10}, {8, 9},
@@ -216,46 +104,15 @@ TopologySpec internet2_spec() {
 }
 
 TopologySpec cost266_spec() {
+    // 0 Amsterdam, 1 Athens, 2 Barcelona, 3 Belgrade, 4 Berlin, 5 Birmingham,
+    // 6 Bordeaux, 7 Brussels, 8 Budapest, 9 Copenhagen, 10 Dublin,
+    // 11 Dusseldorf, 12 Frankfurt, 13 Glasgow, 14 Hamburg, 15 Helsinki,
+    // 16 Krakow, 17 Lisbon, 18 London, 19 Lyon, 20 Madrid, 21 Marseille,
+    // 22 Milan, 23 Munich, 24 Oslo, 25 Paris, 26 Prague, 27 Rome, 28 Seville,
+    // 29 Sofia, 30 Stockholm, 31 Strasbourg, 32 Vienna, 33 Warsaw, 34 Zagreb,
+    // 35 Zurich
     return TopologySpec{
-        "cost266",
-        {
-            {"Amsterdam", 4.90, 52.37},    // 0
-            {"Athens", 23.73, 37.98},      // 1
-            {"Barcelona", 2.17, 41.39},    // 2
-            {"Belgrade", 20.46, 44.79},    // 3
-            {"Berlin", 13.40, 52.52},      // 4
-            {"Birmingham", -1.89, 52.48},  // 5
-            {"Bordeaux", -0.58, 44.84},    // 6
-            {"Brussels", 4.35, 50.85},     // 7
-            {"Budapest", 19.04, 47.50},    // 8
-            {"Copenhagen", 12.57, 55.69},  // 9
-            {"Dublin", -6.26, 53.35},      // 10
-            {"Dusseldorf", 6.78, 51.23},   // 11
-            {"Frankfurt", 8.68, 50.11},    // 12
-            {"Glasgow", -4.25, 55.86},     // 13
-            {"Hamburg", 9.99, 53.55},      // 14
-            {"Helsinki", 24.94, 60.17},    // 15
-            {"Krakow", 19.94, 50.06},      // 16
-            {"Lisbon", -9.14, 38.72},      // 17
-            {"London", -0.13, 51.51},      // 18
-            {"Lyon", 4.84, 45.76},         // 19
-            {"Madrid", -3.70, 40.42},      // 20
-            {"Marseille", 5.37, 43.30},    // 21
-            {"Milan", 9.19, 45.46},        // 22
-            {"Munich", 11.58, 48.14},      // 23
-            {"Oslo", 10.75, 59.91},        // 24
-            {"Paris", 2.35, 48.86},        // 25
-            {"Prague", 14.44, 50.08},      // 26
-            {"Rome", 12.50, 41.90},        // 27
-            {"Seville", -5.98, 37.39},     // 28
-            {"Sofia", 23.32, 42.70},       // 29
-            {"Stockholm", 18.07, 59.33},   // 30
-            {"Strasbourg", 7.75, 48.58},   // 31
-            {"Vienna", 16.37, 48.21},      // 32
-            {"Warsaw", 21.01, 52.23},      // 33
-            {"Zagreb", 15.98, 45.81},      // 34
-            {"Zurich", 8.54, 47.37},       // 35
-        },
+        36,
         {
             {0, 7},  {0, 11}, {0, 14}, {0, 18}, {1, 29}, {1, 27}, {2, 20},
             {2, 21}, {3, 8},  {3, 29}, {3, 34}, {4, 9},  {4, 14}, {4, 23},

@@ -2,9 +2,7 @@
 //
 // The paper evaluates on graphs from the Internet Topology Zoo [18]; the
 // dataset itself is not shipped here, so we embed well-known published
-// backbone topologies (node names, approximate geographic coordinates and
-// link lists) as data. Link weights are the Euclidean distance between the
-// endpoints' coordinates, matching the zoo's common usage.
+// backbone topologies (node counts and link lists) as data.
 #pragma once
 
 #include <string>

@@ -331,7 +331,9 @@ bool AdmissionController::apply_replicated(const WalRecord& rec) {
         enter_degraded_locked("replicated WAL append", err);
     }
     replay_record(rec, wal_->path());
-    if (rotation_due_locked()) checkpoint_locked();
+    // Applied and durable: a failed rotation degrades without throwing,
+    // so the record is still acked.
+    if (rotation_due_locked()) (void)checkpoint_locked();
     return true;
 }
 
@@ -445,7 +447,9 @@ std::vector<ProcessedOutcome> AdmissionController::pump_locked(
     queue_.erase(queue_.begin(), batch_end);
     for (const ProcessedOutcome& o : outcomes) apply_decision(o.seq, o.request, o.decision);
     prune_shed_heap();
-    if (rotation_due_locked()) checkpoint_locked();
+    // The batch is durable, applied and covered: a failed rotation
+    // degrades without throwing, so the caller still receives it.
+    if (rotation_due_locked()) (void)checkpoint_locked();
     return outcomes;
 }
 
@@ -469,10 +473,12 @@ std::vector<ProcessedOutcome> AdmissionController::drain() {
 
 void AdmissionController::checkpoint() {
     const common::MutexLock lock(&mu_);
-    checkpoint_locked();
+    if (!checkpoint_locked()) {
+        throw StorageDegradedError("storage degraded — " + degraded_reason_);
+    }
 }
 
-void AdmissionController::checkpoint_locked() {
+bool AdmissionController::checkpoint_locked() {
     try {
         rotate_checkpoint_locked();
     } catch (const VfsError& err) {
@@ -480,8 +486,10 @@ void AdmissionController::checkpoint_locked() {
         // unreplaced snapshot) is exactly a legal crash window: recovery's
         // stale-WAL sweep absorbs it. The live controller, though, can no
         // longer prove durability — degrade until a rotation succeeds.
-        enter_degraded_locked("checkpoint rotation", err);
+        degrade_locked("checkpoint rotation", err);
+        return false;
     }
+    return true;
 }
 
 void AdmissionController::rotate_checkpoint_locked() {
@@ -578,11 +586,15 @@ void AdmissionController::rollback_scheduler_locked() {
     }
 }
 
-void AdmissionController::enter_degraded_locked(const char* what,
-                                                const VfsError& err) {
+void AdmissionController::degrade_locked(const char* what, const VfsError& err) {
     health_ = StorageHealth::kDegraded;
     degraded_reason_ = std::string(what) + ": " + err.what();
     ++storage_stats_.degraded_entries;
+}
+
+void AdmissionController::enter_degraded_locked(const char* what,
+                                                const VfsError& err) {
+    degrade_locked(what, err);
     throw StorageDegradedError("storage degraded — " + degraded_reason_);
 }
 

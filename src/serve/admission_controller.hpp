@@ -240,7 +240,9 @@ class AdmissionController {
     /// Decides up to `max_requests` queued requests in FIFO order as one
     /// WAL commit group (one write + one fdatasync for the batch), applies
     /// the outcomes, then checks the checkpoint trigger once. Returns the
-    /// decided batch.
+    /// decided batch — also when that checkpoint fails: the batch is
+    /// durable by then, so the controller degrades without throwing and
+    /// the next call refuses.
     std::vector<ProcessedOutcome> pump(std::size_t max_requests) VNFR_EXCLUDES(mu_);
 
     /// pump() with an unbounded batch: the whole queue as one group.
@@ -257,7 +259,8 @@ class AdmissionController {
     /// Returns false (and does nothing) when `rec.seq` is already covered,
     /// which makes retransmitted and disk-replayed records idempotent.
     /// Records must arrive in stream order, the same order the primary
-    /// logged them. Checkpoints on the configured cadence.
+    /// logged them. Checkpoints on the configured cadence; a failed
+    /// checkpoint degrades without throwing, as in pump().
     bool apply_replicated(const WalRecord& rec) VNFR_EXCLUDES(mu_);
 
     /// Flips a standby to primary. Callers must make the caught-up state
@@ -393,7 +396,9 @@ class AdmissionController {
     void prune_shed_heap() VNFR_REQUIRES(mu_);
     std::vector<ProcessedOutcome> pump_locked(std::size_t max_requests)
         VNFR_REQUIRES(mu_);
-    void checkpoint_locked() VNFR_REQUIRES(mu_);
+    /// rotate_checkpoint_locked; on a storage error degrades and returns
+    /// false instead of throwing.
+    [[nodiscard]] bool checkpoint_locked() VNFR_REQUIRES(mu_);
     /// The one checkpoint trigger of pump and apply_replicated:
     /// checkpoint_every records when set, else kCheckpointWalRatio x
     /// snapshot_bytes_ WAL bytes.
@@ -418,7 +423,9 @@ class AdmissionController {
     /// dropping whatever an un-committed pump decided since: imports
     /// rollback_base_ and re-decides decided_since_base_ in order.
     void rollback_scheduler_locked() VNFR_REQUIRES(mu_);
-    /// Enters degraded read-only mode and throws StorageDegradedError.
+    /// Enters degraded read-only mode.
+    void degrade_locked(const char* what, const VfsError& err) VNFR_REQUIRES(mu_);
+    /// degrade_locked, then throws StorageDegradedError.
     [[noreturn]] void enter_degraded_locked(const char* what, const VfsError& err)
         VNFR_REQUIRES(mu_);
     /// Throws StorageDegradedError when degraded (after counting the

@@ -338,12 +338,6 @@ void FaultyVfs::sleep_for_micros(std::uint64_t) {
     ++stats_.sleeps;  // deterministic runs never really sleep
 }
 
-void FaultyVfs::set_plan(const DiskFaultPlan& plan) {
-    common::MutexLock lock(&vfs_mu_);
-    plan_ = plan;
-    for (int& burst : burst_left_) burst = 0;
-}
-
 void FaultyVfs::script_fault(VfsOp op, std::uint64_t skip, std::int64_t count,
                              int error_code, bool transient) {
     common::MutexLock lock(&vfs_mu_);

@@ -174,10 +174,6 @@ class FaultyVfs : public Vfs {
     void fsync_parent_dir(const std::string& path) override;
     void sleep_for_micros(std::uint64_t micros) override;
 
-    /// Replaces the fault plan (counters keep running; the cut index of
-    /// the new plan is compared against the ongoing op count).
-    void set_plan(const DiskFaultPlan& plan);
-
     /// Scripts a precise fault: after `skip` further operations of
     /// category `op`, the next `count` of them (count < 0 = all of them,
     /// forever) fail with `error_code`/`transient`. Scripted faults are

@@ -130,16 +130,6 @@ bool WalShipper::ship_slice_locked(const std::string& bytes, std::uint64_t limit
     return true;
 }
 
-std::uint64_t WalShipper::cursor_generation() const {
-    const common::MutexLock lock(&shipper_mu_);
-    return cursor_gen_;
-}
-
-std::uint64_t WalShipper::cursor_offset() const {
-    const common::MutexLock lock(&shipper_mu_);
-    return cursor_off_;
-}
-
 ShipperStats WalShipper::stats() const {
     const common::MutexLock lock(&shipper_mu_);
     return stats_;

@@ -62,11 +62,6 @@ class WalShipper {
     /// if a generation the cursor still needs has vanished from disk.
     std::size_t pump() VNFR_EXCLUDES(shipper_mu_);
 
-    /// The shipper's read cursor (next byte to ship) in primary WAL
-    /// coordinates.
-    [[nodiscard]] std::uint64_t cursor_generation() const VNFR_EXCLUDES(shipper_mu_);
-    [[nodiscard]] std::uint64_t cursor_offset() const VNFR_EXCLUDES(shipper_mu_);
-
     [[nodiscard]] ShipperStats stats() const VNFR_EXCLUDES(shipper_mu_);
 
   private:

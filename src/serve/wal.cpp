@@ -118,6 +118,45 @@ std::string encode_header(std::uint64_t wal_seq, std::uint64_t config_digest) {
     return std::move(w).take();
 }
 
+WalContents parse_wal_bytes(std::string_view bytes, const std::string& path,
+                            WalReadMode mode) {
+    // The header is created atomically (temp + rename), so a short or
+    // mangled header is corruption in every mode — no crash produces it.
+    if (bytes.size() < kHeaderSize) {
+        throw CorruptStateError(path, bytes.size(),
+                                "WAL shorter than its 32-byte header");
+    }
+    WireReader h(bytes, path);
+    if (h.get_bytes(kMagic.size(), "WAL magic") != kMagic) {
+        throw CorruptStateError(path, 0, "bad magic (not a VNFR WAL)");
+    }
+    const std::uint32_t version = h.get_u32("WAL version");
+    if (version != kWalVersion) {
+        throw CorruptStateError(path, kMagic.size(),
+                                "unsupported WAL version " + std::to_string(version) +
+                                    " (expected " + std::to_string(kWalVersion) + ")");
+    }
+    WalContents out;
+    out.wal_seq = h.get_u64("WAL generation");
+    out.config_digest = h.get_u64("WAL config digest");
+    const std::uint32_t header_crc = h.get_u32("WAL header CRC");
+    if (header_crc != crc32(std::string_view(bytes).substr(0, kHeaderSize - 4))) {
+        throw CorruptStateError(path, kHeaderSize - 4, "WAL header CRC mismatch");
+    }
+
+    const FrameScan scan = scan_frames(
+        bytes, kHeaderSize, 0, path, mode,
+        [&](std::uint64_t record_offset, std::string_view payload) {
+            WalRecord rec = decode_payload(payload, path, record_offset + 4);
+            rec.file_offset = record_offset;
+            out.records.push_back(std::move(rec));
+        });
+    out.bytes_discarded = scan.bytes_discarded;
+    out.records_discarded = scan.records_discarded;
+    out.valid_size = scan.valid_size;
+    return out;
+}
+
 }  // namespace
 
 std::string wal_file_path(const std::string& dir, std::uint64_t generation) {
@@ -163,45 +202,6 @@ std::vector<WalRecord> decode_wal_record_stream(std::string_view bytes,
 
 WalContents read_wal(Vfs& vfs, const std::string& path, WalReadMode mode) {
     return parse_wal_bytes(read_file(vfs, path), path, mode);
-}
-
-WalContents parse_wal_bytes(std::string_view bytes, const std::string& path,
-                            WalReadMode mode) {
-    // The header is created atomically (temp + rename), so a short or
-    // mangled header is corruption in every mode — no crash produces it.
-    if (bytes.size() < kHeaderSize) {
-        throw CorruptStateError(path, bytes.size(),
-                                "WAL shorter than its 32-byte header");
-    }
-    WireReader h(bytes, path);
-    if (h.get_bytes(kMagic.size(), "WAL magic") != kMagic) {
-        throw CorruptStateError(path, 0, "bad magic (not a VNFR WAL)");
-    }
-    const std::uint32_t version = h.get_u32("WAL version");
-    if (version != kWalVersion) {
-        throw CorruptStateError(path, kMagic.size(),
-                                "unsupported WAL version " + std::to_string(version) +
-                                    " (expected " + std::to_string(kWalVersion) + ")");
-    }
-    WalContents out;
-    out.wal_seq = h.get_u64("WAL generation");
-    out.config_digest = h.get_u64("WAL config digest");
-    const std::uint32_t header_crc = h.get_u32("WAL header CRC");
-    if (header_crc != crc32(std::string_view(bytes).substr(0, kHeaderSize - 4))) {
-        throw CorruptStateError(path, kHeaderSize - 4, "WAL header CRC mismatch");
-    }
-
-    const FrameScan scan = scan_frames(
-        bytes, kHeaderSize, 0, path, mode,
-        [&](std::uint64_t record_offset, std::string_view payload) {
-            WalRecord rec = decode_payload(payload, path, record_offset + 4);
-            rec.file_offset = record_offset;
-            out.records.push_back(std::move(rec));
-        });
-    out.bytes_discarded = scan.bytes_discarded;
-    out.records_discarded = scan.records_discarded;
-    out.valid_size = scan.valid_size;
-    return out;
 }
 
 FrameScan scan_frames(std::string_view bytes, std::uint64_t start,

@@ -102,14 +102,6 @@ struct WalContents {
 [[nodiscard]] WalContents read_wal(Vfs& vfs, const std::string& path,
                                    WalReadMode mode);
 
-/// Parses an in-memory WAL image (header + framed records). `label`
-/// names the source in errors. read_wal == read_file + parse_wal_bytes;
-/// replication tailers use this directly on a durable-prefix slice of a
-/// live file, which is guaranteed clean and parsed in kStrict mode.
-[[nodiscard]] WalContents parse_wal_bytes(std::string_view bytes,
-                                          const std::string& label,
-                                          WalReadMode mode);
-
 /// Frames are u32 payload length | payload | u32 CRC-32(payload). No
 /// legal record comes close to this payload bound; a larger length
 /// prefix is either a torn tail (if it runs past EOF) or corruption.

@@ -100,7 +100,6 @@ RecoveryStudyOutcome run_recovery_replications(
     // Fan the replications out; each writes only its own pre-sized slot.
     std::vector<RecoveryReport> reps(config.replications);
     {
-        common::ProgressMeter progress(config.replications, config.progress);
         common::ThreadPool pool(config.threads);
         pool.parallel_for_blocked(
             0, config.replications, 1, [&](std::size_t lo, std::size_t hi) {
@@ -108,7 +107,6 @@ RecoveryStudyOutcome run_recovery_replications(
                     const FaultSchedule schedule = injector(
                         instance, decisions, common::stream_seed(config.master_seed, k));
                     reps[k] = replay.run(schedule);
-                    progress.tick();
                 }
             });
     }

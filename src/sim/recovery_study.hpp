@@ -11,7 +11,6 @@
 #include <functional>
 #include <vector>
 
-#include "common/progress.hpp"
 #include "common/stats.hpp"
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
@@ -46,11 +45,6 @@ struct RecoveryStudyConfig {
     std::size_t threads{0};
     /// Optional injector override; empty uses generate_fault_schedule.
     FaultScheduleFactory injector{};
-    /// Optional progress callback, invoked serially (under a lock in a
-    /// common::ProgressMeter) as each replication finishes. Purely
-    /// observational: it never influences the study's results, which stay
-    /// bit-identical at any thread count.
-    common::ProgressFn progress{};
 };
 
 struct RecoveryStudyOutcome {

@@ -113,25 +113,4 @@ double offsite_log_failure(double vnf_rel, double cloudlet_rel) {
     return common::log1m(vnf_rel * cloudlet_rel);
 }
 
-double offsite_availability(double vnf_rel, std::span<const double> cloudlet_rels) {
-    double log_all_fail = 0.0;
-    for (const double rc : cloudlet_rels) {
-        log_all_fail += offsite_log_failure(vnf_rel, rc);
-    }
-    if (cloudlet_rels.empty()) return 0.0;
-    return common::one_minus_exp(log_all_fail);
-}
-
-bool offsite_meets(double vnf_rel, std::span<const double> cloudlet_rels,
-                   double requirement) {
-    common::require_open_unit(requirement, "reliability requirement");
-    // Compare in log space: P(A) >= R  <=>  sum log(1 - r_f r_c) <= log(1 - R).
-    double log_all_fail = 0.0;
-    for (const double rc : cloudlet_rels) {
-        log_all_fail += offsite_log_failure(vnf_rel, rc);
-    }
-    if (cloudlet_rels.empty()) return false;
-    return log_all_fail <= common::log1m(requirement);
-}
-
 }  // namespace vnfr::vnf

@@ -7,6 +7,8 @@
 //
 // Off-site scheme (one instance per selected cloudlet):
 //   P(A_i) = 1 - prod_j (1 - r(f_i) * r(c_j))                   (Eq. 10)
+// Only Eq. 10's per-site term lives here; the whole product for any
+// placement is core::placement_availability.
 //
 // All products are accumulated in log space (log1p/expm1) so that
 // reliabilities like 0.9999 do not lose precision.
@@ -63,14 +65,6 @@ inline constexpr int kMaxOnsiteReplicas = 1'000'000;
 /// of the closed-form logarithm.
 std::optional<int> min_onsite_replicas(double cloudlet_rel, double vnf_rel,
                                        double requirement);
-
-/// Availability of one instance of a VNF with reliability `vnf_rel` placed
-/// in each cloudlet of `cloudlet_rels` (paper Eq. 10). Empty set yields 0.
-double offsite_availability(double vnf_rel, std::span<const double> cloudlet_rels);
-
-/// True when the off-site placement meets `requirement`.
-bool offsite_meets(double vnf_rel, std::span<const double> cloudlet_rels,
-                   double requirement);
 
 /// Log-space helper: log(1 - vnf_rel * cloudlet_rel), the per-cloudlet
 /// contribution to the off-site failure product. Always negative.

@@ -133,9 +133,4 @@ std::vector<Request> generate(const GeneratorConfig& cfg, const vnf::Catalog& ca
     return out;
 }
 
-double payment_rate(const Request& r, const vnf::Catalog& catalog) {
-    return r.payment /
-           (static_cast<double>(r.duration) * catalog.compute_units(r.vnf) * r.requirement);
-}
-
 }  // namespace vnfr::workload

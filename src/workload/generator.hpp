@@ -68,8 +68,4 @@ GeneratorConfig google_cluster_like(TimeSlot horizon, std::size_t count);
 std::vector<Request> generate(const GeneratorConfig& config, const vnf::Catalog& catalog,
                               common::Rng& rng);
 
-/// The payment rate pr_i = pay_i / (d_i * c(f_i) * R_i) of a request, as
-/// defined in Section VI.A. Needs the catalog for c(f_i).
-double payment_rate(const Request& r, const vnf::Catalog& catalog);
-
 }  // namespace vnfr::workload

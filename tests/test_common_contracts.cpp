@@ -8,27 +8,12 @@
 namespace vnfr::common {
 namespace {
 
-/// Restores the process-wide contract mode on scope exit so tests stay
-/// order-independent.
-class ScopedContractMode {
-  public:
-    explicit ScopedContractMode(ContractMode mode) : previous_(contract_mode()) {
-        set_contract_mode(mode);
-    }
-    ~ScopedContractMode() { set_contract_mode(previous_); }
-
-  private:
-    ContractMode previous_;
-};
-
 TEST(Contracts, PassingCheckIsSilent) {
-    ScopedContractMode scope(ContractMode::kThrow);
     EXPECT_NO_THROW(VNFR_CHECK(1 + 1 == 2));
     EXPECT_NO_THROW(VNFR_CHECK(true, "never printed ", 42));
 }
 
 TEST(Contracts, FailingCheckThrowsWithLocationAndDetail) {
-    ScopedContractMode scope(ContractMode::kThrow);
     try {
         VNFR_CHECK(false, "cloudlet ", 3, " broke");
         FAIL() << "VNFR_CHECK(false) did not throw";
@@ -41,7 +26,6 @@ TEST(Contracts, FailingCheckThrowsWithLocationAndDetail) {
 }
 
 TEST(Contracts, CheckProbAcceptsUnitIntervalAndRoundingSlack) {
-    ScopedContractMode scope(ContractMode::kThrow);
     EXPECT_DOUBLE_EQ(VNFR_CHECK_PROB(0.0), 0.0);
     EXPECT_DOUBLE_EQ(VNFR_CHECK_PROB(1.0), 1.0);
     EXPECT_DOUBLE_EQ(VNFR_CHECK_PROB(0.9999), 0.9999);
@@ -51,7 +35,6 @@ TEST(Contracts, CheckProbAcceptsUnitIntervalAndRoundingSlack) {
 }
 
 TEST(Contracts, CheckProbRejectsOutOfRangeAndNan) {
-    ScopedContractMode scope(ContractMode::kThrow);
     EXPECT_THROW(VNFR_CHECK_PROB(1.1), ContractViolation);
     EXPECT_THROW(VNFR_CHECK_PROB(-0.2), ContractViolation);
     EXPECT_THROW(VNFR_CHECK_PROB(std::numeric_limits<double>::quiet_NaN()),
@@ -61,31 +44,13 @@ TEST(Contracts, CheckProbRejectsOutOfRangeAndNan) {
 }
 
 TEST(Contracts, CheckFinitePassesValueThrough) {
-    ScopedContractMode scope(ContractMode::kThrow);
     EXPECT_DOUBLE_EQ(VNFR_CHECK_FINITE(-3.5), -3.5);
     EXPECT_THROW(VNFR_CHECK_FINITE(std::numeric_limits<double>::infinity()),
                  ContractViolation);
     EXPECT_THROW(VNFR_CHECK_FINITE(std::nan("")), ContractViolation);
 }
 
-TEST(Contracts, LogModeKeepsRunning) {
-    ScopedContractMode scope(ContractMode::kLog);
-    EXPECT_NO_THROW(VNFR_CHECK(false, "logged, not thrown"));
-    EXPECT_NO_THROW(VNFR_CHECK_PROB(2.0));
-    EXPECT_NO_THROW(VNFR_CHECK_FINITE(std::nan("")));
-}
-
-TEST(Contracts, ModeIsReadableAndRestorable) {
-    const ContractMode before = contract_mode();
-    {
-        ScopedContractMode scope(ContractMode::kLog);
-        EXPECT_EQ(contract_mode(), ContractMode::kLog);
-    }
-    EXPECT_EQ(contract_mode(), before);
-}
-
 TEST(Contracts, DcheckConditionNotEvaluatedWhenCompiledOut) {
-    ScopedContractMode scope(ContractMode::kThrow);
     int evaluations = 0;
     const auto touch = [&] {
         ++evaluations;

@@ -82,26 +82,6 @@ TEST(AtLeastOne, RejectsBadInput) {
     EXPECT_THROW(at_least_one(0.5, -1), std::domain_error);
 }
 
-TEST(AtLeastOneOf, EmptyIsZero) {
-    const std::vector<double> none;
-    EXPECT_DOUBLE_EQ(at_least_one_of(none), 0.0);
-}
-
-TEST(AtLeastOneOf, MatchesNaiveProduct) {
-    const std::vector<double> ps{0.5, 0.8, 0.9};
-    EXPECT_NEAR(at_least_one_of(ps), 1.0 - 0.5 * 0.2 * 0.1, 1e-12);
-}
-
-TEST(AtLeastOneOf, CertainComponentDominates) {
-    const std::vector<double> ps{0.2, 1.0, 0.3};
-    EXPECT_DOUBLE_EQ(at_least_one_of(ps), 1.0);
-}
-
-TEST(AtLeastOneOf, RejectsBadProbability) {
-    const std::vector<double> bad{0.5, 1.5};
-    EXPECT_THROW(at_least_one_of(bad), std::domain_error);
-}
-
 TEST(RequireOpenUnit, PassesInteriorValues) {
     EXPECT_DOUBLE_EQ(require_open_unit(0.5, "p"), 0.5);
     EXPECT_DOUBLE_EQ(require_open_unit(0.9999, "p"), 0.9999);

@@ -4,7 +4,6 @@
 #include <sstream>
 #include <unordered_set>
 
-#include "common/logging.hpp"
 #include "common/types.hpp"
 
 namespace vnfr {
@@ -53,44 +52,6 @@ TEST(StrongId, StreamOutput) {
     std::ostringstream os;
     os << CloudletId{42};
     EXPECT_EQ(os.str(), "42");
-}
-
-class LoggingTest : public ::testing::Test {
-  protected:
-    void SetUp() override { previous_ = common::log_level(); }
-    void TearDown() override { common::set_log_level(previous_); }
-    common::LogLevel previous_{common::LogLevel::kWarn};
-};
-
-TEST_F(LoggingTest, LevelRoundTrips) {
-    common::set_log_level(common::LogLevel::kDebug);
-    EXPECT_EQ(common::log_level(), common::LogLevel::kDebug);
-    common::set_log_level(common::LogLevel::kOff);
-    EXPECT_EQ(common::log_level(), common::LogLevel::kOff);
-}
-
-TEST_F(LoggingTest, EmitsToStderrWhenEnabled) {
-    common::set_log_level(common::LogLevel::kInfo);
-    ::testing::internal::CaptureStderr();
-    common::log_info("hello ", 42);
-    const std::string out = ::testing::internal::GetCapturedStderr();
-    EXPECT_NE(out.find("[INFO] hello 42"), std::string::npos);
-}
-
-TEST_F(LoggingTest, SuppressedBelowThreshold) {
-    common::set_log_level(common::LogLevel::kError);
-    ::testing::internal::CaptureStderr();
-    common::log_debug("quiet");
-    common::log_info("quiet");
-    common::log_warn("quiet");
-    EXPECT_TRUE(::testing::internal::GetCapturedStderr().empty());
-}
-
-TEST_F(LoggingTest, OffSilencesEverything) {
-    common::set_log_level(common::LogLevel::kOff);
-    ::testing::internal::CaptureStderr();
-    common::log_error("still quiet");
-    EXPECT_TRUE(::testing::internal::GetCapturedStderr().empty());
 }
 
 }  // namespace

@@ -188,15 +188,6 @@ TEST(Rng, NormalMoments) {
     EXPECT_NEAR(std::sqrt(sq / n - mean * mean), 3.0, 0.05);
 }
 
-TEST(Rng, ShuffleIsPermutation) {
-    Rng rng(41);
-    std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8};
-    auto w = v;
-    rng.shuffle(std::span<int>(w));
-    std::sort(w.begin(), w.end());
-    EXPECT_EQ(v, w);
-}
-
 TEST(Rng, SampleWithoutReplacementDistinct) {
     Rng rng(43);
     const auto sample = rng.sample_without_replacement(20, 10);

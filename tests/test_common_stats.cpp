@@ -58,36 +58,6 @@ TEST(RunningStats, MatchesTwoPassComputation) {
     EXPECT_NEAR(s.variance(), var, 1e-9);
 }
 
-TEST(RunningStats, MergeEqualsSequential) {
-    Rng rng(2);
-    RunningStats all;
-    RunningStats a;
-    RunningStats b;
-    for (int i = 0; i < 500; ++i) {
-        const double v = rng.normal(3, 2);
-        all.add(v);
-        (i % 2 == 0 ? a : b).add(v);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), all.count());
-    EXPECT_NEAR(a.mean(), all.mean(), 1e-10);
-    EXPECT_NEAR(a.variance(), all.variance(), 1e-8);
-    EXPECT_DOUBLE_EQ(a.min(), all.min());
-    EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-    RunningStats a;
-    a.add(1.0);
-    a.add(2.0);
-    RunningStats b;
-    a.merge(b);
-    EXPECT_EQ(a.count(), 2u);
-    b.merge(a);
-    EXPECT_EQ(b.count(), 2u);
-    EXPECT_DOUBLE_EQ(b.mean(), 1.5);
-}
-
 TEST(RunningStats, Ci95ShrinksWithSamples) {
     Rng rng(3);
     RunningStats small;

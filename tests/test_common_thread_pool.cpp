@@ -22,7 +22,9 @@ TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
         ThreadPool pool(threads);
         EXPECT_EQ(pool.thread_count(), threads);
         std::vector<std::atomic<int>> hits(257);
-        pool.parallel_for(0, hits.size(), [&](std::size_t i) { ++hits[i]; });
+        pool.parallel_for_blocked(0, hits.size(), 5, [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i) ++hits[i];
+        });
         for (std::size_t i = 0; i < hits.size(); ++i) {
             EXPECT_EQ(hits[i].load(), 1) << "index " << i;
         }
@@ -52,8 +54,8 @@ TEST(ThreadPool, BlockedRangesPartitionTheRange) {
 TEST(ThreadPool, EmptyRangeIsANoop) {
     ThreadPool pool(2);
     bool ran = false;
-    pool.parallel_for(5, 5, [&](std::size_t) { ran = true; });
-    pool.parallel_for(7, 3, [&](std::size_t) { ran = true; });
+    pool.parallel_for_blocked(5, 5, 1, [&](std::size_t, std::size_t) { ran = true; });
+    pool.parallel_for_blocked(7, 3, 1, [&](std::size_t, std::size_t) { ran = true; });
     EXPECT_FALSE(ran);
 }
 
@@ -85,13 +87,15 @@ TEST(ThreadPool, PropagatesLowestIndexException) {
 
 TEST(ThreadPool, PoolSurvivesAFailedParallelFor) {
     ThreadPool pool(4);
-    EXPECT_THROW(pool.parallel_for(0, 8,
-                                   [](std::size_t i) {
-                                       if (i == 3) throw std::logic_error("boom");
-                                   }),
+    EXPECT_THROW(pool.parallel_for_blocked(0, 8, 1,
+                                           [](std::size_t lo, std::size_t) {
+                                               if (lo == 3) throw std::logic_error("boom");
+                                           }),
                  std::logic_error);
     std::atomic<int> count{0};
-    pool.parallel_for(0, 100, [&](std::size_t) { ++count; });
+    pool.parallel_for_blocked(0, 100, 3, [&](std::size_t lo, std::size_t hi) {
+        count += static_cast<int>(hi - lo);
+    });
     EXPECT_EQ(count.load(), 100);
 }
 
@@ -99,8 +103,9 @@ TEST(ThreadPool, NestedParallelForIsRejected) {
     ThreadPool pool(2);
     EXPECT_THROW(pool.parallel_for_blocked(0, 8, 1,
                                            [&](std::size_t, std::size_t) {
-                                               pool.parallel_for(
-                                                   0, 2, [](std::size_t) {});
+                                               pool.parallel_for_blocked(
+                                                   0, 2, 1,
+                                                   [](std::size_t, std::size_t) {});
                                            }),
                  ContractViolation);
 }
@@ -134,7 +139,9 @@ TEST(ThreadPool, ParallelSumMatchesSerial) {
 
     ThreadPool pool(8);
     std::vector<double> doubled(n);
-    pool.parallel_for(0, n, [&](std::size_t i) { doubled[i] = 2.0 * values[i]; });
+    pool.parallel_for_blocked(0, n, 64, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) doubled[i] = 2.0 * values[i];
+    });
 
     const double expect = 2.0 * std::accumulate(values.begin(), values.end(), 0.0);
     EXPECT_DOUBLE_EQ(std::accumulate(doubled.begin(), doubled.end(), 0.0), expect);

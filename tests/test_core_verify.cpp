@@ -184,13 +184,32 @@ TEST(AnalyticAvailability, SingleSiteMatchesEquation2) {
                 vnf::onsite_availability(0.99, 0.95, 3), 1e-12);
 }
 
+TEST(AnalyticAvailability, SingleInstanceIsProduct) {
+    // One instance at one site: r(f) r(c) = 0.95 * 0.98.
+    const auto inst = small_instance({0.98}, 10.0, 5, {make_request(0, 0, 0.9, 0, 2, 5.0)});
+    const Placement p{RequestId{0}, {Site{CloudletId{0}, 1}}};
+    EXPECT_NEAR(placement_availability(inst, inst.requests[0], p), 0.95 * 0.98, 1e-12);
+}
+
 TEST(AnalyticAvailability, MultiSiteMatchesEquation10) {
     const auto inst = small_instance({0.98, 0.96}, 10.0, 5,
                                      {make_request(0, 0, 0.9, 0, 2, 5.0)});
     const Placement p{RequestId{0}, {Site{CloudletId{0}, 1}, Site{CloudletId{1}, 1}}};
-    const std::vector<double> rels{0.98, 0.96};
     EXPECT_NEAR(placement_availability(inst, inst.requests[0], p),
-                vnf::offsite_availability(0.95, rels), 1e-12);
+                1.0 - (1.0 - 0.95 * 0.98) * (1.0 - 0.95 * 0.96), 1e-12);
+}
+
+TEST(AnalyticAvailability, OffsiteGrowsWithEverySite) {
+    const auto inst = small_instance({0.95, 0.95, 0.95, 0.95, 0.95}, 10.0, 5,
+                                     {make_request(0, 0, 0.9, 0, 2, 5.0)});
+    Placement p{RequestId{0}, {}};
+    double prev = 0.0;
+    for (std::int64_t j = 0; j < 5; ++j) {
+        p.sites.push_back(Site{CloudletId{j}, 1});
+        const double avail = placement_availability(inst, inst.requests[0], p);
+        EXPECT_GT(avail, prev) << j + 1 << " sites";
+        prev = avail;
+    }
 }
 
 TEST(AnalyticAvailability, MixedReplicaSites) {

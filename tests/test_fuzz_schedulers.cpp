@@ -48,7 +48,7 @@ const FuzzCase kCases[] = {
 
 core::Instance build_case(const FuzzCase& fc, common::Rng& rng) {
     net::Graph g =
-        net::erdos_renyi(std::max<std::size_t>(fc.cloudlets + 3, 6), 0.4, rng, true);
+        net::erdos_renyi(std::max<std::size_t>(fc.cloudlets + 3, 6), 0.4, rng);
     core::Instance inst{edge::MecNetwork(std::move(g)), vnf::Catalog::paper_default(rng),
                         fc.horizon, {}};
     edge::CloudletAttachment attach;

@@ -19,6 +19,7 @@
 #include "core/offsite_primal_dual.hpp"
 #include "core/onsite_primal_dual.hpp"
 #include "core/schedule.hpp"
+#include "core/verify.hpp"
 #include "helpers.hpp"
 #include "vnf/reliability.hpp"
 
@@ -74,20 +75,17 @@ TEST_P(SchedulerPropertyTest, OffsiteAdmissionMeetsEq10WithDistinctSingletonSite
         ASSERT_FALSE(d.placement.sites.empty()) << "request " << i;
 
         std::vector<CloudletId> used;
-        std::vector<double> rels;
         for (const core::Site& s : d.placement.sites) {
             // Off-site scheme: exactly one instance per selected cloudlet.
             EXPECT_EQ(s.replicas, 1) << "request " << i;
             used.push_back(s.cloudlet);
-            rels.push_back(inst.network.cloudlet(s.cloudlet).reliability);
         }
         std::sort(used.begin(), used.end());
         EXPECT_EQ(std::adjacent_find(used.begin(), used.end()), used.end())
             << "request " << i << " reuses a cloudlet";
 
         // Eq. (10): 1 - prod_j (1 - r(f_i) r(c_j)) >= R_i.
-        EXPECT_TRUE(vnf::offsite_meets(inst.catalog.reliability(req.vnf), rels,
-                                       req.requirement))
+        EXPECT_GE(core::placement_availability(inst, req, d.placement), req.requirement)
             << "request " << i;
     }
     EXPECT_EQ(admitted, result.admitted);

@@ -328,6 +328,48 @@ TEST(ServeVfs, DrainRefusesWhileDegradedLikePump) {
     EXPECT_EQ(controller.metrics().processed, 4u);
 }
 
+// A rotation that fails after a successful group commit must not swallow
+// the batch: its outcomes are durable, applied and covered, so pump hands
+// them back, and only the next call is refused.
+TEST(ServeVfs, PumpReturnsADurableBatchWhenTheRotationAfterItFails) {
+    const core::Instance inst = tiny_instance(12);
+    FaultyVfs disk;
+    ServeConfig cfg;
+    cfg.data_dir = kDir;
+    cfg.vfs = &disk;
+    cfg.checkpoint_every = 2;  // the commit of pump(2) triggers a rotation
+    AdmissionController controller(inst, core::Scheme::kOnsite, cfg);
+    controller.submit(0, inst.requests[0]);
+    controller.submit(1, inst.requests[1]);
+
+    // The commit appends to the open WAL; only the rotation creates files.
+    disk.script_fault(VfsOp::kCreate, 0, -1, ENOSPC, /*transient=*/false);
+    std::vector<ProcessedOutcome> outcomes;
+    ASSERT_NO_THROW(outcomes = controller.pump(2));
+    ASSERT_EQ(outcomes.size(), 2u);
+    EXPECT_EQ(outcomes[0].seq, 0u);
+    EXPECT_EQ(outcomes[1].seq, 1u);
+    EXPECT_EQ(controller.metrics().processed, 2u);
+    EXPECT_EQ(controller.queue_size(), 0u);
+    EXPECT_EQ(controller.storage_health(), StorageHealth::kDegraded);
+    EXPECT_EQ(controller.storage_stats().degraded_entries, 1u);
+    EXPECT_NE(controller.degraded_reason().find("checkpoint rotation"), std::string::npos);
+
+    // The next call is refused, as after any degradation.
+    EXPECT_THROW((void)controller.pump(2), StorageDegradedError);
+    EXPECT_FALSE(controller.try_recover_storage());
+
+    disk.clear_scripted_faults();
+    EXPECT_TRUE(controller.try_recover_storage());
+    EXPECT_EQ(controller.storage_health(), StorageHealth::kHealthy);
+    // Both seqs stayed covered: a resubmission is not decided twice.
+    EXPECT_EQ(controller.submit(0, inst.requests[0]), SubmitResult::kAlreadyCovered);
+    EXPECT_EQ(controller.submit(1, inst.requests[1]), SubmitResult::kAlreadyCovered);
+    controller.submit(2, inst.requests[2]);
+    EXPECT_EQ(controller.drain().size(), 1u);
+    EXPECT_EQ(controller.metrics().processed, 3u);
+}
+
 TEST(ServeVfs, ScrubberDetectsASingleFlippedBitInARetainedGeneration) {
     const core::Instance inst = tiny_instance(24);
     FaultyVfs disk;

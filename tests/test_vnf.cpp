@@ -189,60 +189,7 @@ TEST(MinOnsiteReplicas, MonotoneDecreasingInVnfReliability) {
     }
 }
 
-// ---- Off-site math (Eq. 10) ----
-
-TEST(OffsiteAvailability, EmptySetIsZero) {
-    const std::vector<double> none;
-    EXPECT_DOUBLE_EQ(offsite_availability(0.9, none), 0.0);
-}
-
-TEST(OffsiteAvailability, SingleSiteIsProduct) {
-    const std::vector<double> one{0.98};
-    EXPECT_NEAR(offsite_availability(0.9, one), 0.9 * 0.98, 1e-12);
-}
-
-TEST(OffsiteAvailability, MatchesEquation10) {
-    const std::vector<double> sites{0.95, 0.99};
-    const double expected = 1.0 - (1.0 - 0.9 * 0.95) * (1.0 - 0.9 * 0.99);
-    EXPECT_NEAR(offsite_availability(0.9, sites), expected, 1e-12);
-}
-
-TEST(OffsiteAvailability, MonotoneInSites) {
-    std::vector<double> sites;
-    double prev = 0.0;
-    for (int i = 0; i < 5; ++i) {
-        sites.push_back(0.95);
-        const double v = offsite_availability(0.9, sites);
-        EXPECT_GT(v, prev);
-        prev = v;
-    }
-}
-
-TEST(OffsiteMeets, ThresholdBehaviour) {
-    const std::vector<double> one{0.99};
-    // One site: availability 0.9 * 0.99 = 0.891.
-    EXPECT_TRUE(offsite_meets(0.9, one, 0.89));
-    EXPECT_FALSE(offsite_meets(0.9, one, 0.90));
-}
-
-TEST(OffsiteMeets, EmptyNeverMeets) {
-    const std::vector<double> none;
-    EXPECT_FALSE(offsite_meets(0.9, none, 0.5));
-}
-
-TEST(OffsiteMeets, ConsistentWithAvailability) {
-    common::Rng rng(4);
-    for (int trial = 0; trial < 200; ++trial) {
-        const double rf = rng.uniform(0.5, 0.999);
-        std::vector<double> sites;
-        const int k = static_cast<int>(rng.uniform_int(1, 5));
-        for (int i = 0; i < k; ++i) sites.push_back(rng.uniform(0.9, 0.9999));
-        const double req = rng.uniform(0.5, 0.999);
-        const double avail = offsite_availability(rf, sites);
-        EXPECT_EQ(offsite_meets(rf, sites, req), avail >= req)
-            << "avail=" << avail << " req=" << req;
-    }
-}
+// ---- Off-site per-site term (Eq. 10) ----
 
 TEST(OffsiteLogFailure, AlwaysNegative) {
     EXPECT_LT(offsite_log_failure(0.9, 0.99), 0.0);

@@ -20,6 +20,12 @@ vnf::Catalog test_catalog() {
     return cat;
 }
 
+/// The payment rate pr_i = pay_i / (d_i * c(f_i) * R_i) of Section VI.A.
+double rate_of(const Request& r, const vnf::Catalog& catalog) {
+    return r.payment /
+           (static_cast<double>(r.duration) * catalog.compute_units(r.vnf) * r.requirement);
+}
+
 TEST(Request, WindowSemantics) {
     Request r;
     r.arrival = 3;
@@ -86,7 +92,7 @@ TEST(Generator, FieldsWithinConfiguredRanges) {
         EXPECT_LE(r.duration, 7);
         EXPECT_GE(r.requirement, 0.92);
         EXPECT_LE(r.requirement, 0.97);
-        const double pr = payment_rate(r, cat);
+        const double pr = rate_of(r, cat);
         EXPECT_GE(pr, 2.0 - 1e-9);
         EXPECT_LE(pr, 4.0 + 1e-9);
         EXPECT_LT(r.vnf.index(), cat.size());
@@ -94,7 +100,7 @@ TEST(Generator, FieldsWithinConfiguredRanges) {
 }
 
 TEST(Generator, PaymentFollowsRateDefinition) {
-    // pay_i = pr_i * d_i * c(f_i) * R_i (Section VI.A), so payment_rate
+    // pay_i = pr_i * d_i * c(f_i) * R_i (Section VI.A), so rate_of
     // must invert exactly.
     GeneratorConfig cfg;
     cfg.count = 50;
@@ -103,7 +109,7 @@ TEST(Generator, PaymentFollowsRateDefinition) {
     common::Rng rng(5);
     const auto cat = test_catalog();
     for (const Request& r : generate(cfg, cat, rng)) {
-        EXPECT_NEAR(payment_rate(r, cat), 3.0, 1e-12);
+        EXPECT_NEAR(rate_of(r, cat), 3.0, 1e-12);
     }
 }
 

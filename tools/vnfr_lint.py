@@ -47,6 +47,11 @@ arithmetic in this codebase:
                 benches only; production libraries and the CLI must not
                 reach it.
 
+  env-knob      Under src/, only src/common/thread_pool.cpp reads the
+                environment (``std::getenv("VNFR_THREADS")``, which never
+                changes a result). Any other ``getenv`` is a hidden runtime
+                knob: behaviour a reader of the call site cannot see.
+
 Suppression: ``// vnfr-lint: allow(<rule>) <justification>`` on the
 finding's line or the line above; the justification is required (see
 tools/vnfr_findings.py for the shared grammar and the
@@ -85,6 +90,8 @@ RULES: dict[str, str] = {
                           "vnf::onsite_replicas or a vnf::OffsiteLogTable",
     "faults-boundary": "only src/serve/faults/ itself may include a "
                        "serve/faults/ header under src/ and tools/",
+    "env-knob": "only src/common/thread_pool.cpp may read the environment "
+                "under src/",
     vf.SUPPRESSION_RULE: vf.SUPPRESSION_RULE_DOC,
 }
 
@@ -100,6 +107,10 @@ RELIABILITY_OWNER = "src/vnf/"
 # The test-only fault harness, and the one directory allowed to include it.
 FAULTS_INCLUDE = re.compile(r'^\s*#\s*include\s*[<"](serve/faults/[^>"]+)[>"]')
 FAULTS_OWNER = "src/serve/faults/"
+
+# Environment reads, and the one file allowed to make one (VNFR_THREADS).
+ENV_READ = re.compile(r"\b(?:secure_)?getenv\s*\(")
+ENV_OWNER = "src/common/thread_pool.cpp"
 
 # std::log1p/std::expm1 are the *stable* helpers and are exempt; match only
 # the raw calls whose domain can silently produce NaN.
@@ -184,6 +195,13 @@ def lint_file(path: Path, rel: str) -> list[Finding]:
         if re.search(r"\busing\s+namespace\s+std\b", code):
             findings.append(Finding(rel, lineno, "using-std",
                                     "'using namespace std' is banned"))
+
+        # --- env-knob ---------------------------------------------------------
+        if rel != ENV_OWNER and ENV_READ.search(code):
+            findings.append(Finding(
+                rel, lineno, "env-knob",
+                f"environment read outside {ENV_OWNER}; pass the value in "
+                "explicitly instead of a hidden runtime knob"))
 
         # --- reliability-kernel ---------------------------------------------
         if not rel.startswith(RELIABILITY_OWNER):
