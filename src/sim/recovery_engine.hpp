@@ -5,7 +5,7 @@
 // crashes, transient blips, correlated rack failures and instance outages.
 // Either generator feeds it: per-slot independent fault rates, or the
 // Markov up/down model whose replay under kNone measures the Eq. 2 / Eq. 10
-// availability actually delivered. A per-slot recovery pass reacts with a
+// availability actually delivered. Recovery visits react with a
 // configurable policy:
 //
 //   kNone           no recovery — dead instances stay dead;
@@ -20,6 +20,12 @@
 //                   surviving cloudlets), make-before-break: the old
 //                   placement is only torn down once the new one holds
 //                   reservations.
+//
+// A replay does work where something changed: a request is visited only
+// when a fault, a handover lapse or an expired backoff or outage leaves it
+// something to recover, and the shedding scan walks only the holders that
+// could still be victims (DESIGN.md §6b). Every slot is still accounted and
+// audited.
 //
 // Every recovery placement is routed through an edge::ResourceLedger in
 // kEnforce mode, so recovery can never violate capacity. When capacity is
@@ -159,8 +165,10 @@ class ScheduleNotReplayable : public std::invalid_argument {
 /// replays the initial reservations of every admitted decision into a
 /// fresh kEnforce ledger (throws ScheduleNotReplayable if they do not fit —
 /// recovery studies require capacity-respecting schedules, i.e. any
-/// scheduler except the pure Algorithm 1 variant) and records, per
-/// cloudlet, the requests holding a site there. run() copies that state and
+/// scheduler except the pure Algorithm 1 variant), lays every placement out
+/// in one flat site and replica arena and records, per cloudlet, the
+/// requests holding a site there. run() copies that state (a few
+/// allocations per cloudlet, however many requests were admitted) and
 /// replays one schedule on the copy, so a const base may be shared across
 /// threads. The instance and decisions must outlive the base.
 class RecoveryReplay {

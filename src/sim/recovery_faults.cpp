@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "common/contracts.hpp"
@@ -24,9 +25,13 @@ const char* to_string(FaultKind kind) {
 namespace {
 
 /// Sampled hardware repair time with the configured mean, never below one
-/// slot (a crash always costs at least the slot it lands on).
+/// slot (a crash always costs at least the slot it lands on) and saturated
+/// at the largest TimeSlot, which the replay reads as "for the rest of the
+/// run": a draw past it must not wrap into a short outage.
 TimeSlot sample_down_slots(common::Rng& rng, double mttr) {
+    constexpr TimeSlot kLongest = std::numeric_limits<TimeSlot>::max();
     const double draw = rng.exponential(1.0 / mttr);
+    if (draw >= static_cast<double>(kLongest)) return kLongest;
     return std::max<TimeSlot>(1, static_cast<TimeSlot>(std::lround(draw)));
 }
 

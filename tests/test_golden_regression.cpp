@@ -6,11 +6,17 @@
 // relative tolerance so a different libm/compiler does not turn an
 // ulp-level difference in a transcendental into a red build.
 //
+// The recovery-study golden is exact instead: every RecoveryReport field of
+// every (injector, RecoveryConfig, policy) row, doubles as IEEE-754 bit
+// patterns, so a replay that skips a needed recovery visit or reorders a
+// ledger operation names the row and the field it moved.
+//
 // Regenerate after an intentional behavior change with
-//   VNFR_UPDATE_GOLDENS=1 ./build/tests/test_golden_regression
+//   VNFR_UPDATE_GOLDENS=1 ./build/tests/test_golden
 // and commit the rewritten files under tests/golden/.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -20,7 +26,10 @@
 #include <string>
 #include <vector>
 
+#include "core/hybrid_primal_dual.hpp"
+#include "report/json.hpp"
 #include "sim/experiment.hpp"
+#include "sim/recovery_study.hpp"
 #include "sim/scenarios.hpp"
 
 #ifndef VNFR_GOLDEN_DIR
@@ -156,12 +165,150 @@ void check_against_golden(const std::string& name, const std::vector<GoldenRow>&
     }
 }
 
+/// The recovery golden's columns: the row key, then every RecoveryReport
+/// field in declaration order.
+constexpr const char* kRecoveryHeader =
+    "injector,config,policy,request_slots,served_slots,disrupted_slots,"
+    "cloudlet_crashes,instance_crashes,transient_blips,rack_failures,instances_lost,"
+    "local_respawns,remote_migrations,readmissions,failed_recoveries,local_failovers,"
+    "remote_failovers,outages,recovered_outages,recovery_slots_total,shed_requests,"
+    "shed_revenue,sla_requests,sla_violations,promised_availability_sum,"
+    "delivered_availability_sum,capacity_violations";
+
+std::string recovery_row(const std::string& key, const RecoveryReport& r) {
+    std::ostringstream row;
+    const auto bits = [](double v) { return report::hex_u64(std::bit_cast<std::uint64_t>(v)); };
+    row << key << ',' << r.request_slots << ',' << r.served_slots << ','
+        << r.disrupted_slots << ',' << r.cloudlet_crashes << ',' << r.instance_crashes << ','
+        << r.transient_blips << ',' << r.rack_failures << ',' << r.instances_lost << ','
+        << r.local_respawns << ',' << r.remote_migrations << ',' << r.readmissions << ','
+        << r.failed_recoveries << ',' << r.local_failovers << ',' << r.remote_failovers
+        << ',' << r.outages << ',' << r.recovered_outages << ',' << r.recovery_slots_total
+        << ',' << r.shed_requests << ',' << bits(r.shed_revenue) << ',' << r.sla_requests
+        << ',' << r.sla_violations << ',' << bits(r.promised_availability_sum) << ','
+        << bits(r.delivered_availability_sum) << ',' << r.capacity_violations;
+    return row.str();
+}
+
+/// Summed recovery reports of the paper environment (n = 800, the hybrid's
+/// decisions) under both fault injectors, every policy, and RecoveryConfigs
+/// that move each knob off its default: spin-up delay, backoff, retry
+/// budget and shedding.
+std::vector<std::string> recovery_config_rows() {
+    common::Rng rng(0x90ec);
+    const core::Instance inst = core::make_instance(paper_environment(800), rng);
+    core::HybridPrimalDual scheduler(inst);
+    const core::ScheduleResult result = core::run_online(inst, scheduler);
+
+    struct Named {
+        const char* name;
+        RecoveryConfig config;
+    };
+    std::vector<Named> configs = {{"default", {}}};
+    configs.push_back({"respawn_delay=0", {}});
+    configs.back().config.respawn_delay_slots = 0;
+    configs.push_back({"respawn_delay=3", {}});
+    configs.back().config.respawn_delay_slots = 3;
+    configs.push_back({"retry_backoff=3", {}});
+    configs.back().config.retry_backoff_slots = 3;
+    configs.push_back({"max_retries=0", {}});
+    configs.back().config.max_retries = 0;
+    configs.push_back({"max_retries=1", {}});
+    configs.back().config.max_retries = 1;
+    configs.push_back({"no_shedding", {}});
+    configs.back().config.allow_shedding = false;
+
+    struct Injector {
+        const char* name;
+        FaultScheduleFactory factory;
+    };
+    FaultInjectorConfig faults;
+    faults.rack_failure_per_slot = 0.01;
+    const Injector injectors[] = {
+        {"independent+racks",
+         [faults](const core::Instance& i, const std::vector<core::Decision>& d,
+                  std::uint64_t seed) { return generate_fault_schedule(i, d, faults, seed); }},
+        {"markov", markov_injector({})},
+    };
+    const RecoveryPolicy policies[] = {RecoveryPolicy::kNone, RecoveryPolicy::kLocalRespawn,
+                                       RecoveryPolicy::kRemoteMigrate,
+                                       RecoveryPolicy::kReadmit};
+
+    std::vector<std::string> rows;
+    for (const Injector& injector : injectors) {
+        // A Markov schedule loses no replica (its outages keep state), so
+        // no recovery fires and every config replays like the default.
+        const std::size_t config_count =
+            std::string(injector.name) == "markov" ? 1 : configs.size();
+        for (std::size_t n = 0; n < config_count; ++n) {
+            const Named& named = configs[n];
+            for (const RecoveryPolicy policy : policies) {
+                RecoveryStudyConfig cfg;
+                cfg.recovery = named.config;
+                cfg.recovery.policy = policy;
+                cfg.replications = 8;
+                cfg.master_seed = 0x90ec;
+                cfg.injector = injector.factory;
+                const RecoveryStudyOutcome out =
+                    run_recovery_replications(inst, result.decisions, cfg);
+                rows.push_back(recovery_row(std::string(injector.name) + ',' + named.name +
+                                                ',' + to_string(policy),
+                                            out.total));
+            }
+        }
+    }
+    return rows;
+}
+
+std::vector<std::string> split_csv(const std::string& line) {
+    std::vector<std::string> cells;
+    std::istringstream fields(line);
+    std::string cell;
+    while (std::getline(fields, cell, ',')) cells.push_back(cell);
+    return cells;
+}
+
 TEST(GoldenRegression, Fig1aSmallTrendMatchesBaseline) {
     check_against_golden("fig1a_small.csv", fig1a_small_rows());
 }
 
 TEST(GoldenRegression, Fig2bSmallTrendMatchesBaseline) {
     check_against_golden("fig2b_small.csv", fig2b_small_rows());
+}
+
+TEST(GoldenRegression, RecoveryConfigsMatchBaselineBitForBit) {
+    const std::vector<std::string> rows = recovery_config_rows();
+    const std::string path = std::string(VNFR_GOLDEN_DIR) + "/recovery_configs.csv";
+    if (std::getenv("VNFR_UPDATE_GOLDENS") != nullptr) {
+        std::ofstream out(path);
+        ASSERT_TRUE(out) << "cannot write " << path;
+        out << kRecoveryHeader << '\n';
+        for (const std::string& row : rows) out << row << '\n';
+        GTEST_SKIP() << "regenerated " << path;
+    }
+    std::ifstream in(path);
+    ASSERT_TRUE(in) << "missing golden file " << path
+                    << " — regenerate with VNFR_UPDATE_GOLDENS=1";
+    std::string line;
+    std::getline(in, line);
+    ASSERT_EQ(line, kRecoveryHeader);
+    const std::vector<std::string> columns = split_csv(kRecoveryHeader);
+    std::vector<std::string> want;
+    while (std::getline(in, line)) {
+        if (!line.empty()) want.push_back(line);
+    }
+    ASSERT_EQ(rows.size(), want.size()) << "row count drifted";
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+        const std::vector<std::string> got_cells = split_csv(rows[r]);
+        const std::vector<std::string> want_cells = split_csv(want[r]);
+        ASSERT_EQ(got_cells.size(), columns.size()) << rows[r];
+        ASSERT_EQ(want_cells.size(), columns.size()) << want[r];
+        for (std::size_t c = 0; c < columns.size(); ++c) {
+            EXPECT_EQ(got_cells[c], want_cells[c])
+                << want_cells[0] << ',' << want_cells[1] << ',' << want_cells[2] << ": "
+                << columns[c];
+        }
+    }
 }
 
 }  // namespace
