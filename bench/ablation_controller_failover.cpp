@@ -93,7 +93,6 @@ int main(int argc, char** argv) {
             cfg.queue_capacity = 8;
             cfg.batch = 4;
             cfg.ship_every = lag;
-            cfg.transport_faults = true;
 
             CellResult r;
             r.scheme = scheme;
@@ -118,7 +117,7 @@ int main(int argc, char** argv) {
             total_trials += r.study.trials.size();
             total_failed += r.study.failed_trials;
             total_disk_applied += r.study.total_disk_records_applied;
-            total_dropped += r.study.transport_totals.frames_dropped;
+            total_dropped += r.study.link_faults.frames_dropped;
             std::cout << scheme_name(scheme) << " [lag " << lag
                       << "]: baseline revenue " << r.study.baseline_metrics.revenue
                       << ", digest " << report::hex_u64(r.study.baseline_digest)
@@ -129,7 +128,7 @@ int main(int argc, char** argv) {
                       << (r.study.sync_promote_ok ? "ok" : "FAILED")
                       << ", release " << (r.study.sync_release_ok ? "ok" : "FAILED")
                       << "; disk catch-up " << r.study.total_disk_records_applied
-                      << " records, " << r.study.transport_totals.frames_dropped
+                      << " records, " << r.study.link_faults.frames_dropped
                       << " frames dropped, "
                       << report::format_double(r.seconds, 2) << "s\n";
             if (!r.study.ok()) {
@@ -181,10 +180,10 @@ int main(int argc, char** argv) {
         row.set("failed_trials", static_cast<std::uint64_t>(r.study.failed_trials));
         row.set("resync_rewinds", r.study.total_resync_rewinds);
         row.set("frames_sent", r.study.transport_totals.frames_sent);
-        row.set("frames_dropped", r.study.transport_totals.frames_dropped);
-        row.set("frames_truncated", r.study.transport_totals.frames_truncated);
-        row.set("frames_duplicated", r.study.transport_totals.frames_duplicated);
-        row.set("frames_reordered", r.study.transport_totals.frames_reordered);
+        row.set("frames_dropped", r.study.link_faults.frames_dropped);
+        row.set("frames_truncated", r.study.link_faults.frames_truncated);
+        row.set("frames_duplicated", r.study.link_faults.frames_duplicated);
+        row.set("frames_reordered", r.study.link_faults.frames_reordered);
         row.set("seconds", r.seconds);
         report::JsonValue trials = report::JsonValue::array();
         for (const serve::replication::FailoverTrial& t : r.study.trials) {

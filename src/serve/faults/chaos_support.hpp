@@ -12,7 +12,7 @@
 #include "core/instance.hpp"
 #include "core/verify.hpp"
 #include "serve/admission_controller.hpp"
-#include "serve/faults/wal_scrubber.hpp"
+#include "serve/wal_scrubber.hpp"
 
 namespace vnfr::serve::chaos {
 

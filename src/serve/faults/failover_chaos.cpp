@@ -33,15 +33,21 @@ constexpr CutKind kCutKinds[] = {CutKind::kProcessCrash,
                                  CutKind::kPowerCutTornTail,
                                  CutKind::kPowerCutClean};
 
-void add_stats(TransportStats& into, const TransportStats& from) {
-    into.frames_sent += from.frames_sent;
-    into.frames_delivered += from.frames_delivered;
-    into.frames_dropped += from.frames_dropped;
-    into.frames_truncated += from.frames_truncated;
-    into.frames_duplicated += from.frames_duplicated;
-    into.frames_reordered += from.frames_reordered;
-    into.sends_rejected_full += from.sends_rejected_full;
-    into.acks_recorded += from.acks_recorded;
+/// Frames a link holds (backpressure realism).
+constexpr std::size_t kTransportCapacity = 4;
+
+/// Adds `link`'s traffic and fault counts to the study totals.
+void add_stats(FailoverChaosResult& result, const FaultyShipTransport& link) {
+    const TransportStats traffic = link.stats();
+    result.transport_totals.frames_sent += traffic.frames_sent;
+    result.transport_totals.frames_delivered += traffic.frames_delivered;
+    result.transport_totals.sends_rejected_full += traffic.sends_rejected_full;
+    result.transport_totals.acks_recorded += traffic.acks_recorded;
+    const TransportFaultStats faults = link.fault_stats();
+    result.link_faults.frames_dropped += faults.frames_dropped;
+    result.link_faults.frames_truncated += faults.frames_truncated;
+    result.link_faults.frames_duplicated += faults.frames_duplicated;
+    result.link_faults.frames_reordered += faults.frames_reordered;
 }
 
 /// Pumps the link until it is fully drained and quiescent (control runs
@@ -56,14 +62,18 @@ void settle_link(WalShipper& shipper, StandbyController& standby,
     throw std::logic_error("failover chaos: replication link failed to settle");
 }
 
-void arm_faulty_link(ShipTransport& transport, std::uint64_t seed) {
+/// The link plan of one trial: drop / truncate / duplicate / reorder 8%
+/// each when `faulty`, a perfect link otherwise.
+TransportFaultPlan link_plan(bool faulty, std::uint64_t seed) {
     TransportFaultPlan plan;
     plan.seed = seed;
-    plan.drop = 0.08;
-    plan.truncate = 0.08;
-    plan.duplicate = 0.08;
-    plan.reorder = 0.08;
-    transport.set_fault_plan(plan);
+    if (faulty) {
+        plan.drop = 0.08;
+        plan.truncate = 0.08;
+        plan.duplicate = 0.08;
+        plan.reorder = 0.08;
+    }
+    return plan;
 }
 
 }  // namespace
@@ -131,7 +141,7 @@ FailoverChaosResult run_failover_chaos_study(const core::Instance& instance,
     {
         FaultyVfs primary_disk;
         FaultyVfs standby_disk;
-        ShipTransport transport(config.transport_capacity);
+        ShipTransport transport(kTransportCapacity);
         ServeConfig pcfg = primary_serve;
         pcfg.vfs = &primary_disk;
         AdmissionController primary(instance, config.scheme, pcfg);
@@ -185,7 +195,7 @@ FailoverChaosResult run_failover_chaos_study(const core::Instance& instance,
         common::Rng rng = common::stream_rng(config.master_seed, 2000 + trial);
         FailoverTrial outcome;
         outcome.kind = kCutKinds[trial % 3];
-        outcome.faulty_transport = config.transport_faults && trial % 2 == 1;
+        outcome.faulty_transport = trial % 2 == 1;
         outcome.cut_at_op = static_cast<std::uint64_t>(rng.uniform_int(
             static_cast<std::int64_t>(construction_ops) + 1,
             static_cast<std::int64_t>(std::max(baseline_ops, construction_ops + 1))));
@@ -196,10 +206,9 @@ FailoverChaosResult run_failover_chaos_study(const core::Instance& instance,
         plan.cut_kind = outcome.kind;
         FaultyVfs primary_disk(plan);
         FaultyVfs standby_disk;
-        ShipTransport transport(config.transport_capacity);
-        if (outcome.faulty_transport) {
-            arm_faulty_link(transport, config.master_seed ^ (0xFA017EE0ULL + trial));
-        }
+        FaultyShipTransport transport(
+            kTransportCapacity,
+            link_plan(outcome.faulty_transport, config.master_seed ^ (0xFA017EE0ULL + trial)));
         ServeConfig scfg = standby_serve;
         scfg.vfs = &standby_disk;
         StandbyController standby(instance, config.scheme, scfg, transport);
@@ -223,7 +232,7 @@ FailoverChaosResult run_failover_chaos_study(const core::Instance& instance,
                 outcome.cut_op = crash.op();
                 outcome.cut_path = crash.path();
             }
-            add_stats(result.transport_totals, transport.stats());
+            add_stats(result, transport);
             result.total_resync_rewinds += shipper.stats().resync_rewinds;
         }
         outcome.submitted_at_crash = progress.submitted;
@@ -250,14 +259,13 @@ FailoverChaosResult run_failover_chaos_study(const core::Instance& instance,
     for (std::size_t trial = 0; trial < config.degraded_primary_trials; ++trial) {
         common::Rng rng = common::stream_rng(config.master_seed, 5000 + trial);
         FailoverTrial outcome;
-        outcome.faulty_transport = config.transport_faults && trial % 2 == 1;
+        outcome.faulty_transport = trial % 2 == 1;
 
         FaultyVfs primary_disk;  // about to fill
         FaultyVfs standby_disk;
-        ShipTransport transport(config.transport_capacity);
-        if (outcome.faulty_transport) {
-            arm_faulty_link(transport, config.master_seed ^ (0xDE64ADE0ULL + trial));
-        }
+        FaultyShipTransport transport(
+            kTransportCapacity,
+            link_plan(outcome.faulty_transport, config.master_seed ^ (0xDE64ADE0ULL + trial)));
         ServeConfig scfg = standby_serve;
         scfg.vfs = &standby_disk;
         StandbyController standby(instance, config.scheme, scfg, transport);
@@ -298,7 +306,7 @@ FailoverChaosResult run_failover_chaos_study(const core::Instance& instance,
         // The degraded primary still serves reads; drain everything it
         // had made durable before the disk filled.
         settle_link(shipper, standby, transport);
-        add_stats(result.transport_totals, transport.stats());
+        add_stats(result, transport);
         result.total_resync_rewinds += shipper.stats().resync_rewinds;
         outcome.standby_applied_at_kill = standby.stats().records_applied;
 

@@ -23,8 +23,8 @@
 #include "core/instance.hpp"
 #include "core/offline.hpp"
 #include "serve/faults/chaos_support.hpp"
+#include "serve/faults/faulty_ship_transport.hpp"
 #include "serve/faults/faulty_vfs.hpp"
-#include "serve/replication/ship_transport.hpp"
 #include "serve/snapshot.hpp"
 
 namespace vnfr::serve::replication {
@@ -34,7 +34,8 @@ struct FailoverChaosConfig {
     std::uint64_t master_seed{0};
     /// Number of randomized cut-and-promote trials. The crash kind cycles
     /// process crash, torn-tail power cut, clean power cut by trial; odd
-    /// trials run a faulty link.
+    /// trials run a faulty link (drop / truncate / duplicate / reorder,
+    /// 8% each) to exercise resync. Every link holds 4 frames.
     std::size_t kill_points{25};
     /// Controller snapshot cadence (WAL records between checkpoints).
     std::size_t checkpoint_every{16};
@@ -48,11 +49,6 @@ struct FailoverChaosConfig {
     /// once every `ship_every` drive steps. 1 is a hot standby; larger
     /// values open a lag window the promotion must close from disk.
     std::size_t ship_every{1};
-    /// Bounded channel capacity in frames (backpressure realism).
-    std::size_t transport_capacity{4};
-    /// Mangle the data direction on odd trials (drop / truncate /
-    /// duplicate / reorder, ~8% each) to exercise resync.
-    bool transport_faults{true};
     /// Extra trials in which the primary does not die but DEGRADES: its
     /// storage (a FaultyVfs) starts returning persistent ENOSPC on
     /// writes, the controller enters read-only degraded mode, and the
@@ -105,9 +101,10 @@ struct FailoverChaosResult {
     bool sync_release_ok{false};
     std::vector<FailoverTrial> trials;
     std::size_t failed_trials{0};
-    /// Link-level fault exposure across all trials, so a passing study
-    /// can prove the adversarial paths actually ran.
+    /// Link traffic and link-level fault exposure across all trials, so a
+    /// passing study can prove the adversarial paths actually ran.
     TransportStats transport_totals;
+    TransportFaultStats link_faults;
     std::uint64_t total_resync_rewinds{0};
     std::uint64_t total_disk_records_applied{0};
 

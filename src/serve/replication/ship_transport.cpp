@@ -64,12 +64,6 @@ ShipFrame decode_ship_frame(std::string_view bytes) {
     return frame;
 }
 
-void ShipTransport::set_fault_plan(const TransportFaultPlan& plan) {
-    const common::MutexLock lock(&transport_mu_);
-    plan_ = plan;
-    fault_rng_.emplace(common::stream_rng(plan.seed, 0xF4A7));
-}
-
 bool ShipTransport::try_send(const ShipFrame& frame) {
     const common::MutexLock lock(&transport_mu_);
     if (channel_.size() >= capacity_) {
@@ -77,70 +71,21 @@ bool ShipTransport::try_send(const ShipFrame& frame) {
         return false;
     }
     ++stats_.frames_sent;
-    std::string bytes = encode_ship_frame(frame);
-    // Decide the frame's fate from one uniform draw so the fault mix is
-    // exactly the configured probabilities.
-    double u = 2.0;  // no plan => no fault
-    if (fault_rng_.has_value()) u = fault_rng_->uniform01();
-    if (u < plan_.drop) {
-        ++stats_.frames_dropped;
-        return true;  // accepted, then lost in flight
-    }
-    u -= plan_.drop;
-    if (u < plan_.truncate) {
-        ++stats_.frames_truncated;
-        const auto cut = static_cast<std::size_t>(
-            fault_rng_->uniform_int(1, static_cast<std::int64_t>(bytes.size() - 1)));
-        bytes.resize(bytes.size() - cut);
-        channel_.push_back(std::move(bytes));
-        ++stats_.frames_delivered;
-        return true;
-    }
-    u -= plan_.truncate;
-    if (u < plan_.duplicate) {
-        ++stats_.frames_duplicated;
-        channel_.push_back(bytes);
-        channel_.push_back(std::move(bytes));
-        stats_.frames_delivered += 2;
-        return true;
-    }
-    u -= plan_.duplicate;
-    if (u < plan_.reorder) {
-        ++stats_.frames_reordered;
-        // Deliver any previously held frame AFTER this one: swap them.
-        if (held_back_.has_value()) {
-            channel_.push_back(std::move(bytes));
-            channel_.push_back(std::move(*held_back_));
-            held_back_.reset();
-            stats_.frames_delivered += 2;
-        } else {
-            held_back_ = std::move(bytes);
-        }
-        return true;
-    }
+    transmit_locked(encode_ship_frame(frame));
+    return true;
+}
+
+void ShipTransport::transmit_locked(std::string bytes) { deliver_locked(std::move(bytes)); }
+
+void ShipTransport::deliver_locked(std::string bytes) {
     channel_.push_back(std::move(bytes));
     ++stats_.frames_delivered;
-    if (held_back_.has_value()) {
-        // The held frame now arrives out of order, behind its successor.
-        channel_.push_back(std::move(*held_back_));
-        held_back_.reset();
-        ++stats_.frames_delivered;
-    }
-    return true;
 }
 
 std::optional<std::string> ShipTransport::try_recv() {
     const common::MutexLock lock(&transport_mu_);
-    if (channel_.empty()) {
-        if (held_back_.has_value()) {
-            // Nothing ever overtook the held frame; flush it late.
-            std::string bytes = std::move(*held_back_);
-            held_back_.reset();
-            ++stats_.frames_delivered;
-            return bytes;
-        }
-        return std::nullopt;
-    }
+    if (channel_.empty()) flush_locked();
+    if (channel_.empty()) return std::nullopt;
     std::string bytes = std::move(channel_.front());
     channel_.pop_front();
     return bytes;
@@ -164,7 +109,7 @@ TransportStats ShipTransport::stats() const {
 
 std::size_t ShipTransport::in_flight() const {
     const common::MutexLock lock(&transport_mu_);
-    return channel_.size() + (held_back_.has_value() ? 1 : 0);
+    return channel_.size() + held_locked();
 }
 
 }  // namespace vnfr::serve::replication

@@ -1,15 +1,15 @@
 // In-process replication link between a WalShipper and a StandbyController,
-// modeled as a bounded byte-frame channel with deterministic fault
-// injection. Each data frame carries a contiguous run of framed WAL record
-// bytes (exactly as they sit on the primary's disk) or a rotation marker,
-// wrapped in its own CRC so the standby can reject mangled deliveries.
+// modeled as a bounded byte-frame channel. Each data frame carries a
+// contiguous run of framed WAL record bytes (exactly as they sit on the
+// primary's disk) or a rotation marker, wrapped in its own CRC so the
+// standby can reject mangled deliveries.
 //
 // The ack direction is modeled as a reliable latest-value register (a real
 // deployment would piggyback acks on a TCP stream; losing an ack only
-// delays WAL release, it cannot corrupt state), while the data direction
-// is adversarial: frames can be dropped, truncated, duplicated, or
-// reordered according to a seeded fault plan. All faults are drawn from a
-// counter-based RNG so a study replays bit-for-bit.
+// delays WAL release, it cannot corrupt state). The data direction is a
+// FIFO here; the link that drops, truncates, duplicates and reorders
+// frames overrides the transmit hooks below and lives with the rest of
+// the fault harness in src/serve/faults/.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +20,6 @@
 #include <string_view>
 
 #include "common/mutex.hpp"
-#include "common/rng.hpp"
 #include "serve/wal.hpp"
 
 namespace vnfr::serve::replication {
@@ -82,50 +81,32 @@ struct ShipAck {
     bool resync{false};
 };
 
-/// Per-frame fault probabilities for the data direction. All zero means a
-/// perfect link. Faults are sampled per try_send from a counter-based RNG
-/// stream of `seed`, so two runs with the same plan mangle the same frames.
-struct TransportFaultPlan {
-    std::uint64_t seed{0};
-    double drop{0.0};       ///< frame vanishes
-    double truncate{0.0};   ///< frame arrives with its tail cut off
-    double duplicate{0.0};  ///< frame delivered twice
-    double reorder{0.0};    ///< frame held back and delivered after its successor
-};
-
 struct TransportStats {
     std::uint64_t frames_sent{0};
     std::uint64_t frames_delivered{0};  ///< frames that entered the channel
-    std::uint64_t frames_dropped{0};
-    std::uint64_t frames_truncated{0};
-    std::uint64_t frames_duplicated{0};
-    std::uint64_t frames_reordered{0};
     std::uint64_t sends_rejected_full{0};  ///< backpressure: channel was full
     std::uint64_t acks_recorded{0};
 };
 
 /// Bounded in-process frame channel. Thread-safe; transport_mu_ is a leaf
-/// in the lock hierarchy (no callbacks run under it).
+/// in the lock hierarchy (no callbacks run under it; the transmit hooks
+/// run under it and must not call out).
 class ShipTransport {
   public:
     explicit ShipTransport(std::size_t capacity_frames = 16)
         : capacity_(capacity_frames == 0 ? 1 : capacity_frames) {}
+    virtual ~ShipTransport() = default;
 
     ShipTransport(const ShipTransport&) = delete;
     ShipTransport& operator=(const ShipTransport&) = delete;
 
-    /// Installs (or replaces) the fault plan; resets the fault RNG stream.
-    void set_fault_plan(const TransportFaultPlan& plan) VNFR_EXCLUDES(transport_mu_);
-
     /// Offers one frame to the channel. Returns false (and counts
     /// backpressure) when the channel is full — the caller retries the
     /// same frame on its next pump, so backpressure never loses data.
-    /// Faults are applied after admission: a dropped frame still consumes
-    /// a channel-capacity check but never occupies a slot.
     bool try_send(const ShipFrame& frame) VNFR_EXCLUDES(transport_mu_);
 
-    /// Takes the next delivered frame's raw bytes (possibly mangled by the
-    /// fault plan), or nullopt when the channel is empty.
+    /// Takes the next delivered frame's raw bytes, or nullopt when the
+    /// channel is empty.
     std::optional<std::string> try_recv() VNFR_EXCLUDES(transport_mu_);
 
     /// Publishes the standby's watermark (reliable latest-value register).
@@ -136,18 +117,28 @@ class ShipTransport {
 
     [[nodiscard]] TransportStats stats() const VNFR_EXCLUDES(transport_mu_);
 
-    /// Frames currently queued for delivery (reorder holdback included).
+    /// Frames currently queued for delivery (held-back ones included).
     [[nodiscard]] std::size_t in_flight() const VNFR_EXCLUDES(transport_mu_);
 
-  private:
+  protected:
+    /// Puts an admitted frame's wire bytes on the link. The plain link
+    /// delivers them as they are.
+    virtual void transmit_locked(std::string bytes) VNFR_REQUIRES(transport_mu_);
+    /// Called by try_recv on an empty channel: a link that holds frames
+    /// back delivers one late here. The plain link holds none.
+    virtual void flush_locked() VNFR_REQUIRES(transport_mu_) {}
+    /// Frames held back off the channel.
+    [[nodiscard]] virtual std::size_t held_locked() const VNFR_REQUIRES(transport_mu_) {
+        return 0;
+    }
+    /// Appends `bytes` to the channel, counted as delivered.
+    void deliver_locked(std::string bytes) VNFR_REQUIRES(transport_mu_);
+
     mutable common::Mutex transport_mu_;
+
+  private:
     std::deque<std::string> channel_ VNFR_GUARDED_BY(transport_mu_);
-    /// A reordered frame waits here until the next send overtakes it (or
-    /// a recv on an otherwise-empty channel flushes it).
-    std::optional<std::string> held_back_ VNFR_GUARDED_BY(transport_mu_);
     ShipAck ack_ VNFR_GUARDED_BY(transport_mu_);
-    TransportFaultPlan plan_ VNFR_GUARDED_BY(transport_mu_);
-    std::optional<common::Rng> fault_rng_ VNFR_GUARDED_BY(transport_mu_);
     TransportStats stats_ VNFR_GUARDED_BY(transport_mu_);
     std::size_t capacity_;
 };

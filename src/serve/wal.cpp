@@ -335,31 +335,21 @@ void FramedFileWriter::require_open(const char* op) const {
 void FramedFileWriter::commit() {
     if (staged_records_ == 0) return;
     require_open("commit");
-    std::uint64_t backoff = retry_.initial_backoff_micros;
-    for (int attempt = 1;; ++attempt) {
-        try {
+    with_storage_retries(
+        *vfs_, retry_,
+        [&] {
             if (dirty_) {
                 // A previous failed attempt may have written part of the
                 // group: rewind to the durable prefix so the rewrite
                 // cannot duplicate records.
                 vfs_->ftruncate(fd_, path_, synced_size_);
-                dirty_ = false;
             }
             dirty_ = true;
             vfs_->write_all(fd_, path_, staged_.bytes());
             vfs_->fdatasync(fd_, path_);
             dirty_ = false;
-            break;
-        } catch (const VfsError& err) {
-            if (!err.transient() || attempt >= retry_.max_attempts) throw;
-            ++transient_retries_;
-            vfs_->sleep_for_micros(backoff);
-            const double next = static_cast<double>(backoff) * retry_.multiplier;
-            backoff = next > static_cast<double>(retry_.max_backoff_micros)
-                          ? retry_.max_backoff_micros
-                          : static_cast<std::uint64_t>(next);
-        }
-    }
+        },
+        &transient_retries_);
     synced_size_ = size_;
     staged_.clear();
     staged_records_ = 0;

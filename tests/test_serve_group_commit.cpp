@@ -12,6 +12,8 @@
 #include <iterator>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "helpers.hpp"
@@ -110,6 +112,61 @@ TEST(ServeGroupCommitWal, TornGroupWriteRecoversTheIntactPrefix) {
     WalWriter resumed = WalWriter::append_to(posix_vfs(), path, contents.valid_size);
     resumed.append(decision_record(2, 3.0));
     EXPECT_EQ(read_wal(posix_vfs(), path, WalReadMode::kStrict).records.size(), 3u);
+}
+
+// A FaultyVfs whose next write to the armed path lands only its first
+// half and then fails transiently: the torn shape a commit's retry must
+// cut back before it rewrites the group.
+class ShortWriteOnceVfs : public FaultyVfs {
+  public:
+    void arm(std::string path) { armed_ = std::move(path); }
+
+    void write_all(int fd, const std::string& path, std::string_view bytes) override {
+        if (path != armed_) {
+            FaultyVfs::write_all(fd, path, bytes);
+            return;
+        }
+        armed_.clear();
+        FaultyVfs::write_all(fd, path, bytes.substr(0, bytes.size() / 2));
+        throw VfsError(path, "write", EIO, true);
+    }
+
+  private:
+    std::string armed_;
+};
+
+TEST(ServeGroupCommitWal, ShortWriteIsCutBackBeforeTheRetry) {
+    ShortWriteOnceVfs vfs;
+    const std::string path = "/disk/wal-0.log";
+    WalWriter writer = WalWriter::create(vfs, path, 0, 42);
+
+    // A clean commit is one write and one fdatasync, nothing else.
+    FaultyVfsStats before = vfs.stats();
+    writer.append(decision_record(0, 1.0));
+    EXPECT_EQ(vfs.stats().writes - before.writes, 1u);
+    EXPECT_EQ(vfs.stats().syncs - before.syncs, 1u);
+    EXPECT_EQ(vfs.stats().truncates - before.truncates, 0u);
+    EXPECT_EQ(writer.transient_retries(), 0u);
+
+    writer.stage(decision_record(1, 2.0));
+    writer.stage(decision_record(2, 3.0));
+    vfs.arm(path);
+    before = vfs.stats();
+    writer.commit();
+    // Half the group landed, then: one backoff, the file cut back to the
+    // durable prefix, the whole group rewritten and synced once.
+    EXPECT_EQ(vfs.stats().writes - before.writes, 2u);
+    EXPECT_EQ(vfs.stats().sleeps - before.sleeps, 1u);
+    EXPECT_EQ(vfs.stats().truncates - before.truncates, 1u);
+    EXPECT_EQ(vfs.stats().syncs - before.syncs, 1u);
+    EXPECT_EQ(writer.transient_retries(), 1u);
+    EXPECT_FALSE(writer.dirty());
+    EXPECT_EQ(writer.durable_size(), vfs.read_file(path).size());
+
+    // Each staged record is on disk exactly once.
+    const WalContents contents = read_wal(vfs, path, WalReadMode::kStrict);
+    ASSERT_EQ(contents.records.size(), 3u);
+    for (std::uint64_t i = 0; i < 3; ++i) EXPECT_EQ(contents.records[i].seq, i);
 }
 
 core::Instance matrix_instance(std::size_t n) {

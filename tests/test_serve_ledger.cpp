@@ -16,7 +16,7 @@
 #include "serve/admission_controller.hpp"
 #include "serve/faults/chaos_support.hpp"
 #include "serve/faults/faulty_vfs.hpp"
-#include "serve/faults/wal_scrubber.hpp"
+#include "serve/wal_scrubber.hpp"
 #include "serve/ledger.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/wal.hpp"

@@ -14,6 +14,7 @@
 #include "serve/faults/chaos_support.hpp"
 #include "serve/replication/failover.hpp"
 #include "serve/faults/failover_chaos.hpp"
+#include "serve/faults/faulty_ship_transport.hpp"
 #include "serve/replication/ship_transport.hpp"
 #include "serve/replication/standby.hpp"
 #include "serve/replication/wal_shipper.hpp"
@@ -145,26 +146,25 @@ TEST(ShipTransport, BoundedChannelBackpressures) {
 }
 
 TEST(ShipTransport, FaultPlanDropsAndReorders) {
-    ShipTransport transport(64);
     TransportFaultPlan plan;
     plan.seed = 42;
     plan.drop = 0.25;
     plan.truncate = 0.25;
     plan.duplicate = 0.25;
     plan.reorder = 0.25;
-    transport.set_fault_plan(plan);
+    FaultyShipTransport transport(64, plan);
     ShipFrame frame;
     frame.payload = "some-frame-payload";
     for (int i = 0; i < 40; ++i) (void)transport.try_send(frame);
     // Drain everything (including a possible held-back reorder frame).
     std::size_t received = 0;
     while (transport.try_recv().has_value()) ++received;
-    const TransportStats stats = transport.stats();
-    EXPECT_GT(stats.frames_dropped, 0u);
-    EXPECT_GT(stats.frames_truncated, 0u);
-    EXPECT_GT(stats.frames_duplicated, 0u);
-    EXPECT_GT(stats.frames_reordered, 0u);
-    EXPECT_EQ(received, stats.frames_delivered);
+    const TransportFaultStats faults = transport.fault_stats();
+    EXPECT_GT(faults.frames_dropped, 0u);
+    EXPECT_GT(faults.frames_truncated, 0u);
+    EXPECT_GT(faults.frames_duplicated, 0u);
+    EXPECT_GT(faults.frames_reordered, 0u);
+    EXPECT_EQ(received, transport.stats().frames_delivered);
     EXPECT_EQ(transport.in_flight(), 0u);
 }
 
@@ -198,14 +198,13 @@ TEST(StandbyReplication, ConvergesOverFaultyLink) {
     const core::Instance instance = replication_instance(60);
     const std::string pdir = fresh_work_dir("repl_faulty_p");
     const std::string sdir = fresh_work_dir("repl_faulty_s");
-    ShipTransport transport(4);
     TransportFaultPlan plan;
     plan.seed = 7;
     plan.drop = 0.15;
     plan.truncate = 0.1;
     plan.duplicate = 0.1;
     plan.reorder = 0.1;
-    transport.set_fault_plan(plan);
+    FaultyShipTransport transport(4, plan);
     AdmissionController primary(instance, core::Scheme::kOffsite,
                                 primary_config(pdir));
     StandbyController standby(instance, core::Scheme::kOffsite,
@@ -533,7 +532,7 @@ TEST(FailoverChaos, GatePassesOnBothSchemesWithLag) {
             EXPECT_GT(result.total_disk_records_applied, 0u)
                 << "no trial exercised promotion catch-up";
             if (lag == 1) {
-                EXPECT_GT(result.transport_totals.frames_dropped, 0u);
+                EXPECT_GT(result.link_faults.frames_dropped, 0u);
             }
         }
     }

@@ -14,7 +14,7 @@
 #include "helpers.hpp"
 #include "serve/admission_controller.hpp"
 #include "serve/faults/faulty_vfs.hpp"
-#include "serve/faults/wal_scrubber.hpp"
+#include "serve/wal_scrubber.hpp"
 #include "serve/wal.hpp"
 #include "serve/wire.hpp"
 
@@ -407,6 +407,76 @@ TEST(ServeVfs, ScrubberDetectsASingleFlippedBitInARetainedGeneration) {
     EXPECT_TRUE(scrub_data_dir(disk, kDir).clean());
 }
 
+// The scrub is also the operator's dump of a directory (vnfrsim
+// --inspect): it must list every record the controller logged, in order
+// and at its offset, and drop exactly the torn tail restart drops.
+TEST(ServeVfs, ScrubListsEveryLoggedRecordAndTheTornTailRestartDrops) {
+    const core::Instance inst = tiny_instance(24);
+    FaultyVfs disk;
+    ServeConfig cfg;
+    cfg.data_dir = kDir;
+    cfg.vfs = &disk;
+    cfg.checkpoint_every = 1000;  // every record stays in the live wal-0.log
+    cfg.queue_capacity = 4;       // six submits per drain: some are shed
+    ServeMetrics metrics;
+    {
+        AdmissionController controller(inst, core::Scheme::kOnsite, cfg);
+        for (std::size_t i = 0; i < inst.requests.size(); ++i) {
+            controller.submit(i, inst.requests[i]);
+            if (i % 6 == 5) controller.drain();
+        }
+        metrics = controller.metrics();
+    }  // no closing checkpoint: the records live only in the WAL
+    ASSERT_GT(metrics.shed, 0u);
+
+    const std::string wal = at("wal-0.log");
+    const ScrubReport whole = scrub_data_dir(disk, kDir);
+    ASSERT_TRUE(whole.clean());
+    ASSERT_EQ(whole.generations.size(), 1u);
+    EXPECT_EQ(whole.generations[0].file, wal);
+    const std::vector<WalRecord>& logged = whole.generations[0].contents.records;
+    // One record per request, each decided or shed once, packed back to
+    // back from the end of the header to the end of the file.
+    ASSERT_EQ(logged.size(), inst.requests.size());
+    std::vector<bool> seen(inst.requests.size(), false);
+    std::uint64_t shed = 0;
+    std::uint64_t offset = kWalHeaderSize;
+    for (const WalRecord& rec : logged) {
+        ASSERT_LT(rec.seq, seen.size());
+        EXPECT_FALSE(seen[rec.seq]) << "seq " << rec.seq << " logged twice";
+        seen[rec.seq] = true;
+        if (rec.kind == WalRecordKind::kShed) ++shed;
+        EXPECT_EQ(rec.file_offset, offset);
+        offset += encode_wal_record(rec).size();
+    }
+    EXPECT_EQ(shed, metrics.shed);
+    EXPECT_EQ(offset, disk.read_file(wal).size());
+
+    // Tear the last record as a crash mid-append would.
+    const std::uint64_t torn_size = offset - 5;
+    const int fd = disk.open_append(wal);
+    disk.ftruncate(fd, wal, torn_size);
+    disk.fdatasync(fd, wal);
+    disk.close(fd);
+
+    const ScrubReport torn = scrub_data_dir(disk, kDir);
+    EXPECT_TRUE(torn.clean());
+    ASSERT_EQ(torn.generations.size(), 1u);
+    const WalContents& kept = torn.generations[0].contents;
+    ASSERT_EQ(kept.records.size(), logged.size() - 1);
+    for (std::size_t i = 0; i < kept.records.size(); ++i) {
+        EXPECT_EQ(kept.records[i].seq, logged[i].seq);
+        EXPECT_EQ(kept.records[i].kind, logged[i].kind);
+        EXPECT_EQ(kept.records[i].file_offset, logged[i].file_offset);
+    }
+    EXPECT_EQ(kept.bytes_discarded, torn_size - logged.back().file_offset);
+    EXPECT_EQ(kept.records_discarded, 1u);
+
+    const AdmissionController restarted(inst, core::Scheme::kOnsite, cfg);
+    EXPECT_EQ(restarted.recovery_stats().torn_tail_bytes, kept.bytes_discarded);
+    EXPECT_EQ(restarted.recovery_stats().torn_tail_records, kept.records_discarded);
+}
+
 // ------------------------------------------------------- WAL file names
 
 TEST(ServeVfs, WalGenerationsListNumericallyAndSkipForeignNames) {
@@ -450,7 +520,7 @@ TEST(ServeVfs, ForeignWalNameIsLeftAloneByRestartAndScrub) {
     EXPECT_EQ(disk.read_file(foreign), "not a WAL");
     const ScrubReport report = scrub_data_dir(disk, kDir);
     EXPECT_TRUE(report.findings.empty());
-    EXPECT_EQ(report.generations_scanned, 1u);
+    EXPECT_EQ(report.generations.size(), 1u);
 }
 
 TEST(ServeVfs, RetainedGenerationsPastNineRestartAndScrubInOrder) {
@@ -483,7 +553,7 @@ TEST(ServeVfs, RetainedGenerationsPastNineRestartAndScrubInOrder) {
     EXPECT_EQ(list_wal_generations(disk, kDir), expected);
     const ScrubReport report = scrub_data_dir(disk, kDir);
     EXPECT_TRUE(report.findings.empty());
-    EXPECT_EQ(report.generations_scanned, expected.size());
+    EXPECT_EQ(report.generations.size(), expected.size());
 }
 
 // ------------------------------------------------------------- PosixVfs

@@ -42,10 +42,10 @@ arithmetic in this codebase:
   faults-boundary
                 No file under src/ outside src/serve/faults/, and no
                 tools/*.cpp, includes a ``serve/faults/`` header. The fault
-                harness (FaultyVfs, the disk-fault and failover studies,
-                the scrubber) is built as vnfr_serve_faults for tests and
-                benches only; production libraries and the CLI must not
-                reach it.
+                harness (FaultyVfs, FaultyShipTransport, the disk-fault and
+                failover studies) is built as vnfr_serve_faults for tests
+                and benches only; production libraries and the CLI must
+                not reach it.
 
   env-knob      Under src/, only src/common/thread_pool.cpp reads the
                 environment (``std::getenv("VNFR_THREADS")``, which never

@@ -7,6 +7,7 @@
 //   vnfrsim --algorithms onsite-primal-dual,onsite-greedy --offline-bound
 //   vnfrsim --profile google --inject-failures --csv
 //   vnfrsim --write-trace trace.csv / --read-trace trace.csv
+//   vnfrsim --serve state / --inspect state
 //
 // Run with --help for the full flag list.
 #include <cerrno>
@@ -33,6 +34,8 @@
 #include "report/json.hpp"
 #include "report/table.hpp"
 #include "serve/admission_controller.hpp"
+#include "serve/vfs.hpp"
+#include "serve/wal_scrubber.hpp"
 #include "sim/experiment.hpp"
 #include "sim/metrics.hpp"
 #include "sim/recovery_study.hpp"
@@ -68,6 +71,8 @@ struct Options {
     std::string serve_dir;
     std::optional<std::size_t> checkpoint_every;
     std::size_t queue_capacity{256};
+    // --inspect: scrub this data directory and dump it as JSON.
+    std::string inspect_dir;
 };
 
 [[noreturn]] void usage(int exit_code) {
@@ -122,6 +127,13 @@ Serve mode (crash-safe admission controller):
                             the lowest-payment request. The queue is
                             pumped every N submits, one WAL write and
                             one fdatasync per pump                  [256]
+  --inspect DIR             read DIR (snapshot, ledger, every WAL
+                            generation) with the readers recovery uses,
+                            without changing it, and print one JSON
+                            document: the snapshot, the ledger, every
+                            record with its offset, torn tails and
+                            findings. Exits 0 when DIR is clean, 1 when
+                            not. Needs no instance flags; rejects --serve.
 
 Output:
   --csv                     machine-readable CSV instead of a table
@@ -227,6 +239,7 @@ Options parse_args(int argc, char** argv) {
         } else if (flag == "--fault-replications")
             opt.fault_replications = parse_count(need_value(i, flag), flag, 1);
         else if (flag == "--serve") opt.serve_dir = need_value(i, flag);
+        else if (flag == "--inspect") opt.inspect_dir = need_value(i, flag);
         else if (flag == "--checkpoint-every")
             opt.checkpoint_every = parse_count(need_value(i, flag), flag, 1);
         else if (flag == "--queue-capacity")
@@ -353,8 +366,8 @@ int run_serve(const Options& opt) {
         if (rec.torn_tail_bytes > 0) {
             std::cout << "; torn tail dropped: " << rec.torn_tail_bytes
                       << " byte(s) / " << rec.torn_tail_records
-                      << " record(s) (crash mid-append, inspect with "
-                         "tools/vnfr_waldump.py)";
+                      << " record(s) (crash mid-append; vnfrsim --inspect "
+                      << opt.serve_dir << " dumps the directory)";
         }
         std::cout << "\n";
     }
@@ -382,7 +395,104 @@ int run_serve(const Options& opt) {
     return 0;
 }
 
+/// The JSON form of one WAL record: where it sits, the request, and what
+/// became of it.
+report::JsonValue record_json(const serve::WalRecord& rec) {
+    report::JsonValue request = report::JsonValue::object();
+    request.set("id", rec.request.id.value)
+        .set("vnf", rec.request.vnf.value)
+        .set("requirement", rec.request.requirement)
+        .set("arrival", static_cast<std::int64_t>(rec.request.arrival))
+        .set("duration", static_cast<std::int64_t>(rec.request.duration))
+        .set("payment", rec.request.payment)
+        .set("source", rec.request.source.value);
+    const bool shed = rec.kind == serve::WalRecordKind::kShed;
+    report::JsonValue sites = report::JsonValue::array();
+    for (const core::Site& site : rec.sites) {
+        report::JsonValue s = report::JsonValue::object();
+        s.set("cloudlet", site.cloudlet.value).set("replicas", site.replicas);
+        sites.push(std::move(s));
+    }
+    report::JsonValue out = report::JsonValue::object();
+    out.set("offset", rec.file_offset)
+        .set("seq", rec.seq)
+        .set("kind", shed ? "shed" : "decision")
+        .set("request", std::move(request))
+        .set("outcome", shed           ? "shed"
+                        : rec.admitted ? "admitted"
+                                       : core::to_string(rec.reject_reason))
+        .set("sites", std::move(sites));
+    return out;
+}
+
+/// --inspect: the scrub of `dir` as one JSON document on stdout; exit 0
+/// when the directory is clean, 1 when the scrub found anything.
+int run_inspect(const Options& opt) {
+    if (!opt.serve_dir.empty()) {
+        throw std::invalid_argument("--inspect reads a directory; it takes no --serve");
+    }
+    if (!serve::posix_vfs().dir_exists(opt.inspect_dir)) {
+        throw std::invalid_argument("--inspect: no directory " + opt.inspect_dir);
+    }
+    const serve::ScrubReport scrub = serve::scrub_data_dir(opt.inspect_dir);
+
+    report::JsonValue snapshot = report::JsonValue::object();
+    snapshot.set("present", scrub.snapshot_present).set("ok", scrub.snapshot.has_value());
+    if (const auto& snap = scrub.snapshot) {
+        snapshot.set("scheme", snap->scheme == 0 ? "onsite" : "offsite")
+            .set("config_digest", report::hex_u64(snap->config_digest))
+            .set("cloudlets", snap->cloudlets)
+            .set("horizon", snap->horizon)
+            .set("wal_generation", snap->wal_seq)
+            .set("processed", snap->metrics.processed)
+            .set("admitted", snap->metrics.admitted)
+            .set("rejected", snap->metrics.rejected)
+            .set("shed", snap->metrics.shed)
+            .set("revenue", snap->metrics.revenue)
+            .set("shed_revenue", snap->metrics.shed_revenue)
+            .set("covered_watermark", snap->covered_watermark)
+            .set("covered_sparse", static_cast<std::uint64_t>(snap->covered_sparse.size()))
+            .set("ledger_bytes", snap->ledger_bytes);
+    }
+    report::JsonValue ledger = report::JsonValue::object();
+    ledger.set("records_verified", scrub.ledger_records_verified)
+        .set("tail_bytes", scrub.ledger_tail_bytes);
+
+    report::JsonValue generations = report::JsonValue::array();
+    for (const serve::ScrubbedGeneration& gen : scrub.generations) {
+        const serve::WalContents& wal = gen.contents;
+        report::JsonValue records = report::JsonValue::array();
+        for (const serve::WalRecord& rec : wal.records) records.push(record_json(rec));
+        report::JsonValue g = report::JsonValue::object();
+        g.set("file", gen.file)
+            .set("generation", wal.wal_seq)
+            .set("config_digest", report::hex_u64(wal.config_digest))
+            .set("valid_size", wal.valid_size)
+            .set("records", std::move(records))
+            .set("torn_tail_bytes", wal.bytes_discarded)
+            .set("torn_tail_records", wal.records_discarded);
+        generations.push(std::move(g));
+    }
+    report::JsonValue findings = report::JsonValue::array();
+    for (const serve::ScrubFinding& f : scrub.findings) {
+        report::JsonValue finding = report::JsonValue::object();
+        finding.set("file", f.file).set("offset", f.offset).set("detail", f.detail);
+        findings.push(std::move(finding));
+    }
+
+    report::JsonValue doc = report::JsonValue::object();
+    doc.set("dir", opt.inspect_dir)
+        .set("snapshot", std::move(snapshot))
+        .set("ledger", std::move(ledger))
+        .set("generations", std::move(generations))
+        .set("findings", std::move(findings))
+        .set("clean", scrub.clean());
+    std::cout << doc.dump() << "\n";
+    return scrub.clean() ? 0 : 1;
+}
+
 int run(const Options& opt) {
+    if (!opt.inspect_dir.empty()) return run_inspect(opt);
     if (!opt.serve_dir.empty()) return run_serve(opt);
     std::vector<sim::Algorithm> algorithms;
     if (opt.algorithms.empty()) {
