@@ -2,10 +2,11 @@
 // as the cloudlet count grows (an online admission controller sits on the
 // request path, so decide() cost is the deployment-relevant number),
 // replication throughput of the parallel experiment engine vs thread
-// count, one fault replication of the recovery study per policy, one
-// paper-scale on-site LP relaxation (presolve and simplex), and the
-// serve layer's per-byte checkpoint costs (CRC-32, snapshot encode and
-// decode, admitted-ledger parse) and per-request admission cost.
+// count, one request-stream generation, one fault replication of the
+// recovery study per policy, one paper-scale on-site LP relaxation
+// (presolve and simplex), and the serve layer's per-byte checkpoint costs
+// (CRC-32, snapshot encode and decode, admitted-ledger parse) and
+// per-request admission cost.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -28,6 +29,8 @@
 #include "sim/recovery_engine.hpp"
 #include "sim/recovery_faults.hpp"
 #include "sim/scenarios.hpp"
+#include "vnf/catalog.hpp"
+#include "workload/generator.hpp"
 
 namespace {
 
@@ -151,6 +154,26 @@ BENCHMARK_CAPTURE(BM_RecoveryReplication, remote_migrate, sim::RecoveryPolicy::k
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_RecoveryReplication, readmit, sim::RecoveryPolicy::kReadmit)
     ->Unit(benchmark::kMicrosecond);
+
+/// One workload::generate call on the paper environment at state.range(0)
+/// requests: 400 is the paper_sweep benchmark's bound-phase instance and
+/// 480,000 about flash_crowd's 10 s stream. Each iteration draws from its
+/// own Rng stream, as replications do: redrawing one stream would let the
+/// branch predictor learn the ordering pass's data.
+void BM_GenerateRequests(benchmark::State& state) {
+    const auto count = static_cast<std::size_t>(state.range(0));
+    const workload::GeneratorConfig config = sim::paper_environment(count).workload;
+    common::Rng catalog_rng = common::stream_rng(0x9e7f'5c4d, 0x6e6);
+    const vnf::Catalog catalog = vnf::Catalog::paper_default(catalog_rng);
+    std::uint64_t stream = 0;
+    for (auto _ : state) {
+        common::Rng rng = common::stream_rng(0x9e7f'5c4d, stream++);
+        benchmark::DoNotOptimize(workload::generate(config, catalog, rng));
+    }
+    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(count));
+}
+
+BENCHMARK(BM_GenerateRequests)->Arg(400)->Arg(480000)->Unit(benchmark::kMicrosecond);
 
 /// One paper-scale on-site LP relaxation through presolve and solve_lp:
 /// the paper environment at n = 400, the instance of PaperScaleLp seed 1

@@ -165,6 +165,47 @@ void list_holder(const core::Instance& instance, std::vector<Holder>& holders,
     return VNFR_CHECK_PROB(1.0 - fail);
 }
 
+/// Per-slot lists of request indices in one flat array: slot t's list is
+/// items[first[t], first[t + 1]).
+struct SlotLists {
+    std::vector<std::size_t> first;
+    std::vector<std::size_t> items;
+
+    [[nodiscard]] std::span<const std::size_t> at(TimeSlot t) const {
+        const auto slot = static_cast<std::size_t>(t);
+        return {items.data() + first[slot], first[slot + 1] - first[slot]};
+    }
+};
+
+using SlotSpan = std::pair<TimeSlot, TimeSlot>;
+
+/// A request's window [a_i, a_i + d_i), and its last slot alone.
+[[nodiscard]] SlotSpan window_of(const workload::Request& r) { return {r.arrival, r.end()}; }
+[[nodiscard]] SlotSpan last_slot_of(const workload::Request& r) { return {r.end() - 1, r.end()}; }
+
+/// Lists every admitted request i under each slot of span(i) = [lo, hi), in
+/// index order: one counting pass, prefix sums, then a placement pass.
+[[nodiscard]] SlotLists list_by_slot(const core::Instance& instance,
+                                     const std::vector<core::Decision>& decisions,
+                                     SlotSpan (*span)(const workload::Request&)) {
+    SlotLists lists;
+    lists.first.assign(static_cast<std::size_t>(instance.horizon) + 1, 0);
+    for (std::size_t i = 0; i < decisions.size(); ++i) {
+        if (!decisions[i].admitted) continue;
+        const auto [lo, hi] = span(instance.requests[i]);
+        for (TimeSlot s = lo; s < hi; ++s) ++lists.first[static_cast<std::size_t>(s) + 1];
+    }
+    for (std::size_t s = 1; s < lists.first.size(); ++s) lists.first[s] += lists.first[s - 1];
+    lists.items.resize(lists.first.back());
+    std::vector<std::size_t> next(lists.first.begin(), lists.first.end() - 1);
+    for (std::size_t i = 0; i < decisions.size(); ++i) {
+        if (!decisions[i].admitted) continue;
+        const auto [lo, hi] = span(instance.requests[i]);
+        for (TimeSlot s = lo; s < hi; ++s) lists.items[next[static_cast<std::size_t>(s)]++] = i;
+    }
+    return lists;
+}
+
 [[nodiscard]] bool uses_deficits(RecoveryPolicy policy) {
     return policy == RecoveryPolicy::kRemoteMigrate || policy == RecoveryPolicy::kReadmit;
 }
@@ -182,7 +223,9 @@ struct RecoveryReplay::Base {
           ledger(inst.network.capacities(), inst.horizon, edge::CapacityPolicy::kEnforce),
           states(decs.size()),
           compute(decs.size(), 0.0),
-          holders(inst.network.cloudlet_count()) {
+          holders(inst.network.cloudlet_count()),
+          covering(list_by_slot(inst, decs, window_of)),
+          ending(list_by_slot(inst, decs, last_slot_of)) {
         VNFR_CHECK(config.max_retries >= 0, "max_retries must be >= 0");
         VNFR_CHECK(config.respawn_delay_slots >= 0, "respawn_delay_slots must be >= 0");
         VNFR_CHECK(config.retry_backoff_slots >= 1, "retry_backoff_slots must be >= 1");
@@ -270,6 +313,11 @@ struct RecoveryReplay::Base {
     std::vector<std::vector<Holder>> holders;
     /// Recovery wake-ups (a heap): requests placed short of R_i, at arrival.
     std::vector<Wake> wakes;
+    /// Per slot, in index order: the admitted requests whose window covers
+    /// it, and those whose window ends with it. A shed request stays listed,
+    /// so the rest of its window keeps counting as disrupted.
+    SlotLists covering;
+    SlotLists ending;
     /// Algorithm 2's zero-dual scan order: reliability descending, id
     /// ascending.
     std::vector<CloudletId> zero_dual_order;
@@ -277,7 +325,7 @@ struct RecoveryReplay::Base {
 
 /// The fault-tolerance loop over a copy of a Base. Single-threaded and
 /// RNG-free: all randomness was frozen into the FaultSchedule. Each slot
-/// plays arrivals, handover lapses, fault events, the due recovery visits,
+/// plays handover lapses, fault events, the due recovery visits,
 /// accounting, the capacity audit and retirements, in that order.
 class RecoveryReplay::Engine {
   public:
@@ -293,18 +341,14 @@ class RecoveryReplay::Engine {
           states_(base.states),
           sites_(base.sites),
           replicas_(base.replicas),
+          covering_(base.covering),
+          ending_(base.ending),
           holders_(base.holders),
           wakes_(base.wakes) {}
 
     RecoveryReport run(const FaultSchedule& schedule) {
         std::size_t next_event = 0;
-        std::size_t next_request = 0;
         for (TimeSlot t = 0; t < instance_.horizon; ++t) {
-            while (next_request < instance_.requests.size() &&
-                   instance_.requests[next_request].arrival == t) {
-                if (decisions_[next_request].admitted) active_.push_back(next_request);
-                ++next_request;
-            }
             lapse_handovers(t);
             while (next_event < schedule.events.size() &&
                    schedule.events[next_event].slot == t) {
@@ -312,7 +356,7 @@ class RecoveryReplay::Engine {
                 ++next_event;
             }
             if (config_.policy != RecoveryPolicy::kNone) recover_due(t);
-            for (const std::size_t i : active_) account(i, t);
+            for (const std::size_t i : covering_.at(t)) account(i, t);
             audit_capacity(t);
             retire(t);
         }
@@ -494,7 +538,7 @@ class RecoveryReplay::Engine {
         down_until_[c.index()] = std::max(down_until_[c.index()], slot_after(t, down_slots));
         // Hardware reboots wipe instance state: every replica hosted on the
         // cloudlet is lost, not just unreachable.
-        for (const std::size_t i : active_) {
+        for (const std::size_t i : covering_.at(t)) {
             if (states_[i].shed) continue;
             bool lost = false;
             for (const SiteState& site : sites_of(i)) {
@@ -595,9 +639,9 @@ class RecoveryReplay::Engine {
 
     // ------------------------------------------------------------ shedding
 
-    /// Tears request `i` down and books the lost revenue. The request stays
-    /// in the active set so its remaining window keeps counting as
-    /// disrupted — shedding must never inflate availability.
+    /// Tears request `i` down and books the lost revenue. The request is
+    /// still accounted in every slot of its window, so the rest of it counts
+    /// as disrupted — shedding must never inflate availability.
     void shed(std::size_t i, TimeSlot t) {
         for (const SiteState& site : sites_of(i)) {
             for (ReplicaState& replica : replicas_of(site)) {
@@ -643,6 +687,18 @@ class RecoveryReplay::Engine {
                                std::size_t gain_slots) {
         if (ledger_.reserve(c, begin, end, amount)) return true;
         if (!config_.allow_shedding || gain_slots == 0) return false;
+        // No victim frees a slot at or past `freed_by`: a victim loses fewer
+        // than gain_slots serving slots, so its committed service ends by
+        // freed_by, and a live replica's reservation ends at its expiry,
+        // which is at most there. (The beneficiary's own state may be stale
+        // mid-visit, but it is never its own victim.) The slots of
+        // [freed_by, end) must fit on what is free now, so they are checked
+        // before the holders are walked.
+        const TimeSlot freed_by = t + static_cast<TimeSlot>(gain_slots) - 1;
+        const TimeSlot tail = std::max(begin, freed_by);
+        for (TimeSlot s = end - 1; s >= tail; --s) {
+            if (ledger_.residual(c, s) + 1e-9 < amount) return false;
+        }
         const double gain_ratio = static_cast<double>(gain_slots) /
                                   static_cast<double>(request_of(self).duration);
 
@@ -704,8 +760,8 @@ class RecoveryReplay::Engine {
         // freed amount is summed in the dry run's order, freed amounts are
         // non-negative and rounding is monotone, so a prefix never frees
         // more. The last slots, which the fewest victims still hold, are
-        // checked first.
-        for (TimeSlot s = end - 1; s >= begin; --s) {
+        // checked first; those from `tail` on already were.
+        for (TimeSlot s = tail - 1; s >= begin; --s) {
             double freed = 0.0;
             for (const FreedSpan& f : spans_) {  // the admitted victims' spans, in order
                 if (f.lo <= s && s < f.hi) freed += f.compute;
@@ -715,6 +771,9 @@ class RecoveryReplay::Engine {
 
         // Dry run: the shortest prefix whose freed space makes the
         // reservation fit. The early-out proved the whole list does.
+        for (const FreedSpan& f : spans_) {
+            VNFR_DCHECK(f.hi <= freed_by, "a victim frees a slot past its committed service");
+        }
         freed_.assign(static_cast<std::size_t>(end - begin), 0.0);
         const auto fits_with_freed = [&] {
             for (TimeSlot s = begin; s < end; ++s) {
@@ -1019,9 +1078,8 @@ class RecoveryReplay::Engine {
     }
 
     void retire(TimeSlot t) {
-        std::erase_if(active_, [&](std::size_t i) {
+        for (const std::size_t i : ending_.at(t)) {
             const workload::Request& req = instance_.requests[i];
-            if (req.end() != t + 1) return false;
             const RequestState& state = states_[i];
             ++report_.sla_requests;
             report_.promised_availability_sum += req.requirement;
@@ -1032,8 +1090,7 @@ class RecoveryReplay::Engine {
                           static_cast<double>(state.window_slots);
             report_.delivered_availability_sum += delivered;
             if (delivered + 1e-9 < req.requirement) ++report_.sla_violations;
-            return true;
-        });
+        }
     }
 
     const core::Instance& instance_;
@@ -1047,10 +1104,11 @@ class RecoveryReplay::Engine {
     std::vector<RequestState> states_;  ///< parallel to decisions
     std::vector<SiteState> sites_;      ///< see Base::sites
     std::vector<ReplicaState> replicas_;
+    const SlotLists& covering_;  ///< see Base::covering
+    const SlotLists& ending_;    ///< see Base::ending
     std::vector<std::vector<Holder>> holders_;  ///< see Base::holders
     std::vector<Wake> wakes_;   ///< recovery visits (a heap; see RequestState::wake_at)
     std::vector<Wake> lapses_;  ///< handover expiries (a heap)
-    std::vector<std::size_t> active_;   ///< admitted requests covering the slot
     RecoveryReport report_;
     // Scratch reused across calls (contents are per call).
     std::vector<std::size_t> due_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 namespace vnfr::workload {
@@ -60,6 +61,21 @@ TimeSlot draw_duration(const GeneratorConfig& cfg, common::Rng& rng) {
     throw std::logic_error("generate: unknown duration distribution");
 }
 
+/// A Poisson(rate) count. Rng::poisson's inversion stops at a mean of
+/// kPoissonPartMax, so a larger rate is split into ceil(rate / kPoissonPartMax)
+/// equal parts whose counts are summed (a sum of independent Poisson counts
+/// is Poisson in the summed mean). Up to the limit it is one Rng::poisson
+/// call with the rate itself.
+std::int64_t draw_poisson(double rate, common::Rng& rng) {
+    constexpr double kPoissonPartMax = 700.0;
+    if (rate <= kPoissonPartMax) return rng.poisson(rate);
+    const double parts = std::ceil(rate / kPoissonPartMax);
+    const double part = rate / parts;
+    std::int64_t k = 0;
+    for (auto p = static_cast<std::int64_t>(parts); p > 0; --p) k += rng.poisson(part);
+    return k;
+}
+
 std::vector<TimeSlot> draw_arrivals(const GeneratorConfig& cfg, common::Rng& rng) {
     std::vector<TimeSlot> arrivals;
     arrivals.reserve(cfg.count);
@@ -88,8 +104,8 @@ std::vector<TimeSlot> draw_arrivals(const GeneratorConfig& cfg, common::Rng& rng
                                          static_cast<double>(cfg.horizon);
                     rate *= 1.0 - cfg.diurnal_amplitude * std::cos(phase);
                 }
-                const int k = rate > 0.0 ? rng.poisson(rate) : 0;
-                for (int i = 0; i < k && arrivals.size() < cfg.count; ++i) {
+                const std::int64_t k = rate > 0.0 ? draw_poisson(rate, rng) : 0;
+                for (std::int64_t i = 0; i < k && arrivals.size() < cfg.count; ++i) {
                     arrivals.push_back(t);
                 }
             }
@@ -110,8 +126,8 @@ std::vector<Request> generate(const GeneratorConfig& cfg, const vnf::Catalog& ca
     validate(cfg, catalog);
     auto arrivals = draw_arrivals(cfg, rng);
 
-    std::vector<Request> out;
-    out.reserve(cfg.count);
+    std::vector<Request> drawn;
+    drawn.reserve(cfg.count);
     for (std::size_t i = 0; i < cfg.count; ++i) {
         Request r;
         r.id = RequestId{static_cast<std::int64_t>(i)};
@@ -124,12 +140,19 @@ std::vector<Request> generate(const GeneratorConfig& cfg, const vnf::Catalog& ca
         const double pr = rng.uniform(cfg.payment_rate_min, cfg.payment_rate_max);
         r.payment = pr * static_cast<double>(r.duration) *
                     catalog.compute_units(r.vnf) * r.requirement;
-        out.push_back(r);
+        drawn.push_back(r);
     }
-    std::sort(out.begin(), out.end(), [](const Request& a, const Request& b) {
-        if (a.arrival != b.arrival) return a.arrival < b.arrival;
-        return a.id < b.id;
-    });
+
+    // Stable counting placement by arrival slot: count each slot's
+    // requests, turn the counts into each slot's first position, then copy
+    // the requests in id order to their slot's next position. Ids follow
+    // generation order, so this is the (arrival, id) order in
+    // O(count + horizon).
+    std::vector<std::size_t> next(static_cast<std::size_t>(cfg.horizon) + 1, 0);
+    for (const Request& r : drawn) ++next[static_cast<std::size_t>(r.arrival) + 1];
+    for (std::size_t s = 1; s < next.size(); ++s) next[s] += next[s - 1];
+    std::vector<Request> out(drawn.size());
+    for (const Request& r : drawn) out[next[static_cast<std::size_t>(r.arrival)]++] = r;
     return out;
 }
 

@@ -62,7 +62,9 @@ struct GeneratorConfig {
 GeneratorConfig google_cluster_like(TimeSlot horizon, std::size_t count);
 
 /// Generates `config.count` requests sorted by arrival slot (FIFO ties by
-/// id), every one satisfying fits_horizon(config.horizon).
+/// id), every one satisfying fits_horizon(config.horizon). Ids follow draw
+/// order; the ordering pass is a stable counting placement by arrival slot,
+/// O(count + horizon) time and memory.
 /// Throws std::invalid_argument on inconsistent configuration or an empty
 /// catalog.
 std::vector<Request> generate(const GeneratorConfig& config, const vnf::Catalog& catalog,

@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <limits>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 
+#include "common/digest.hpp"
 #include "common/rng.hpp"
+#include "core/instance.hpp"
+#include "sim/scenarios.hpp"
 #include "vnf/catalog.hpp"
 #include "workload/generator.hpp"
 #include "workload/request.hpp"
@@ -190,6 +198,163 @@ TEST(Generator, DiurnalAmplitudeValidated) {
     cfg.diurnal_amplitude = 1.5;
     common::Rng rng(23);
     EXPECT_THROW(generate(cfg, test_catalog(), rng), std::invalid_argument);
+}
+
+/// The generator as it was before its counting placement: the same draws,
+/// ordered by a comparison sort on (arrival, id), with Rng::poisson called
+/// on the whole slot rate. nullopt where that call rejects the rate.
+std::optional<std::vector<Request>> sorted_oracle(const GeneratorConfig& cfg,
+                                                  const vnf::Catalog& catalog,
+                                                  common::Rng& rng) {
+    std::vector<TimeSlot> arrivals;
+    if (cfg.arrivals == ArrivalProcess::kUniform) {
+        for (std::size_t i = 0; i < cfg.count; ++i) {
+            arrivals.push_back(static_cast<TimeSlot>(rng.uniform_int(0, cfg.horizon - 1)));
+        }
+    } else {
+        const double base_rate =
+            static_cast<double>(cfg.count) / static_cast<double>(cfg.horizon);
+        for (TimeSlot t = 0; t < cfg.horizon && arrivals.size() < cfg.count; ++t) {
+            double rate = base_rate;
+            if (cfg.arrivals == ArrivalProcess::kDiurnal) {
+                const double phase = 2.0 * 3.14159265358979323846 *
+                                     (static_cast<double>(t) + 0.5) /
+                                     static_cast<double>(cfg.horizon);
+                rate *= 1.0 - cfg.diurnal_amplitude * std::cos(phase);
+            }
+            int k = 0;
+            try {
+                k = rate > 0.0 ? rng.poisson(rate) : 0;
+            } catch (const std::invalid_argument&) {
+                return std::nullopt;
+            }
+            for (int i = 0; i < k && arrivals.size() < cfg.count; ++i) arrivals.push_back(t);
+        }
+        while (arrivals.size() < cfg.count) {
+            arrivals.push_back(static_cast<TimeSlot>(rng.uniform_int(0, cfg.horizon - 1)));
+        }
+    }
+    std::vector<Request> out;
+    for (std::size_t i = 0; i < cfg.count; ++i) {
+        Request r;
+        r.id = RequestId{static_cast<std::int64_t>(i)};
+        r.vnf = VnfTypeId{rng.uniform_int(0, static_cast<std::int64_t>(catalog.size()) - 1)};
+        r.requirement = rng.uniform(cfg.requirement_min, cfg.requirement_max);
+        if (cfg.durations == DurationDistribution::kUniformInt) {
+            r.duration = static_cast<TimeSlot>(rng.uniform_int(cfg.duration_min, cfg.duration_max));
+        } else {
+            const double raw = rng.bounded_pareto(cfg.pareto_alpha,
+                                                  static_cast<double>(cfg.duration_min),
+                                                  static_cast<double>(cfg.duration_max));
+            r.duration = std::clamp<TimeSlot>(static_cast<TimeSlot>(std::lround(raw)),
+                                              cfg.duration_min, cfg.duration_max);
+        }
+        r.arrival = std::min(arrivals[i], cfg.horizon - r.duration);
+        const double pr = rng.uniform(cfg.payment_rate_min, cfg.payment_rate_max);
+        r.payment = pr * static_cast<double>(r.duration) * catalog.compute_units(r.vnf) *
+                    r.requirement;
+        out.push_back(r);
+    }
+    std::sort(out.begin(), out.end(), [](const Request& a, const Request& b) {
+        if (a.arrival != b.arrival) return a.arrival < b.arrival;
+        return a.id < b.id;
+    });
+    return out;
+}
+
+/// Every field of `a` and `b` is equal, doubles bit for bit.
+void expect_same_requests(const std::vector<Request>& a, const std::vector<Request>& b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        SCOPED_TRACE("position " + std::to_string(i));
+        EXPECT_EQ(a[i].id, b[i].id);
+        EXPECT_EQ(a[i].vnf, b[i].vnf);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i].requirement),
+                  std::bit_cast<std::uint64_t>(b[i].requirement));
+        EXPECT_EQ(a[i].arrival, b[i].arrival);
+        EXPECT_EQ(a[i].duration, b[i].duration);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i].payment),
+                  std::bit_cast<std::uint64_t>(b[i].payment));
+        EXPECT_EQ(a[i].source, b[i].source);
+    }
+}
+
+/// Strictly increasing in (arrival, id).
+void expect_arrival_id_order(const std::vector<Request>& requests) {
+    for (std::size_t i = 1; i < requests.size(); ++i) {
+        const Request& a = requests[i - 1];
+        const Request& b = requests[i];
+        EXPECT_TRUE(a.arrival < b.arrival || (a.arrival == b.arrival && a.id < b.id))
+            << "positions " << i - 1 << " and " << i;
+    }
+}
+
+TEST(Generator, CountingPlacementMatchesSortedOracle) {
+    const auto cat = test_catalog();
+    std::size_t compared = 0;
+    for (const ArrivalProcess arrivals :
+         {ArrivalProcess::kUniform, ArrivalProcess::kPoisson, ArrivalProcess::kDiurnal}) {
+        for (const DurationDistribution durations :
+             {DurationDistribution::kUniformInt, DurationDistribution::kBoundedPareto}) {
+            for (const TimeSlot horizon : {1, 24, 600}) {
+                for (const std::size_t count : {0UL, 1UL, 400UL, 5000UL}) {
+                    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+                        GeneratorConfig cfg;
+                        cfg.arrivals = arrivals;
+                        cfg.durations = durations;
+                        cfg.horizon = horizon;
+                        cfg.count = count;
+                        cfg.duration_max = std::min<TimeSlot>(10, horizon);
+                        SCOPED_TRACE(::testing::Message()
+                                     << "arrivals " << static_cast<int>(arrivals)
+                                     << " durations " << static_cast<int>(durations)
+                                     << " horizon " << horizon << " count " << count
+                                     << " seed " << seed);
+                        common::Rng rng(seed);
+                        common::Rng oracle_rng(seed);
+                        const std::vector<Request> got = generate(cfg, cat, rng);
+                        const auto want = sorted_oracle(cfg, cat, oracle_rng);
+                        if (!want) {
+                            // Past the sampler's limit: the oracle has no
+                            // answer, the generator still must.
+                            ASSERT_EQ(got.size(), count);
+                            expect_arrival_id_order(got);
+                            continue;
+                        }
+                        expect_same_requests(got, *want);
+                        EXPECT_EQ(rng(), oracle_rng());
+                        ++compared;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(compared, 250u);
+}
+
+TEST(Generator, PaperEnvironmentRequestsPinned) {
+    common::Rng rng(1);
+    const core::Instance inst = core::make_instance(sim::paper_environment(800), rng);
+    common::Fnv1a digest;
+    for (const Request& r : inst.requests) {
+        digest.mix(static_cast<std::uint64_t>(r.id.value));
+        digest.mix(static_cast<std::uint64_t>(r.vnf.value));
+        digest.mix(r.requirement);
+        digest.mix(static_cast<std::uint64_t>(r.arrival));
+        digest.mix(static_cast<std::uint64_t>(r.duration));
+        digest.mix(r.payment);
+        digest.mix(static_cast<std::uint64_t>(r.source.value));
+    }
+    EXPECT_EQ(digest.value(), 0x09b2f1f09a559a77ULL) << std::hex << digest.value();
+}
+
+TEST(Generator, PoissonArrivalsPastSamplerLimit) {
+    // 20,000 requests over 24 slots: ~833 a slot, past Rng::poisson's
+    // inversion limit of 700.
+    common::Rng rng(1);
+    const auto requests = generate(google_cluster_like(24, 20000), test_catalog(), rng);
+    ASSERT_EQ(requests.size(), 20000u);
+    expect_arrival_id_order(requests);
 }
 
 TEST(Generator, ValidationErrors) {
